@@ -192,6 +192,10 @@ class ExperimentConfig:
         lo, hi = self.clip_range
         if not lo < hi:
             raise ConfigError("clip_range must satisfy lo < hi")
+        corpus = self.corpus_params()
+        for key in ("n_val", "n_test"):
+            if int(corpus[key]) < 1:
+                raise ConfigError(f"corpus.{key} must be >= 1 (greedy eval averages over it)")
         try:
             self.task()
             self.arch("teacher")

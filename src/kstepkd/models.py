@@ -123,14 +123,6 @@ class LogitModel:
     def num_params(self) -> int:
         return self.params.shape[0]
 
-    # -- parameter views -------------------------------------------------
-
-    def _linear_views(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._views
-
-    def _mlp1_views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self._views
-
     # -- forward ---------------------------------------------------------
 
     def context(self, state: State) -> tuple[int, ...]:
@@ -144,9 +136,9 @@ class LogitModel:
     def logits(self, state: State) -> np.ndarray:
         cols = self._columns(self.context(state))
         if self.kind == "linear":
-            w, b = self._linear_views()
+            w, b = self._views
             return w[:, cols].sum(axis=1) + b
-        w1, b1, w2, b2 = self._mlp1_views()
+        w1, b1, w2, b2 = self._views
         h = np.tanh(w1[:, cols].sum(axis=1) + b1)
         return w2 @ h + b2
 
@@ -157,9 +149,9 @@ class LogitModel:
         """Logits for an int array of contexts with shape [batch, window]."""
         cols = contexts + self._offsets
         if self.kind == "linear":
-            w, b = self._linear_views()
+            w, b = self._views
             return w.T[cols].sum(axis=1) + b
-        w1, b1, w2, b2 = self._mlp1_views()
+        w1, b1, w2, b2 = self._views
         h = np.tanh(w1.T[cols].sum(axis=1) + b1)
         return h @ w2.T + b2
 
@@ -182,7 +174,7 @@ class LogitModel:
         cols = self._columns(self.context(state))
         grad = np.zeros_like(self.params)
         if self.kind == "linear":
-            w, b = self._linear_views()
+            w, b = self._views
             z = w[:, cols].sum(axis=1) + b
             probs = softmax(z)
             err = -probs
@@ -192,7 +184,7 @@ class LogitModel:
             gw[:, cols] = err[:, None]
             grad[v * n * v :] = err
             return grad, probs
-        w1, b1, w2, b2 = self._mlp1_views()
+        w1, b1, w2, b2 = self._views
         h = np.tanh(w1[:, cols].sum(axis=1) + b1)
         z = w2 @ h + b2
         probs = softmax(z)
@@ -225,7 +217,7 @@ class LogitModel:
         grad = np.zeros_like(self.params)
         rows = np.arange(batch)
         if self.kind == "linear":
-            w, b = self._linear_views()
+            w, b = self._views
             z = w.T[cols].sum(axis=1) + b
             lp = log_softmax(z)
             loss = float(-lp[rows, targets].mean())
@@ -238,7 +230,7 @@ class LogitModel:
                 np.add.at(gwt, cols[:, j], dz)
             grad[v * n * v :] = dz.sum(axis=0)
             return loss, grad
-        w1, b1, w2, b2 = self._mlp1_views()
+        w1, b1, w2, b2 = self._views
         h = np.tanh(w1.T[cols].sum(axis=1) + b1)
         z = h @ w2.T + b2
         lp = log_softmax(z)

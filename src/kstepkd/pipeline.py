@@ -40,11 +40,17 @@ from .teacher import TeacherQ
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str, seed: int | None, cause: Exception):
+    def __init__(self, stage: str, seed: int | None, cause: Exception | str):
         detail = f"stage {stage!r} failed" + (f" (seed {seed})" if seed is not None else "")
         super().__init__(f"{detail}: {cause}")
         self.stage = stage
         self.seed = seed
+        self.cause = str(cause)
+
+    def __reduce__(self):
+        # pool workers send exceptions back pickled; the default reduction
+        # would call __init__ with the message alone
+        return (type(self), (self.stage, self.seed, self.cause))
 
 
 SUMMARY_HEADER = ("variant", "k", "seed", "best_val_return", "test_return")
@@ -277,13 +283,13 @@ def bias_variance_rows_for_student(
     groups: list[list[tuple[np.ndarray, np.ndarray]]] = []
     kl_states: list[State] = []
     for idx, s0 in enumerate(inputs):
-        group = []
-        for _ in range(samples_per_input):
-            traj = rollout(student, s0, cfg.horizon, mode="sample", rng=rng)
-            group.append(ret.trajectory_q_terms(traj, teacher))
-            if idx < 16:
-                kl_states.extend(s.state for s in traj.steps)
-        groups.append(group)
+        trajs = [
+            rollout(student, s0, cfg.horizon, mode="sample", rng=rng)
+            for _ in range(samples_per_input)
+        ]
+        groups.append(ret.trajectories_q_terms(trajs, teacher))
+        if idx < 16:
+            kl_states.extend(s.state for traj in trajs for s in traj.steps)
     kl = mean_kl_to_teacher(student, teacher, kl_states)
     rows = []
     for k in (cfg.k_list if k_list is None else k_list):

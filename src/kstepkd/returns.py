@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .seqmdp import Trajectory
+from .seqmdp import Trajectory, TrajectoryBatch
 from .teacher import DEFAULT_CLIP_RANGE, TeacherQ
 
 
@@ -60,8 +60,18 @@ def clip_returns(values: np.ndarray, cfg: ReturnConfig) -> np.ndarray:
     return np.clip(values, lo, hi)
 
 
+def q_terms(
+    teacher: TeacherQ, contexts: np.ndarray, actions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(q_taken, max_q) for int contexts [N, teacher.window] and actions [N],
+    from one batched teacher evaluation."""
+    qv = teacher.batch_q_values(contexts)
+    return qv[np.arange(len(actions)), actions], qv.max(axis=1)
+
+
 def trajectory_q_terms(traj: Trajectory, teacher: TeacherQ) -> tuple[np.ndarray, np.ndarray]:
-    """(q_taken, max_q) per step state; one teacher evaluation per state."""
+    """(q_taken, max_q) per step state; one teacher evaluation per state.
+    The per-state reference for the batched forms below."""
     n = traj.num_steps
     q_taken = np.empty(n, dtype=np.float64)
     max_q = np.empty(n, dtype=np.float64)
@@ -70,6 +80,32 @@ def trajectory_q_terms(traj: Trajectory, teacher: TeacherQ) -> tuple[np.ndarray,
         q_taken[t] = qv[s.action]
         max_q[t] = qv.max()
     return q_taken, max_q
+
+
+def trajectories_q_terms(
+    trajs: Sequence[Trajectory], teacher: TeacherQ
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``trajectory_q_terms`` of every trajectory, from one batched teacher
+    evaluation over all their steps."""
+    contexts = np.array(
+        [s.state.last_tokens(teacher.window) for traj in trajs for s in traj.steps],
+        dtype=np.int64,
+    ).reshape(-1, teacher.window)
+    actions = np.array([s.action for traj in trajs for s in traj.steps], dtype=np.int64)
+    q, m = q_terms(teacher, contexts, actions)
+    bounds = np.cumsum([traj.num_steps for traj in trajs])[:-1]
+    return list(zip(np.split(q, bounds), np.split(m, bounds)))
+
+
+def batch_q_terms(batch: TrajectoryBatch, teacher: TeacherQ) -> tuple[np.ndarray, np.ndarray]:
+    """(q_taken, max_q) as [B, H] arrays, zero past each row's length."""
+    mask = batch.step_mask
+    q = np.zeros(mask.shape, dtype=np.float64)
+    m = np.zeros(mask.shape, dtype=np.float64)
+    q[mask], m[mask] = q_terms(
+        teacher, batch.step_contexts(teacher.window)[mask], batch.actions[mask]
+    )
+    return q, m
 
 
 def actual_return(traj: Trajectory, teacher: TeacherQ) -> np.ndarray:
@@ -84,6 +120,19 @@ def actual_from_terms(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     g[n - 1] = q[n - 1]
     for t in range(n - 2, -1, -1):
         g[t] = (q[t] - m[t + 1]) + g[t + 1]
+    return g
+
+
+def actual_from_batch_terms(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``actual_from_terms`` for every row of [B, H] term arrays at once, with
+    the same per-element operations.  The terms must be zero past each row's
+    length, as ``batch_q_terms`` leaves them: a row's last step then adds
+    (q - 0) + 0, which is q exactly, so no lengths are needed.  The result is
+    zero past each row's length too."""
+    g = np.zeros_like(q)
+    g[:, -1] = q[:, -1]
+    for t in range(q.shape[1] - 2, -1, -1):
+        g[:, t] = (q[:, t] - m[:, t + 1]) + g[:, t + 1]
     return g
 
 

@@ -5,14 +5,20 @@ appends the chosen token to the prefix.  An episode ends when the end-of-sequenc
 token is emitted or when the rollout horizon is reached.  Conditioning inputs
 (source tokens) are modeled by prepending them to the initial prefix; only
 generated tokens count toward a state's ``length``.
+
+Two trajectory representations coexist: per-state ``Trajectory`` objects from
+:func:`rollout`, the reference every fast path is checked against, and the
+integer-array ``TrajectoryBatch`` from :func:`greedy_decode`, which decodes
+many inputs in lockstep with one scoring call per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class TerminalStateError(ValueError):
@@ -158,3 +164,96 @@ def rollout(
         if state.is_terminal:
             break
     return Trajectory(tuple(steps), state)
+
+
+# -- lockstep decoding over integer arrays ------------------------------------
+
+
+@dataclass(frozen=True)
+class TrajectoryBatch:
+    """B trajectories as integer arrays.
+
+    ``tokens`` is int [B, P+H]: each initial prefix right-aligned in the first
+    P columns and left-padded with BOS, then the generated tokens, then BOS
+    filler past the row's ``lengths`` entry.  The context before step t at
+    any window is a slice of the token rows.
+    """
+
+    vocab: Vocabulary
+    tokens: np.ndarray
+    prefix_width: int
+    lengths: np.ndarray
+
+    @property
+    def horizon(self) -> int:
+        return self.tokens.shape[1] - self.prefix_width
+
+    @property
+    def actions(self) -> np.ndarray:
+        """int [B, H]; entries at t >= lengths[i] are filler."""
+        return self.tokens[:, self.prefix_width :]
+
+    @property
+    def step_mask(self) -> np.ndarray:
+        """bool [B, H]: step t exists in row i."""
+        return np.arange(self.horizon) < self.lengths[:, None]
+
+    def step_contexts(self, window: int) -> np.ndarray:
+        """int [B, H, window]: the last ``window`` tokens before each step,
+        BOS-padded like ``State.last_tokens`` (a read-only view)."""
+        tokens, p = self.tokens, self.prefix_width
+        if window > p:
+            pad = np.full((tokens.shape[0], window - p), self.vocab.bos_id, dtype=tokens.dtype)
+            tokens, p = np.concatenate([pad, tokens], axis=1), window
+        start = p - window
+        return sliding_window_view(tokens, window, axis=1)[:, start : start + self.horizon]
+
+
+def greedy_decode(
+    score: Callable[[np.ndarray], np.ndarray],
+    window: int,
+    initial: Sequence[State],
+    horizon: int,
+) -> TrajectoryBatch:
+    """Greedy rollouts of every initial state in lockstep.
+
+    ``score`` maps int contexts [N, window] to logits [N, V]; each step makes
+    one call on the rows still running and takes the argmax (ties to the
+    lowest token id), exactly as ``rollout(mode="greedy")`` does per state.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not initial:
+        raise ValueError("greedy_decode requires at least one initial state")
+    vocab = initial[0].vocab
+    for s in initial:
+        if s.is_terminal:
+            raise TerminalStateError("rollout must start from a non-terminal state")
+        if s.vocab != vocab:
+            raise ValueError("initial states must share one vocabulary")
+    b = len(initial)
+    p = max(window, max(len(s.prefix) for s in initial))
+    tokens = np.full((b, p + horizon), vocab.bos_id, dtype=np.int64)
+    for i, s in enumerate(initial):
+        tokens[i, p - len(s.prefix) : p] = s.prefix
+    lengths = np.zeros(b, dtype=np.int64)
+    alive = np.arange(b)
+    for t in range(horizon):
+        logits = score(tokens[alive, p + t - window : p + t])
+        if logits.shape != (len(alive), vocab.size):
+            raise ValueError(
+                f"scores have shape {logits.shape}, expected ({len(alive)}, {vocab.size})"
+            )
+        actions = np.argmax(logits, axis=1)
+        # log_softmax at the argmax, whose shifted logit is exactly 0
+        z = logits - logits.max(axis=1, keepdims=True)
+        lp = -np.log(np.exp(z).sum(axis=1))
+        if not np.all(np.isfinite(lp)):
+            bad = int(np.flatnonzero(~np.isfinite(lp))[0])
+            raise ValueError(f"non-finite log-probability for action {int(actions[bad])}")
+        tokens[alive, p + t] = actions
+        lengths[alive] = t + 1
+        alive = alive[actions != vocab.eos_id]
+        if not len(alive):
+            break
+    return TrajectoryBatch(vocab, tokens, p, lengths)

@@ -17,7 +17,8 @@ for markov_chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,8 @@ class MarkovChainTask:
 
     Each context (the last ``order`` tokens, BOS-padded) hashes to its own
     generator stream, so rows never have to be tabulated up front and any
-    context's distribution can be recomputed exactly.
+    context's distribution can be recomputed exactly.  Sampling caches each
+    visited context's CDF.
     """
 
     vocab: Vocabulary
@@ -43,6 +45,9 @@ class MarkovChainTask:
     transition_seed: int = 0
     eos_prob: float = 0.1
     cond_len: int = 2
+    _cdfs: dict[tuple[int, ...], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -64,6 +69,20 @@ class MarkovChainTask:
         row[self.vocab.eos_id] = self.eos_prob
         return row
 
+    def _cdf(self, context: tuple[int, ...]) -> np.ndarray:
+        cdf = self._cdfs.get(context)
+        if cdf is None:
+            row = self.transition_row(context)
+            # the checks Generator.choice makes on p, once per row
+            if not (np.all(np.isfinite(row)) and np.all(row >= 0.0)):
+                raise ValueError(f"transition row for {context} is not a distribution")
+            if abs(math.fsum(row) - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+                raise ValueError(f"transition row for {context} does not sum to 1")
+            cdf = row.cumsum()
+            cdf /= cdf[-1]
+            self._cdfs[context] = cdf
+        return cdf
+
     def sample_sequence(self, rng: np.random.Generator, max_len: int) -> list[int]:
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
@@ -73,8 +92,8 @@ class MarkovChainTask:
             if len(seq) == max_len - 1:
                 seq.append(self.vocab.eos_id)
                 return seq
-            row = self.transition_row(ctx)
-            tok = int(rng.choice(self.vocab.size, p=row))
+            # Generator.choice(V, p=row)'s own arithmetic, on the cached CDF
+            tok = int(self._cdf(ctx).searchsorted(rng.random(), side="right"))
             seq.append(tok)
             if tok == self.vocab.eos_id:
                 return seq

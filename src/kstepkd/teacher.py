@@ -39,6 +39,11 @@ class TeacherQ:
     def q_values(self, state: State) -> np.ndarray:
         raise NotImplementedError
 
+    def batch_q_values(self, contexts: np.ndarray) -> np.ndarray:
+        """Q-vectors [N, vocab_size] for int contexts [N, window] of
+        non-terminal states (the last ``window`` tokens, BOS-padded)."""
+        raise NotImplementedError
+
     def q_value(self, state: State, action: int) -> float:
         if state.is_terminal:
             raise TerminalStateError("q_value is undefined at terminal states")
@@ -73,6 +78,9 @@ class FrozenModelTeacher(TeacherQ):
             raise TerminalStateError("q_values is undefined at terminal states")
         return self.model.logits(state)
 
+    def batch_q_values(self, contexts: np.ndarray) -> np.ndarray:
+        return self.model.batch_logits(contexts)
+
 
 @dataclass(frozen=True)
 class TabularTeacher(TeacherQ):
@@ -91,14 +99,20 @@ class TabularTeacher(TeacherQ):
                 raise ValueError(f"bad logit vector for context {ctx}")
             q.flags.writeable = False
 
-    def q_values(self, state: State) -> np.ndarray:
-        if state.is_terminal:
-            raise TerminalStateError("q_values is undefined at terminal states")
-        ctx = state.last_tokens(self.window)
+    def _row(self, ctx: tuple[int, ...]) -> np.ndarray:
         try:
             return self.table[ctx]
         except KeyError:
             raise MissingContextError(f"tabular teacher has no entry for context {ctx}") from None
+
+    def q_values(self, state: State) -> np.ndarray:
+        if state.is_terminal:
+            raise TerminalStateError("q_values is undefined at terminal states")
+        return self._row(state.last_tokens(self.window))
+
+    def batch_q_values(self, contexts: np.ndarray) -> np.ndarray:
+        rows = [self._row(ctx) for ctx in map(tuple, contexts.tolist())]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), self.vocab_size)
 
 
 @dataclass(frozen=True)

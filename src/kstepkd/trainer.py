@@ -29,7 +29,7 @@ from . import models as models_mod
 from . import returns as ret
 from .models import LogitModel
 from .returns import ReturnConfig
-from .seqmdp import State, Trajectory, rollout
+from .seqmdp import State, Trajectory, greedy_decode, rollout
 from .teacher import DEFAULT_CLIP_RANGE, TeacherQ
 
 ESTIMATORS = ("kstep", "llmr", "mean_baseline", "minvar_baseline")
@@ -128,15 +128,11 @@ def teacher_greedy_targets(
     teacher: TeacherQ, inputs: Sequence[State], horizon: int, window: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Context/target training rows from teacher-greedy continuations,
-    with contexts extracted at the consumer's window width."""
-    contexts: list[tuple[int, ...]] = []
-    targets: list[int] = []
-    for s0 in inputs:
-        traj = rollout(teacher, s0, horizon, mode="greedy")
-        for s in traj.steps:
-            contexts.append(s.state.last_tokens(window))
-            targets.append(s.action)
-    return np.asarray(contexts, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+    with contexts extracted at the consumer's window width.  Rows run input
+    by input, step by step within an input."""
+    batch = greedy_decode(teacher.batch_q_values, teacher.window, inputs, horizon)
+    mask = batch.step_mask
+    return batch.step_contexts(window)[mask], batch.actions[mask]
 
 
 def predistill(
@@ -255,7 +251,7 @@ def reinforce_step(
             entropies.append(ent)
         grads.append(per_step)
 
-    terms = [ret.trajectory_q_terms(traj, teacher) for traj in trajs]
+    terms = ret.trajectories_q_terms(trajs, teacher)
     signals = _per_step_signals(trajs, terms, grads, cfg)
 
     accum = np.zeros(student.num_params)
@@ -338,10 +334,13 @@ def evaluate_greedy(
     student: LogitModel, teacher: TeacherQ, inputs: Sequence[State], horizon: int
 ) -> float:
     """Mean actual return of greedy rollouts over a fixed input set."""
+    batch = greedy_decode(student.batch_logits, student.window, inputs, horizon)
+    q, m = ret.batch_q_terms(batch, teacher)
+    # left to right in input order: the mean must not depend on numpy's
+    # pairwise summation, which groups terms by the batch size
     total = 0.0
-    for s0 in inputs:
-        traj = rollout(student, s0, horizon, mode="greedy")
-        total += float(ret.actual_return(traj, teacher)[0])
+    for g0 in ret.actual_from_batch_terms(q, m)[:, 0].tolist():
+        total += g0
     return total / len(inputs)
 
 

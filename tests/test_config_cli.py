@@ -57,6 +57,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="k_list"):
             from_dict({"k_list": []})
 
+    @pytest.mark.parametrize("key", ["n_val", "n_test"])
+    def test_empty_eval_split_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"corpus.{key}"):
+            from_dict({"corpus": {key: 0}})
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -142,6 +147,36 @@ class TestCliErrors:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(tmp_path)))
         assert main(["--config", str(path), "sweep-k"]) == cli.EXIT_STAGE
+
+    def test_empty_test_split_exit_2(self, tmp_path):
+        data = tiny_config(tmp_path)
+        data["corpus"] = {**data["corpus"], "n_test": 0}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        assert main(["--config", str(path), "sweep-k"]) == EXIT_CONFIG
+
+    def test_worker_stage_failure_exit_3(self, tmp_path, capsys):
+        """A divergent teacher fit fails inside a pool worker; its StageError
+        must cross the process boundary intact."""
+        from kstepkd import cli
+
+        # at lr 1e308 the parameters overflow within 10 epochs
+        data = tiny_config(tmp_path, teacher_fit={"epochs": 10, "lr": 1e308})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with np.errstate(all="ignore"):
+            code = main(["--config", str(path), "--threads", "2", "sweep-k"])
+        assert code == cli.EXIT_STAGE
+        assert "stage 'fit-teacher' failed (seed 0)" in capsys.readouterr().err
+
+    def test_stage_error_pickles(self):
+        import pickle
+
+        err = pipeline.StageError("rl:llmr", 4, ValueError("diverged"))
+        back = pickle.loads(pickle.dumps(err))
+        assert (type(back), str(back), back.stage, back.seed) == (
+            pipeline.StageError, str(err), "rl:llmr", 4
+        )
 
 
 class TestTrainStateCheckpoint:

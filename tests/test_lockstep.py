@@ -1,0 +1,169 @@
+"""Lockstep greedy decoding and batched teacher scoring against the per-state
+references: ``rollout(mode="greedy")`` and ``TeacherQ.q_values``."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kstepkd import returns as ret
+from kstepkd.models import ModelArch, init_model, zero_model
+from kstepkd.seqmdp import (
+    TerminalStateError,
+    Vocabulary,
+    greedy_decode,
+    initial_state,
+    rollout,
+    step,
+)
+from kstepkd.teacher import FrozenModelTeacher, MissingContextError, TabularTeacher
+from kstepkd.trainer import evaluate_greedy, teacher_greedy_targets
+
+TOL = 1e-12
+
+
+def _arch(kind, window, hidden):
+    return ModelArch(kind, window=window, hidden=hidden if kind == "mlp1" else 0)
+
+
+@st.composite
+def instances(draw):
+    """A vocabulary, a student, a teacher (own kind and window), a horizon and
+    ragged conditioning prefixes (any non-EOS tokens, BOS included)."""
+    size = draw(st.integers(3, 6))
+    vocab = Vocabulary(size=size, bos_id=0, eos_id=size - 1)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["linear", "mlp1"]))
+        arch = _arch(kind, draw(st.integers(1, 3)), draw(st.integers(1, 5)))
+        models.append(init_model(arch, size, rng, scale=draw(st.sampled_from([0.3, 1.0, 3.0]))))
+    horizon = draw(st.integers(1, 12))
+    prefixes = draw(
+        st.lists(st.lists(st.integers(0, size - 2), max_size=4), min_size=1, max_size=6)
+    )
+    inputs = [initial_state(vocab, tuple(p)) for p in prefixes]
+    return vocab, models[0], FrozenModelTeacher(models[1]), horizon, inputs
+
+
+def _close(a, b, bitwise):
+    if bitwise:
+        np.testing.assert_array_equal(a, b)
+    else:
+        np.testing.assert_allclose(a, b, rtol=0, atol=TOL)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances())
+def test_lockstep_decoder_matches_rollout(inst):
+    vocab, student, teacher, horizon, inputs = inst
+    for policy, score in ((student, student.batch_logits), (teacher, teacher.batch_q_values)):
+        batch = greedy_decode(score, policy.window, inputs, horizon)
+        for i, s0 in enumerate(inputs):
+            traj = rollout(policy, s0, horizon, mode="greedy")
+            n = int(batch.lengths[i])
+            assert n == traj.num_steps
+            assert tuple(batch.actions[i, :n].tolist()) == traj.actions
+            # contexts at every window are slices of the token rows
+            for w in (1, 2, 3, 5):
+                got = batch.step_contexts(w)[i, :n]
+                assert got.tolist() == [list(s.state.last_tokens(w)) for s in traj.steps]
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances())
+def test_batched_q_terms_and_returns_match_per_state(inst):
+    vocab, student, teacher, horizon, inputs = inst
+    bitwise = teacher.model.kind == "linear"
+    batch = greedy_decode(student.batch_logits, student.window, inputs, horizon)
+    q, m = ret.batch_q_terms(batch, teacher)
+    g = ret.actual_from_batch_terms(q, m)
+    for i, s0 in enumerate(inputs):
+        traj = rollout(student, s0, horizon, mode="greedy")
+        n = traj.num_steps
+        ref_q = np.array([teacher.q_values(s.state)[s.action] for s in traj.steps])
+        ref_m = np.array([teacher.q_values(s.state).max() for s in traj.steps])
+        _close(q[i, :n], ref_q, bitwise)
+        _close(m[i, :n], ref_m, bitwise)
+        assert not q[i, n:].any() and not m[i, n:].any() and not g[i, n:].any()
+        _close(g[i, :n], ret.actual_from_terms(ref_q, ref_m), bitwise)
+        # same terms in, same returns out: the vectorized recursion is exact
+        np.testing.assert_array_equal(g[i, :n], ret.actual_from_terms(q[i, :n], m[i, :n]))
+    # sampled trajectories of ragged lengths, scored in one call
+    rng = np.random.default_rng(0)
+    sampled = [rollout(student, s0, horizon, mode="sample", rng=rng) for s0 in inputs * 3]
+    batched = ret.trajectories_q_terms(sampled, teacher)
+    assert len(batched) == len(sampled)
+    for traj, (tq, tm) in zip(sampled, batched):
+        ref_q, ref_m = ret.trajectory_q_terms(traj, teacher)
+        _close(tq, ref_q, bitwise)
+        _close(tm, ref_m, bitwise)
+
+
+def _reference_targets(teacher, inputs, horizon, window):
+    contexts, targets = [], []
+    for s0 in inputs:
+        for s in rollout(teacher, s0, horizon, mode="greedy").steps:
+            contexts.append(s.state.last_tokens(window))
+            targets.append(s.action)
+    return np.asarray(contexts, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_trainer_greedy_paths_match_per_state(inst):
+    vocab, student, teacher, horizon, inputs = inst
+    ctx, tgt = teacher_greedy_targets(teacher, inputs, horizon, student.window)
+    ref_ctx, ref_tgt = _reference_targets(teacher, inputs, horizon, student.window)
+    np.testing.assert_array_equal(ctx, ref_ctx)
+    np.testing.assert_array_equal(tgt, ref_tgt)
+    total = 0.0
+    for s0 in inputs:
+        total += float(ret.actual_return(rollout(student, s0, horizon, mode="greedy"), teacher)[0])
+    assert abs(evaluate_greedy(student, teacher, inputs, horizon) - total / len(inputs)) <= TOL
+
+
+VOCAB = Vocabulary(size=4, bos_id=0, eos_id=3)
+
+
+def test_ties_go_to_lowest_id():
+    model = zero_model(ModelArch("linear", window=2), VOCAB.size)
+    batch = greedy_decode(model.batch_logits, 2, [initial_state(VOCAB, (1, 2))], 5)
+    assert batch.lengths.tolist() == [5]
+    assert batch.actions.tolist() == [[0] * 5]
+
+
+def test_decoder_error_paths():
+    model = init_model(ModelArch("linear", window=2), VOCAB.size, np.random.default_rng(1))
+    s0 = initial_state(VOCAB, (1,))
+    with pytest.raises(ValueError, match="horizon"):
+        greedy_decode(model.batch_logits, 2, [s0], 0)
+    with pytest.raises(TerminalStateError):
+        greedy_decode(model.batch_logits, 2, [s0, step(s0, VOCAB.eos_id)], 3)
+    with pytest.raises(ValueError, match="at least one"):
+        greedy_decode(model.batch_logits, 2, [], 3)
+
+    def bad_score(contexts):
+        out = np.zeros((len(contexts), VOCAB.size))
+        out[-1, 2] = np.inf
+        return out
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite log-probability"):
+            greedy_decode(bad_score, 2, [s0, s0], 3)
+    with pytest.raises(ValueError, match="shape"):
+        greedy_decode(lambda c: np.zeros((len(c), 5)), 2, [s0], 3)
+
+
+def test_tabular_batch_lookups():
+    q = {(0, 1): np.array([0.5, -1.0, 2.0, 0.0]), (1, 2): np.array([1.0, 1.0, -3.0, 0.25])}
+    teacher = TabularTeacher(q, window=2, vocab_size=VOCAB.size)
+    got = teacher.batch_q_values(np.array([[1, 2], [0, 1], [1, 2]]))
+    np.testing.assert_array_equal(got, np.stack([q[(1, 2)], q[(0, 1)], q[(1, 2)]]))
+    assert teacher.batch_q_values(np.zeros((0, 2), dtype=np.int64)).shape == (0, VOCAB.size)
+    with pytest.raises(MissingContextError, match=r"\(2, 2\)"):
+        teacher.batch_q_values(np.array([[0, 1], [2, 2]]))
+    s = step(initial_state(VOCAB, (1,)), 2)
+    qt, mt = ret.q_terms(teacher, np.array([[1, 2]]), np.array([2]))
+    assert (qt[0], mt[0]) == (teacher.q_value(s, 2), teacher.max_q(s))

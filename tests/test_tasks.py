@@ -56,6 +56,29 @@ class TestMarkovChain:
             tv = 0.5 * float(np.abs(empirical - task.transition_row((prev,))).sum())
             assert tv < 0.05, f"context {prev}: TV {tv:.3f}"
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 1234])
+    def test_cached_cdf_sampling_matches_choice(self, order, seed):
+        """The cached-CDF draw reproduces a per-token rng.choice(V, p=row)
+        reference token for token, so corpora stay byte-identical."""
+        task = MarkovChainTask(VOCAB, order=order, transition_seed=7 + seed, eos_prob=0.05)
+
+        def reference(rng, max_len):
+            seq, ctx = [], (VOCAB.bos_id,) * order
+            while True:
+                if len(seq) == max_len - 1:
+                    return seq + [VOCAB.eos_id]
+                tok = int(rng.choice(VOCAB.size, p=task.transition_row(ctx)))
+                seq.append(tok)
+                if tok == VOCAB.eos_id:
+                    return seq
+                ctx = (ctx + (tok,))[-order:]
+
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [reference(rng_ref, 20) for _ in range(150)]
+        assert gen_corpus(task, 150, rng, max_len=20) == expected
+        assert rng.random() == rng_ref.random()
+
     def test_order2_contexts(self):
         task = MarkovChainTask(VOCAB, order=2, transition_seed=9, eos_prob=0.1)
         row = task.transition_row((1, 2))
