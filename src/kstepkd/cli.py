@@ -97,7 +97,7 @@ def _cmd_predistill(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     seed = _seed(cfg, args)
     fitted = pipeline.fit_seed_teacher(cfg, splits, seed)
     student0 = pipeline.init_seed_student(cfg, seed)
-    student = pipeline.predistill_student(cfg, student0, fitted, splits)
+    student = pipeline.predistill_student(cfg, student0, fitted, splits, seed)
     out = _out_dir(cfg, args)
     teacher_mod.save_teacher(fitted, out / "teacher.json")
     models.save_model(student, out / "student_predistill.json")
@@ -110,7 +110,7 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     seed = _seed(cfg, args)
     fitted = pipeline.fit_seed_teacher(cfg, splits, seed)
     student0 = pipeline.init_seed_student(cfg, seed)
-    student = pipeline.predistill_student(cfg, student0, fitted, splits)
+    student = pipeline.predistill_student(cfg, student0, fitted, splits, seed)
     k = 1 if args.estimator in ("llmr", "mean_baseline", "minvar_baseline") else args.k
     rl_cfg = cfg.rl_config(args.estimator, k, seed)
     best, log = trainer.train(

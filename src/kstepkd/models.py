@@ -43,10 +43,6 @@ class PolicyDistribution:
     probs: np.ndarray
     log_probs: np.ndarray
 
-    @property
-    def entropy(self) -> float:
-        return float(-np.dot(self.probs, self.log_probs))
-
 
 def _distribution_from_logits(logits: np.ndarray) -> PolicyDistribution:
     lp = log_softmax(logits)
@@ -73,7 +69,8 @@ class ModelArch:
 
 
 def encode_context(context: tuple[int, ...], vocab_size: int) -> np.ndarray:
-    """Dense one-hot-per-slot encoding (used by tests; hot paths gather columns)."""
+    """Dense one-hot-per-slot encoding (the per-state gradient reference's
+    input; hot paths gather columns)."""
     n = len(context)
     enc = np.zeros(n * vocab_size, dtype=np.float64)
     for j, tok in enumerate(context):
@@ -130,11 +127,8 @@ class LogitModel:
             raise ValueError("state vocabulary does not match model vocab_size")
         return state.last_tokens(self.window)
 
-    def _columns(self, context: tuple[int, ...]) -> np.ndarray:
-        return self._offsets + context
-
     def logits(self, state: State) -> np.ndarray:
-        cols = self._columns(self.context(state))
+        cols = self._offsets + self.context(state)
         if self.kind == "linear":
             w, b = self._views
             return w[:, cols].sum(axis=1) + b
@@ -145,64 +139,96 @@ class LogitModel:
     def distribution(self, state: State) -> PolicyDistribution:
         return _distribution_from_logits(self.logits(state))
 
-    def batch_logits(self, contexts: np.ndarray) -> np.ndarray:
-        """Logits for an int array of contexts with shape [batch, window]."""
-        cols = contexts + self._offsets
+    def _forward(self, cols: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """Hidden activations [N, hidden] (None for linear) and logits [N, V]
+        for gathered columns [N, window]."""
         if self.kind == "linear":
             w, b = self._views
-            return w.T[cols].sum(axis=1) + b
+            return None, w.T[cols].sum(axis=1) + b
         w1, b1, w2, b2 = self._views
         h = np.tanh(w1.T[cols].sum(axis=1) + b1)
-        return h @ w2.T + b2
+        return h, h @ w2.T + b2
+
+    def batch_logits(self, contexts: np.ndarray) -> np.ndarray:
+        """Logits for an int array of contexts with shape [batch, window]."""
+        return self._forward(contexts + self._offsets)[1]
 
     # -- gradients -------------------------------------------------------
 
-    def grad_log_prob(self, state: State, action: int) -> np.ndarray:
-        """d log pi(action|state) / d params, flat, same length as params."""
-        return self._grad_log_prob_probs(state, action)[0]
+    def _first_layer_cotangent(self, h: np.ndarray | None, dz: np.ndarray) -> np.ndarray:
+        """dz itself for linear; du = (dz @ w2) * tanh' for mlp1."""
+        if h is None:
+            return dz
+        w2 = self._views[2]
+        return (dz @ w2) * (1.0 - h * h)
 
-    def grad_log_prob_with_entropy(self, state: State, action: int) -> tuple[np.ndarray, float]:
-        """Gradient of log pi(action|state) plus the policy entropy at the
-        state, from a single forward pass."""
-        grad, probs = self._grad_log_prob_probs(state, action)
-        with np.errstate(divide="ignore"):
-            logp = np.log(probs)
-        entropy = float(-np.dot(probs, np.where(probs > 0.0, logp, 0.0)))
-        return grad, entropy
-
-    def _grad_log_prob_probs(self, state: State, action: int) -> tuple[np.ndarray, np.ndarray]:
-        cols = self._columns(self.context(state))
+    def _backward(self, cols: np.ndarray, h: np.ndarray | None, dz: np.ndarray) -> np.ndarray:
+        """Parameter gradient of sum_i dz_i . logits_i, for logit cotangents
+        dz [N, V] at the gathered columns [N, window] and hidden activations
+        of one forward pass."""
         grad = np.zeros_like(self.params)
+        d1 = self._first_layer_cotangent(h, dz)
+        width, nv = d1.shape[1], self.window * self.vocab_size
+        o = width * nv
+        g1t = grad[:o].reshape(width, nv).T
+        # a column repeats across rows, so accumulate with np.add.at (row order)
+        for j in range(self.window):
+            np.add.at(g1t, cols[:, j], d1)
+        grad[o : o + width] = d1.sum(axis=0)
+        if h is not None:
+            o += width
+            grad[o : o + self.vocab_size * width] = (dz.T @ h).ravel()
+            grad[o + self.vocab_size * width :] = dz.sum(axis=0)
+        return grad
+
+    def _scores(
+        self, contexts: np.ndarray, actions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+        """Columns, hidden activations, log-probs [N, V] and the logit score
+        err = onehot(a) - pi, whose backward is d log pi(a|c) / d params."""
+        cols = contexts + self._offsets
+        h, z = self._forward(cols)
+        lp = log_softmax(z)
+        err = -np.exp(lp)
+        err[np.arange(len(actions)), actions] += 1.0
+        return cols, h, lp, err
+
+    def weighted_logit_grad(
+        self, contexts: np.ndarray, actions: np.ndarray, weights: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """sum_i w_i d log pi(a_i|c_i) / d params over int contexts
+        [N, window], actions [N] and weights [N], plus the log-probs [N, V]
+        of the same forward pass."""
+        cols, h, lp, err = self._scores(contexts, actions)
+        return self._backward(cols, h, err * weights[:, None]), lp
+
+    def score_sq_norms(self, contexts: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """||d log pi(a_i|c_i) / d params||^2 per row, in closed form: the
+        encoding x has ``window`` ones, so ||outer(d1, x)||^2 = window ||d1||^2.
+        linear (window+1)||err||^2; mlp1 ||err||^2 (1+||h||^2) + (window+1)||du||^2."""
+        _, h, _, err = self._scores(contexts, actions)
+        e2 = (err * err).sum(axis=1)
+        if h is None:
+            return (self.window + 1) * e2
+        du = self._first_layer_cotangent(h, err)
+        return e2 * (1.0 + (h * h).sum(axis=1)) + (self.window + 1) * (du * du).sum(axis=1)
+
+    def grad_log_prob(self, state: State, action: int) -> np.ndarray:
+        """d log pi(action|state) / d params, flat, same length as params.
+        The per-state reference for the batched backward, on the dense
+        encoding of the context."""
+        x = encode_context(self.context(state), self.vocab_size)
         if self.kind == "linear":
             w, b = self._views
-            z = w[:, cols].sum(axis=1) + b
-            probs = softmax(z)
-            err = -probs
+            err = -softmax(w @ x + b)
             err[action] += 1.0
-            v, n = self.vocab_size, self.window
-            gw = grad[: v * n * v].reshape(v, n * v)
-            gw[:, cols] = err[:, None]
-            grad[v * n * v :] = err
-            return grad, probs
+            return np.concatenate([np.outer(err, x).ravel(), err])
         w1, b1, w2, b2 = self._views
-        h = np.tanh(w1[:, cols].sum(axis=1) + b1)
-        z = w2 @ h + b2
-        probs = softmax(z)
-        err = -probs
+        h = np.tanh(w1 @ x + b1)
+        err = -softmax(w2 @ h + b2)
         err[action] += 1.0
-        dh = w2.T @ err
-        du = dh * (1.0 - h * h)
-        v, n, hid = self.vocab_size, self.window, self.hidden
-        o = 0
-        gw1 = grad[o : o + hid * n * v].reshape(hid, n * v)
-        gw1[:, cols] = du[:, None]
-        o += hid * n * v
-        grad[o : o + hid] = du
-        o += hid
-        grad[o : o + v * hid] = np.outer(err, h).ravel()
-        o += v * hid
-        grad[o : o + v] = err
-        return grad, probs
+        du = (w2.T @ err) * (1.0 - h * h)
+        return np.concatenate([np.outer(du, x).ravel(), du, np.outer(err, h).ravel(), err])
 
     def cross_entropy_grad(
         self, contexts: np.ndarray, targets: np.ndarray
@@ -214,44 +240,14 @@ class LogitModel:
         """
         batch = contexts.shape[0]
         cols = contexts + self._offsets
-        grad = np.zeros_like(self.params)
         rows = np.arange(batch)
-        if self.kind == "linear":
-            w, b = self._views
-            z = w.T[cols].sum(axis=1) + b
-            lp = log_softmax(z)
-            loss = float(-lp[rows, targets].mean())
-            dz = np.exp(lp)
-            dz[rows, targets] -= 1.0
-            dz /= batch
-            v, n = self.vocab_size, self.window
-            gwt = grad[: v * n * v].reshape(v, n * v).T
-            for j in range(self.window):
-                np.add.at(gwt, cols[:, j], dz)
-            grad[v * n * v :] = dz.sum(axis=0)
-            return loss, grad
-        w1, b1, w2, b2 = self._views
-        h = np.tanh(w1.T[cols].sum(axis=1) + b1)
-        z = h @ w2.T + b2
+        h, z = self._forward(cols)
         lp = log_softmax(z)
         loss = float(-lp[rows, targets].mean())
         dz = np.exp(lp)
         dz[rows, targets] -= 1.0
         dz /= batch
-        dh = dz @ w2
-        du = dh * (1.0 - h * h)
-        v, n, hid = self.vocab_size, self.window, self.hidden
-        o = 0
-        gw1t = grad[o : o + hid * n * v].reshape(hid, n * v).T
-        for j in range(self.window):
-            np.add.at(gw1t, cols[:, j], du)
-        o += hid * n * v
-        grad[o : o + hid] = du.sum(axis=0)
-        o += hid
-        grad[o : o + v * hid] = (dz.T @ h).ravel()
-        o += v * hid
-        grad[o : o + v] = dz.sum(axis=0)
-        return loss, grad
+        return loss, self._backward(cols, h, dz)
 
     # -- updates ---------------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,13 +121,8 @@ def exact_moments(
         expected_g[t], expected_g_hat[t] = eg, egh
         var_g[t], var_g_hat[t] = vg, vgh
 
-    grad_actual = np.zeros(policy.num_params)
-    grad_kstep = np.zeros(policy.num_params)
-    for traj, prob, g, gh in per_traj:
-        for t, s in enumerate(traj.steps):
-            w = policy.grad_log_prob(s.state, s.action)
-            grad_actual += prob * g[t] * w
-            grad_kstep += prob * gh[t] * w
+    grad_actual = _weighted_score_sum(policy, ((traj, p * g) for traj, p, g, _ in per_traj))
+    grad_kstep = _weighted_score_sum(policy, ((traj, p * gh) for traj, p, _, gh in per_traj))
 
     return ExactMoments(
         expected_g=expected_g,
@@ -139,6 +134,22 @@ def exact_moments(
         grad_j_actual=grad_actual,
         grad_j_kstep=grad_kstep,
     )
+
+
+def _weighted_score_sum(
+    policy: LogitModel, weighted: Iterable[tuple[Trajectory, np.ndarray]]
+) -> np.ndarray:
+    """Sum over the steps of (trajectory, per-step weights) pairs of weight x
+    d log pi(a|c) / d params, in one backward call.  Steps sharing a (context,
+    action) row share the score, so their weights are summed first, in step
+    order: an enumeration has ~10^4 steps but at most V^(window+1) rows."""
+    summed: dict[tuple[int, ...], float] = {}
+    for traj, w in weighted:
+        for s, wt in zip(traj.steps, w):
+            key = (*s.state.last_tokens(policy.window), s.action)
+            summed[key] = summed.get(key, 0.0) + wt
+    rows = np.array(list(summed), dtype=np.int64)
+    return policy.weighted_logit_grad(rows[:, :-1], rows[:, -1], np.array(list(summed.values())))[0]
 
 
 # -- policy gradient check ---------------------------------------------------
@@ -157,12 +168,8 @@ def _exact_policy_gradient(
 ) -> np.ndarray:
     # unbiased per-step form with unclipped G; clipping would couple prefix
     # and suffix terms and break the exact identity against d/dtheta of J
-    grad = np.zeros(policy.num_params)
-    for traj, prob in enumerate_trajectories(spec, policy):
-        g = ret.actual_return(traj, teacher)
-        for t, s in enumerate(traj.steps):
-            grad += prob * g[t] * policy.grad_log_prob(s.state, s.action)
-    return grad
+    trajs = enumerate_trajectories(spec, policy)
+    return _weighted_score_sum(policy, ((t, p * ret.actual_return(t, teacher)) for t, p in trajs))
 
 
 @dataclass(frozen=True)
@@ -299,10 +306,7 @@ def montecarlo_convergence(
         est = ret.estimate(traj, teacher, cfg)
         gh = est.g_hat_clipped
         g_hat_0[i] = gh[0]
-        acc = np.zeros(policy.num_params)
-        for t, s in enumerate(traj.steps):
-            acc += gh[t] * policy.grad_log_prob(s.state, s.action)
-        grad_samples[i] = acc
+        grad_samples[i] = _weighted_score_sum(policy, [(traj, gh)])
 
     entries = [_entry("g_hat_0", g_hat_0, float(exact.expected_g_hat[0]), z_threshold)]
     for i in range(policy.num_params):

@@ -4,8 +4,9 @@ and plot-data emission.
 Artifact layout under the configured output directory:
 
     config.json                      resolved configuration (deterministic)
-    metadata.json                    timestamps only; everything else is
-                                     byte-reproducible from the config
+    metadata.json                    timestamps, numpy version, CPU count and
+                                     BLAS thread variables; every other file is
+                                     byte-reproducible from config and those
     corpus.txt                       generated corpus
     summary.csv                      one row per (variant, seed)
     runs/<variant>/seed<N>/
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -91,15 +93,14 @@ def build_corpus(cfg: ExperimentConfig) -> DataSplits:
 def fit_seed_teacher(cfg: ExperimentConfig, splits: DataSplits, seed: int) -> TeacherQ:
     params = cfg.teacher_fit_params()
     rng = np.random.default_rng([seed, 101])
-    return teacher_mod.fit_teacher(
-        splits.train_lines,
-        cfg.vocab,
-        cfg.arch("teacher"),
-        epochs=int(params["epochs"]),
-        lr=float(params["lr"]),
-        rng=rng,
-        init_scale=float(params["init_scale"]),
-    )
+    try:
+        fitted, _ = teacher_mod.fit_teacher(
+            splits.train_lines, cfg.vocab, cfg.arch("teacher"), epochs=int(params["epochs"]),
+            lr=float(params["lr"]), rng=rng, init_scale=float(params["init_scale"]),
+        )
+    except Exception as exc:
+        raise StageError("fit-teacher", seed, exc) from exc
+    return fitted
 
 
 def init_seed_student(cfg: ExperimentConfig, seed: int) -> LogitModel:
@@ -112,10 +113,14 @@ def predistill_student(
     student: LogitModel,
     teacher: TeacherQ,
     splits: DataSplits,
+    seed: int,
     epochs: int | None = None,
 ) -> LogitModel:
     pcfg = cfg.predistill_config(epochs)
-    out, _ = trainer.predistill(student, teacher, splits.train_states, pcfg)
+    try:
+        out, _ = trainer.predistill(student, teacher, splits.train_states, pcfg)
+    except Exception as exc:
+        raise StageError("predistill", seed, exc) from exc
     return out
 
 
@@ -143,15 +148,9 @@ def run_seed(raw_cfg: dict[str, Any], seed: int, out_dir: str) -> list[dict[str,
 
     cfg = EC(raw_cfg)
     splits = build_corpus(cfg)
-    try:
-        seed_teacher = fit_seed_teacher(cfg, splits, seed)
-    except Exception as exc:
-        raise StageError("fit-teacher", seed, exc) from exc
-    try:
-        student0 = init_seed_student(cfg, seed)
-        student_pd = predistill_student(cfg, student0, seed_teacher, splits)
-    except Exception as exc:
-        raise StageError("predistill", seed, exc) from exc
+    seed_teacher = fit_seed_teacher(cfg, splits, seed)
+    student0 = init_seed_student(cfg, seed)
+    student_pd = predistill_student(cfg, student0, seed_teacher, splits, seed)
 
     rows: list[dict[str, Any]] = []
     for name, estimator, k in variant_list(cfg):
@@ -189,9 +188,13 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
     out_dir = cfg.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n")
-    (out_dir / "metadata.json").write_text(
-        json.dumps({"started_unix": time.time()}) + "\n"
-    )
+    # the batched matrix products round differently at another BLAS thread
+    # count, so the artifacts reproduce byte for byte only at the same setting
+    meta = {"started_unix": time.time(), "numpy_version": np.__version__,
+            "cpu_count": os.cpu_count()}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        meta[var] = os.environ.get(var)
+    (out_dir / "metadata.json").write_text(json.dumps(meta) + "\n")
     splits = build_corpus(cfg)
     tasks.write_corpus(out_dir / "corpus.txt", splits.corpus)
 
@@ -216,7 +219,6 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
                 (r["variant"], r["k"], r["seed"],
                  repr(float(r["best_val_return"])), repr(float(r["test_return"])))
             )
-    meta = json.loads((out_dir / "metadata.json").read_text())
     meta["finished_unix"] = time.time()
     (out_dir / "metadata.json").write_text(json.dumps(meta) + "\n")
     return out_dir
@@ -336,7 +338,7 @@ def sweep_bias_variance(
         n_inputs = int(sweep["n_inputs"])
         inputs = [splits.train_states[i % len(splits.train_states)] for i in range(n_inputs)]
         for epochs in sweep["kl_bucket_epochs"]:
-            student = predistill_student(cfg, student0, seed_teacher, splits, epochs=int(epochs))
+            student = predistill_student(cfg, student0, seed_teacher, splits, seed, int(epochs))
             per_k, kl = bias_variance_rows_for_student(
                 cfg, student, seed_teacher, inputs, spi, seed
             )

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .seqmdp import Trajectory, TrajectoryBatch
+from .seqmdp import Trajectory, TrajectoryBatch, step_arrays
 from .teacher import DEFAULT_CLIP_RANGE, TeacherQ
 
 
@@ -87,12 +87,7 @@ def trajectories_q_terms(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """``trajectory_q_terms`` of every trajectory, from one batched teacher
     evaluation over all their steps."""
-    contexts = np.array(
-        [s.state.last_tokens(teacher.window) for traj in trajs for s in traj.steps],
-        dtype=np.int64,
-    ).reshape(-1, teacher.window)
-    actions = np.array([s.action for traj in trajs for s in traj.steps], dtype=np.int64)
-    q, m = q_terms(teacher, contexts, actions)
+    q, m = q_terms(teacher, *step_arrays(trajs, teacher.window))
     bounds = np.cumsum([traj.num_steps for traj in trajs])[:-1]
     return list(zip(np.split(q, bounds), np.split(m, bounds)))
 

@@ -112,6 +112,17 @@ class Trajectory:
         return self.terminal_state
 
 
+def step_arrays(trajs: Sequence[Trajectory], window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every step's context at ``window`` (int [N, window], BOS-padded like
+    ``State.last_tokens``) and action (int [N]), trajectory by trajectory and
+    step by step within a trajectory."""
+    contexts = np.array(
+        [s.state.last_tokens(window) for traj in trajs for s in traj.steps], dtype=np.int64
+    ).reshape(-1, window)
+    actions = np.array([s.action for traj in trajs for s in traj.steps], dtype=np.int64)
+    return contexts, actions
+
+
 class Policy(Protocol):
     """Anything that maps a non-terminal state to an action distribution."""
 

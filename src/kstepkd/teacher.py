@@ -161,26 +161,14 @@ def fit_teacher(
     lr: float,
     rng: np.random.Generator,
     init_scale: float = 0.1,
-) -> FrozenModelTeacher:
+) -> tuple[FrozenModelTeacher, list[float]]:
     """Train a next-token model on an EOS-terminated corpus and freeze it.
 
-    Full-batch gradient descent on the mean cross-entropy; with a sane lr the
-    per-epoch loss is (statistically) non-increasing.  Returns the frozen
-    teacher; per-epoch losses are available via :func:`fit_teacher_logged`.
+    Full-batch gradient descent on the mean cross-entropy.  Returns the
+    frozen teacher and the loss of every epoch.  A divergent fit raises
+    FloatingPointError: a non-finite epoch loss, or a last epoch's loss above
+    the first's (with a sane lr the loss is, statistically, non-increasing).
     """
-    teacher, _ = fit_teacher_logged(corpus, vocab, arch, epochs, lr, rng, init_scale)
-    return teacher
-
-
-def fit_teacher_logged(
-    corpus: list[list[int]],
-    vocab: Vocabulary,
-    arch: ModelArch,
-    epochs: int,
-    lr: float,
-    rng: np.random.Generator,
-    init_scale: float = 0.1,
-) -> tuple[FrozenModelTeacher, list[float]]:
     if not corpus:
         raise ValueError("fit_teacher requires a non-empty corpus")
     for i, seq in enumerate(corpus):
@@ -189,10 +177,14 @@ def fit_teacher_logged(
     model = models.init_model(arch, vocab.size, rng, scale=init_scale)
     contexts, targets = _corpus_training_rows(corpus, vocab, arch.window)
     losses: list[float] = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
         loss, grad = model.cross_entropy_grad(contexts, targets)
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"teacher fit diverged: loss {loss} at epoch {epoch}")
         losses.append(loss)
         model = model.apply_update(-grad, lr)
+    if losses and losses[-1] > losses[0]:
+        raise FloatingPointError(f"teacher fit diverged: loss rose {losses[0]!r} -> {losses[-1]!r}")
     return FrozenModelTeacher(model), losses
 
 

@@ -29,7 +29,7 @@ from . import models as models_mod
 from . import returns as ret
 from .models import LogitModel
 from .returns import ReturnConfig
-from .seqmdp import State, Trajectory, greedy_decode, rollout
+from .seqmdp import State, Trajectory, greedy_decode, rollout, step_arrays
 from .teacher import DEFAULT_CLIP_RANGE, TeacherQ
 
 ESTIMATORS = ("kstep", "llmr", "mean_baseline", "minvar_baseline")
@@ -164,7 +164,7 @@ def predistill(
 def _per_step_signals(
     trajs: Sequence[Trajectory],
     terms: Sequence[tuple[np.ndarray, np.ndarray]],
-    grads: Sequence[list[np.ndarray]],
+    sq_norms: Sequence[np.ndarray] | None,
     cfg: TrainConfig,
 ) -> list[np.ndarray]:
     rc = cfg.return_config
@@ -185,7 +185,7 @@ def _per_step_signals(
                     baseline = 0.0
                 signals[i][t] = g_all[i][t] - baseline
         else:  # minvar_baseline
-            weights = np.array([float(np.dot(grads[i][t], grads[i][t])) for i in alive])
+            weights = np.array([sq_norms[i][t] for i in alive])
             denom = float(weights.sum())
             if denom > 0.0:
                 baseline = float(sum(w * g_all[i][t] for w, i in zip(weights, alive)) / denom)
@@ -232,39 +232,35 @@ def reinforce_step(
     """One sampled-batch policy update.
 
     Samples one trajectory per input, weights each step's log-prob gradient by
-    the configured estimator signal, averages over the batch, and ascends.
+    the configured estimator signal over the batch size, sums them in one
+    backward pass, and ascends.
     Returns (student, record, opt_state); sampled trajectories are appended
     when ``return_trajectories`` is set.
     """
     if cfg.stage != "rl":
         raise ValueError("reinforce_step requires cfg.stage == 'rl'")
-    trajs: list[Trajectory] = []
-    grads: list[list[np.ndarray]] = []
-    entropies: list[float] = []
-    for s0 in batch:
-        traj = rollout(student, s0, cfg.horizon, mode="sample", rng=rng)
-        trajs.append(traj)
-        per_step = []
-        for s in traj.steps:
-            g, ent = student.grad_log_prob_with_entropy(s.state, s.action)
-            per_step.append(g)
-            entropies.append(ent)
-        grads.append(per_step)
-
+    trajs = [rollout(student, s0, cfg.horizon, mode="sample", rng=rng) for s0 in batch]
+    contexts, actions = step_arrays(trajs, student.window)
+    bounds = np.cumsum([traj.num_steps for traj in trajs])[:-1]
+    sq_norms = None
+    if cfg.estimator == "minvar_baseline":
+        sq_norms = np.split(student.score_sq_norms(contexts, actions), bounds)
     terms = ret.trajectories_q_terms(trajs, teacher)
-    signals = _per_step_signals(trajs, terms, grads, cfg)
+    signals = _per_step_signals(trajs, terms, sq_norms, cfg)
 
-    accum = np.zeros(student.num_params)
-    for i, traj in enumerate(trajs):
-        contribution = np.zeros(student.num_params)
-        for t in range(traj.num_steps):
-            contribution += signals[i][t] * grads[i][t]
-        if not np.all(np.isfinite(contribution)):
-            raise NonFiniteGradientError(
-                f"non-finite gradient from trajectory {i} (actions {traj.actions})"
-            )
-        accum += contribution
-    accum /= len(batch)
+    weights = np.concatenate(signals) / len(batch)
+    accum, log_probs = student.weighted_logit_grad(contexts, actions, weights)
+    if not np.all(np.isfinite(accum)):
+        # name the first trajectory whose own share of the sum is non-finite:
+        # its signals are, or its scores overflow (a non-finite weight always
+        # yields a non-finite share)
+        shares = zip(*(np.split(x, bounds) for x in (contexts, actions, weights)))
+        for i, (traj, (c, a, w)) in enumerate(zip(trajs, shares)):
+            if not np.all(np.isfinite(student.weighted_logit_grad(c, a, w)[0])):
+                raise NonFiniteGradientError(
+                    f"non-finite gradient from trajectory {i} (actions {traj.actions})"
+                )
+        raise NonFiniteGradientError(f"non-finite sum of {len(trajs)} trajectory gradients")
 
     if cfg.optimizer == "adam":
         if opt_state is None:
@@ -285,7 +281,7 @@ def reinforce_step(
         mean_return_actual=mean_g,
         mean_return_khat=mean_gh,
         grad_norm=float(np.linalg.norm(accum)),
-        policy_entropy=float(np.mean(entropies)) if entropies else 0.0,
+        policy_entropy=float(np.mean(-(np.exp(log_probs) * log_probs).sum(axis=1))),
         eval_greedy_return=eval_return,
     )
     if return_trajectories:

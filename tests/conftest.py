@@ -28,7 +28,7 @@ def desk_models(desk_cfg, desk_splits):
     for seed in desk_cfg.seeds:
         teacher = pipeline.fit_seed_teacher(desk_cfg, desk_splits, seed)
         student0 = pipeline.init_seed_student(desk_cfg, seed)
-        student = pipeline.predistill_student(desk_cfg, student0, teacher, desk_splits)
+        student = pipeline.predistill_student(desk_cfg, student0, teacher, desk_splits, seed)
         out[seed] = (teacher, student)
     return out
 

@@ -169,6 +169,21 @@ class TestCliErrors:
         assert code == cli.EXIT_STAGE
         assert "stage 'fit-teacher' failed (seed 0)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep-k", "fit-teacher", "sweep-bias-variance"])
+    def test_divergent_teacher_fit_exit_3(self, tmp_path, capsys, command):
+        """At lr 1e300 the loss climbs to ~1e301 while every parameter stays
+        finite; the fit must fail as a stage from every subcommand."""
+        from kstepkd import cli
+
+        data = tiny_config(tmp_path, teacher_fit={"epochs": 10, "lr": 1e300})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with np.errstate(all="ignore"):
+            code = main(["--config", str(path), command])
+        assert code == cli.EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "stage 'fit-teacher' failed (seed 0)" in err and "diverged" in err
+
     def test_stage_error_pickles(self):
         import pickle
 
@@ -220,6 +235,10 @@ class TestPipeline:
                 for artifact in ("teacher.json", "student_predistill.json",
                                  "student_rl.json", "trainlog.csv", "eval.json"):
                     assert (d / artifact).exists(), (d, artifact)
+        meta = json.loads((out / "metadata.json").read_text())
+        for key in ("numpy_version", "cpu_count",
+                    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert key in meta, key
         summary1 = (out / "summary.csv").read_bytes()
         trainlog1 = (out / "runs" / "kstep_k2" / "seed0" / "trainlog.csv").read_bytes()
 

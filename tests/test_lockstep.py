@@ -1,5 +1,6 @@
-"""Lockstep greedy decoding and batched teacher scoring against the per-state
-references: ``rollout(mode="greedy")`` and ``TeacherQ.q_values``."""
+"""Lockstep greedy decoding, batched teacher scoring and the weighted logit
+backward pass against the per-state references: ``rollout(mode="greedy")``,
+``TeacherQ.q_values`` and ``LogitModel.grad_log_prob``."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from kstepkd.seqmdp import (
     initial_state,
     rollout,
     step,
+    step_arrays,
 )
 from kstepkd.teacher import FrozenModelTeacher, MissingContextError, TabularTeacher
 from kstepkd.trainer import evaluate_greedy, teacher_greedy_targets
@@ -122,6 +124,34 @@ def test_trainer_greedy_paths_match_per_state(inst):
     for s0 in inputs:
         total += float(ret.actual_return(rollout(student, s0, horizon, mode="greedy"), teacher)[0])
     assert abs(evaluate_greedy(student, teacher, inputs, horizon) - total / len(inputs)) <= TOL
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.data())
+def test_weighted_logit_grad_matches_per_step(inst, data):
+    """One weighted backward pass against the per-state reference: the
+    weighted sum of ``grad_log_prob``, each step's squared gradient norm and
+    its log-probs, for linear and mlp1 policies."""
+    vocab, student, teacher, horizon, inputs = inst
+    rng = np.random.default_rng(0)
+    # every input twice, so repeated contexts meet in the same scatter columns
+    trajs = [rollout(student, s0, horizon, mode="sample", rng=rng) for s0 in inputs * 2]
+    steps = [s for traj in trajs for s in traj.steps]
+    weights = np.array(
+        data.draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+                min_size=len(steps), max_size=len(steps),
+            )
+        )
+    )
+    for model in (student, teacher.model):
+        contexts, actions = step_arrays(trajs, model.window)
+        grad, lp = model.weighted_logit_grad(contexts, actions, weights)
+        per_step = [model.grad_log_prob(s.state, s.action) for s in steps]
+        _close(grad, sum(w * g for w, g in zip(weights, per_step)), bitwise=False)
+        _close(model.score_sq_norms(contexts, actions), [g @ g for g in per_step], bitwise=False)
+        _close(lp, [model.distribution(s.state).log_probs for s in steps], bitwise=False)
 
 
 VOCAB = Vocabulary(size=4, bos_id=0, eos_id=3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kstepkd import oracle
+from kstepkd import returns as ret
 from kstepkd.models import ModelArch, init_model, zero_model
 from kstepkd.oracle import EnumerationSpec, SizeBoundError
 from kstepkd.returns import ReturnConfig
@@ -139,6 +140,35 @@ class TestCheckGradient:
         report = oracle.check_gradient(policy, spec, teacher, ReturnConfig(k=1))
         assert report.passed, f"max rel error {report.max_rel_error:.2e}"
         assert np.all(np.isfinite(report.rel_errors))
+
+    @pytest.mark.parametrize(
+        "arch", [ModelArch("linear", window=2), ModelArch("mlp1", window=3, hidden=4)]
+    )
+    def test_exact_gradients_match_per_step_reference(self, arch):
+        # the enumeration's weights are summed per (context, action) row before
+        # the one backward call; the per-step sum must agree to 1e-12
+        vocab = Vocabulary(size=4, eos_id=3, bos_id=0)
+        rng = np.random.default_rng(15)
+        policy = init_model(arch, vocab.size, rng, scale=0.8)
+        teacher = FrozenModelTeacher(
+            init_model(ModelArch("linear", window=2), vocab.size, rng, scale=1.0)
+        )
+        spec = EnumerationSpec(vocab, 4, initial_state(vocab, (1,)))
+        cfg = ReturnConfig(k=2)
+        ref_g = np.zeros(policy.num_params)
+        ref_gh = np.zeros(policy.num_params)
+        for traj, p in oracle.enumerate_trajectories(spec, policy):
+            est = ret.estimate(traj, teacher, cfg)
+            for t, s in enumerate(traj.steps):
+                w = policy.grad_log_prob(s.state, s.action)
+                ref_g += p * est.g_actual_clipped[t] * w
+                ref_gh += p * est.g_hat_clipped[t] * w
+        moments = oracle.exact_moments(spec, policy, teacher, cfg)
+        np.testing.assert_allclose(moments.grad_j_actual, ref_g, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moments.grad_j_kstep, ref_gh, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            oracle._exact_policy_gradient(spec, policy, teacher), ref_g, rtol=0, atol=1e-12
+        )
 
     def test_symmetric_teacher_zero_gradient(self):
         # all Q-values equal: every return is the same constant, so the

@@ -13,7 +13,6 @@ from kstepkd.teacher import (
     MissingContextError,
     TabularTeacher,
     fit_teacher,
-    fit_teacher_logged,
     load_teacher,
     save_teacher,
 )
@@ -131,15 +130,18 @@ class TestFitTeacher:
 
     def test_zero_epochs_equals_init(self):
         arch = ModelArch("mlp1", window=2, hidden=4)
-        t = fit_teacher([[1, VOCAB.eos_id]], VOCAB, arch, 0, 0.1, np.random.default_rng(55))
+        t, losses = fit_teacher(
+            [[1, VOCAB.eos_id]], VOCAB, arch, 0, 0.1, np.random.default_rng(55)
+        )
+        assert losses == []
         reference = models.init_model(arch, VOCAB.size, np.random.default_rng(55))
         np.testing.assert_array_equal(t.model.params, reference.params)
 
     def test_overfits_single_sequence(self):
         vocab = Vocabulary(size=4, eos_id=3, bos_id=0)
         seq = [1, 2, 1, 3]
-        t = fit_teacher([seq], vocab, ModelArch("linear", window=2), epochs=400, lr=2.0,
-                        rng=np.random.default_rng(9))
+        t, _ = fit_teacher([seq], vocab, ModelArch("linear", window=2), epochs=400, lr=2.0,
+                           rng=np.random.default_rng(9))
         traj = rollout(t, initial_state(vocab), horizon=8, mode="greedy")
         assert list(traj.actions) == seq
 
@@ -150,7 +152,7 @@ class TestFitTeacher:
         monotone = 0
         n_runs = 10
         for seed in range(n_runs):
-            _, losses = fit_teacher_logged(
+            _, losses = fit_teacher(
                 corpus, vocab, ModelArch("mlp1", window=2, hidden=8),
                 epochs=25, lr=0.5, rng=np.random.default_rng(seed),
             )
@@ -158,12 +160,25 @@ class TestFitTeacher:
                 monotone += 1
         assert monotone >= 0.9 * n_runs
 
+    @pytest.mark.parametrize(
+        "lr,reason", [(1e300, "loss rose 1.38"), (1e307, "loss inf at epoch 1")],
+        ids=["loss-rises", "loss-inf"],
+    )
+    def test_divergent_fit_raises(self, lr, reason):
+        # at lr 1e300 every parameter stays finite while the loss climbs to ~1e299
+        vocab = Vocabulary(size=4, eos_id=3, bos_id=0)
+        task = MarkovChainTask(vocab, order=1, transition_seed=3, eos_prob=0.2)
+        corpus = gen_corpus(task, 40, np.random.default_rng(0), max_len=12)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=reason):
+            fit_teacher(corpus, vocab, ModelArch("linear", window=1), epochs=10, lr=lr,
+                        rng=np.random.default_rng(0))
+
     def test_recovers_markov_rows_within_tv(self):
         vocab = Vocabulary(size=4, eos_id=3, bos_id=0)
         task = MarkovChainTask(vocab, order=1, transition_seed=21, eos_prob=0.15)
         corpus = gen_corpus(task, 3000, np.random.default_rng(5), max_len=30)
-        t = fit_teacher(corpus, vocab, ModelArch("linear", window=1), epochs=300, lr=2.0,
-                        rng=np.random.default_rng(1))
+        t, _ = fit_teacher(corpus, vocab, ModelArch("linear", window=1), epochs=300, lr=2.0,
+                           rng=np.random.default_rng(1))
         for prev in (vocab.bos_id, 1, 2):
             if prev == vocab.bos_id:
                 s = initial_state(vocab)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kstepkd import returns as ret
-from kstepkd.models import ModelArch, init_model
+from kstepkd.models import LogitModel, ModelArch, init_model, param_count
 from kstepkd.seqmdp import Vocabulary, initial_state, rollout
 from kstepkd.teacher import FrozenModelTeacher, TabularTeacher
 from kstepkd.trainer import (
@@ -142,6 +142,43 @@ class TestReinforceStep:
         se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)
         z = np.abs(mean - exact) / np.maximum(se, 1e-12)
         assert np.all(z < 3.0), f"max z {z.max():.2f}"
+
+    @pytest.mark.parametrize(
+        "estimator,k", [("kstep", 4), ("llmr", 1), ("mean_baseline", 1), ("minvar_baseline", 1)]
+    )
+    def test_teacher_overflow_raises_non_finite_gradient(self, estimator, k):
+        # every teacher logit overflows to inf, so each q - m term is inf - inf = nan
+        huge = np.full(param_count(ModelArch("linear", window=2), VOCAB.size), 1e308)
+        teacher = FrozenModelTeacher(LogitModel("linear", VOCAB.size, 2, 0, huge))
+        student = make_student()
+        batch = [initial_state(VOCAB)] * 4
+        first = rollout(student, batch[0], 8, mode="sample", rng=np.random.default_rng(0))
+        assert first.num_steps >= 2  # a one-step trajectory's clipped return stays finite
+        message = f"non-finite gradient from trajectory 0 (actions {first.actions})"
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteGradientError) as info:
+            reinforce_step(
+                student, teacher, batch, rl_cfg(estimator=estimator, k=k),
+                np.random.default_rng(0),
+            )
+        assert str(info.value) == message
+
+    def test_student_gradient_overflow_names_trajectory(self):
+        # zero first layer: h = 0 and the policy is uniform, so the rollouts
+        # and the (clipped) signals stay finite while the hidden-layer
+        # gradient, signal * (err @ w2) with |w2| = 1e308, overflows
+        student = make_student()
+        w1_end = 4 * 2 * VOCAB.size + 4
+        params = np.zeros(student.num_params)
+        w2 = params[w1_end : w1_end + 4 * VOCAB.size].reshape(VOCAB.size, 4)
+        w2[0], w2[1:] = 1e308, -1e308
+        student = student.with_params(params)
+        batch = [initial_state(VOCAB)] * 4
+        first = rollout(student, batch[0], 8, mode="sample", rng=np.random.default_rng(0))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteGradientError) as info:
+            reinforce_step(
+                student, make_teacher(scale=50.0), batch, rl_cfg(), np.random.default_rng(0)
+            )
+        assert str(info.value) == f"non-finite gradient from trajectory 0 (actions {first.actions})"
 
     def test_non_finite_record_rejected(self):
         log = TrainLog()
