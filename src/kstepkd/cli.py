@@ -74,6 +74,8 @@ def _seed(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def _cmd_gen_corpus(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     params = cfg.corpus_params()
     n = args.n if args.n is not None else int(params["n_sequences"])
+    if n < 1:
+        raise ConfigError("--n must be >= 1")
     rng = np.random.default_rng(int(params["seed"]))
     corpus = tasks.gen_corpus(cfg.task(), n, rng, max_len=cfg.horizon)
     path = _out_dir(cfg, args) / "corpus.txt"
@@ -111,11 +113,8 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     fitted = pipeline.fit_seed_teacher(cfg, splits, seed)
     student0 = pipeline.init_seed_student(cfg, seed)
     student = pipeline.predistill_student(cfg, student0, fitted, splits, seed)
-    k = 1 if args.estimator in ("llmr", "mean_baseline", "minvar_baseline") else args.k
-    rl_cfg = cfg.rl_config(args.estimator, k, seed)
-    best, log = trainer.train(
-        student, fitted, splits.train_states, rl_cfg, val_inputs=splits.val_states
-    )
+    variant = pipeline.variant(args.estimator, args.k)
+    best, log = pipeline.rl_student(cfg, student, fitted, splits, seed, variant)
     out = _out_dir(cfg, args)
     models.save_model(best, out / "student_rl.json")
     log.to_csv(out / "trainlog.csv")
@@ -180,10 +179,6 @@ def main(argv: list[str] | None = None) -> int:
     except pipeline.StageError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_STAGE
-    except ValueError as exc:
-        # bad derived values (e.g. splits larger than the corpus) are config problems
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_STAGE

@@ -196,10 +196,23 @@ class ExperimentConfig:
         for key in ("n_val", "n_test"):
             if int(corpus[key]) < 1:
                 raise ConfigError(f"corpus.{key} must be >= 1 (greedy eval averages over it)")
+        if int(corpus["n_val"]) + int(corpus["n_test"]) >= int(corpus["n_sequences"]):
+            raise ConfigError("corpus.n_sequences too small for the val/test splits")
+        sweep = self.sweep_params()
+        if int(sweep["samples_per_input"]) < 2:
+            raise ConfigError("sweep.samples_per_input must be >= 2")
+        for key in ("n_inputs", "iid_num_terms"):
+            if int(sweep[key]) < 1:
+                raise ConfigError(f"sweep.{key} must be >= 1")
+        for key in ("iid_var_sa", "iid_var_s"):
+            if not float(sweep[key]) >= 0.0:
+                raise ConfigError(f"sweep.{key} must be >= 0")
         try:
             self.task()
             self.arch("teacher")
             self.arch("student")
+            self.predistill_config()
+            self.rl_config("kstep", 1, 0)
         except (ValueError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc
 

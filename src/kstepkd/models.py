@@ -231,22 +231,23 @@ class LogitModel:
         return np.concatenate([np.outer(du, x).ravel(), du, np.outer(err, h).ravel(), err])
 
     def cross_entropy_grad(
-        self, contexts: np.ndarray, targets: np.ndarray
+        self, contexts: np.ndarray, counts: np.ndarray
     ) -> tuple[float, np.ndarray]:
-        """Mean next-token cross-entropy over a batch and its parameter gradient.
+        """Mean next-token cross-entropy over counted rows and its parameter
+        gradient.
 
-        ``contexts`` is int [batch, window], ``targets`` int [batch].  The
-        returned gradient is of the mean loss (descend it to fit the targets).
+        ``contexts`` is int [C, window] and ``counts`` [C, vocab_size] holds
+        how often each target follows each context (``target_counts``), so
+        the loss is -sum n log pi / N over N = counts.sum() rows.  The
+        returned gradient is of that mean loss (descend it to fit the targets).
         """
-        batch = contexts.shape[0]
+        row_totals = counts.sum(axis=1)
+        total = row_totals.sum()
         cols = contexts + self._offsets
-        rows = np.arange(batch)
         h, z = self._forward(cols)
         lp = log_softmax(z)
-        loss = float(-lp[rows, targets].mean())
-        dz = np.exp(lp)
-        dz[rows, targets] -= 1.0
-        dz /= batch
+        loss = float(-(counts * lp).sum() / total)
+        dz = (np.exp(lp) * row_totals[:, None] - counts) / total
         return loss, self._backward(cols, h, dz)
 
     # -- updates ---------------------------------------------------------
@@ -263,6 +264,18 @@ class LogitModel:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         return self.with_params(self.params + lr * grad)
+
+
+def target_counts(
+    contexts: np.ndarray, targets: np.ndarray, vocab_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of int contexts [N, window], sorted, and the count
+    [C, vocab_size] of each target after each of them: the sufficient
+    statistics of a hard-target cross-entropy over the N rows."""
+    distinct, inverse = np.unique(contexts, axis=0, return_inverse=True)
+    flat = inverse.reshape(-1) * vocab_size + targets
+    counts = np.bincount(flat, minlength=len(distinct) * vocab_size)
+    return distinct, counts.reshape(len(distinct), vocab_size).astype(np.float64)
 
 
 def param_count(arch: ModelArch, vocab_size: int) -> int:

@@ -34,7 +34,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import models, oracle, returns as ret, tasks, teacher as teacher_mod, trainer
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .models import LogitModel
 from .returns import ReturnConfig
 from .seqmdp import State, Vocabulary, initial_state, rollout
@@ -77,9 +77,8 @@ def build_corpus(cfg: ExperimentConfig) -> DataSplits:
     rng = np.random.default_rng(int(params["seed"]))
     corpus = tasks.gen_corpus(task, int(params["n_sequences"]), rng, max_len=cfg.horizon)
     states = tasks.conditioning_states(task, corpus)
+    # validate() keeps n_val + n_test below n_sequences, so train is non-empty
     n_test, n_val = int(params["n_test"]), int(params["n_val"])
-    if n_test + n_val >= len(corpus):
-        raise ValueError("corpus too small for the requested val/test splits")
     n_train = len(corpus) - n_val - n_test
     return DataSplits(
         corpus=corpus,
@@ -124,48 +123,64 @@ def predistill_student(
     return out
 
 
+def rl_student(
+    cfg: ExperimentConfig,
+    student: LogitModel,
+    teacher: TeacherQ,
+    splits: DataSplits,
+    seed: int,
+    variant: tuple[str, str, int],
+) -> tuple[LogitModel, trainer.TrainLog]:
+    """The RL stage of one (name, estimator, k) variant: the best student by
+    greedy validation return and its training log."""
+    name, estimator, k = variant
+    try:
+        return trainer.train(
+            student, teacher, splits.train_states, cfg.rl_config(estimator, k, seed),
+            val_inputs=splits.val_states,
+        )
+    except Exception as exc:
+        raise StageError(f"rl:{name}", seed, exc) from exc
+
+
 # -- single-seed pipeline ------------------------------------------------------
+
+
+def variant(estimator: str, k: int) -> tuple[str, str, int]:
+    """The (name, estimator, k) triple of one RL run; every estimator but
+    kstep is one-step, so its k is 1."""
+    if estimator != "kstep":
+        return estimator, estimator, 1
+    return f"kstep_k{k}", estimator, k
 
 
 def variant_list(cfg: ExperimentConfig) -> list[tuple[str, str, int]]:
     """(name, estimator, k) triples for the configured sweep."""
-    variants: list[tuple[str, str, int]] = []
-    for k in cfg.k_list:
-        if k == 1:
-            variants.append(("llmr", "llmr", 1))
-        else:
-            variants.append((f"kstep_k{k}", "kstep", k))
+    variants = [variant("llmr" if k == 1 else "kstep", k) for k in cfg.k_list]
     if cfg.include_baselines:
-        variants.append(("mean_baseline", "mean_baseline", 1))
-        variants.append(("minvar_baseline", "minvar_baseline", 1))
+        variants += [variant("mean_baseline", 1), variant("minvar_baseline", 1)]
     return variants
 
 
-def run_seed(raw_cfg: dict[str, Any], seed: int, out_dir: str) -> list[dict[str, Any]]:
-    """Full pipeline for one seed: teacher, pre-distilled student, and one RL
-    run per variant.  Returns summary rows; writes all per-run artifacts."""
-    from .config import ExperimentConfig as EC
-
-    cfg = EC(raw_cfg)
-    splits = build_corpus(cfg)
+def run_seed(
+    raw_cfg: dict[str, Any], seed: int, out_dir: str, splits: DataSplits
+) -> list[dict[str, Any]]:
+    """Full pipeline for one seed on the sweep's corpus splits: teacher,
+    pre-distilled student, and one RL run per variant.  Returns summary rows;
+    writes all per-run artifacts."""
+    cfg = ExperimentConfig(raw_cfg)
     seed_teacher = fit_seed_teacher(cfg, splits, seed)
     student0 = init_seed_student(cfg, seed)
     student_pd = predistill_student(cfg, student0, seed_teacher, splits, seed)
 
     rows: list[dict[str, Any]] = []
-    for name, estimator, k in variant_list(cfg):
+    for spec in variant_list(cfg):
+        name, _, k = spec
         run_dir = Path(out_dir) / "runs" / name / f"seed{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         teacher_mod.save_teacher(seed_teacher, run_dir / "teacher.json")
         models.save_model(student_pd, run_dir / "student_predistill.json")
-        rl_cfg = cfg.rl_config(estimator, k, seed)
-        try:
-            best, log = trainer.train(
-                student_pd, seed_teacher, splits.train_states, rl_cfg,
-                val_inputs=splits.val_states,
-            )
-        except Exception as exc:
-            raise StageError(f"rl:{name}", seed, exc) from exc
+        best, log = rl_student(cfg, student_pd, seed_teacher, splits, seed, spec)
         models.save_model(best, run_dir / "student_rl.json")
         log.to_csv(run_dir / "trainlog.csv")
         test_return = trainer.evaluate_greedy(
@@ -202,13 +217,13 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(run_seed, cfg.raw, seed, str(out_dir)) for seed in cfg.seeds
+                pool.submit(run_seed, cfg.raw, seed, str(out_dir), splits) for seed in cfg.seeds
             ]
             for fut in futures:
                 all_rows.extend(fut.result())
     else:
         for seed in cfg.seeds:
-            all_rows.extend(run_seed(cfg.raw, seed, str(out_dir)))
+            all_rows.extend(run_seed(cfg.raw, seed, str(out_dir), splits))
 
     all_rows.sort(key=lambda r: (r["variant"], r["seed"]))
     with open(out_dir / "summary.csv", "w", newline="") as fh:
@@ -312,7 +327,7 @@ def sweep_bias_variance(
     sweep = cfg.sweep_params()
     spi = int(sweep["samples_per_input"]) if samples_per_input is None else samples_per_input
     if spi < 2:
-        raise ValueError("samples_per_input must be >= 2")
+        raise ConfigError("samples_per_input must be >= 2")
     rows: list[BiasVarianceRow] = []
 
     if sweep["iid_mode"]:
@@ -339,9 +354,12 @@ def sweep_bias_variance(
         inputs = [splits.train_states[i % len(splits.train_states)] for i in range(n_inputs)]
         for epochs in sweep["kl_bucket_epochs"]:
             student = predistill_student(cfg, student0, seed_teacher, splits, seed, int(epochs))
-            per_k, kl = bias_variance_rows_for_student(
-                cfg, student, seed_teacher, inputs, spi, seed
-            )
+            try:
+                per_k, kl = bias_variance_rows_for_student(
+                    cfg, student, seed_teacher, inputs, spi, seed
+                )
+            except Exception as exc:
+                raise StageError("bias-variance", seed, exc) from exc
             for k, bias, var in per_k:
                 rows.append(
                     BiasVarianceRow(k=k, bucket=repr(kl), mean_bias=bias, mean_variance=var)
@@ -414,7 +432,17 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
         rows = list(reader)
     if not rows or len(rows) < 2:
         raise SchemaError(f"{path}: empty CSV (no data rows)")
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise SchemaError(f"{path}: line {i} has {len(row)} fields, header {len(rows[0])}")
     return rows[0], rows[1:]
+
+
+def _number(path: Path, text: str, cast: type = float) -> float:
+    try:
+        return cast(text)
+    except ValueError:
+        raise SchemaError(f"{path}: {text!r} is not a number") from None
 
 
 def emit_plots(csv_paths: Sequence[str | Path], out_dir: str | Path) -> Path:
@@ -460,7 +488,7 @@ def emit_plots(csv_paths: Sequence[str | Path], out_dir: str | Path) -> Path:
                 for bucket in sorted(buckets):
                     vfh.write(f"# bucket {bucket}\n")
                     bfh.write(f"# bucket {bucket}\n")
-                    for r in sorted(buckets[bucket], key=lambda r: int(r[0])):
+                    for r in sorted(buckets[bucket], key=lambda r: _number(path, r[0], int)):
                         vfh.write(f"{r[0]} {r[3]}\n")
                         bfh.write(f"{r[0]} {r[2]}\n")
                     vfh.write("\n")
@@ -491,7 +519,7 @@ def emit_plots(csv_paths: Sequence[str | Path], out_dir: str | Path) -> Path:
             dat = out / f"{stem}_final_returns.dat"
             by_variant: dict[str, list[float]] = {}
             for r in rows:
-                by_variant.setdefault(r[0], []).append(float(r[4]))
+                by_variant.setdefault(r[0], []).append(_number(path, r[4]))
             with open(dat, "w") as fh:
                 fh.write("# variant mean_test_return n_seeds\n")
                 for variant in sorted(by_variant):

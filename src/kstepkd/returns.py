@@ -163,7 +163,10 @@ def implied_baseline(traj: Trajectory, teacher: TeacherQ, cfg: ReturnConfig) -> 
 def skipped_step_gaps(traj: Trajectory, teacher: TeacherQ, k: int) -> np.ndarray:
     """Termwise form of the baseline: per t, the sum of (q[j] - m[j]) over the
     steps j the K-step recursion jumps over from t.  Equals implied_baseline."""
-    q, m = trajectory_q_terms(traj, teacher)
+    return skipped_gaps_from_terms(*trajectory_q_terms(traj, teacher), k)
+
+
+def skipped_gaps_from_terms(q: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
     n = len(q)
     last = n - 1
     out = np.empty(n, dtype=np.float64)

@@ -164,10 +164,12 @@ def fit_teacher(
 ) -> tuple[FrozenModelTeacher, list[float]]:
     """Train a next-token model on an EOS-terminated corpus and freeze it.
 
-    Full-batch gradient descent on the mean cross-entropy.  Returns the
-    frozen teacher and the loss of every epoch.  A divergent fit raises
-    FloatingPointError: a non-finite epoch loss, or a last epoch's loss above
-    the first's (with a sane lr the loss is, statistically, non-increasing).
+    Full-batch gradient descent on the mean cross-entropy, over the distinct
+    contexts and their target counts (the same loss as over every row).
+    Returns the frozen teacher and the loss of every epoch.  A divergent fit
+    raises FloatingPointError: a non-finite epoch loss, or a last epoch's loss
+    above the first's (with a sane lr the loss is, statistically,
+    non-increasing).
     """
     if not corpus:
         raise ValueError("fit_teacher requires a non-empty corpus")
@@ -175,10 +177,12 @@ def fit_teacher(
         if not seq or seq[-1] != vocab.eos_id:
             raise ValueError(f"corpus sequence {i} does not end with eos")
     model = models.init_model(arch, vocab.size, rng, scale=init_scale)
-    contexts, targets = _corpus_training_rows(corpus, vocab, arch.window)
+    contexts, counts = models.target_counts(
+        *_corpus_training_rows(corpus, vocab, arch.window), vocab.size
+    )
     losses: list[float] = []
     for epoch in range(epochs):
-        loss, grad = model.cross_entropy_grad(contexts, targets)
+        loss, grad = model.cross_entropy_grad(contexts, counts)
         if not np.isfinite(loss):
             raise FloatingPointError(f"teacher fit diverged: loss {loss} at epoch {epoch}")
         losses.append(loss)

@@ -143,16 +143,20 @@ def predistill(
 ) -> tuple[LogitModel, list[float]]:
     """Cross-entropy training on teacher-greedy sequences (hard targets).
 
-    Full-batch descent; the targets are deterministic, so the result depends
-    only on (student, teacher, inputs, cfg).  Returns the updated student and
-    the mean CE loss per epoch.
+    Full-batch descent over the distinct contexts and their target counts;
+    the targets are deterministic, so the result depends only on (student,
+    teacher, inputs, cfg).  Returns the updated student and the mean CE loss
+    per epoch.
     """
     if cfg.stage != "predistill":
         raise ValueError("predistill requires cfg.stage == 'predistill'")
-    contexts, targets = teacher_greedy_targets(teacher, inputs, cfg.horizon, student.window)
+    contexts, counts = models_mod.target_counts(
+        *teacher_greedy_targets(teacher, inputs, cfg.horizon, student.window),
+        student.vocab_size,
+    )
     losses: list[float] = []
     for _ in range(cfg.epochs):
-        loss, grad = student.cross_entropy_grad(contexts, targets)
+        loss, grad = student.cross_entropy_grad(contexts, counts)
         losses.append(loss)
         student = student.apply_update(-grad, cfg.lr)
     return student, losses

@@ -62,6 +62,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"corpus.{key}"):
             from_dict({"corpus": {key: 0}})
 
+    @pytest.mark.parametrize("override", [
+        {"corpus": {"n_sequences": 8, "n_val": 4, "n_test": 4}},
+        {"rl": {"lr": -1.0}},
+        {"rl": {"optimizer": "rmsprop"}},
+        {"predistill": {"lr": -1.0}},
+        {"sweep": {"samples_per_input": 1}},
+        {"sweep": {"n_inputs": 0}},
+        {"sweep": {"iid_var_s": -1.0}},
+    ])
+    def test_bad_stage_setting_rejected(self, override):
+        with pytest.raises(ConfigError):
+            from_dict(override)
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -136,6 +149,19 @@ class TestCliErrors:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(data))
         assert main(["--config", str(path), "sweep-k"]) == EXIT_CONFIG
+
+    def test_train_rl_failure_exit_3(self, tmp_path, capsys):
+        """At rl.lr 1e308 the first update overflows the student's parameters;
+        the train subcommand reports its RL stage as failed."""
+        from kstepkd import cli
+
+        data = tiny_config(tmp_path, rl={"iterations": 4, "lr": 1e308, "batch_size": 2})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with np.errstate(all="ignore"):
+            code = main(["--config", str(path), "train", "--estimator", "kstep", "--k", "2"])
+        assert code == cli.EXIT_STAGE
+        assert "stage 'rl:kstep_k2' failed (seed 0)" in capsys.readouterr().err
 
     def test_stage_failure_exit_3(self, tmp_path, monkeypatch):
         from kstepkd import cli
@@ -262,6 +288,17 @@ class TestPipeline:
         par = pipeline.run_pipeline(from_dict(data2), threads=2)
         assert (seq / "summary.csv").read_bytes() == (par / "summary.csv").read_bytes()
 
+    def test_corpus_built_once_per_sweep(self, tmp_path, monkeypatch):
+        from kstepkd import tasks
+
+        builds = []
+        gen_corpus = tasks.gen_corpus
+        monkeypatch.setattr(
+            tasks, "gen_corpus", lambda *a, **kw: builds.append(a) or gen_corpus(*a, **kw)
+        )
+        pipeline.run_pipeline(from_dict(tiny_config(tmp_path)))
+        assert len(builds) == 1
+
     def test_bias_variance_mdp_rows(self, tmp_path):
         cfg = from_dict(tiny_config(tmp_path))
         rows = pipeline.sweep_bias_variance(cfg, out_path=tmp_path / "bv.csv")
@@ -305,4 +342,14 @@ class TestEmitPlots:
     def test_cli_emit_plots_error_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("foo,bar\n1,2\n")
+        assert main(["--out", str(tmp_path), "emit-plots", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("body", [
+        "variant,k,seed,best_val_return,test_return\nllmr,1,0,1.0,oops\n",
+        "variant,k,seed,best_val_return,test_return\nllmr,1,0,1.0\n",
+        "K,student_kl_bucket,mean_bias,mean_variance\ntwo,iid,0.0,1.0\n",
+    ], ids=["summary-not-a-number", "summary-short-row", "bias-variance-bad-k"])
+    def test_cli_emit_plots_malformed_row_exit_2(self, tmp_path, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
         assert main(["--out", str(tmp_path), "emit-plots", str(bad)]) == EXIT_CONFIG

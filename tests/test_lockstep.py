@@ -1,6 +1,9 @@
-"""Lockstep greedy decoding, batched teacher scoring and the weighted logit
-backward pass against the per-state references: ``rollout(mode="greedy")``,
-``TeacherQ.q_values`` and ``LogitModel.grad_log_prob``."""
+"""Lockstep greedy decoding, batched teacher scoring, the weighted logit
+backward pass and the counted cross-entropy against the per-state
+references: ``rollout(mode="greedy")``, ``TeacherQ.q_values`` and
+``LogitModel.grad_log_prob``."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kstepkd import returns as ret
-from kstepkd.models import ModelArch, init_model, zero_model
+from kstepkd.models import ModelArch, init_model, target_counts, zero_model
 from kstepkd.seqmdp import (
     TerminalStateError,
     Vocabulary,
@@ -152,6 +155,33 @@ def test_weighted_logit_grad_matches_per_step(inst, data):
         _close(grad, sum(w * g for w, g in zip(weights, per_step)), bitwise=False)
         _close(model.score_sq_norms(contexts, actions), [g @ g for g in per_step], bitwise=False)
         _close(lp, [model.distribution(s.state).log_probs for s in steps], bitwise=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances())
+def test_counted_cross_entropy_matches_per_row(inst):
+    """The cross-entropy over distinct contexts and target counts against
+    the per-row mean -(1/N) sum_i log pi(t_i|c_i) and its gradient, with
+    ``target_counts`` tallying every row exactly."""
+    vocab, student, teacher, horizon, inputs = inst
+    rng = np.random.default_rng(1)
+    # every input three times, so contexts repeat with the same and other targets
+    trajs = [rollout(student, s0, horizon, mode="sample", rng=rng) for s0 in inputs * 3]
+    steps = [s for traj in trajs for s in traj.steps]
+    for model in (student, teacher.model):
+        contexts, targets = step_arrays(trajs, model.window)
+        distinct, counts = target_counts(contexts, targets, vocab.size)
+        assert counts.sum() == len(steps)
+        tally = Counter(zip(map(tuple, contexts.tolist()), targets.tolist()))
+        assert len({c for c, _ in tally}) == len(distinct)
+        for c, row in zip(map(tuple, distinct.tolist()), counts):
+            assert row.tolist() == [tally[(c, a)] for a in range(vocab.size)]
+        loss, grad = model.cross_entropy_grad(distinct, counts)
+        n = len(steps)
+        ref_loss = -sum(model.distribution(s.state).log_probs[s.action] for s in steps) / n
+        ref_grad = -sum(model.grad_log_prob(s.state, s.action) for s in steps) / n
+        assert abs(loss - ref_loss) <= TOL
+        _close(grad, ref_grad, bitwise=False)
 
 
 VOCAB = Vocabulary(size=4, bos_id=0, eos_id=3)

@@ -137,16 +137,19 @@ class TestCrossEntropyGrad:
         rng = np.random.default_rng(23)
         for arch in (ModelArch("linear", window=2), ModelArch("mlp1", window=2, hidden=4)):
             m = init_model(arch, VOCAB4.size, rng, scale=0.4)
-            ctxs = rng.integers(0, VOCAB4.size, size=(12, 2))
-            targets = rng.integers(0, VOCAB4.size, size=12)
-            loss, grad = m.cross_entropy_grad(ctxs, targets)
+            ctxs, counts = models.target_counts(
+                rng.integers(0, VOCAB4.size, size=(12, 2)),
+                rng.integers(0, VOCAB4.size, size=12),
+                VOCAB4.size,
+            )
+            loss, grad = m.cross_entropy_grad(ctxs, counts)
             h = 1e-6
             for i in rng.choice(m.num_params, size=10, replace=False):
                 up, down = m.params.copy(), m.params.copy()
                 up[i] += h
                 down[i] -= h
-                lu, _ = m.with_params(up).cross_entropy_grad(ctxs, targets)
-                ld, _ = m.with_params(down).cross_entropy_grad(ctxs, targets)
+                lu, _ = m.with_params(up).cross_entropy_grad(ctxs, counts)
+                ld, _ = m.with_params(down).cross_entropy_grad(ctxs, counts)
                 fd = (lu - ld) / (2 * h)
                 assert abs(fd - grad[i]) < 1e-6
 

@@ -9,6 +9,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstepkd import returns as ret
 from kstepkd.models import ModelArch, init_model
@@ -253,6 +255,57 @@ class TestImpliedBaseline:
                 assert np.array_equal(
                     est.baseline, ret.implied_baseline(traj, teacher, ReturnConfig(k=k))
                 )
+
+
+# -- properties on random (q, m) term arrays ------------------------------------
+
+# unit-scale terms, so the termwise sums agree with G - Ghat to 1e-12 absolute
+TERM = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def term_arrays(draw, min_size=1, max_size=20):
+    n = draw(st.integers(min_size, max_size))
+    q = np.array(draw(st.lists(TERM, min_size=n, max_size=n)))
+    m = np.array(draw(st.lists(TERM, min_size=n, max_size=n)))
+    return q, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_arrays())
+def test_k1_kstep_is_actual_bitwise(terms):
+    q, m = terms
+    assert np.array_equal(ret.kstep_from_terms(q, m, 1), ret.actual_from_terms(q, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_arrays(), st.integers(0, 5))
+def test_k_at_least_length_gives_actual_bitwise(terms, extra):
+    q, m = terms
+    assert np.array_equal(ret.kstep_from_terms(q, m, len(q) + extra), ret.actual_from_terms(q, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_arrays(), st.integers(1, 25))
+def test_skipped_gaps_sum_to_implied_baseline(terms, k):
+    q, m = terms
+    gap = ret.actual_from_terms(q, m) - ret.kstep_from_terms(q, m, k)
+    np.testing.assert_allclose(ret.skipped_gaps_from_terms(q, m, k), gap, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(term_arrays(), min_size=1, max_size=6))
+def test_batch_terms_match_per_row_bitwise(rows):
+    """Zero-padded [B, H] rows of ragged lengths 1-20 give each row's
+    ``actual_from_terms`` exactly, and zeros past its length."""
+    width = max(len(q) for q, _ in rows)
+    q_pad, m_pad = np.zeros((len(rows), width)), np.zeros((len(rows), width))
+    for i, (q, m) in enumerate(rows):
+        q_pad[i, : len(q)], m_pad[i, : len(m)] = q, m
+    g = ret.actual_from_batch_terms(q_pad, m_pad)
+    for i, (q, m) in enumerate(rows):
+        assert np.array_equal(g[i, : len(q)], ret.actual_from_terms(q, m))
+        assert not g[i, len(q) :].any()
 
 
 class TestEstimatorStats:
