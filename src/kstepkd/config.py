@@ -43,7 +43,6 @@ DEFAULTS: dict[str, Any] = {
         "iterations": 400,
         "lr": 0.01,
         "batch_size": 4,
-        "grad_accum": 1,
         "optimizer": "sgd",
         "eval_every": 50,
     },
@@ -162,7 +161,6 @@ class ExperimentConfig:
             batch_size=int(spec["batch_size"]),
             iterations=int(spec["iterations"]),
             horizon=self.horizon,
-            grad_accum=int(spec["grad_accum"]),
             seed=seed,
             estimator=estimator,
             k=k,
@@ -207,11 +205,16 @@ class ExperimentConfig:
         for key in ("iid_var_sa", "iid_var_s"):
             if not float(sweep[key]) >= 0.0:
                 raise ConfigError(f"sweep.{key} must be >= 0")
+        fit = self.teacher_fit_params()
+        if int(fit["epochs"]) > 0 and not float(fit["lr"]) > 0.0:
+            raise ConfigError("teacher_fit.lr must be positive when epochs > 0")
         try:
             self.task()
             self.arch("teacher")
             self.arch("student")
-            self.predistill_config()
+            # the bias/variance sweep pre-distils for each bucket's epochs
+            for epochs in [None, *sweep["kl_bucket_epochs"]]:
+                self.predistill_config(None if epochs is None else int(epochs))
             self.rl_config("kstep", 1, 0)
         except (ValueError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc

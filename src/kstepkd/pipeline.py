@@ -37,7 +37,7 @@ from . import models, oracle, returns as ret, tasks, teacher as teacher_mod, tra
 from .config import ConfigError, ExperimentConfig
 from .models import LogitModel
 from .returns import ReturnConfig
-from .seqmdp import State, Vocabulary, initial_state, rollout
+from .seqmdp import State, TrajectoryBatch, Vocabulary, decode, initial_state
 from .teacher import TeacherQ
 
 
@@ -242,16 +242,12 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
 # -- bias/variance sweep -------------------------------------------------------
 
 
-def mean_kl_to_teacher(
-    student: LogitModel, teacher: TeacherQ, states: Sequence[State]
-) -> float:
-    """Mean KL(student || teacher softmax) over the given states."""
-    total = 0.0
-    for s in states:
-        sd = student.distribution(s)
-        td = teacher.distribution(s)
-        total += float(np.dot(sd.probs, sd.log_probs - td.log_probs))
-    return total / len(states)
+def mean_kl_to_teacher(student: LogitModel, teacher: TeacherQ, batch: TrajectoryBatch) -> float:
+    """Mean KL(student || teacher softmax) over every step state of the batch."""
+    mask = batch.step_mask
+    s_lp = models.log_softmax(student.batch_logits(batch.step_contexts(student.window)[mask]))
+    t_lp = models.log_softmax(teacher.batch_q_values(batch.step_contexts(teacher.window)[mask]))
+    return float(np.mean((np.exp(s_lp) * (s_lp - t_lp)).sum(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -260,22 +256,6 @@ class BiasVarianceRow:
     bucket: str  # measured KL (repr) or "iid"
     mean_bias: float
     mean_variance: float
-
-
-def _group_stats(
-    groups: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
-    k: int,
-    rc: ReturnConfig,
-) -> tuple[float, float]:
-    """Mean over groups of the 32-sample variance of Ghat_0 and of mean(Ghat-G)_0."""
-    variances: list[float] = []
-    biases: list[float] = []
-    for group in groups:
-        gh = np.array([float(ret.clip_returns(ret.kstep_from_terms(q, m, k), rc)[0]) for q, m in group])
-        g = np.array([float(ret.clip_returns(ret.actual_from_terms(q, m), rc)[0]) for q, m in group])
-        variances.append(float(gh.var(ddof=1)))
-        biases.append(float((gh - g).mean()))
-    return float(np.mean(biases)), float(np.mean(variances))
 
 
 def bias_variance_rows_for_student(
@@ -288,7 +268,8 @@ def bias_variance_rows_for_student(
     k_list: Sequence[int] | None = None,
 ) -> tuple[list[tuple[int, float, float]], float]:
     """Per-K (k, mean_bias, mean_variance) over shared sampled rollouts, plus
-    the measured mean KL(student || teacher) over visited states.
+    the measured mean KL(student || teacher) over the states that the samples
+    of the first 16 inputs visit.
 
     The same trajectories score every K, so cross-K differences are paired,
     not resampled.
@@ -297,20 +278,28 @@ def bias_variance_rows_for_student(
         raise ValueError("samples_per_input must be >= 2")
     rng = np.random.default_rng([seed, 303])
     rc = ReturnConfig(k=1, clip_range=cfg.clip_range)
-    groups: list[list[tuple[np.ndarray, np.ndarray]]] = []
-    kl_states: list[State] = []
-    for idx, s0 in enumerate(inputs):
-        trajs = [
-            rollout(student, s0, cfg.horizon, mode="sample", rng=rng)
-            for _ in range(samples_per_input)
-        ]
-        groups.append(ret.trajectories_q_terms(trajs, teacher))
-        if idx < 16:
-            kl_states.extend(s.state for traj in trajs for s in traj.steps)
-    kl = mean_kl_to_teacher(student, teacher, kl_states)
+    # input-major rows: the samples of input i are rows i*spi .. (i+1)*spi - 1
+    initial = [s0 for s0 in inputs for _ in range(samples_per_input)]
+    batch = decode(student.batch_logits, student.window, initial, cfg.horizon, rng=rng)
+    q, m = ret.batch_q_terms(batch, teacher)
+    n_kl = min(16, len(inputs)) * samples_per_input
+    kl_rows = TrajectoryBatch(
+        batch.vocab, batch.tokens[:n_kl], batch.prefix_width, batch.lengths[:n_kl]
+    )
+    kl = mean_kl_to_teacher(student, teacher, kl_rows)
+
+    def returns_at_0(k: int) -> np.ndarray:
+        # the clipped K-step return at t=0, one row of samples per input
+        g0 = ret.kstep_from_batch_terms(q, m, batch.lengths, k)[:, 0]
+        return ret.clip_returns(g0, rc).reshape(len(inputs), samples_per_input)
+
+    g = returns_at_0(1)
     rows = []
     for k in (cfg.k_list if k_list is None else k_list):
-        bias, var = _group_stats(groups, k, rc)
+        g_hat = returns_at_0(k)
+        # mean over inputs of the per-input sample variance and mean bias
+        var = float(np.mean(g_hat.var(axis=1, ddof=1)))
+        bias = float(np.mean((g_hat - g).mean(axis=1)))
         rows.append((k, bias, var))
     return rows, kl
 

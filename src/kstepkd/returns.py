@@ -30,16 +30,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .seqmdp import Trajectory, TrajectoryBatch, step_arrays
+from .seqmdp import Trajectory, TrajectoryBatch
 from .teacher import DEFAULT_CLIP_RANGE, TeacherQ
-
-
-class InsufficientSampleError(ValueError):
-    """Too few trajectories reach the requested step to form statistics."""
 
 
 @dataclass(frozen=True)
@@ -60,13 +56,25 @@ def clip_returns(values: np.ndarray, cfg: ReturnConfig) -> np.ndarray:
     return np.clip(values, lo, hi)
 
 
+# rows per batched teacher evaluation: a frozen mlp1 teacher's forward pass
+# holds [rows, window, hidden] floats, which the bias/variance sweep's
+# hundreds of thousands of sampled steps would otherwise hold all at once
+Q_TERMS_BLOCK = 16384
+
+
 def q_terms(
     teacher: TeacherQ, contexts: np.ndarray, actions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(q_taken, max_q) for int contexts [N, teacher.window] and actions [N],
-    from one batched teacher evaluation."""
-    qv = teacher.batch_q_values(contexts)
-    return qv[np.arange(len(actions)), actions], qv.max(axis=1)
+    from batched teacher evaluations of at most ``Q_TERMS_BLOCK`` rows."""
+    q_taken = np.empty(len(actions), dtype=np.float64)
+    max_q = np.empty(len(actions), dtype=np.float64)
+    for lo in range(0, len(actions), Q_TERMS_BLOCK):
+        rows = slice(lo, lo + Q_TERMS_BLOCK)
+        qv = teacher.batch_q_values(contexts[rows])
+        q_taken[rows] = qv[np.arange(len(qv)), actions[rows]]
+        max_q[rows] = qv.max(axis=1)
+    return q_taken, max_q
 
 
 def trajectory_q_terms(traj: Trajectory, teacher: TeacherQ) -> tuple[np.ndarray, np.ndarray]:
@@ -80,16 +88,6 @@ def trajectory_q_terms(traj: Trajectory, teacher: TeacherQ) -> tuple[np.ndarray,
         q_taken[t] = qv[s.action]
         max_q[t] = qv.max()
     return q_taken, max_q
-
-
-def trajectories_q_terms(
-    trajs: Sequence[Trajectory], teacher: TeacherQ
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``trajectory_q_terms`` of every trajectory, from one batched teacher
-    evaluation over all their steps."""
-    q, m = q_terms(teacher, *step_arrays(trajs, teacher.window))
-    bounds = np.cumsum([traj.num_steps for traj in trajs])[:-1]
-    return list(zip(np.split(q, bounds), np.split(m, bounds)))
 
 
 def batch_q_terms(batch: TrajectoryBatch, teacher: TeacherQ) -> tuple[np.ndarray, np.ndarray]:
@@ -118,19 +116,6 @@ def actual_from_terms(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     return g
 
 
-def actual_from_batch_terms(q: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``actual_from_terms`` for every row of [B, H] term arrays at once, with
-    the same per-element operations.  The terms must be zero past each row's
-    length, as ``batch_q_terms`` leaves them: a row's last step then adds
-    (q - 0) + 0, which is q exactly, so no lengths are needed.  The result is
-    zero past each row's length too."""
-    g = np.zeros_like(q)
-    g[:, -1] = q[:, -1]
-    for t in range(q.shape[1] - 2, -1, -1):
-        g[:, t] = (q[:, t] - m[:, t + 1]) + g[:, t + 1]
-    return g
-
-
 def kstep_from_terms(q: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
     n = len(q)
     last = n - 1
@@ -141,6 +126,25 @@ def kstep_from_terms(q: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
             g[t] = (q[t] - m[t + 1]) + g[t + 1]
         else:
             g[t] = (q[t] - m[t + k]) + g[t + k]
+    return g
+
+
+def kstep_from_batch_terms(
+    q: np.ndarray, m: np.ndarray, lengths: np.ndarray, k: int
+) -> np.ndarray:
+    """``kstep_from_terms`` for every row of [B, H] term arrays at once, with
+    the same per-element operations; row i ends at step lengths[i] - 1
+    (lengths >= 1).  K = 1 gives the actual return G.  The result is zero
+    past each row's length, whatever the terms hold there."""
+    rows = np.arange(q.shape[0])
+    last = lengths - 1
+    g = np.zeros_like(q)
+    g[rows, last] = q[rows, last]
+    # columns at or past every row's last step keep their values
+    for t in range(int(last.max()) - 1, -1, -1):
+        # a jump of K from t lands at t + K <= last, inside the row
+        nxt = np.where(last - t < k, t + 1, t + k)
+        g[:, t] = np.where(t < last, (q[:, t] - m[rows, nxt]) + g[rows, nxt], g[:, t])
     return g
 
 
@@ -209,52 +213,6 @@ def estimate(traj: Trajectory, teacher: TeacherQ, cfg: ReturnConfig) -> ReturnEs
     return ReturnEstimate(g_hat=g_hat, g_actual=g, baseline=g - g_hat, config=cfg)
 
 
-# -- sample statistics -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EstimatorStats:
-    n: int
-    mean_g_hat: float
-    var_g_hat: float
-    mean_g: float
-    var_g: float
-    bias: float  # mean(Ghat - G)
-
-
-def estimator_stats(
-    trajs: Sequence[Trajectory], teacher: TeacherQ, cfg: ReturnConfig, at_step: int
-) -> EstimatorStats:
-    """Sample moments of the clipped estimators at one step index.
-
-    Trajectories shorter than at_step+1 are excluded; at least two must
-    survive for the unbiased variance to exist.
-    """
-    g_hat_vals: list[float] = []
-    g_vals: list[float] = []
-    for traj in trajs:
-        if traj.num_steps <= at_step:
-            continue
-        est = estimate(traj, teacher, cfg)
-        g_hat_vals.append(float(est.g_hat_clipped[at_step]))
-        g_vals.append(float(est.g_actual_clipped[at_step]))
-    n = len(g_hat_vals)
-    if n < 2:
-        raise InsufficientSampleError(
-            f"need >= 2 trajectories with more than {at_step} steps, got {n}"
-        )
-    gh = np.array(g_hat_vals)
-    g = np.array(g_vals)
-    return EstimatorStats(
-        n=n,
-        mean_g_hat=float(gh.mean()),
-        var_g_hat=float(gh.var(ddof=1)),
-        mean_g=float(g.mean()),
-        var_g=float(g.var(ddof=1)),
-        bias=float((gh - g).mean()),
-    )
-
-
 # -- iid surrogate for the variance law -------------------------------------
 
 # The variance comparison between G and Ghat has a closed form when the
@@ -265,16 +223,12 @@ def estimator_stats(
 # num_terms for G, floor((num_terms-1)/k) + 1 for Ghat.
 
 
-def iid_term_count_actual(num_terms: int) -> int:
-    return num_terms
-
-
 def iid_term_count_kstep(num_terms: int, k: int) -> int:
     return (num_terms - 1) // k + 1
 
 
 def predicted_var_actual(num_terms: int, var_sa: float, var_s: float) -> float:
-    return iid_term_count_actual(num_terms) * (var_sa + var_s)
+    return num_terms * (var_sa + var_s)
 
 
 def predicted_var_kstep(num_terms: int, k: int, var_sa: float, var_s: float) -> float:
@@ -293,10 +247,9 @@ def iid_gaussian_samples(
     if num_terms < 1 or k < 1:
         raise ValueError("num_terms and k must be >= 1")
     sd_q, sd_m = np.sqrt(var_sa), np.sqrt(var_s)
-    c_actual = iid_term_count_actual(num_terms)
     c_kstep = iid_term_count_kstep(num_terms, k)
-    g = sd_q * rng.standard_normal((n_samples, c_actual)).sum(axis=1)
-    g -= sd_m * rng.standard_normal((n_samples, c_actual)).sum(axis=1)
+    g = sd_q * rng.standard_normal((n_samples, num_terms)).sum(axis=1)
+    g -= sd_m * rng.standard_normal((n_samples, num_terms)).sum(axis=1)
     g_hat = sd_q * rng.standard_normal((n_samples, c_kstep)).sum(axis=1)
     g_hat -= sd_m * rng.standard_normal((n_samples, c_kstep)).sum(axis=1)
     return g, g_hat

@@ -6,10 +6,11 @@ token is emitted or when the rollout horizon is reached.  Conditioning inputs
 (source tokens) are modeled by prepending them to the initial prefix; only
 generated tokens count toward a state's ``length``.
 
-Two trajectory representations coexist: per-state ``Trajectory`` objects from
-:func:`rollout`, the reference every fast path is checked against, and the
-integer-array ``TrajectoryBatch`` from :func:`greedy_decode`, which decodes
-many inputs in lockstep with one scoring call per step.
+Every pipeline path, greedy or sampled, runs on the integer-array
+``TrajectoryBatch`` from :func:`decode`, which rolls many inputs out in
+lockstep with one scoring call per step.  Per-state ``Trajectory`` objects
+from :func:`rollout` remain as the reference the batch is checked against,
+and as the representation of the enumeration oracle.
 """
 
 from __future__ import annotations
@@ -112,17 +113,6 @@ class Trajectory:
         return self.terminal_state
 
 
-def step_arrays(trajs: Sequence[Trajectory], window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every step's context at ``window`` (int [N, window], BOS-padded like
-    ``State.last_tokens``) and action (int [N]), trajectory by trajectory and
-    step by step within a trajectory."""
-    contexts = np.array(
-        [s.state.last_tokens(window) for traj in trajs for s in traj.steps], dtype=np.int64
-    ).reshape(-1, window)
-    actions = np.array([s.action for traj in trajs for s in traj.steps], dtype=np.int64)
-    return contexts, actions
-
-
 class Policy(Protocol):
     """Anything that maps a non-terminal state to an action distribution."""
 
@@ -220,22 +210,26 @@ class TrajectoryBatch:
         return sliding_window_view(tokens, window, axis=1)[:, start : start + self.horizon]
 
 
-def greedy_decode(
+def decode(
     score: Callable[[np.ndarray], np.ndarray],
     window: int,
     initial: Sequence[State],
     horizon: int,
+    rng: np.random.Generator | None = None,
 ) -> TrajectoryBatch:
-    """Greedy rollouts of every initial state in lockstep.
+    """Rollouts of every initial state in lockstep.
 
     ``score`` maps int contexts [N, window] to logits [N, V]; each step makes
-    one call on the rows still running and takes the argmax (ties to the
-    lowest token id), exactly as ``rollout(mode="greedy")`` does per state.
+    one call on the rows still running.  Without ``rng`` each row takes the
+    argmax (ties to the lowest token id), as ``rollout(mode="greedy")`` does
+    per state.  With ``rng`` each running row draws its action from the
+    softmax by inverse CDF, from one ``rng.random(n_running)`` per step in
+    row order, so a single row draws exactly as ``rollout(mode="sample")``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not initial:
-        raise ValueError("greedy_decode requires at least one initial state")
+        raise ValueError("decode requires at least one initial state")
     vocab = initial[0].vocab
     for s in initial:
         if s.is_terminal:
@@ -255,10 +249,19 @@ def greedy_decode(
             raise ValueError(
                 f"scores have shape {logits.shape}, expected ({len(alive)}, {vocab.size})"
             )
-        actions = np.argmax(logits, axis=1)
-        # log_softmax at the argmax, whose shifted logit is exactly 0
         z = logits - logits.max(axis=1, keepdims=True)
-        lp = -np.log(np.exp(z).sum(axis=1))
+        if rng is None:
+            actions = np.argmax(logits, axis=1)
+            # log_softmax at the argmax, whose shifted logit is exactly 0
+            lp = -np.log(np.exp(z).sum(axis=1))
+        else:
+            # the same log_softmax and inverse-CDF draw as rollout; the
+            # clamp guards the final partial sum rounding below 1.0
+            log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            cdf = np.cumsum(np.exp(log_probs), axis=1)
+            u = rng.random(len(alive))
+            actions = np.minimum((cdf <= u[:, None]).sum(axis=1), vocab.size - 1)
+            lp = log_probs[np.arange(len(alive)), actions]
         if not np.all(np.isfinite(lp)):
             bad = int(np.flatnonzero(~np.isfinite(lp))[0])
             raise ValueError(f"non-finite log-probability for action {int(actions[bad])}")

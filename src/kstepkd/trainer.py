@@ -18,7 +18,6 @@ Estimators:
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -29,7 +28,7 @@ from . import models as models_mod
 from . import returns as ret
 from .models import LogitModel
 from .returns import ReturnConfig
-from .seqmdp import State, Trajectory, greedy_decode, rollout, step_arrays
+from .seqmdp import State, decode
 from .teacher import DEFAULT_CLIP_RANGE, TeacherQ
 
 ESTIMATORS = ("kstep", "llmr", "mean_baseline", "minvar_baseline")
@@ -47,7 +46,6 @@ class TrainConfig:
     iterations: int = 0
     epochs: int = 0
     horizon: int = 20
-    grad_accum: int = 1
     seed: int = 0
     estimator: str = "kstep"
     k: int = 1
@@ -58,10 +56,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.stage not in ("predistill", "rl"):
             raise ValueError(f"unknown stage {self.stage!r}")
-        if self.lr < 0:
-            raise ValueError("lr must be non-negative (0 skips the update)")
-        if self.batch_size < 1 or self.grad_accum < 1:
-            raise ValueError("batch_size and grad_accum must be >= 1")
+        if self.stage == "rl" and self.lr < 0:
+            raise ValueError("rl lr must be non-negative (0 skips the update)")
+        if self.stage == "predistill" and self.epochs > 0 and not self.lr > 0:
+            raise ValueError("predistill lr must be positive when epochs > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "llmr" and self.k != 1:
@@ -130,7 +130,7 @@ def teacher_greedy_targets(
     """Context/target training rows from teacher-greedy continuations,
     with contexts extracted at the consumer's window width.  Rows run input
     by input, step by step within an input."""
-    batch = greedy_decode(teacher.batch_q_values, teacher.window, inputs, horizon)
+    batch = decode(teacher.batch_q_values, teacher.window, inputs, horizon)
     mask = batch.step_mask
     return batch.step_contexts(window)[mask], batch.actions[mask]
 
@@ -165,39 +165,36 @@ def predistill(
 # -- estimator signals ---------------------------------------------------------
 
 
-def _per_step_signals(
-    trajs: Sequence[Trajectory],
-    terms: Sequence[tuple[np.ndarray, np.ndarray]],
-    sq_norms: Sequence[np.ndarray] | None,
+def estimator_signals(
+    g: np.ndarray,
+    g_hat: np.ndarray,
+    lengths: np.ndarray,
+    sq_norms: np.ndarray | None,
     cfg: TrainConfig,
-) -> list[np.ndarray]:
+) -> np.ndarray:
+    """The configured estimator's learning signal at every step, zero past
+    each row's length, from the unclipped actual and K-step returns [B, H]
+    of the same rows (``kstep_from_batch_terms``).  The kstep estimators
+    clip Ghat; both baselines are subtracted from clipped G and pool the
+    rows still running at each step, and ``sq_norms`` [B, H] (||d log pi||^2
+    per step) weights the min-variance one."""
     rc = cfg.return_config
+    mask = np.arange(g.shape[1]) < lengths[:, None]
     if cfg.estimator in ("kstep", "llmr"):
-        return [ret.clip_returns(ret.kstep_from_terms(q, m, rc.k), rc) for q, m in terms]
-
-    g_all = [ret.clip_returns(ret.actual_from_terms(q, m), rc) for q, m in terms]
-    signals = [g.copy() for g in g_all]
-    max_len = max(traj.num_steps for traj in trajs)
-    for t in range(max_len):
-        alive = [i for i, traj in enumerate(trajs) if traj.num_steps > t]
-        if cfg.estimator == "mean_baseline":
-            total = sum(g_all[i][t] for i in alive)
-            for i in alive:
-                if len(alive) > 1:
-                    baseline = (total - g_all[i][t]) / (len(alive) - 1)
-                else:
-                    baseline = 0.0
-                signals[i][t] = g_all[i][t] - baseline
-        else:  # minvar_baseline
-            weights = np.array([sq_norms[i][t] for i in alive])
-            denom = float(weights.sum())
-            if denom > 0.0:
-                baseline = float(sum(w * g_all[i][t] for w, i in zip(weights, alive)) / denom)
-            else:
-                baseline = 0.0
-            for i in alive:
-                signals[i][t] = g_all[i][t] - baseline
-    return signals
+        return np.where(mask, ret.clip_returns(g_hat, rc), 0.0)
+    g = np.where(mask, ret.clip_returns(g, rc), 0.0)
+    alive = mask.sum(axis=0)
+    if cfg.estimator == "mean_baseline":
+        # leave-one-out mean of the other running rows; none for a lone row
+        others = np.maximum(alive - 1, 1)
+        baseline = np.where(alive > 1, (g.sum(axis=0) - g) / others, 0.0)
+    else:  # minvar_baseline
+        w = np.where(mask, sq_norms, 0.0)
+        denom = w.sum(axis=0)
+        baseline = np.divide(
+            (w * g).sum(axis=0), denom, out=np.zeros_like(denom), where=denom > 0.0
+        )
+    return np.where(mask, g - baseline, 0.0)
 
 
 # -- REINFORCE ----------------------------------------------------------------
@@ -235,36 +232,40 @@ def reinforce_step(
 ):
     """One sampled-batch policy update.
 
-    Samples one trajectory per input, weights each step's log-prob gradient by
-    the configured estimator signal over the batch size, sums them in one
-    backward pass, and ascends.
-    Returns (student, record, opt_state); sampled trajectories are appended
-    when ``return_trajectories`` is set.
+    Samples one trajectory per input in lockstep, weights each step's
+    log-prob gradient by the configured estimator signal over the batch size,
+    sums them in one backward pass, and ascends.
+    Returns (student, record, opt_state); the sampled ``TrajectoryBatch`` is
+    appended when ``return_trajectories`` is set.
     """
     if cfg.stage != "rl":
         raise ValueError("reinforce_step requires cfg.stage == 'rl'")
-    trajs = [rollout(student, s0, cfg.horizon, mode="sample", rng=rng) for s0 in batch]
-    contexts, actions = step_arrays(trajs, student.window)
-    bounds = np.cumsum([traj.num_steps for traj in trajs])[:-1]
+    trajs = decode(student.batch_logits, student.window, batch, cfg.horizon, rng=rng)
+    mask = trajs.step_mask
+    step_contexts = trajs.step_contexts(student.window)
+    contexts, actions = step_contexts[mask], trajs.actions[mask]
     sq_norms = None
     if cfg.estimator == "minvar_baseline":
-        sq_norms = np.split(student.score_sq_norms(contexts, actions), bounds)
-    terms = ret.trajectories_q_terms(trajs, teacher)
-    signals = _per_step_signals(trajs, terms, sq_norms, cfg)
+        sq_norms = np.zeros(mask.shape)
+        sq_norms[mask] = student.score_sq_norms(contexts, actions)
+    q, m = ret.batch_q_terms(trajs, teacher)
+    rc = cfg.return_config
+    g = ret.kstep_from_batch_terms(q, m, trajs.lengths, 1)
+    g_hat = g if rc.k == 1 else ret.kstep_from_batch_terms(q, m, trajs.lengths, rc.k)
+    signals = estimator_signals(g, g_hat, trajs.lengths, sq_norms, cfg) / len(batch)
 
-    weights = np.concatenate(signals) / len(batch)
-    accum, log_probs = student.weighted_logit_grad(contexts, actions, weights)
+    accum, log_probs = student.weighted_logit_grad(contexts, actions, signals[mask])
     if not np.all(np.isfinite(accum)):
         # name the first trajectory whose own share of the sum is non-finite:
         # its signals are, or its scores overflow (a non-finite weight always
         # yields a non-finite share)
-        shares = zip(*(np.split(x, bounds) for x in (contexts, actions, weights)))
-        for i, (traj, (c, a, w)) in enumerate(zip(trajs, shares)):
+        for i, n in enumerate(trajs.lengths.tolist()):
+            c, a, w = step_contexts[i, :n], trajs.actions[i, :n], signals[i, :n]
             if not np.all(np.isfinite(student.weighted_logit_grad(c, a, w)[0])):
                 raise NonFiniteGradientError(
-                    f"non-finite gradient from trajectory {i} (actions {traj.actions})"
+                    f"non-finite gradient from trajectory {i} (actions {tuple(a.tolist())})"
                 )
-        raise NonFiniteGradientError(f"non-finite sum of {len(trajs)} trajectory gradients")
+        raise NonFiniteGradientError(f"non-finite sum of {len(batch)} trajectory gradients")
 
     if cfg.optimizer == "adam":
         if opt_state is None:
@@ -275,15 +276,10 @@ def reinforce_step(
 
     new_student = student.apply_update(direction, cfg.lr) if cfg.lr > 0 else student
 
-    rc = cfg.return_config
-    mean_g = float(np.mean([ret.actual_from_terms(q, m)[0] for q, m in terms]))
-    mean_gh = float(
-        np.mean([ret.clip_returns(ret.kstep_from_terms(q, m, rc.k), rc)[0] for q, m in terms])
-    )
     record = TrainRecord(
         iteration=iteration,
-        mean_return_actual=mean_g,
-        mean_return_khat=mean_gh,
+        mean_return_actual=float(np.mean(g[:, 0])),
+        mean_return_khat=float(np.mean(ret.clip_returns(g_hat[:, 0], rc))),
         grad_norm=float(np.linalg.norm(accum)),
         policy_entropy=float(np.mean(-(np.exp(log_probs) * log_probs).sum(axis=1))),
         eval_greedy_return=eval_return,
@@ -293,53 +289,16 @@ def reinforce_step(
     return new_student, record, opt_state
 
 
-def save_train_state(
-    path: str | Path, student: LogitModel, opt_state: AdamState | None = None
-) -> None:
-    """Checkpoint the student in the model format, plus optimizer moments."""
-    data = models_mod.model_to_dict(student)
-    if opt_state is not None:
-        data["optimizer"] = {
-            "type": "adam",
-            "m": [float(x) for x in opt_state.m],
-            "v": [float(x) for x in opt_state.v],
-            "t": opt_state.t,
-            "beta1": opt_state.beta1,
-            "beta2": opt_state.beta2,
-            "eps": opt_state.eps,
-        }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(data) + "\n")
-
-
-def load_train_state(path: str | Path) -> tuple[LogitModel, AdamState | None]:
-    with open(path) as fh:
-        data = json.load(fh)
-    opt = data.pop("optimizer", None)
-    model = models_mod.model_from_dict(data)
-    if opt is None:
-        return model, None
-    state = AdamState(
-        m=np.array(opt["m"], dtype=np.float64),
-        v=np.array(opt["v"], dtype=np.float64),
-        t=int(opt["t"]),
-        beta1=float(opt["beta1"]),
-        beta2=float(opt["beta2"]),
-        eps=float(opt["eps"]),
-    )
-    return model, state
-
-
 def evaluate_greedy(
     student: LogitModel, teacher: TeacherQ, inputs: Sequence[State], horizon: int
 ) -> float:
     """Mean actual return of greedy rollouts over a fixed input set."""
-    batch = greedy_decode(student.batch_logits, student.window, inputs, horizon)
+    batch = decode(student.batch_logits, student.window, inputs, horizon)
     q, m = ret.batch_q_terms(batch, teacher)
     # left to right in input order: the mean must not depend on numpy's
     # pairwise summation, which groups terms by the batch size
     total = 0.0
-    for g0 in ret.actual_from_batch_terms(q, m)[:, 0].tolist():
+    for g0 in ret.kstep_from_batch_terms(q, m, batch.lengths, 1)[:, 0].tolist():
         total += g0
     return total / len(inputs)
 
@@ -353,10 +312,11 @@ def train(
 ) -> tuple[LogitModel, TrainLog]:
     """Run cfg.iterations REINFORCE updates over shuffled input batches.
 
-    Each update consumes batch_size * grad_accum inputs (accumulating
-    micro-batches into a single step is arithmetically one larger batch).
-    The best student by greedy validation return is kept and returned.
-    Deterministic given cfg.seed.
+    Each update consumes batch_size inputs.  The best student by greedy
+    validation return is kept and returned.  Deterministic given cfg.seed.
+    An iteration whose policy entropy is exactly 0.0 raises
+    FloatingPointError: every sampled softmax is then one-hot, so every
+    score and every further update is exactly 0 (a diverged step).
     """
     if cfg.stage != "rl":
         raise ValueError("train requires cfg.stage == 'rl'")
@@ -368,7 +328,6 @@ def train(
 
     val = list(val_inputs) if val_inputs else list(inputs)
     rng = np.random.default_rng(cfg.seed)
-    per_update = cfg.batch_size * cfg.grad_accum
     order: list[int] = []
     opt_state: AdamState | None = None
 
@@ -376,15 +335,20 @@ def train(
     best_student, best_eval = student, eval_return
 
     for iteration in range(cfg.iterations):
-        while len(order) < per_update:
+        while len(order) < cfg.batch_size:
             order.extend(int(i) for i in rng.permutation(len(inputs)))
-        batch = [inputs[i] for i in order[:per_update]]
-        del order[:per_update]
+        batch = [inputs[i] for i in order[: cfg.batch_size]]
+        del order[: cfg.batch_size]
 
         student, record, opt_state = reinforce_step(
             student, teacher, batch, cfg, rng,
             iteration=iteration, eval_return=eval_return, opt_state=opt_state,
         )
+        if record.policy_entropy == 0.0:
+            raise FloatingPointError(
+                f"policy collapsed at iteration {iteration}: entropy 0.0, so every "
+                "sampled score and update is 0"
+            )
         if (iteration + 1) % cfg.eval_every == 0 or iteration + 1 == cfg.iterations:
             eval_return = evaluate_greedy(student, teacher, val, cfg.horizon)
             if eval_return > best_eval:

@@ -103,6 +103,7 @@ def test_c03_decomposition_identity():
     _report("C3 decomposition identity", exact, "G - Ghat == baseline, exact, 500 cases x 5 K")
 
 
+@pytest.mark.slow
 def test_c04_iid_variance_closed_form():
     start = time.time()
     rng = np.random.default_rng(404)
@@ -146,6 +147,7 @@ def test_c05_policy_gradient_oracle():
     )
 
 
+@pytest.mark.slow
 def test_c06_unbiasedness():
     # enumeration-exact zero bias at K=1
     rng = np.random.default_rng(606)
@@ -185,6 +187,7 @@ def test_c06_unbiasedness():
     )
 
 
+@pytest.mark.slow
 def test_c07_bias_monotone_in_k(desk_cfg, desk_splits, desk_models):
     monotone = 0
     chains = []
@@ -208,6 +211,7 @@ def test_c07_bias_monotone_in_k(desk_cfg, desk_splits, desk_models):
     )
 
 
+@pytest.mark.slow
 def test_c08_variance_ratio_on_mdp(desk_cfg, desk_splits, desk_models):
     teacher, student = desk_models[desk_cfg.seeds[0]]
     inputs = [desk_splits.train_states[i % len(desk_splits.train_states)] for i in range(1000)]
@@ -225,6 +229,7 @@ def test_c08_variance_ratio_on_mdp(desk_cfg, desk_splits, desk_models):
     )
 
 
+@pytest.mark.slow
 def test_c09_end_to_end_directional(desk_cfg, k_sweep_results):
     results, sweep_seconds = k_sweep_results
     seeds = desk_cfg.seeds

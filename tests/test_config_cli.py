@@ -70,6 +70,10 @@ class TestConfig:
         {"sweep": {"samples_per_input": 1}},
         {"sweep": {"n_inputs": 0}},
         {"sweep": {"iid_var_s": -1.0}},
+        {"predistill": {"lr": 0.0}},
+        {"predistill": {"epochs": 0, "lr": 0.0}, "sweep": {"kl_bucket_epochs": [0, 2]}},
+        {"teacher_fit": {"lr": 0.0}},
+        {"teacher_fit": {"lr": -1.0}},
     ])
     def test_bad_stage_setting_rejected(self, override):
         with pytest.raises(ConfigError):
@@ -127,6 +131,7 @@ class TestCliBasics:
         assert report[0] == "metric,value,threshold,status"
         assert "fail" not in "".join(report[1:])
 
+    @pytest.mark.slow
     def test_sweep_bias_variance_iid_mode(self, tmp_path):
         data = tiny_config(tmp_path)
         data["k_list"] = [1, 2, 4, 8, 16]
@@ -174,6 +179,33 @@ class TestCliErrors:
         path.write_text(json.dumps(tiny_config(tmp_path)))
         assert main(["--config", str(path), "sweep-k"]) == cli.EXIT_STAGE
 
+    @pytest.mark.parametrize(
+        "command,stage", [("sweep-k", "teacher_fit"), ("train", "predistill")]
+    )
+    def test_zero_learning_rate_exit_2(self, tmp_path, capsys, command, stage):
+        data = tiny_config(tmp_path)
+        data[stage] = {**data[stage], "lr": 0}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        assert main(["--config", str(path), command]) == EXIT_CONFIG
+        assert "lr must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep-k", "train"])
+    def test_collapsed_rl_policy_exit_3(self, tmp_path, capsys, command):
+        """At rl.lr 1e300 the first update leaves every parameter finite but
+        makes every sampled softmax one-hot, so the policy entropy reads 0.0
+        and no later score or update can move it."""
+        from kstepkd import cli
+
+        data = tiny_config(tmp_path, rl={"iterations": 4, "lr": 1e300, "batch_size": 2})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with np.errstate(all="ignore"):
+            code = main(["--config", str(path), command])
+        assert code == cli.EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "failed (seed 0)" in err and "entropy 0.0" in err
+
     def test_empty_test_split_exit_2(self, tmp_path):
         data = tiny_config(tmp_path)
         data["corpus"] = {**data["corpus"], "n_test": 0}
@@ -218,36 +250,6 @@ class TestCliErrors:
         assert (type(back), str(back), back.stage, back.seed) == (
             pipeline.StageError, str(err), "rl:llmr", 4
         )
-
-
-class TestTrainStateCheckpoint:
-    def test_round_trip_with_optimizer(self, tmp_path):
-        from kstepkd.models import ModelArch, init_model
-        from kstepkd.trainer import AdamState, load_train_state, save_train_state
-
-        m = init_model(ModelArch("mlp1", window=2, hidden=3), 5, np.random.default_rng(8))
-        state = AdamState(
-            m=np.random.default_rng(9).normal(size=m.num_params),
-            v=np.abs(np.random.default_rng(10).normal(size=m.num_params)),
-            t=7,
-        )
-        path = tmp_path / "train_state.json"
-        save_train_state(path, m, state)
-        m2, state2 = load_train_state(path)
-        np.testing.assert_array_equal(m.params, m2.params)
-        np.testing.assert_array_equal(state.m, state2.m)
-        np.testing.assert_array_equal(state.v, state2.v)
-        assert state2.t == 7
-
-    def test_round_trip_without_optimizer(self, tmp_path):
-        from kstepkd.models import ModelArch, zero_model
-        from kstepkd.trainer import load_train_state, save_train_state
-
-        m = zero_model(ModelArch("linear", window=1), 3)
-        save_train_state(tmp_path / "s.json", m)
-        m2, state = load_train_state(tmp_path / "s.json")
-        assert state is None
-        np.testing.assert_array_equal(m.params, m2.params)
 
 
 class TestPipeline:

@@ -1,7 +1,7 @@
-"""Lockstep greedy decoding, batched teacher scoring, the weighted logit
-backward pass and the counted cross-entropy against the per-state
-references: ``rollout(mode="greedy")``, ``TeacherQ.q_values`` and
-``LogitModel.grad_log_prob``."""
+"""Lockstep greedy and sampled decoding, batched teacher scoring, the
+weighted logit backward pass and the counted cross-entropy against the
+per-state references: ``rollout``, the enumeration oracle's path
+probabilities, ``TeacherQ.q_values`` and ``LogitModel.grad_log_prob``."""
 
 from collections import Counter
 
@@ -10,17 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstepkd import returns as ret
+from kstepkd import oracle, pipeline, returns as ret
+from kstepkd.config import from_dict
 from kstepkd.models import ModelArch, init_model, target_counts, zero_model
-from kstepkd.seqmdp import (
-    TerminalStateError,
-    Vocabulary,
-    greedy_decode,
-    initial_state,
-    rollout,
-    step,
-    step_arrays,
-)
+from kstepkd.seqmdp import TerminalStateError, Vocabulary, decode, initial_state, rollout, step
 from kstepkd.teacher import FrozenModelTeacher, MissingContextError, TabularTeacher
 from kstepkd.trainer import evaluate_greedy, teacher_greedy_targets
 
@@ -52,6 +45,13 @@ def instances(draw):
     return vocab, models[0], FrozenModelTeacher(models[1]), horizon, inputs
 
 
+def _step_arrays(trajs, window):
+    """Every step's context at ``window`` and action, trajectory by trajectory."""
+    contexts = [s.state.last_tokens(window) for traj in trajs for s in traj.steps]
+    actions = [s.action for traj in trajs for s in traj.steps]
+    return np.array(contexts, dtype=np.int64).reshape(-1, window), np.array(actions)
+
+
 def _close(a, b, bitwise):
     if bitwise:
         np.testing.assert_array_equal(a, b)
@@ -64,7 +64,7 @@ def _close(a, b, bitwise):
 def test_lockstep_decoder_matches_rollout(inst):
     vocab, student, teacher, horizon, inputs = inst
     for policy, score in ((student, student.batch_logits), (teacher, teacher.batch_q_values)):
-        batch = greedy_decode(score, policy.window, inputs, horizon)
+        batch = decode(score, policy.window, inputs, horizon)
         for i, s0 in enumerate(inputs):
             traj = rollout(policy, s0, horizon, mode="greedy")
             n = int(batch.lengths[i])
@@ -77,13 +77,66 @@ def test_lockstep_decoder_matches_rollout(inst):
 
 
 @settings(max_examples=80, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_sampled_decoder_matches_rollout(inst, seed):
+    """One row draws exactly as ``rollout(mode="sample")`` from the same
+    seed.  A batch draws one uniform per running row per step, rows in input
+    order: its actions, lengths and step contexts equal a per-state replay of
+    that convention."""
+    vocab, student, teacher, horizon, inputs = inst
+    for policy, score in ((student, student.batch_logits), (teacher, teacher.batch_q_values)):
+        for s0 in inputs:
+            batch = decode(score, policy.window, [s0], horizon, rng=np.random.default_rng(seed))
+            traj = rollout(policy, s0, horizon, mode="sample", rng=np.random.default_rng(seed))
+            assert batch.lengths.tolist() == [traj.num_steps]
+            assert tuple(batch.actions[0, : traj.num_steps].tolist()) == traj.actions
+        initial = inputs * 2
+        batch = decode(score, policy.window, initial, horizon, rng=np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        states, running = list(initial), list(range(len(initial)))
+        for t in range(horizon):
+            for i, u in zip(running, rng.random(len(running))):
+                cdf = np.cumsum(policy.distribution(states[i]).probs)
+                a = min(int(np.searchsorted(cdf, u, side="right")), vocab.size - 1)
+                assert batch.actions[i, t] == a
+                for w in (1, 2, 3, 5):
+                    assert batch.step_contexts(w)[i, t].tolist() == list(states[i].last_tokens(w))
+                states[i] = step(states[i], a)
+            running = [i for i in running if not states[i].is_terminal]
+            if not running:
+                break
+        assert batch.lengths.tolist() == [s.length for s in states]
+
+
+@pytest.mark.slow
+def test_sampled_decoder_matches_enumerated_path_probabilities():
+    """Full-trajectory frequencies of one sampled batch against the exact
+    path probabilities of every enumerated trajectory."""
+    vocab = Vocabulary(size=3, bos_id=0, eos_id=2)
+    policy = init_model(ModelArch("mlp1", window=2, hidden=3), 3, np.random.default_rng(5), 1.0)
+    spec = oracle.EnumerationSpec(vocab, 4, initial_state(vocab, (1,)))
+    n = 20_000
+    batch = decode(
+        policy.batch_logits, 2, [spec.initial] * n, spec.horizon, rng=np.random.default_rng(6)
+    )
+    counts = Counter(
+        tuple(row[:length]) for row, length in zip(batch.actions.tolist(), batch.lengths.tolist())
+    )
+    paths = oracle.enumerate_trajectories(spec, policy)
+    assert set(counts) <= {traj.actions for traj, _ in paths}
+    for traj, p in paths:
+        z = (counts[traj.actions] - n * p) / np.sqrt(n * p * (1 - p))
+        assert abs(z) < 4, (traj.actions, counts[traj.actions], n * p)
+
+
+@settings(max_examples=80, deadline=None)
 @given(instances())
 def test_batched_q_terms_and_returns_match_per_state(inst):
     vocab, student, teacher, horizon, inputs = inst
     bitwise = teacher.model.kind == "linear"
-    batch = greedy_decode(student.batch_logits, student.window, inputs, horizon)
+    batch = decode(student.batch_logits, student.window, inputs, horizon)
     q, m = ret.batch_q_terms(batch, teacher)
-    g = ret.actual_from_batch_terms(q, m)
+    g = ret.kstep_from_batch_terms(q, m, batch.lengths, 1)
     for i, s0 in enumerate(inputs):
         traj = rollout(student, s0, horizon, mode="greedy")
         n = traj.num_steps
@@ -95,15 +148,65 @@ def test_batched_q_terms_and_returns_match_per_state(inst):
         _close(g[i, :n], ret.actual_from_terms(ref_q, ref_m), bitwise)
         # same terms in, same returns out: the vectorized recursion is exact
         np.testing.assert_array_equal(g[i, :n], ret.actual_from_terms(q[i, :n], m[i, :n]))
-    # sampled trajectories of ragged lengths, scored in one call
-    rng = np.random.default_rng(0)
-    sampled = [rollout(student, s0, horizon, mode="sample", rng=rng) for s0 in inputs * 3]
-    batched = ret.trajectories_q_terms(sampled, teacher)
-    assert len(batched) == len(sampled)
-    for traj, (tq, tm) in zip(sampled, batched):
-        ref_q, ref_m = ret.trajectory_q_terms(traj, teacher)
-        _close(tq, ref_q, bitwise)
-        _close(tm, ref_m, bitwise)
+    # sampled trajectories of ragged lengths, scored in one call, against
+    # per-state terms along each row's actions
+    sampled = decode(
+        student.batch_logits, student.window, inputs, horizon, rng=np.random.default_rng(0)
+    )
+    q, m = ret.batch_q_terms(sampled, teacher)
+    for i, s0 in enumerate(inputs):
+        n = int(sampled.lengths[i])
+        state, ref_q, ref_m = s0, [], []
+        for a in sampled.actions[i, :n].tolist():
+            qv = teacher.q_values(state)
+            ref_q.append(qv[a])
+            ref_m.append(qv.max())
+            state = step(state, a)
+        _close(q[i, :n], ref_q, bitwise)
+        _close(m[i, :n], ref_m, bitwise)
+        assert not q[i, n:].any() and not m[i, n:].any()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bias_variance_rows_match_per_row_groups(seed):
+    """The sweep's per-K bias and variance and its KL against per-input
+    groups of per-row returns, from per-state terms along the same sampled
+    rows (input-major), with a clip range the returns reach."""
+    cfg = from_dict({"vocab_size": 5, "horizon": 6, "window": 2, "clip_range": [-3.0, 3.0]})
+    rng = np.random.default_rng(seed)
+    student = init_model(ModelArch("mlp1", window=2, hidden=3), 5, rng, scale=1.0)
+    teacher = FrozenModelTeacher(init_model(ModelArch("linear", window=2), 5, rng, scale=1.0))
+    inputs = [initial_state(cfg.vocab, p) for p in [(), (1,), (2, 3)]] * 6
+    spi, k_list = 4, (1, 2, 4)
+    rows, kl = pipeline.bias_variance_rows_for_student(
+        cfg, student, teacher, inputs, spi, seed, k_list=k_list
+    )
+
+    initial = [s0 for s0 in inputs for _ in range(spi)]
+    batch = decode(
+        student.batch_logits, 2, initial, cfg.horizon, rng=np.random.default_rng([seed, 303])
+    )
+    rc = ret.ReturnConfig(clip_range=cfg.clip_range)
+    terms, kl_terms = [], []
+    for i, s0 in enumerate(initial):
+        state, q, m = s0, [], []
+        for a in batch.actions[i, : batch.lengths[i]].tolist():
+            qv = teacher.q_values(state)
+            q.append(qv[a])
+            m.append(qv.max())
+            if i < 16 * spi:
+                sd, td = student.distribution(state), teacher.distribution(state)
+                kl_terms.append(float(np.dot(sd.probs, sd.log_probs - td.log_probs)))
+            state = step(state, a)
+        terms.append((np.array(q), np.array(m)))
+    assert abs(kl - sum(kl_terms) / len(kl_terms)) <= TOL
+    g = np.array([ret.clip_returns(ret.actual_from_terms(q, m), rc)[0] for q, m in terms])
+    for (k, bias, var), k_ref in zip(rows, k_list):
+        gh = np.array([ret.clip_returns(ret.kstep_from_terms(q, m, k), rc)[0] for q, m in terms])
+        groups = [slice(j * spi, (j + 1) * spi) for j in range(len(inputs))]
+        assert k == k_ref
+        assert abs(var - np.mean([gh[s].var(ddof=1) for s in groups])) <= TOL
+        assert abs(bias - np.mean([(gh[s] - g[s]).mean() for s in groups])) <= TOL
 
 
 def _reference_targets(teacher, inputs, horizon, window):
@@ -149,7 +252,7 @@ def test_weighted_logit_grad_matches_per_step(inst, data):
         )
     )
     for model in (student, teacher.model):
-        contexts, actions = step_arrays(trajs, model.window)
+        contexts, actions = _step_arrays(trajs, model.window)
         grad, lp = model.weighted_logit_grad(contexts, actions, weights)
         per_step = [model.grad_log_prob(s.state, s.action) for s in steps]
         _close(grad, sum(w * g for w, g in zip(weights, per_step)), bitwise=False)
@@ -169,7 +272,7 @@ def test_counted_cross_entropy_matches_per_row(inst):
     trajs = [rollout(student, s0, horizon, mode="sample", rng=rng) for s0 in inputs * 3]
     steps = [s for traj in trajs for s in traj.steps]
     for model in (student, teacher.model):
-        contexts, targets = step_arrays(trajs, model.window)
+        contexts, targets = _step_arrays(trajs, model.window)
         distinct, counts = target_counts(contexts, targets, vocab.size)
         assert counts.sum() == len(steps)
         tally = Counter(zip(map(tuple, contexts.tolist()), targets.tolist()))
@@ -189,7 +292,7 @@ VOCAB = Vocabulary(size=4, bos_id=0, eos_id=3)
 
 def test_ties_go_to_lowest_id():
     model = zero_model(ModelArch("linear", window=2), VOCAB.size)
-    batch = greedy_decode(model.batch_logits, 2, [initial_state(VOCAB, (1, 2))], 5)
+    batch = decode(model.batch_logits, 2, [initial_state(VOCAB, (1, 2))], 5)
     assert batch.lengths.tolist() == [5]
     assert batch.actions.tolist() == [[0] * 5]
 
@@ -198,11 +301,11 @@ def test_decoder_error_paths():
     model = init_model(ModelArch("linear", window=2), VOCAB.size, np.random.default_rng(1))
     s0 = initial_state(VOCAB, (1,))
     with pytest.raises(ValueError, match="horizon"):
-        greedy_decode(model.batch_logits, 2, [s0], 0)
+        decode(model.batch_logits, 2, [s0], 0)
     with pytest.raises(TerminalStateError):
-        greedy_decode(model.batch_logits, 2, [s0, step(s0, VOCAB.eos_id)], 3)
+        decode(model.batch_logits, 2, [s0, step(s0, VOCAB.eos_id)], 3)
     with pytest.raises(ValueError, match="at least one"):
-        greedy_decode(model.batch_logits, 2, [], 3)
+        decode(model.batch_logits, 2, [], 3)
 
     def bad_score(contexts):
         out = np.zeros((len(contexts), VOCAB.size))
@@ -211,9 +314,9 @@ def test_decoder_error_paths():
 
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite log-probability"):
-            greedy_decode(bad_score, 2, [s0, s0], 3)
+            decode(bad_score, 2, [s0, s0], 3)
     with pytest.raises(ValueError, match="shape"):
-        greedy_decode(lambda c: np.zeros((len(c), 5)), 2, [s0], 3)
+        decode(lambda c: np.zeros((len(c), 5)), 2, [s0], 3)
 
 
 def test_tabular_batch_lookups():
@@ -227,3 +330,16 @@ def test_tabular_batch_lookups():
     s = step(initial_state(VOCAB, (1,)), 2)
     qt, mt = ret.q_terms(teacher, np.array([[1, 2]]), np.array([2]))
     assert (qt[0], mt[0]) == (teacher.q_value(s, 2), teacher.max_q(s))
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp1"])
+def test_q_terms_in_blocks_match_one_evaluation(monkeypatch, kind):
+    rng = np.random.default_rng(3)
+    teacher = FrozenModelTeacher(init_model(_arch(kind, 2, 4), VOCAB.size, rng, scale=1.0))
+    contexts = rng.integers(0, VOCAB.size, size=(50, 2))
+    actions = rng.integers(0, VOCAB.size, size=50)
+    qv = teacher.batch_q_values(contexts)
+    monkeypatch.setattr(ret, "Q_TERMS_BLOCK", 7)
+    q, m = ret.q_terms(teacher, contexts, actions)
+    _close(q, qv[np.arange(50), actions], bitwise=kind == "linear")
+    _close(m, qv.max(axis=1), bitwise=kind == "linear")

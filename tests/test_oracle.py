@@ -194,6 +194,7 @@ class TestMonteCarloConvergence:
         spec = EnumerationSpec(VOCAB3, 3, initial_state(VOCAB3))
         return spec, policy, teacher
 
+    @pytest.mark.slow
     def test_z_scores_within_threshold(self):
         spec, policy, teacher = self._instance()
         report = oracle.montecarlo_convergence(
@@ -232,6 +233,7 @@ class TestMonteCarloConvergence:
         first = path.read_text().splitlines()[0]
         assert first == "metric,value,threshold,status"
 
+    @pytest.mark.slow
     def test_root_n_convergence_rate(self):
         # Drawing n trajectories iid equals a multinomial draw over the
         # enumerated trajectory set, so the sample mean of Ghat_0 can be

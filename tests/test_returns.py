@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 from kstepkd import returns as ret
 from kstepkd.models import ModelArch, init_model
 from kstepkd.returns import (
-    InsufficientSampleError,
     ReturnConfig,
     estimate,
-    estimator_stats,
     iid_gaussian_samples,
     predicted_var_actual,
     predicted_var_kstep,
@@ -294,50 +292,27 @@ def test_skipped_gaps_sum_to_implied_baseline(terms, k):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(term_arrays(), min_size=1, max_size=6))
-def test_batch_terms_match_per_row_bitwise(rows):
-    """Zero-padded [B, H] rows of ragged lengths 1-20 give each row's
-    ``actual_from_terms`` exactly, and zeros past its length."""
+@given(st.lists(term_arrays(), min_size=1, max_size=6), st.floats(-5.0, 5.0))
+def test_batch_terms_match_per_row_bitwise(rows, pad):
+    """[B, H] rows of ragged lengths 1-20, padded with an arbitrary value,
+    give each row's ``kstep_from_terms`` exactly at every K (K = 1:
+    ``actual_from_terms``), and zeros past its length."""
     width = max(len(q) for q, _ in rows)
-    q_pad, m_pad = np.zeros((len(rows), width)), np.zeros((len(rows), width))
+    q_pad, m_pad = np.full((len(rows), width), pad), np.full((len(rows), width), pad)
     for i, (q, m) in enumerate(rows):
         q_pad[i, : len(q)], m_pad[i, : len(m)] = q, m
-    g = ret.actual_from_batch_terms(q_pad, m_pad)
+    lengths = np.array([len(q) for q, _ in rows])
+    for k in range(1, width + 2):
+        g = ret.kstep_from_batch_terms(q_pad, m_pad, lengths, k)
+        for i, (q, m) in enumerate(rows):
+            assert np.array_equal(g[i, : len(q)], ret.kstep_from_terms(q, m, k))
+            assert not g[i, len(q) :].any()
+    g = ret.kstep_from_batch_terms(q_pad, m_pad, lengths, 1)
     for i, (q, m) in enumerate(rows):
         assert np.array_equal(g[i, : len(q)], ret.actual_from_terms(q, m))
-        assert not g[i, len(q) :].any()
 
 
-class TestEstimatorStats:
-    def test_identical_trajectories_zero_variance(self):
-        teacher, traj = hand_case()
-        stats = estimator_stats([traj, traj, traj], teacher, ReturnConfig(k=2), at_step=0)
-        assert stats.var_g_hat == 0.0 and stats.var_g == 0.0
-
-    def test_unbiased_variance_denominator(self):
-        # single-step returns 1.0 and 3.0 -> unbiased sample variance 2.0
-        teacher = TabularTeacher({(0,): np.array([0.0, 1.0, 0.0, 3.0])}, 1, 4)
-        traj_a = make_trajectory(VOCAB4, [1])
-        traj_b = make_trajectory(VOCAB4, [3])
-        stats = estimator_stats([traj_a, traj_b], teacher, ReturnConfig(k=1), at_step=0)
-        assert stats.n == 2
-        assert stats.var_g == 2.0 and stats.var_g_hat == 2.0
-        assert stats.mean_g == 2.0 and stats.bias == 0.0
-
-    def test_insufficient_sample_error(self):
-        teacher, traj = hand_case()
-        with pytest.raises(InsufficientSampleError):
-            estimator_stats([traj], teacher, ReturnConfig(k=1), at_step=0)
-        with pytest.raises(InsufficientSampleError):
-            estimator_stats([traj, traj], teacher, ReturnConfig(k=1), at_step=5)
-
-    def test_short_trajectories_filtered(self):
-        teacher, traj3 = hand_case()
-        traj1 = make_trajectory(VOCAB4, [3])
-        stats = estimator_stats([traj3, traj3, traj1], teacher, ReturnConfig(k=1), at_step=1)
-        assert stats.n == 2
-
-
+@pytest.mark.slow
 class TestIidConstruction:
     def test_variance_matches_closed_form(self):
         rng = np.random.default_rng(42)

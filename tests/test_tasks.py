@@ -38,6 +38,7 @@ class TestMarkovChain:
             assert 1 <= len(seq) <= 12
             assert VOCAB.eos_id not in seq[:-1]
 
+    @pytest.mark.slow
     def test_bigram_frequencies_match_rows(self):
         # 1e4 sequences with a generous cap: forced-EOS distortion is rare
         task = MarkovChainTask(VOCAB, order=1, transition_seed=11, eos_prob=0.15)
