@@ -10,7 +10,7 @@ variance exactly.
 from .models import LogitModel, ModelArch, PolicyDistribution
 from .returns import ReturnConfig, ReturnEstimate, actual_return, implied_baseline, kstep_return
 from .seqmdp import State, Trajectory, Vocabulary, initial_state, rollout, step
-from .teacher import FrozenModelTeacher, InducedReward, TabularTeacher, TeacherQ, fit_teacher
+from .teacher import FrozenModelTeacher, fit_teacher
 from .trainer import TrainConfig, TrainLog, predistill, reinforce_step, train
 
 __all__ = [
@@ -22,10 +22,7 @@ __all__ = [
     "State",
     "Trajectory",
     "Vocabulary",
-    "TeacherQ",
-    "TabularTeacher",
     "FrozenModelTeacher",
-    "InducedReward",
     "TrainConfig",
     "TrainLog",
     "actual_return",

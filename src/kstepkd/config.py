@@ -43,7 +43,6 @@ DEFAULTS: dict[str, Any] = {
         "iterations": 400,
         "lr": 0.01,
         "batch_size": 4,
-        "optimizer": "sgd",
         "eval_every": 50,
     },
     "clip_range": [-100.0, 100.0],
@@ -165,7 +164,6 @@ class ExperimentConfig:
             estimator=estimator,
             k=k,
             clip_range=self.clip_range,
-            optimizer=spec["optimizer"],
             eval_every=int(spec["eval_every"]),
         )
 
@@ -184,6 +182,8 @@ class ExperimentConfig:
             raise ConfigError("k_list must be non-empty")
         if any(k < 1 for k in self.k_list):
             raise ConfigError("k_list entries must be >= 1")
+        if len(self.k_list) != len(set(self.k_list)):
+            raise ConfigError("k_list entries must be distinct")
         seeds = self.seeds
         if len(seeds) != len(set(seeds)):
             raise ConfigError("seeds must be distinct")
@@ -208,6 +208,8 @@ class ExperimentConfig:
         fit = self.teacher_fit_params()
         if int(fit["epochs"]) > 0 and not float(fit["lr"]) > 0.0:
             raise ConfigError("teacher_fit.lr must be positive when epochs > 0")
+        if not float(fit["init_scale"]) >= 0.0:
+            raise ConfigError("teacher_fit.init_scale must be >= 0")
         try:
             self.task()
             self.arch("teacher")

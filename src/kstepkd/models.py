@@ -318,6 +318,8 @@ def model_from_dict(data: dict) -> LogitModel:
     version = data.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
+    if data.get("kind") not in ("linear", "mlp1"):
+        raise ValueError(f"unsupported checkpoint kind {data.get('kind')!r}")
     return LogitModel(
         data["kind"],
         int(data["vocab_size"]),

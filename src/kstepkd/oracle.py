@@ -24,7 +24,7 @@ from . import returns as ret
 from .models import LogitModel
 from .returns import ReturnConfig
 from .seqmdp import Policy, State, Trajectory, TrajectoryStep, Vocabulary, rollout, step
-from .teacher import TeacherQ
+from .teacher import FrozenModelTeacher
 
 
 class SizeBoundError(ValueError):
@@ -94,7 +94,7 @@ class ExactMoments:
 
 
 def exact_moments(
-    spec: EnumerationSpec, policy: LogitModel, teacher: TeacherQ, cfg: ReturnConfig
+    spec: EnumerationSpec, policy: LogitModel, teacher: FrozenModelTeacher, cfg: ReturnConfig
 ) -> ExactMoments:
     trajs = enumerate_trajectories(spec, policy)
     max_len = max(traj.num_steps for traj, _ in trajs)
@@ -155,7 +155,7 @@ def _weighted_score_sum(
 # -- policy gradient check ---------------------------------------------------
 
 
-def exact_objective(spec: EnumerationSpec, policy: Policy, teacher: TeacherQ) -> float:
+def exact_objective(spec: EnumerationSpec, policy: Policy, teacher: FrozenModelTeacher) -> float:
     """J = E[G_0], the exact expected (unclipped) return from the initial state."""
     total = 0.0
     for traj, prob in enumerate_trajectories(spec, policy):
@@ -164,7 +164,7 @@ def exact_objective(spec: EnumerationSpec, policy: Policy, teacher: TeacherQ) ->
 
 
 def _exact_policy_gradient(
-    spec: EnumerationSpec, policy: LogitModel, teacher: TeacherQ
+    spec: EnumerationSpec, policy: LogitModel, teacher: FrozenModelTeacher
 ) -> np.ndarray:
     # unbiased per-step form with unclipped G; clipping would couple prefix
     # and suffix terms and break the exact identity against d/dtheta of J
@@ -198,7 +198,7 @@ class GradientCheckReport:
 def check_gradient(
     policy: LogitModel,
     spec: EnumerationSpec,
-    teacher: TeacherQ,
+    teacher: FrozenModelTeacher,
     cfg: ReturnConfig,
     fd_step: float = 1e-5,
     threshold: float = 1e-6,
@@ -290,7 +290,7 @@ def _entry(metric: str, values: np.ndarray, exact: float, z_threshold: float) ->
 def montecarlo_convergence(
     policy: LogitModel,
     spec: EnumerationSpec,
-    teacher: TeacherQ,
+    teacher: FrozenModelTeacher,
     cfg: ReturnConfig,
     n_samples: int,
     rng: np.random.Generator,

@@ -38,7 +38,7 @@ from .config import ConfigError, ExperimentConfig
 from .models import LogitModel
 from .returns import ReturnConfig
 from .seqmdp import State, TrajectoryBatch, Vocabulary, decode, initial_state
-from .teacher import TeacherQ
+from .teacher import FrozenModelTeacher
 
 
 class StageError(RuntimeError):
@@ -89,7 +89,7 @@ def build_corpus(cfg: ExperimentConfig) -> DataSplits:
     )
 
 
-def fit_seed_teacher(cfg: ExperimentConfig, splits: DataSplits, seed: int) -> TeacherQ:
+def fit_seed_teacher(cfg: ExperimentConfig, splits: DataSplits, seed: int) -> FrozenModelTeacher:
     params = cfg.teacher_fit_params()
     rng = np.random.default_rng([seed, 101])
     try:
@@ -110,7 +110,7 @@ def init_seed_student(cfg: ExperimentConfig, seed: int) -> LogitModel:
 def predistill_student(
     cfg: ExperimentConfig,
     student: LogitModel,
-    teacher: TeacherQ,
+    teacher: FrozenModelTeacher,
     splits: DataSplits,
     seed: int,
     epochs: int | None = None,
@@ -126,7 +126,7 @@ def predistill_student(
 def rl_student(
     cfg: ExperimentConfig,
     student: LogitModel,
-    teacher: TeacherQ,
+    teacher: FrozenModelTeacher,
     splits: DataSplits,
     seed: int,
     variant: tuple[str, str, int],
@@ -242,7 +242,9 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
 # -- bias/variance sweep -------------------------------------------------------
 
 
-def mean_kl_to_teacher(student: LogitModel, teacher: TeacherQ, batch: TrajectoryBatch) -> float:
+def mean_kl_to_teacher(
+    student: LogitModel, teacher: FrozenModelTeacher, batch: TrajectoryBatch
+) -> float:
     """Mean KL(student || teacher softmax) over every step state of the batch."""
     mask = batch.step_mask
     s_lp = models.log_softmax(student.batch_logits(batch.step_contexts(student.window)[mask]))
@@ -261,7 +263,7 @@ class BiasVarianceRow:
 def bias_variance_rows_for_student(
     cfg: ExperimentConfig,
     student: LogitModel,
-    teacher: TeacherQ,
+    teacher: FrozenModelTeacher,
     inputs: Sequence[State],
     samples_per_input: int,
     seed: int,
@@ -380,7 +382,7 @@ def oracle_check(out_path: str | Path | None = None, seed: int = 0) -> bool:
     for i in range(3):
         policy = models.init_model(models.ModelArch("linear", window=2), vocab.size, rng, scale=0.5)
         q_model = models.init_model(models.ModelArch("linear", window=2), vocab.size, rng, scale=1.0)
-        teacher = teacher_mod.FrozenModelTeacher(q_model)
+        teacher = FrozenModelTeacher(q_model)
         spec = oracle.EnumerationSpec(vocab, horizon=3, initial=initial_state(vocab))
         report = oracle.check_gradient(policy, spec, teacher, ReturnConfig(k=2))
         ok &= report.passed
@@ -395,7 +397,7 @@ def oracle_check(out_path: str | Path | None = None, seed: int = 0) -> bool:
 
     policy = models.init_model(models.ModelArch("linear", window=2), vocab.size, rng, scale=0.3)
     q_model = models.init_model(models.ModelArch("linear", window=2), vocab.size, rng, scale=1.0)
-    teacher = teacher_mod.FrozenModelTeacher(q_model)
+    teacher = FrozenModelTeacher(q_model)
     spec = oracle.EnumerationSpec(vocab, horizon=3, initial=initial_state(vocab))
     conv = oracle.montecarlo_convergence(
         policy, spec, teacher, ReturnConfig(k=2), n_samples=4000, rng=rng

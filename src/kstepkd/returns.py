@@ -35,7 +35,9 @@ from typing import Iterable
 import numpy as np
 
 from .seqmdp import Trajectory, TrajectoryBatch
-from .teacher import DEFAULT_CLIP_RANGE, TeacherQ
+from .teacher import FrozenModelTeacher
+
+DEFAULT_CLIP_RANGE = (-100.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ Q_TERMS_BLOCK = 16384
 
 
 def q_terms(
-    teacher: TeacherQ, contexts: np.ndarray, actions: np.ndarray
+    teacher: FrozenModelTeacher, contexts: np.ndarray, actions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(q_taken, max_q) for int contexts [N, teacher.window] and actions [N],
     from batched teacher evaluations of at most ``Q_TERMS_BLOCK`` rows."""
@@ -77,7 +79,9 @@ def q_terms(
     return q_taken, max_q
 
 
-def trajectory_q_terms(traj: Trajectory, teacher: TeacherQ) -> tuple[np.ndarray, np.ndarray]:
+def trajectory_q_terms(
+    traj: Trajectory, teacher: FrozenModelTeacher
+) -> tuple[np.ndarray, np.ndarray]:
     """(q_taken, max_q) per step state; one teacher evaluation per state.
     The per-state reference for the batched forms below."""
     n = traj.num_steps
@@ -90,7 +94,9 @@ def trajectory_q_terms(traj: Trajectory, teacher: TeacherQ) -> tuple[np.ndarray,
     return q_taken, max_q
 
 
-def batch_q_terms(batch: TrajectoryBatch, teacher: TeacherQ) -> tuple[np.ndarray, np.ndarray]:
+def batch_q_terms(
+    batch: TrajectoryBatch, teacher: FrozenModelTeacher
+) -> tuple[np.ndarray, np.ndarray]:
     """(q_taken, max_q) as [B, H] arrays, zero past each row's length."""
     mask = batch.step_mask
     q = np.zeros(mask.shape, dtype=np.float64)
@@ -101,7 +107,7 @@ def batch_q_terms(batch: TrajectoryBatch, teacher: TeacherQ) -> tuple[np.ndarray
     return q, m
 
 
-def actual_return(traj: Trajectory, teacher: TeacherQ) -> np.ndarray:
+def actual_return(traj: Trajectory, teacher: FrozenModelTeacher) -> np.ndarray:
     """Per-step cumulative induced reward G[t], unclipped."""
     q, m = trajectory_q_terms(traj, teacher)
     return actual_from_terms(q, m)
@@ -148,23 +154,25 @@ def kstep_from_batch_terms(
     return g
 
 
-def kstep_return_raw(traj: Trajectory, teacher: TeacherQ, k: int) -> np.ndarray:
+def kstep_return_raw(traj: Trajectory, teacher: FrozenModelTeacher, k: int) -> np.ndarray:
     q, m = trajectory_q_terms(traj, teacher)
     return kstep_from_terms(q, m, k)
 
 
-def kstep_return(traj: Trajectory, teacher: TeacherQ, cfg: ReturnConfig) -> np.ndarray:
+def kstep_return(traj: Trajectory, teacher: FrozenModelTeacher, cfg: ReturnConfig) -> np.ndarray:
     """K-step approximate return Ghat[t], clipped to cfg.clip_range."""
     return clip_returns(kstep_return_raw(traj, teacher, cfg.k), cfg)
 
 
-def implied_baseline(traj: Trajectory, teacher: TeacherQ, cfg: ReturnConfig) -> np.ndarray:
+def implied_baseline(
+    traj: Trajectory, teacher: FrozenModelTeacher, cfg: ReturnConfig
+) -> np.ndarray:
     """The baseline the K-step estimator implicitly subtracts: G - Ghat, pre-clip."""
     q, m = trajectory_q_terms(traj, teacher)
     return actual_from_terms(q, m) - kstep_from_terms(q, m, cfg.k)
 
 
-def skipped_step_gaps(traj: Trajectory, teacher: TeacherQ, k: int) -> np.ndarray:
+def skipped_step_gaps(traj: Trajectory, teacher: FrozenModelTeacher, k: int) -> np.ndarray:
     """Termwise form of the baseline: per t, the sum of (q[j] - m[j]) over the
     steps j the K-step recursion jumps over from t.  Equals implied_baseline."""
     return skipped_gaps_from_terms(*trajectory_q_terms(traj, teacher), k)
@@ -206,7 +214,7 @@ class ReturnEstimate:
         return clip_returns(self.g_actual, self.config)
 
 
-def estimate(traj: Trajectory, teacher: TeacherQ, cfg: ReturnConfig) -> ReturnEstimate:
+def estimate(traj: Trajectory, teacher: FrozenModelTeacher, cfg: ReturnConfig) -> ReturnEstimate:
     q, m = trajectory_q_terms(traj, teacher)
     g = actual_from_terms(q, m)
     g_hat = kstep_from_terms(q, m, cfg.k)
@@ -263,7 +271,7 @@ DIAGNOSTICS_HEADER = ("traj_id", "t", "g_actual", "g_hat", "baseline", "K")
 def write_diagnostics_csv(
     path: str | Path,
     trajs: Iterable[Trajectory],
-    teacher: TeacherQ,
+    teacher: FrozenModelTeacher,
     cfg: ReturnConfig,
 ) -> None:
     with open(path, "w", newline="") as fh:

@@ -1,13 +1,9 @@
-"""Teacher Q-value sources and the reward they induce.
+"""The frozen teacher, its fitting and its checkpoints.
 
-A teacher assigns a Q-value to every (state, action) pair; its pre-softmax
-logits are the Q-surface.  Inverting the Bellman optimality recursion turns
-that surface into a step-wise reward:
-
-    r(s, a) = q(s, a) - max_a' q(s', a')        with s' = step(s, a)
-
-Terminal states contribute no continuation value: max_q(terminal) = 0, which
-makes the final step's reward its raw Q-value.
+A teacher is a frozen logit model: its pre-softmax logits at a state are the
+Q-values of every action there, per state (``q_values``) or batched over
+context arrays (``batch_q_values``).  ``returns`` turns them into induced
+step rewards and returns.
 """
 
 from __future__ import annotations
@@ -23,46 +19,8 @@ from .models import LogitModel, ModelArch, PolicyDistribution
 from .seqmdp import State, TerminalStateError, Vocabulary, initial_state, step
 
 
-class MissingContextError(KeyError):
-    """A tabular teacher was queried at a context it has no entry for."""
-
-
-DEFAULT_CLIP_RANGE = (-100.0, 100.0)
-
-
-class TeacherQ:
-    """Interface shared by frozen-model and tabular teachers."""
-
-    window: int
-    vocab_size: int
-
-    def q_values(self, state: State) -> np.ndarray:
-        raise NotImplementedError
-
-    def batch_q_values(self, contexts: np.ndarray) -> np.ndarray:
-        """Q-vectors [N, vocab_size] for int contexts [N, window] of
-        non-terminal states (the last ``window`` tokens, BOS-padded)."""
-        raise NotImplementedError
-
-    def q_value(self, state: State, action: int) -> float:
-        if state.is_terminal:
-            raise TerminalStateError("q_value is undefined at terminal states")
-        return float(self.q_values(state)[action])
-
-    def max_q(self, state: State) -> float:
-        if state.is_terminal:
-            return 0.0
-        return float(self.q_values(state).max())
-
-    def distribution(self, state: State) -> PolicyDistribution:
-        """Boltzmann policy over the teacher's own Q-values."""
-        q = self.q_values(state)
-        lp = models.log_softmax(q)
-        return PolicyDistribution(logits=q, probs=np.exp(lp), log_probs=lp)
-
-
 @dataclass(frozen=True)
-class FrozenModelTeacher(TeacherQ):
+class FrozenModelTeacher:
     model: LogitModel
 
     @property
@@ -79,61 +37,15 @@ class FrozenModelTeacher(TeacherQ):
         return self.model.logits(state)
 
     def batch_q_values(self, contexts: np.ndarray) -> np.ndarray:
+        """Q-vectors [N, vocab_size] for int contexts [N, window] of
+        non-terminal states (the last ``window`` tokens, BOS-padded)."""
         return self.model.batch_logits(contexts)
 
-
-@dataclass(frozen=True)
-class TabularTeacher(TeacherQ):
-    """Explicit context -> logit-vector table.  Unseen contexts are an error,
-    never a silent default; callers must guarantee coverage."""
-
-    table: dict[tuple[int, ...], np.ndarray]
-    window: int
-    vocab_size: int
-
-    def __post_init__(self) -> None:
-        for ctx, q in self.table.items():
-            if len(ctx) != self.window:
-                raise ValueError(f"context {ctx} does not match window {self.window}")
-            if q.shape != (self.vocab_size,) or not np.all(np.isfinite(q)):
-                raise ValueError(f"bad logit vector for context {ctx}")
-            q.flags.writeable = False
-
-    def _row(self, ctx: tuple[int, ...]) -> np.ndarray:
-        try:
-            return self.table[ctx]
-        except KeyError:
-            raise MissingContextError(f"tabular teacher has no entry for context {ctx}") from None
-
-    def q_values(self, state: State) -> np.ndarray:
-        if state.is_terminal:
-            raise TerminalStateError("q_values is undefined at terminal states")
-        return self._row(state.last_tokens(self.window))
-
-    def batch_q_values(self, contexts: np.ndarray) -> np.ndarray:
-        rows = [self._row(ctx) for ctx in map(tuple, contexts.tolist())]
-        return np.array(rows, dtype=np.float64).reshape(len(rows), self.vocab_size)
-
-
-@dataclass(frozen=True)
-class InducedReward:
-    teacher: TeacherQ
-    clip_range: tuple[float, float] = DEFAULT_CLIP_RANGE
-
-    def __post_init__(self) -> None:
-        lo, hi = self.clip_range
-        if not lo < hi:
-            raise ValueError(f"bad clip range {self.clip_range}")
-
-    def reward(self, state: State, action: int, next_state: State) -> float:
-        expected = step(state, action)
-        if next_state.prefix != expected.prefix or next_state.length != expected.length:
-            raise ValueError(
-                f"next_state {next_state.prefix} is not step({state.prefix}, {action})"
-            )
-        raw = self.teacher.q_value(state, action) - self.teacher.max_q(next_state)
-        lo, hi = self.clip_range
-        return float(min(max(raw, lo), hi))
+    def distribution(self, state: State) -> PolicyDistribution:
+        """Boltzmann policy over the teacher's own Q-values."""
+        q = self.q_values(state)
+        lp = models.log_softmax(q)
+        return PolicyDistribution(logits=q, probs=np.exp(lp), log_probs=lp)
 
 
 # -- teacher fitting -------------------------------------------------------
@@ -195,36 +107,15 @@ def fit_teacher(
 # -- serialization ---------------------------------------------------------
 
 
-def save_teacher(teacher: TeacherQ, path: str | Path) -> None:
-    if isinstance(teacher, FrozenModelTeacher):
-        data = models.model_to_dict(teacher.model)
-        data["frozen"] = True
-    elif isinstance(teacher, TabularTeacher):
-        data = {
-            "format_version": models.CHECKPOINT_FORMAT_VERSION,
-            "kind": "tabular",
-            "frozen": True,
-            "vocab_size": teacher.vocab_size,
-            "window": teacher.window,
-            "table": {
-                ",".join(map(str, ctx)): [float(x) for x in q]
-                for ctx, q in sorted(teacher.table.items())
-            },
-        }
-    else:
-        raise TypeError(f"cannot serialize teacher of type {type(teacher)!r}")
+def save_teacher(teacher: FrozenModelTeacher, path: str | Path) -> None:
+    data = models.model_to_dict(teacher.model)
+    data["frozen"] = True
     Path(path).write_text(json.dumps(data) + "\n")
 
 
-def load_teacher(path: str | Path) -> TeacherQ:
+def load_teacher(path: str | Path) -> FrozenModelTeacher:
     data = json.loads(Path(path).read_text())
     if not data.get("frozen"):
         raise ValueError("checkpoint is not marked frozen; refusing to load as a teacher")
-    if data["kind"] == "tabular":
-        table = {
-            tuple(int(t) for t in key.split(",")): np.array(q, dtype=np.float64)
-            for key, q in data["table"].items()
-        }
-        return TabularTeacher(table, int(data["window"]), int(data["vocab_size"]))
     payload = {k: v for k, v in data.items() if k != "frozen"}
     return FrozenModelTeacher(models.model_from_dict(payload))

@@ -27,9 +27,9 @@ import numpy as np
 from . import models as models_mod
 from . import returns as ret
 from .models import LogitModel
-from .returns import ReturnConfig
+from .returns import DEFAULT_CLIP_RANGE, ReturnConfig
 from .seqmdp import State, decode
-from .teacher import DEFAULT_CLIP_RANGE, TeacherQ
+from .teacher import FrozenModelTeacher
 
 ESTIMATORS = ("kstep", "llmr", "mean_baseline", "minvar_baseline")
 
@@ -50,7 +50,6 @@ class TrainConfig:
     estimator: str = "kstep"
     k: int = 1
     clip_range: tuple[float, float] = DEFAULT_CLIP_RANGE
-    optimizer: str = "sgd"
     eval_every: int = 50
 
     def __post_init__(self) -> None:
@@ -66,8 +65,8 @@ class TrainConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "llmr" and self.k != 1:
             raise ValueError("llmr is the one-step estimator; k must be 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
 
     @property
     def return_config(self) -> ReturnConfig:
@@ -125,7 +124,7 @@ class TrainLog:
 
 
 def teacher_greedy_targets(
-    teacher: TeacherQ, inputs: Sequence[State], horizon: int, window: int
+    teacher: FrozenModelTeacher, inputs: Sequence[State], horizon: int, window: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Context/target training rows from teacher-greedy continuations,
     with contexts extracted at the consumer's window width.  Rows run input
@@ -137,7 +136,7 @@ def teacher_greedy_targets(
 
 def predistill(
     student: LogitModel,
-    teacher: TeacherQ,
+    teacher: FrozenModelTeacher,
     inputs: Sequence[State],
     cfg: TrainConfig,
 ) -> tuple[LogitModel, list[float]]:
@@ -200,34 +199,14 @@ def estimator_signals(
 # -- REINFORCE ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-def _adam_direction(grad: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
-    t = state.t + 1
-    m = state.beta1 * state.m + (1 - state.beta1) * grad
-    v = state.beta2 * state.v + (1 - state.beta2) * grad * grad
-    m_hat = m / (1 - state.beta1**t)
-    v_hat = v / (1 - state.beta2**t)
-    return m_hat / (np.sqrt(v_hat) + state.eps), replace(state, m=m, v=v, t=t)
-
-
 def reinforce_step(
     student: LogitModel,
-    teacher: TeacherQ,
+    teacher: FrozenModelTeacher,
     batch: Sequence[State],
     cfg: TrainConfig,
     rng: np.random.Generator,
     iteration: int = 0,
     eval_return: float = 0.0,
-    opt_state: AdamState | None = None,
     return_trajectories: bool = False,
 ):
     """One sampled-batch policy update.
@@ -235,7 +214,7 @@ def reinforce_step(
     Samples one trajectory per input in lockstep, weights each step's
     log-prob gradient by the configured estimator signal over the batch size,
     sums them in one backward pass, and ascends.
-    Returns (student, record, opt_state); the sampled ``TrajectoryBatch`` is
+    Returns (student, record); the sampled ``TrajectoryBatch`` is
     appended when ``return_trajectories`` is set.
     """
     if cfg.stage != "rl":
@@ -267,14 +246,7 @@ def reinforce_step(
                 )
         raise NonFiniteGradientError(f"non-finite sum of {len(batch)} trajectory gradients")
 
-    if cfg.optimizer == "adam":
-        if opt_state is None:
-            opt_state = AdamState(m=np.zeros(student.num_params), v=np.zeros(student.num_params))
-        direction, opt_state = _adam_direction(accum, opt_state)
-    else:
-        direction = accum
-
-    new_student = student.apply_update(direction, cfg.lr) if cfg.lr > 0 else student
+    new_student = student.apply_update(accum, cfg.lr) if cfg.lr > 0 else student
 
     record = TrainRecord(
         iteration=iteration,
@@ -285,12 +257,12 @@ def reinforce_step(
         eval_greedy_return=eval_return,
     )
     if return_trajectories:
-        return new_student, record, opt_state, trajs
-    return new_student, record, opt_state
+        return new_student, record, trajs
+    return new_student, record
 
 
 def evaluate_greedy(
-    student: LogitModel, teacher: TeacherQ, inputs: Sequence[State], horizon: int
+    student: LogitModel, teacher: FrozenModelTeacher, inputs: Sequence[State], horizon: int
 ) -> float:
     """Mean actual return of greedy rollouts over a fixed input set."""
     batch = decode(student.batch_logits, student.window, inputs, horizon)
@@ -305,7 +277,7 @@ def evaluate_greedy(
 
 def train(
     student: LogitModel,
-    teacher: TeacherQ,
+    teacher: FrozenModelTeacher,
     inputs: Sequence[State],
     cfg: TrainConfig,
     val_inputs: Sequence[State] | None = None,
@@ -329,7 +301,6 @@ def train(
     val = list(val_inputs) if val_inputs else list(inputs)
     rng = np.random.default_rng(cfg.seed)
     order: list[int] = []
-    opt_state: AdamState | None = None
 
     eval_return = evaluate_greedy(student, teacher, val, cfg.horizon)
     best_student, best_eval = student, eval_return
@@ -340,9 +311,8 @@ def train(
         batch = [inputs[i] for i in order[: cfg.batch_size]]
         del order[: cfg.batch_size]
 
-        student, record, opt_state = reinforce_step(
-            student, teacher, batch, cfg, rng,
-            iteration=iteration, eval_return=eval_return, opt_state=opt_state,
+        student, record = reinforce_step(
+            student, teacher, batch, cfg, rng, iteration=iteration, eval_return=eval_return
         )
         if record.policy_entropy == 0.0:
             raise FloatingPointError(

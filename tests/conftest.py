@@ -1,4 +1,5 @@
-"""Session-scoped desk-scale fixtures shared by the trainer and acceptance tests.
+"""Session-scoped desk-scale fixtures shared by the trainer and acceptance
+tests, and the hand-table teacher helper.
 
 Building ten (teacher, pre-distilled student) pairs and running the full
 estimator sweep is minutes of work, so both are computed once per session.
@@ -9,6 +10,32 @@ import pytest
 
 from kstepkd import pipeline, trainer
 from kstepkd.config import from_dict
+from kstepkd.models import LogitModel
+from kstepkd.teacher import FrozenModelTeacher
+
+
+def table_teacher(rows, vocab_size, window=1):
+    """A frozen linear teacher whose Q-vector at each context of ``rows``
+    (context tuple -> row) is that row, bitwise.
+
+    One distinct row becomes the bias, so every context gets it.  Otherwise
+    the contexts must end in distinct tokens, and the last slot's column for
+    token c holds the row of the context ending in c; every other weight and
+    the bias are 0, so a logit is the row entry plus exact zeros.
+    """
+    rows = {ctx: np.asarray(row, dtype=np.float64) for ctx, row in rows.items()}
+    v = vocab_size
+    w = np.zeros((v, window * v))
+    b = np.zeros(v)
+    if len({row.tobytes() for row in rows.values()}) == 1:
+        b[:] = next(iter(rows.values()))
+    else:
+        last = [ctx[-1] for ctx in rows]
+        assert len(set(last)) == len(last), "contexts must end in distinct tokens"
+        for ctx, row in rows.items():
+            w[:, (window - 1) * v + ctx[-1]] = row
+    params = np.concatenate([w.ravel(), b])
+    return FrozenModelTeacher(LogitModel("linear", v, window, 0, params))
 
 
 @pytest.fixture(scope="session")

@@ -175,7 +175,7 @@ def test_c06_unbiasedness():
     sums = np.zeros((n_calls, policy.num_params))
     rng3 = np.random.default_rng(608)
     for i in range(n_calls):
-        out, _, _ = trainer.reinforce_step(policy, teacher, [spec.initial] * 5, cfg, rng3)
+        out, _ = trainer.reinforce_step(policy, teacher, [spec.initial] * 5, cfg, rng3)
         sums[i] = out.params - policy.params
     mean = sums.mean(axis=0)
     se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)

@@ -74,6 +74,10 @@ class TestConfig:
         {"predistill": {"epochs": 0, "lr": 0.0}, "sweep": {"kl_bucket_epochs": [0, 2]}},
         {"teacher_fit": {"lr": 0.0}},
         {"teacher_fit": {"lr": -1.0}},
+        {"rl": {"eval_every": 0}},
+        {"rl": {"eval_every": -1}},
+        {"teacher_fit": {"init_scale": -1.0}},
+        {"k_list": [1, 2, 2]},
     ])
     def test_bad_stage_setting_rejected(self, override):
         with pytest.raises(ConfigError):
@@ -189,6 +193,21 @@ class TestCliErrors:
         path.write_text(json.dumps(data))
         assert main(["--config", str(path), command]) == EXIT_CONFIG
         assert "lr must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,override,message", [
+        ("train", {"rl": {"eval_every": 0}}, "eval_every must be >= 1"),
+        ("fit-teacher", {"teacher_fit": {"init_scale": -1}}, "init_scale must be >= 0"),
+        ("sweep-k", {"k_list": [1, 2, 2]}, "k_list entries must be distinct"),
+    ], ids=["eval_every", "init_scale", "k_list"])
+    def test_rejected_setting_exit_2(self, tmp_path, capsys, command, override, message):
+        data = tiny_config(tmp_path)
+        for key, value in override.items():
+            data[key] = {**data[key], **value} if isinstance(value, dict) else value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        assert main(["--config", str(path), command]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["sweep-k", "train"])
     def test_collapsed_rl_policy_exit_3(self, tmp_path, capsys, command):

@@ -1,7 +1,7 @@
 """Lockstep greedy and sampled decoding, batched teacher scoring, the
 weighted logit backward pass and the counted cross-entropy against the
 per-state references: ``rollout``, the enumeration oracle's path
-probabilities, ``TeacherQ.q_values`` and ``LogitModel.grad_log_prob``."""
+probabilities, ``FrozenModelTeacher.q_values`` and ``LogitModel.grad_log_prob``."""
 
 from collections import Counter
 
@@ -14,8 +14,10 @@ from kstepkd import oracle, pipeline, returns as ret
 from kstepkd.config import from_dict
 from kstepkd.models import ModelArch, init_model, target_counts, zero_model
 from kstepkd.seqmdp import TerminalStateError, Vocabulary, decode, initial_state, rollout, step
-from kstepkd.teacher import FrozenModelTeacher, MissingContextError, TabularTeacher
+from kstepkd.teacher import FrozenModelTeacher
 from kstepkd.trainer import evaluate_greedy, teacher_greedy_targets
+
+from conftest import table_teacher
 
 TOL = 1e-12
 
@@ -321,15 +323,13 @@ def test_decoder_error_paths():
 
 def test_tabular_batch_lookups():
     q = {(0, 1): np.array([0.5, -1.0, 2.0, 0.0]), (1, 2): np.array([1.0, 1.0, -3.0, 0.25])}
-    teacher = TabularTeacher(q, window=2, vocab_size=VOCAB.size)
+    teacher = table_teacher(q, vocab_size=VOCAB.size, window=2)
     got = teacher.batch_q_values(np.array([[1, 2], [0, 1], [1, 2]]))
     np.testing.assert_array_equal(got, np.stack([q[(1, 2)], q[(0, 1)], q[(1, 2)]]))
     assert teacher.batch_q_values(np.zeros((0, 2), dtype=np.int64)).shape == (0, VOCAB.size)
-    with pytest.raises(MissingContextError, match=r"\(2, 2\)"):
-        teacher.batch_q_values(np.array([[0, 1], [2, 2]]))
     s = step(initial_state(VOCAB, (1,)), 2)
     qt, mt = ret.q_terms(teacher, np.array([[1, 2]]), np.array([2]))
-    assert (qt[0], mt[0]) == (teacher.q_value(s, 2), teacher.max_q(s))
+    assert (qt[0], mt[0]) == (teacher.q_values(s)[2], teacher.q_values(s).max())
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp1"])

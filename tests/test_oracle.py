@@ -9,7 +9,9 @@ from kstepkd.models import ModelArch, init_model, zero_model
 from kstepkd.oracle import EnumerationSpec, SizeBoundError
 from kstepkd.returns import ReturnConfig
 from kstepkd.seqmdp import Vocabulary, initial_state, step
-from kstepkd.teacher import FrozenModelTeacher, TabularTeacher
+from kstepkd.teacher import FrozenModelTeacher
+
+from conftest import table_teacher
 
 VOCAB2 = Vocabulary(size=2, eos_id=1, bos_id=0)
 VOCAB3 = Vocabulary(size=3, eos_id=2, bos_id=0)
@@ -70,7 +72,7 @@ def hand_instance():
     pi = (0.7, 0.3).  At horizon 3 the four trajectories and their K=2
     returns give E[G_0] = 0.2335, E[Ghat_0] = 0.4785, bias_0 = 0.245.
     """
-    teacher = TabularTeacher({(0,): np.array([0.5, 1.0])}, window=1, vocab_size=2)
+    teacher = table_teacher({(0,): [0.5, 1.0]}, vocab_size=2)
     policy = bias_only_policy(2, np.log([7.0, 3.0]))
     spec = EnumerationSpec(VOCAB2, 3, initial_state(VOCAB2))
     return spec, policy, teacher
@@ -173,11 +175,7 @@ class TestCheckGradient:
     def test_symmetric_teacher_zero_gradient(self):
         # all Q-values equal: every return is the same constant, so the
         # score-function average cancels exactly
-        teacher = TabularTeacher(
-            {(0,): np.array([0.7, 0.7, 0.7]), (1,): np.array([0.7, 0.7, 0.7])},
-            window=1,
-            vocab_size=3,
-        )
+        teacher = table_teacher({(0,): [0.7, 0.7, 0.7], (1,): [0.7, 0.7, 0.7]}, vocab_size=3)
         policy = uniform_policy(3, window=1)
         spec = EnumerationSpec(VOCAB3, 3, initial_state(VOCAB3))
         grad = oracle._exact_policy_gradient(spec, policy, teacher)

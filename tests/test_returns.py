@@ -22,7 +22,9 @@ from kstepkd.returns import (
     predicted_var_kstep,
 )
 from kstepkd.seqmdp import Trajectory, TrajectoryStep, Vocabulary, initial_state, rollout, step
-from kstepkd.teacher import FrozenModelTeacher, TabularTeacher
+from kstepkd.teacher import FrozenModelTeacher
+
+from conftest import table_teacher
 
 K_GRID = (1, 2, 4, 8, 16)
 
@@ -93,20 +95,19 @@ VOCAB4 = Vocabulary(size=4, eos_id=3, bos_id=0)
 
 
 def hand_case():
-    """Window-1 tabular teacher and the trajectory [1, 2, eos].
+    """Window-1 table teacher and the trajectory [1, 2, eos].
 
     q taken per step: 2.0, 1.0, 2.5; max at visited states s1, s2: 1.5, 2.5.
     Backward accumulation gives G = [1.5, 1.0, 2.5].  With K=2 the jump from
     t=0 lands on s2: Ghat = [2.0, 1.0, 2.5]; the skipped step 1 has shortfall
     q - max = 1.0 - 1.5, so the baseline is [-0.5, 0, 0].
     """
-    teacher = TabularTeacher(
+    teacher = table_teacher(
         {
-            (0,): np.array([0.5, 2.0, 1.0, -1.0]),
-            (1,): np.array([1.5, -0.5, 1.0, 0.8]),
-            (2,): np.array([0.2, 0.9, -0.3, 2.5]),
+            (0,): [0.5, 2.0, 1.0, -1.0],
+            (1,): [1.5, -0.5, 1.0, 0.8],
+            (2,): [0.2, 0.9, -0.3, 2.5],
         },
-        window=1,
         vocab_size=4,
     )
     traj = make_trajectory(VOCAB4, [1, 2, 3])
@@ -116,7 +117,7 @@ def hand_case():
 class TestActualReturn:
     def test_single_step_is_raw_q(self):
         # one action straight to EOS: no continuation term, G_0 = q(s_0, eos)
-        teacher = TabularTeacher({(0,): np.array([0.0, 0.0, 0.0, 3.0])}, 1, 4)
+        teacher = table_teacher({(0,): [0.0, 0.0, 0.0, 3.0]}, 4)
         traj = make_trajectory(VOCAB4, [3])
         assert ret.actual_return(traj, teacher).tolist() == [3.0]
 
@@ -195,9 +196,9 @@ class TestKStepReturn:
             assert np.array_equal(ret.kstep_from_terms(q, m, k), reference_recursion(q, m, k))
 
     def test_clip_applies_to_assembled_values(self):
-        teacher = TabularTeacher({(0,): np.array([0.0, 250.0, 0.0, 0.0])}, 1, 4)
+        teacher = table_teacher({(0,): [0.0, 250.0, 0.0, 0.0]}, 4)
         traj = make_trajectory(VOCAB4, [3])
-        teacher = TabularTeacher({(0,): np.array([0.0, 0.0, 0.0, 250.0])}, 1, 4)
+        teacher = table_teacher({(0,): [0.0, 0.0, 0.0, 250.0]}, 4)
         out = ret.kstep_return(traj, teacher, ReturnConfig(k=1, clip_range=(-100.0, 100.0)))
         assert out.tolist() == [100.0]
 

@@ -1,75 +1,102 @@
-"""Teacher Q-sources, induced rewards, and supervised teacher fitting."""
+"""The frozen teacher's Q-values, the step rewards they induce, and
+supervised teacher fitting."""
+
+import json
 
 import numpy as np
 import pytest
 
 from kstepkd import models
+from kstepkd import returns as ret
 from kstepkd.models import ModelArch, init_model, zero_model
-from kstepkd.seqmdp import TerminalStateError, Vocabulary, initial_state, rollout, step
-from kstepkd.tasks import MarkovChainTask, gen_corpus
-from kstepkd.teacher import (
-    FrozenModelTeacher,
-    InducedReward,
-    MissingContextError,
-    TabularTeacher,
-    fit_teacher,
-    load_teacher,
-    save_teacher,
+from kstepkd.returns import ReturnConfig
+from kstepkd.seqmdp import (
+    TerminalStateError,
+    Trajectory,
+    TrajectoryStep,
+    Vocabulary,
+    initial_state,
+    rollout,
+    step,
 )
+from kstepkd.tasks import MarkovChainTask, gen_corpus
+from kstepkd.teacher import FrozenModelTeacher, fit_teacher, load_teacher, save_teacher
+
+from conftest import table_teacher
 
 VOCAB = Vocabulary(size=3, eos_id=2, bos_id=0)
 
 
-def tabular(window, vocab_size, entries):
-    return TabularTeacher(
-        {ctx: np.array(q, dtype=np.float64) for ctx, q in entries.items()},
-        window=window,
-        vocab_size=vocab_size,
-    )
+def path_of(actions):
+    """The trajectory that takes ``actions`` from the initial state."""
+    state, steps = initial_state(VOCAB), []
+    for a in actions:
+        steps.append(TrajectoryStep(state, a, 0.0))
+        state = step(state, a)
+    return Trajectory(tuple(steps), state)
+
+
+class TestTableHelper:
+    @pytest.mark.parametrize("rows,window", [
+        ({(0,): [0.5, 2.0, 1.0, -1.0], (1,): [1.5, -0.5, 1.0, 0.8], (2,): [0.2, 0.9, -0.3, 2.5]},
+         1),
+        ({(0, 1): [0.5, -1.0, 2.0, 0.0], (1, 2): [1.0, 1.0, -3.0, 0.25]}, 2),
+        ({(0,): [0.7, 0.7, 0.7, 0.7], (1,): [0.7, 0.7, 0.7, 0.7]}, 1),
+        ({(0, 0): [0.8, -0.3, 1e-300, -250.0]}, 2),
+    ], ids=["window1", "window2", "constant", "bias-only"])
+    def test_rows_bitwise(self, rows, window):
+        vocab = Vocabulary(size=4, eos_id=3, bos_id=0)
+        teacher = table_teacher(rows, vocab.size, window=window)
+        contexts = np.array(list(rows), dtype=np.int64)
+        expected = np.array(list(rows.values()), dtype=np.float64)
+        assert teacher.batch_q_values(contexts).tobytes() == expected.tobytes()
+        for ctx, row in zip(rows, expected):
+            state = initial_state(vocab, tuple(t for t in ctx if t != vocab.bos_id))
+            assert state.last_tokens(window) == ctx
+            assert teacher.q_values(state).tobytes() == row.tobytes()
 
 
 class TestQValue:
     def test_table_lookup(self):
-        t = tabular(1, 3, {(0,): [1.0, 2.0, 0.0]})
-        assert t.q_value(initial_state(VOCAB), 1) == 2.0
+        t = table_teacher({(0,): [1.0, 2.0, 0.0]}, 3)
+        assert t.q_values(initial_state(VOCAB))[1] == 2.0
 
     def test_zero_model_everywhere_zero(self):
         t = FrozenModelTeacher(zero_model(ModelArch("linear", window=2), VOCAB.size))
         s = step(initial_state(VOCAB), 1)
-        assert all(t.q_value(s, a) == 0.0 for a in range(VOCAB.size))
+        assert t.q_values(s).tolist() == [0.0] * VOCAB.size
 
     def test_agrees_with_model_logits(self):
         m = init_model(ModelArch("mlp1", window=2, hidden=4), VOCAB.size, np.random.default_rng(4))
         t = FrozenModelTeacher(m)
         s = step(initial_state(VOCAB), 1)
-        for a in range(VOCAB.size):
-            assert t.q_value(s, a) == m.logits(s)[a]
-
-    def test_missing_context_errors(self):
-        t = tabular(1, 3, {(0,): [1.0, 2.0, 0.0]})
-        with pytest.raises(MissingContextError):
-            t.q_values(step(initial_state(VOCAB), 1))
+        contexts = np.array([s.last_tokens(2)])
+        np.testing.assert_array_equal(t.q_values(s), m.logits(s))
+        np.testing.assert_array_equal(t.batch_q_values(contexts), m.batch_logits(contexts))
 
     def test_terminal_state_rejected(self):
-        t = tabular(1, 3, {(0,): [1.0, 2.0, 0.0]})
+        t = table_teacher({(0,): [1.0, 2.0, 0.0]}, 3)
         with pytest.raises(TerminalStateError):
-            t.q_value(step(initial_state(VOCAB), VOCAB.eos_id), 0)
+            t.q_values(step(initial_state(VOCAB), VOCAB.eos_id))
 
 
 class TestMaxQ:
     def test_max_of_logits(self):
-        t = tabular(1, 3, {(0,): [1.0, 2.0, 0.0]})
-        assert t.max_q(initial_state(VOCAB)) == 2.0
+        t = table_teacher({(0,): [1.0, 2.0, 0.0]}, 3)
+        q, m = ret.q_terms(t, np.array([[0]]), np.array([0]))
+        assert (q[0], m[0]) == (1.0, 2.0)
 
     def test_terminal_convention_zero(self):
-        t = tabular(1, 3, {(0,): [1.0, 2.0, 0.0]})
-        assert t.max_q(step(initial_state(VOCAB), VOCAB.eos_id)) == 0.0
+        # no continuation value after the final action: G[T] = q[T]
+        t = table_teacher({(0,): [1.0, 2.0, 0.5], (1,): [0.0, 3.0, -1.0]}, 3)
+        assert ret.actual_return(path_of([1, VOCAB.eos_id]), t).tolist() == [2.0 - 3.0 - 1.0, -1.0]
 
     def test_dominates_every_action(self):
         rng = np.random.default_rng(8)
         t = FrozenModelTeacher(init_model(ModelArch("linear", window=2), VOCAB.size, rng))
-        s = step(initial_state(VOCAB), 1)
-        assert all(t.max_q(s) >= t.q_value(s, a) for a in range(VOCAB.size))
+        contexts = np.array([[0, 1]] * VOCAB.size)
+        q, m = ret.q_terms(t, contexts, np.arange(VOCAB.size))
+        assert np.all(m >= q)
 
     def test_action_shortfall_non_positive(self):
         # q(s, a) - max_a' q(s, a') <= 0 for every state and action
@@ -81,41 +108,34 @@ class TestMaxQ:
             s = initial_state(VOCAB)
             for _ in range(int(rng.integers(0, 4))):
                 s = step(s, int(rng.integers(0, VOCAB.size - 1)))
-            for a in range(VOCAB.size):
-                assert t.q_value(s, a) - t.max_q(s) <= 0.0
+            contexts = np.array([s.last_tokens(2)] * VOCAB.size)
+            q, m = ret.q_terms(t, contexts, np.arange(VOCAB.size))
+            assert np.all(q - m <= 0.0)
 
 
-class TestInducedReward:
+class TestStepReward:
+    """The induced reward r(s, a) = q(s, a) - max_a' q(s', a'), read off the
+    returns: r_t = G[t] - G[t+1], and the last step's reward is its raw q."""
+
     def test_arithmetic(self):
-        t = tabular(1, 3, {(0,): [0.0, 2.0, 0.0], (1,): [1.5, 0.0, 1.0]})
-        r = InducedReward(t)
-        s = initial_state(VOCAB)
-        assert r.reward(s, 1, step(s, 1)) == 2.0 - 1.5
+        t = table_teacher({(0,): [0.0, 2.0, 0.0], (1,): [1.5, 0.0, 1.0]}, 3)
+        g = ret.actual_return(path_of([1, VOCAB.eos_id]), t)
+        assert g[0] - g[1] == 2.0 - 1.5
 
     def test_terminal_step_keeps_raw_q(self):
-        t = tabular(1, 3, {(0,): [0.0, 0.0, 1.2]})
-        r = InducedReward(t)
-        s = initial_state(VOCAB)
-        assert r.reward(s, VOCAB.eos_id, step(s, VOCAB.eos_id)) == 1.2
+        t = table_teacher({(0,): [0.0, 0.0, 1.2]}, 3)
+        assert ret.actual_return(path_of([VOCAB.eos_id]), t).tolist() == [1.2]
 
     def test_clipping(self):
-        t = tabular(1, 3, {(0,): [0.0, -250.0, 0.0], (1,): [0.0, 0.0, 0.0]})
-        r = InducedReward(t, clip_range=(-100.0, 100.0))
-        s = initial_state(VOCAB)
-        assert r.reward(s, 1, step(s, 1)) == -100.0
+        t = table_teacher({(0,): [0.0, -250.0, 0.0], (1,): [0.0, 0.0, 0.0]}, 3)
+        cfg = ReturnConfig(k=1, clip_range=(-100.0, 100.0))
+        assert ret.kstep_return(path_of([1, VOCAB.eos_id]), t, cfg).tolist() == [-100.0, 0.0]
 
     def test_clip_idempotent(self):
-        lo, hi = -100.0, 100.0
-        for x in (-250.0, -100.0, 3.7, 100.0, 250.0):
-            once = min(max(x, lo), hi)
-            assert min(max(once, lo), hi) == once
-
-    def test_transition_mismatch_rejected(self):
-        t = tabular(1, 3, {(0,): [0.0, 2.0, 0.0], (1,): [0.0, 0.0, 0.0]})
-        r = InducedReward(t)
-        s = initial_state(VOCAB)
-        with pytest.raises(ValueError):
-            r.reward(s, 1, step(s, 0))
+        cfg = ReturnConfig(clip_range=(-100.0, 100.0))
+        once = ret.clip_returns(np.array([-250.0, -100.0, 3.7, 100.0, 250.0]), cfg)
+        assert once.tolist() == [-100.0, -100.0, 3.7, 100.0, 100.0]
+        assert ret.clip_returns(once, cfg).tolist() == once.tolist()
 
 
 class TestFitTeacher:
@@ -198,14 +218,13 @@ class TestSerialization:
         assert isinstance(loaded, FrozenModelTeacher)
         np.testing.assert_array_equal(loaded.model.params, m.params)
 
-    def test_tabular_round_trip(self, tmp_path):
-        t = tabular(2, 3, {(0, 1): [1.0, -2.0, 0.25], (1, 1): [0.0, 0.5, 0.125]})
-        save_teacher(t, tmp_path / "t.json")
-        loaded = load_teacher(tmp_path / "t.json")
-        assert isinstance(loaded, TabularTeacher)
-        assert set(loaded.table) == set(t.table)
-        for ctx in t.table:
-            np.testing.assert_array_equal(loaded.table[ctx], t.table[ctx])
+    def test_tabular_checkpoint_rejected(self, tmp_path):
+        # the retired context -> logits table format is no longer a teacher
+        data = {"format_version": models.CHECKPOINT_FORMAT_VERSION, "kind": "tabular",
+                "frozen": True, "vocab_size": 3, "window": 1, "table": {"0": [1.0, 2.0, 0.0]}}
+        (tmp_path / "t.json").write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="kind 'tabular'"):
+            load_teacher(tmp_path / "t.json")
 
     def test_immutability_under_queries(self, tmp_path):
         m = init_model(ModelArch("linear", window=2), VOCAB.size, np.random.default_rng(3))
@@ -213,8 +232,9 @@ class TestSerialization:
         save_teacher(t, tmp_path / "before.json")
         s = step(initial_state(VOCAB), 1)
         for _ in range(200):
-            t.q_value(s, 0)
-            t.max_q(s)
+            t.q_values(s)
+            t.batch_q_values(np.array([[0, 1]]))
+            t.distribution(s)
         save_teacher(t, tmp_path / "after.json")
         assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kstepkd import returns as ret
 from kstepkd.models import LogitModel, ModelArch, init_model, param_count
 from kstepkd.seqmdp import Vocabulary, decode, initial_state, rollout
-from kstepkd.teacher import FrozenModelTeacher, TabularTeacher
+from kstepkd.teacher import FrozenModelTeacher
 from kstepkd.trainer import (
     NonFiniteGradientError,
     TrainConfig,
@@ -20,6 +20,8 @@ from kstepkd.trainer import (
     reinforce_step,
     train,
 )
+
+from conftest import table_teacher
 
 VOCAB = Vocabulary(size=5, eos_id=4, bos_id=0)
 
@@ -95,7 +97,7 @@ class TestReinforceStep:
         outs = {}
         for estimator, k in (("kstep", 4), ("kstep", 8), ("llmr", 1)):
             cfg = rl_cfg(estimator=estimator, k=k, lr=0.1)
-            student, _, _ = reinforce_step(
+            student, _ = reinforce_step(
                 sharp, teacher, batch, cfg, np.random.default_rng(11)
             )
             outs[(estimator, k)] = student.params
@@ -105,7 +107,7 @@ class TestReinforceStep:
     def test_lr_zero_keeps_params_and_logs(self):
         teacher = make_teacher()
         student = make_student()
-        out, record, _ = reinforce_step(
+        out, record = reinforce_step(
             student, teacher, [initial_state(VOCAB)] * 3, rl_cfg(lr=0.0),
             np.random.default_rng(2),
         )
@@ -124,7 +126,7 @@ class TestReinforceStep:
             ("kstep", 4), ("llmr", 1), ("mean_baseline", 1), ("minvar_baseline", 1),
         ):
             cfg = rl_cfg(estimator=estimator, k=k)
-            _, _, _, trajs = reinforce_step(
+            _, _, trajs = reinforce_step(
                 student, teacher, batch, cfg, np.random.default_rng(33),
                 return_trajectories=True,
             )
@@ -135,12 +137,12 @@ class TestReinforceStep:
     def test_one_step_mdp_matches_analytic_gradient(self):
         # vocab 2, horizon 1: exact gradient is sum_a pi(a) q(a) dlogpi(a)
         vocab = Vocabulary(size=2, eos_id=1, bos_id=0)
-        teacher = TabularTeacher({(0, 0): np.array([0.8, -0.3])}, window=2, vocab_size=2)
+        teacher = table_teacher({(0, 0): [0.8, -0.3]}, vocab_size=2, window=2)
         student = init_model(ModelArch("linear", window=2), 2, np.random.default_rng(3), scale=0.3)
         s0 = initial_state(vocab)
         probs = student.distribution(s0).probs
         exact = sum(
-            probs[a] * teacher.q_value(s0, a) * student.grad_log_prob(s0, a) for a in range(2)
+            probs[a] * teacher.q_values(s0)[a] * student.grad_log_prob(s0, a) for a in range(2)
         )
 
         cfg = rl_cfg(estimator="kstep", k=1, lr=1.0, batch_size=10, horizon=1)
@@ -148,7 +150,7 @@ class TestReinforceStep:
         n_calls = 10_000  # 1e5 sampled one-step trajectories in total
         sums = np.zeros((n_calls, student.num_params))
         for i in range(n_calls):
-            out, _, _ = reinforce_step(student, teacher, [s0] * 10, cfg, rng)
+            out, _ = reinforce_step(student, teacher, [s0] * 10, cfg, rng)
             sums[i] = out.params - student.params  # lr = 1.0: direction itself
         mean = sums.mean(axis=0)
         se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)
@@ -273,16 +275,6 @@ class TestTrainLoop:
                       r.policy_entropy, r.eval_greedy_return):
                 assert np.isfinite(v)
 
-    def test_adam_optimizer_runs(self):
-        teacher = make_teacher(seed=51)
-        student = make_student(seed=52)
-        out, log = train(
-            student, teacher, [initial_state(VOCAB)] * 4,
-            rl_cfg(iterations=6, optimizer="adam", lr=0.01),
-        )
-        assert len(log.records) == 6
-        assert np.all(np.isfinite(out.params))
-
 
 @pytest.mark.slow
 class TestDirectionalResult:
@@ -319,7 +311,7 @@ class TestMeanBaselineUnbiasedness:
         n_calls = 6000
         sums = np.zeros((n_calls, policy.num_params))
         for i in range(n_calls):
-            out, _, _ = reinforce_step(policy, teacher, [spec.initial] * 5, cfg, rng)
+            out, _ = reinforce_step(policy, teacher, [spec.initial] * 5, cfg, rng)
             sums[i] = out.params - policy.params
         mean = sums.mean(axis=0)
         se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)
