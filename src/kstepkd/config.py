@@ -185,6 +185,8 @@ class ExperimentConfig:
         if len(self.k_list) != len(set(self.k_list)):
             raise ConfigError("k_list entries must be distinct")
         seeds = self.seeds
+        if not seeds:
+            raise ConfigError("seeds must be non-empty")
         if len(seeds) != len(set(seeds)):
             raise ConfigError("seeds must be distinct")
         lo, hi = self.clip_range
@@ -197,8 +199,12 @@ class ExperimentConfig:
         if int(corpus["n_val"]) + int(corpus["n_test"]) >= int(corpus["n_sequences"]):
             raise ConfigError("corpus.n_sequences too small for the val/test splits")
         sweep = self.sweep_params()
-        if int(sweep["samples_per_input"]) < 2:
-            raise ConfigError("sweep.samples_per_input must be >= 2")
+        for key in ("samples_per_input", "iid_samples"):
+            if int(sweep[key]) < 2:
+                raise ConfigError(f"sweep.{key} must be >= 2")
+        buckets = [int(e) for e in sweep["kl_bucket_epochs"]]
+        if len(buckets) != len(set(buckets)):
+            raise ConfigError("sweep.kl_bucket_epochs entries must be distinct")
         for key in ("n_inputs", "iid_num_terms"):
             if int(sweep[key]) < 1:
                 raise ConfigError(f"sweep.{key} must be >= 1")
@@ -206,6 +212,8 @@ class ExperimentConfig:
             if not float(sweep[key]) >= 0.0:
                 raise ConfigError(f"sweep.{key} must be >= 0")
         fit = self.teacher_fit_params()
+        if int(fit["epochs"]) < 0:
+            raise ConfigError("teacher_fit.epochs must be >= 0")
         if int(fit["epochs"]) > 0 and not float(fit["lr"]) > 0.0:
             raise ConfigError("teacher_fit.lr must be positive when epochs > 0")
         if not float(fit["init_scale"]) >= 0.0:
@@ -215,8 +223,8 @@ class ExperimentConfig:
             self.arch("teacher")
             self.arch("student")
             # the bias/variance sweep pre-distils for each bucket's epochs
-            for epochs in [None, *sweep["kl_bucket_epochs"]]:
-                self.predistill_config(None if epochs is None else int(epochs))
+            for epochs in [None, *buckets]:
+                self.predistill_config(epochs)
             self.rl_config("kstep", 1, 0)
         except (ValueError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc

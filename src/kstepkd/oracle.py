@@ -6,6 +6,10 @@ policy gradient - are computable as finite probability-weighted sums.  These
 serve as ground truth for the Monte-Carlo machinery and for the policy
 gradient identity itself.
 
+The enumeration is one ``TrajectoryBatch``, scored and sampled with the
+pipeline's own batched code, so the oracle checks the code the pipeline trains
+with; ``enumerate_trajectories`` is the per-state reference it is tested against.
+
 Per-step moments condition on the step existing: trajectories shorter than
 t+1 steps are excluded from step-t statistics and the surviving probabilities
 are renormalized.
@@ -16,14 +20,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import returns as ret
-from .models import LogitModel
+from .models import LogitModel, log_softmax
 from .returns import ReturnConfig
-from .seqmdp import Policy, State, Trajectory, TrajectoryStep, Vocabulary, rollout, step
+from .seqmdp import Policy, State, Trajectory, TrajectoryBatch, TrajectoryStep, Vocabulary
+from .seqmdp import decode, step
 from .teacher import FrozenModelTeacher
 
 
@@ -59,23 +64,51 @@ def enumerate_trajectories(
     """Every maximal trajectory (EOS-terminated or horizon-truncated) with its
     exact path probability under the policy.  Probabilities sum to 1."""
     out: list[tuple[Trajectory, float]] = []
-    vocab_ids = range(spec.vocab.size)
-
-    def expand(state: State, steps: list[TrajectoryStep], logp: float) -> None:
-        dist = policy.distribution(state)
-        for action in vocab_ids:
-            nxt = step(state, action)
-            record = TrajectoryStep(state, action, float(dist.log_probs[action]))
-            steps.append(record)
-            path_logp = logp + record.logprob
-            if nxt.is_terminal or len(steps) == spec.horizon:
-                out.append((Trajectory(tuple(steps), nxt), float(np.exp(path_logp))))
-            else:
-                expand(nxt, steps, path_logp)
-            steps.pop()
-
-    expand(spec.initial, [], 0.0)
+    _expand(spec, policy, spec.initial, [], 0.0, out)
     return out
+
+
+def _expand(
+    spec: EnumerationSpec, policy: Policy, state: State, steps: list, logp: float, out: list
+) -> None:
+    # module level, not nested: a self-referencing closure would hold ``out``
+    # in a reference cycle that only the cyclic collector frees
+    dist = policy.distribution(state)
+    for action in range(spec.vocab.size):
+        nxt = step(state, action)
+        record = TrajectoryStep(state, action, float(dist.log_probs[action]))
+        steps.append(record)
+        path_logp = logp + record.logprob
+        if nxt.is_terminal or len(steps) == spec.horizon:
+            out.append((Trajectory(tuple(steps), nxt), float(np.exp(path_logp))))
+        else:
+            _expand(spec, policy, nxt, steps, path_logp, out)
+        steps.pop()
+
+
+def enumerate_batch(
+    spec: EnumerationSpec, policy: LogitModel
+) -> tuple[TrajectoryBatch, np.ndarray]:
+    """Every maximal trajectory as one ``TrajectoryBatch``, with the exact
+    path probabilities [N].  Built depth by depth: one ``batch_logits`` call
+    scores the paths still running, each repeats once per action, and the
+    path log-probs accumulate left to right as in ``enumerate_trajectories``."""
+    vocab, window, prefix = spec.vocab, policy.window, spec.initial.prefix
+    p = max(window, len(prefix))
+    running = np.full((1, p + spec.horizon), vocab.bos_id, dtype=np.int64)
+    running[0, p - len(prefix) : p] = prefix
+    logp = np.zeros(1)
+    finished = []
+    for t in range(spec.horizon):
+        lp = log_softmax(policy.batch_logits(running[:, p + t - window : p + t]))
+        running = np.repeat(running, vocab.size, axis=0)
+        running[:, p + t] = np.tile(np.arange(vocab.size), len(lp))
+        logp = np.repeat(logp, vocab.size) + lp.ravel()
+        done = (running[:, p + t] == vocab.eos_id) | (t + 1 == spec.horizon)
+        finished.append((running[done], logp[done], np.full(int(done.sum()), t + 1)))
+        running, logp = running[~done], logp[~done]
+    tokens, logps, lengths = (np.concatenate(parts) for parts in zip(*finished))
+    return TrajectoryBatch(vocab, tokens, p, lengths), np.exp(logps)
 
 
 @dataclass(frozen=True)
@@ -93,74 +126,60 @@ class ExactMoments:
     grad_j_kstep: np.ndarray
 
 
+def _enumerated_returns(
+    spec: EnumerationSpec, policy: LogitModel, teacher: FrozenModelTeacher, ks: Sequence[int]
+) -> tuple[TrajectoryBatch, np.ndarray, list[np.ndarray]]:
+    """The enumeration, its path probabilities and the unclipped K-step
+    returns [N, H] for each K in ``ks`` (K = 1 is the actual return G)."""
+    batch, probs = enumerate_batch(spec, policy)
+    q, m = ret.batch_q_terms(batch, teacher)
+    return batch, probs, [ret.kstep_from_batch_terms(q, m, batch.lengths, k) for k in ks]
+
+
 def exact_moments(
     spec: EnumerationSpec, policy: LogitModel, teacher: FrozenModelTeacher, cfg: ReturnConfig
 ) -> ExactMoments:
-    trajs = enumerate_trajectories(spec, policy)
-    max_len = max(traj.num_steps for traj, _ in trajs)
-    per_traj = []
-    for traj, prob in trajs:
-        est = ret.estimate(traj, teacher, cfg)
-        per_traj.append((traj, prob, est.g_actual_clipped, est.g_hat_clipped))
-
-    expected_g = np.zeros(max_len)
-    expected_g_hat = np.zeros(max_len)
-    var_g = np.zeros(max_len)
-    var_g_hat = np.zeros(max_len)
-    step_prob = np.zeros(max_len)
-    for t in range(max_len):
-        total = sum(p for traj, p, _, _ in per_traj if traj.num_steps > t)
-        step_prob[t] = total
-        eg = sum(p * g[t] for traj, p, g, _ in per_traj if traj.num_steps > t) / total
-        egh = sum(p * gh[t] for traj, p, _, gh in per_traj if traj.num_steps > t) / total
-        vg = sum(p * (g[t] - eg) ** 2 for traj, p, g, _ in per_traj if traj.num_steps > t) / total
-        vgh = (
-            sum(p * (gh[t] - egh) ** 2 for traj, p, _, gh in per_traj if traj.num_steps > t)
-            / total
-        )
-        expected_g[t], expected_g_hat[t] = eg, egh
-        var_g[t], var_g_hat[t] = vg, vgh
-
-    grad_actual = _weighted_score_sum(policy, ((traj, p * g) for traj, p, g, _ in per_traj))
-    grad_kstep = _weighted_score_sum(policy, ((traj, p * gh) for traj, p, _, gh in per_traj))
-
+    batch, probs, (g, g_hat) = _enumerated_returns(spec, policy, teacher, (1, cfg.k))
+    g, g_hat = ret.clip_returns(g, cfg), ret.clip_returns(g_hat, cfg)
+    pw = probs[:, None] * batch.step_mask
+    step_prob = pw.sum(axis=0)
+    expected_g = (pw * g).sum(axis=0) / step_prob
+    expected_g_hat = (pw * g_hat).sum(axis=0) / step_prob
     return ExactMoments(
         expected_g=expected_g,
         expected_g_hat=expected_g_hat,
-        var_g=var_g,
-        var_g_hat=var_g_hat,
+        var_g=(pw * (g - expected_g) ** 2).sum(axis=0) / step_prob,
+        var_g_hat=(pw * (g_hat - expected_g_hat) ** 2).sum(axis=0) / step_prob,
         bias=expected_g_hat - expected_g,
         step_prob=step_prob,
-        grad_j_actual=grad_actual,
-        grad_j_kstep=grad_kstep,
+        grad_j_actual=_weighted_score_sum(policy, batch, pw * g),
+        grad_j_kstep=_weighted_score_sum(policy, batch, pw * g_hat),
     )
 
 
 def _weighted_score_sum(
-    policy: LogitModel, weighted: Iterable[tuple[Trajectory, np.ndarray]]
+    policy: LogitModel, batch: TrajectoryBatch, weights: np.ndarray
 ) -> np.ndarray:
-    """Sum over the steps of (trajectory, per-step weights) pairs of weight x
-    d log pi(a|c) / d params, in one backward call.  Steps sharing a (context,
-    action) row share the score, so their weights are summed first, in step
-    order: an enumeration has ~10^4 steps but at most V^(window+1) rows."""
-    summed: dict[tuple[int, ...], float] = {}
-    for traj, w in weighted:
-        for s, wt in zip(traj.steps, w):
-            key = (*s.state.last_tokens(policy.window), s.action)
-            summed[key] = summed.get(key, 0.0) + wt
-    rows = np.array(list(summed), dtype=np.int64)
-    return policy.weighted_logit_grad(rows[:, :-1], rows[:, -1], np.array(list(summed.values())))[0]
+    """Sum over the batch's steps of weight x d log pi(a|c) / d params for
+    weights [N, H], in one backward call.  Steps sharing a (context, action)
+    row share the score, so their weights are summed first: an enumeration
+    has ~10^4 steps but at most V^(window+1) rows."""
+    mask = batch.step_mask
+    rows = np.column_stack([batch.step_contexts(policy.window)[mask], batch.actions[mask]])
+    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+    summed = np.bincount(inverse.ravel(), weights=weights[mask], minlength=len(unique))
+    return policy.weighted_logit_grad(unique[:, :-1], unique[:, -1], summed)[0]
 
 
 # -- policy gradient check ---------------------------------------------------
 
 
-def exact_objective(spec: EnumerationSpec, policy: Policy, teacher: FrozenModelTeacher) -> float:
+def exact_objective(
+    spec: EnumerationSpec, policy: LogitModel, teacher: FrozenModelTeacher
+) -> float:
     """J = E[G_0], the exact expected (unclipped) return from the initial state."""
-    total = 0.0
-    for traj, prob in enumerate_trajectories(spec, policy):
-        total += prob * float(ret.actual_return(traj, teacher)[0])
-    return total
+    _, probs, (g,) = _enumerated_returns(spec, policy, teacher, (1,))
+    return float(probs @ g[:, 0])
 
 
 def _exact_policy_gradient(
@@ -168,8 +187,8 @@ def _exact_policy_gradient(
 ) -> np.ndarray:
     # unbiased per-step form with unclipped G; clipping would couple prefix
     # and suffix terms and break the exact identity against d/dtheta of J
-    trajs = enumerate_trajectories(spec, policy)
-    return _weighted_score_sum(policy, ((t, p * ret.actual_return(t, teacher)) for t, p in trajs))
+    batch, probs, (g,) = _enumerated_returns(spec, policy, teacher, (1,))
+    return _weighted_score_sum(policy, batch, probs[:, None] * batch.step_mask * g)
 
 
 @dataclass(frozen=True)
@@ -180,19 +199,6 @@ class GradientCheckReport:
     max_rel_error: float
     passed: bool
     threshold: float
-
-    def csv_rows(self) -> list[tuple[str, str, str, str]]:
-        rows = [
-            (
-                "max_rel_error",
-                repr(self.max_rel_error),
-                repr(self.threshold),
-                "pass" if self.passed else "fail",
-            )
-        ]
-        for i, e in enumerate(self.rel_errors):
-            rows.append((f"rel_error[{i}]", repr(float(e)), repr(self.threshold), ""))
-        return rows
 
 
 def check_gradient(
@@ -217,14 +223,7 @@ def check_gradient(
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     rel = np.abs(analytic - fd) / denom
     max_rel = float(rel.max())
-    return GradientCheckReport(
-        analytic=analytic,
-        finite_diff=fd,
-        rel_errors=rel,
-        max_rel_error=max_rel,
-        passed=bool(max_rel < threshold),
-        threshold=threshold,
-    )
+    return GradientCheckReport(analytic, fd, rel, max_rel, bool(max_rel < threshold), threshold)
 
 
 # -- Monte-Carlo convergence --------------------------------------------------
@@ -251,18 +250,15 @@ class ConvergenceReport:
         return any(e.flagged for e in self.entries)
 
     def csv_rows(self) -> list[tuple[str, str, str, str]]:
-        rows = []
-        for e in self.entries:
-            value = repr(e.z_score) if e.z_score is not None else "nan"
-            rows.append(
-                (
-                    f"z:{e.metric}",
-                    value,
-                    repr(self.z_threshold),
-                    "fail" if e.flagged else "pass",
-                )
+        return [
+            (
+                f"z:{e.metric}",
+                "nan" if e.z_score is None else repr(e.z_score),
+                repr(self.z_threshold),
+                "fail" if e.flagged else "pass",
             )
-        return rows
+            for e in self.entries
+        ]
 
     def __str__(self) -> str:
         lines = [f"monte-carlo convergence, n={self.n_samples}"]
@@ -299,25 +295,19 @@ def montecarlo_convergence(
     """Sample-mean convergence of Ghat_0 and of the gradient estimator toward
     their enumeration-exact values, reported as z-scores."""
     exact = exact_moments(spec, policy, teacher, cfg)
-    g_hat_0 = np.empty(n_samples)
-    grad_samples = np.empty((n_samples, policy.num_params))
-    for i in range(n_samples):
-        traj = rollout(policy, spec.initial, spec.horizon, mode="sample", rng=rng)
-        est = ret.estimate(traj, teacher, cfg)
-        gh = est.g_hat_clipped
-        g_hat_0[i] = gh[0]
-        grad_samples[i] = _weighted_score_sum(policy, [(traj, gh)])
-
-    entries = [_entry("g_hat_0", g_hat_0, float(exact.expected_g_hat[0]), z_threshold)]
-    for i in range(policy.num_params):
-        entries.append(
-            _entry(
-                f"grad[{i}]",
-                grad_samples[:, i],
-                float(exact.grad_j_kstep[i]),
-                z_threshold,
-            )
-        )
+    batch = decode(
+        policy.batch_logits, policy.window, [spec.initial] * n_samples, spec.horizon, rng
+    )
+    q, m = ret.batch_q_terms(batch, teacher)
+    gh = ret.clip_returns(ret.kstep_from_batch_terms(q, m, batch.lengths, cfg.k), cfg)
+    # each sample's gradient estimate from a backward over its own row
+    rows = zip(batch.step_contexts(policy.window), batch.actions, gh, batch.lengths)
+    grads = np.array([policy.weighted_logit_grad(c[:n], a[:n], w[:n])[0] for c, a, w, n in rows])
+    entries = [_entry("g_hat_0", gh[:, 0], float(exact.expected_g_hat[0]), z_threshold)]
+    entries += [
+        _entry(f"grad[{i}]", grads[:, i], float(exact.grad_j_kstep[i]), z_threshold)
+        for i in range(policy.num_params)
+    ]
     return ConvergenceReport(n_samples, tuple(entries), z_threshold)
 
 

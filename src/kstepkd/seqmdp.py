@@ -6,11 +6,11 @@ token is emitted or when the rollout horizon is reached.  Conditioning inputs
 (source tokens) are modeled by prepending them to the initial prefix; only
 generated tokens count toward a state's ``length``.
 
-Every pipeline path, greedy or sampled, runs on the integer-array
-``TrajectoryBatch`` from :func:`decode`, which rolls many inputs out in
+Every pipeline path, greedy or sampled, and the enumeration oracle run on the
+integer-array ``TrajectoryBatch``; :func:`decode` rolls many inputs out in
 lockstep with one scoring call per step.  Per-state ``Trajectory`` objects
-from :func:`rollout` remain as the reference the batch is checked against,
-and as the representation of the enumeration oracle.
+from :func:`rollout` remain only as the reference the batches are checked
+against.
 """
 
 from __future__ import annotations
@@ -105,12 +105,6 @@ class Trajectory:
     @property
     def logprobs(self) -> np.ndarray:
         return np.array([s.logprob for s in self.steps], dtype=np.float64)
-
-    def state_after(self, t: int) -> State:
-        """State reached after action t (the state at which action t+1 is taken)."""
-        if t + 1 < len(self.steps):
-            return self.steps[t + 1].state
-        return self.terminal_state
 
 
 class Policy(Protocol):

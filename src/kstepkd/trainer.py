@@ -61,6 +61,8 @@ class TrainConfig:
             raise ValueError("predistill lr must be positive when epochs > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0 or self.iterations < 0:
+            raise ValueError(f"{self.stage} epochs and iterations must be >= 0")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "llmr" and self.k != 1:

@@ -78,6 +78,13 @@ class TestConfig:
         {"rl": {"eval_every": -1}},
         {"teacher_fit": {"init_scale": -1.0}},
         {"k_list": [1, 2, 2]},
+        {"seeds": []},
+        {"sweep": {"iid_samples": 1}},
+        {"teacher_fit": {"epochs": -1}},
+        {"predistill": {"epochs": -1}},
+        {"rl": {"iterations": -1}},
+        {"sweep": {"kl_bucket_epochs": [0, -1]}},
+        {"sweep": {"kl_bucket_epochs": [0, 0]}},
     ])
     def test_bad_stage_setting_rejected(self, override):
         with pytest.raises(ConfigError):
@@ -109,6 +116,12 @@ class TestCliBasics:
     def test_bad_config_exits_2(self, tmp_path):
         cfg = self.write_config(tmp_path, {"no_such_key": 1})
         assert main(["--config", cfg, "gen-corpus"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["train", "sweep-k", "sweep-bias-variance"])
+    def test_empty_seeds_exit_2(self, tmp_path, command):
+        cfg = self.write_config(tmp_path, tiny_config(tmp_path, seeds=[]))
+        assert main(["--config", cfg, command]) == EXIT_CONFIG
+        assert not (tmp_path / "runs").exists()
 
     def test_gen_corpus(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, tiny_config(tmp_path))

@@ -1,14 +1,20 @@
-"""Enumeration oracle: completeness, exact moments, gradient identity, MC rates."""
+"""Enumeration oracle: completeness, the batched enumeration against the
+per-state one, exact moments, gradient identity, MC rates."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstepkd import oracle
 from kstepkd import returns as ret
 from kstepkd.models import ModelArch, init_model, zero_model
 from kstepkd.oracle import EnumerationSpec, SizeBoundError
 from kstepkd.returns import ReturnConfig
-from kstepkd.seqmdp import Vocabulary, initial_state, step
+from kstepkd.seqmdp import Vocabulary, initial_state, rollout, step
 from kstepkd.teacher import FrozenModelTeacher
 
 from conftest import table_teacher
@@ -58,11 +64,90 @@ class TestEnumeration:
         trajs = oracle.enumerate_trajectories(spec, policy)
         assert abs(sum(p for _, p in trajs) - 1.0) < 1e-10
 
+    def test_returned_list_freed_without_cyclic_collector(self):
+        # the enumeration holds no reference cycle, so dropping the returned
+        # list frees its trajectories by reference counting alone
+        spec = EnumerationSpec(VOCAB3, 3, initial_state(VOCAB3))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            trajs = oracle.enumerate_trajectories(spec, uniform_policy(3))
+            ref = weakref.ref(trajs[0][0])
+            del trajs
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_size_bounds_enforced(self):
         with pytest.raises(SizeBoundError):
             EnumerationSpec(Vocabulary(6, eos_id=5, bos_id=0), 3, initial_state(VOCAB3))
         with pytest.raises(SizeBoundError):
             EnumerationSpec(VOCAB3, 9, initial_state(VOCAB3))
+
+
+@st.composite
+def enumeration_instances(draw):
+    """A spec within the size bounds, with a ragged conditioning prefix of
+    non-EOS tokens, and a linear or mlp1 policy of window 1-3."""
+    size = draw(st.integers(2, 5))
+    vocab = Vocabulary(size=size, bos_id=0, eos_id=size - 1)
+    prefix = draw(st.lists(st.integers(0, size - 2), max_size=4))
+    horizon = draw(st.integers(1, oracle.MAX_HORIZON))
+    kind = draw(st.sampled_from(["linear", "mlp1"]))
+    arch = ModelArch(kind, window=draw(st.integers(1, 3)), hidden=4 if kind == "mlp1" else 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    policy = init_model(arch, size, rng, scale=draw(st.sampled_from([0.3, 1.0, 3.0])))
+    return EnumerationSpec(vocab, horizon, initial_state(vocab, tuple(prefix))), policy
+
+
+class TestEnumerateBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(enumeration_instances())
+    def test_matches_per_state_enumeration(self, inst):
+        spec, policy = inst
+        batch, probs = oracle.enumerate_batch(spec, policy)
+        reference = {t.actions: (t, p) for t, p in oracle.enumerate_trajectories(spec, policy)}
+        paths = [tuple(row[:n]) for row, n in zip(batch.actions.tolist(), batch.lengths.tolist())]
+        assert len(paths) == len(set(paths)) and set(paths) == set(reference)
+        contexts = batch.step_contexts(policy.window)
+        for i, path in enumerate(paths):
+            traj, p = reference[path]
+            if policy.kind == "linear":
+                assert probs[i] == p
+            else:
+                assert abs(probs[i] - p) <= 1e-12
+            for t, s in enumerate(traj.steps):
+                assert tuple(contexts[i, t]) == s.state.last_tokens(policy.window)
+            assert not batch.actions[i, len(path):].any()
+
+
+def reference_moments(spec, policy, teacher, cfg):
+    """Per-step moments, conditioned on the step existing, and exact
+    gradients from the per-state enumeration, ``estimate`` and
+    ``grad_log_prob``, in Python sums."""
+    trajs = [
+        (traj, p, ret.estimate(traj, teacher, cfg))
+        for traj, p in oracle.enumerate_trajectories(spec, policy)
+    ]
+    out = {key: np.zeros(spec.horizon) for key in ("eg", "egh", "vg", "vgh", "step_prob")}
+    for t in range(spec.horizon):
+        alive = [(p, e.g_actual_clipped[t], e.g_hat_clipped[t]) for tr, p, e in trajs
+                 if tr.num_steps > t]
+        total = sum(p for p, _, _ in alive)
+        eg = sum(p * g for p, g, _ in alive) / total
+        egh = sum(p * gh for p, _, gh in alive) / total
+        out["step_prob"][t], out["eg"][t], out["egh"][t] = total, eg, egh
+        out["vg"][t] = sum(p * (g - eg) ** 2 for p, g, _ in alive) / total
+        out["vgh"][t] = sum(p * (gh - egh) ** 2 for p, _, gh in alive) / total
+    out["grad_g"] = np.zeros(policy.num_params)
+    out["grad_gh"] = np.zeros(policy.num_params)
+    for traj, p, est in trajs:
+        for t, s in enumerate(traj.steps):
+            score = policy.grad_log_prob(s.state, s.action)
+            out["grad_g"] += p * est.g_actual_clipped[t] * score
+            out["grad_gh"] += p * est.g_hat_clipped[t] * score
+    return out
 
 
 def hand_instance():
@@ -129,6 +214,30 @@ class TestExactMoments:
         spec, policy, teacher = hand_instance()
         moments = oracle.exact_moments(spec, policy, teacher, ReturnConfig(k=2))
         assert np.all(moments.var_g >= 0) and np.all(moments.var_g_hat >= 0)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_per_state_reference(self, seed, k):
+        rng = np.random.default_rng([seed, 33])
+        vocab = Vocabulary(size=4, eos_id=3, bos_id=0)
+        arch = ModelArch("linear", window=2) if seed % 2 else ModelArch("mlp1", window=3, hidden=4)
+        policy = init_model(arch, vocab.size, rng, scale=0.8)
+        teacher = FrozenModelTeacher(
+            init_model(ModelArch("mlp1", window=2, hidden=5), vocab.size, rng, scale=1.5)
+        )
+        spec = EnumerationSpec(vocab, 4, initial_state(vocab, (1, 2)[: seed % 3]))
+        cfg = ReturnConfig(k=k, clip_range=(-2.0, 2.0))
+        moments = oracle.exact_moments(spec, policy, teacher, cfg)
+        ref = reference_moments(spec, policy, teacher, cfg)
+        for got, key in [
+            (moments.expected_g, "eg"), (moments.expected_g_hat, "egh"), (moments.var_g, "vg"),
+            (moments.var_g_hat, "vgh"), (moments.step_prob, "step_prob"),
+            (moments.grad_j_actual, "grad_g"), (moments.grad_j_kstep, "grad_gh"),
+        ]:
+            np.testing.assert_allclose(got, ref[key], rtol=0, atol=1e-12, err_msg=key)
+        if k == 1:
+            assert np.array_equal(moments.bias, np.zeros(spec.horizon))
 
 
 class TestCheckGradient:
@@ -199,6 +308,23 @@ class TestMonteCarloConvergence:
             policy, spec, teacher, ReturnConfig(k=2), 10_000, np.random.default_rng(0)
         )
         assert not report.any_flagged, str(report)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_single_sample_draws_the_rollout_path(self, seed):
+        # n = 1 draws exactly the path rollout(mode="sample") draws from the
+        # same seed, and reports that path's Ghat_0 and gradient estimate
+        spec, policy, teacher = self._instance()
+        cfg = ReturnConfig(k=2)
+        report = oracle.montecarlo_convergence(
+            policy, spec, teacher, cfg, 1, np.random.default_rng(seed)
+        )
+        traj = rollout(policy, spec.initial, spec.horizon, "sample", np.random.default_rng(seed))
+        g_hat = ret.estimate(traj, teacher, cfg).g_hat_clipped
+        grad = sum(w * policy.grad_log_prob(s.state, s.action) for s, w in zip(traj.steps, g_hat))
+        assert report.entries[0].sample_mean == g_hat[0]
+        np.testing.assert_allclose(
+            [e.sample_mean for e in report.entries[1:]], grad, rtol=0, atol=1e-12
+        )
 
     def test_single_sample_produces_report(self):
         spec, policy, teacher = self._instance()

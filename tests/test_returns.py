@@ -196,11 +196,16 @@ class TestKStepReturn:
             assert np.array_equal(ret.kstep_from_terms(q, m, k), reference_recursion(q, m, k))
 
     def test_clip_applies_to_assembled_values(self):
-        teacher = table_teacher({(0,): [0.0, 250.0, 0.0, 0.0]}, 4)
-        traj = make_trajectory(VOCAB4, [3])
-        teacher = table_teacher({(0,): [0.0, 0.0, 0.0, 250.0]}, 4)
+        # q = 0 on every action taken and max q = 60 at every state: each
+        # q-term lies inside the clip range, but G[0] = -60 - 60 = -120 does
+        # not, so only clipping the assembled return gives -100
+        teacher = table_teacher({(0,): [60.0, 0.0, 0.0, 0.0]}, 4)
+        traj = make_trajectory(VOCAB4, [1, 2, 3])
+        q, m = ret.trajectory_q_terms(traj, teacher)
+        assert q.tolist() == [0.0, 0.0, 0.0] and m.tolist() == [60.0, 60.0, 60.0]
+        assert ret.kstep_return_raw(traj, teacher, 1).tolist() == [-120.0, -60.0, 0.0]
         out = ret.kstep_return(traj, teacher, ReturnConfig(k=1, clip_range=(-100.0, 100.0)))
-        assert out.tolist() == [100.0]
+        assert out.tolist() == [-100.0, -60.0, 0.0]
 
 
 class TestImpliedBaseline:
