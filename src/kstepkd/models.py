@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -76,6 +77,16 @@ def encode_context(context: tuple[int, ...], vocab_size: int) -> np.ndarray:
     for j, tok in enumerate(context):
         enc[j * vocab_size + tok] = 1.0
     return enc
+
+
+def _slot_sum(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """sum_j table[idx[:, j]] for int idx [N, window], accumulated slot by
+    slot: bitwise ``table[idx].sum(axis=1)``, without that gather's
+    [N, window, width] intermediate."""
+    acc = table[idx[:, 0]]
+    for j in range(1, idx.shape[1]):
+        acc += table[idx[:, j]]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -144,9 +155,9 @@ class LogitModel:
         for gathered columns [N, window]."""
         if self.kind == "linear":
             w, b = self._views
-            return None, w.T[cols].sum(axis=1) + b
+            return None, _slot_sum(w.T, cols) + b
         w1, b1, w2, b2 = self._views
-        h = np.tanh(w1.T[cols].sum(axis=1) + b1)
+        h = np.tanh(_slot_sum(w1.T, cols) + b1)
         return h, h @ w2.T + b2
 
     def batch_logits(self, contexts: np.ndarray) -> np.ndarray:
@@ -264,6 +275,149 @@ class LogitModel:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         return self.with_params(self.params + lr * grad)
+
+
+@dataclass(frozen=True)
+class ModelStack:
+    """R models of one architecture with their parameters stacked [R, P]:
+    the population form of ``LogitModel``.
+
+    Each batched call takes the run index of every row, sorted, so that the
+    rows of a run are contiguous.  Gathers, scatters and elementwise steps
+    run on all rows at once.  Each matrix product and sum over rows runs
+    once per run, on that run's rows: BLAS rounds a row of a product
+    differently at another row count, so this keeps every run bitwise equal
+    to the ``LogitModel`` call on its rows alone.
+    """
+
+    kind: str
+    vocab_size: int
+    window: int
+    hidden: int
+    params: np.ndarray
+
+    def __post_init__(self) -> None:
+        expected = param_count(ModelArch(self.kind, self.window, self.hidden), self.vocab_size)
+        if self.params.ndim != 2 or self.params.shape[1] != expected:
+            raise ValueError(
+                f"stacked parameters have shape {self.params.shape}, expected (R, {expected})"
+            )
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("model parameters must be finite")
+        self.params.flags.writeable = False
+        object.__setattr__(self, "_offsets", np.arange(self.window) * self.vocab_size)
+        object.__setattr__(self, "_edges", np.arange(len(self.params) + 1))
+        r, v, n, h = len(self.params), self.vocab_size, self.window, self.hidden
+        width = v if self.kind == "linear" else h
+        o = width * n * v
+        w1 = self.params[:, :o].reshape(r, width, n * v)
+        # the first layer's columns as rows of one table, run-major: a row's
+        # slot j reads table row run * n * v + column (``_table_rows``)
+        object.__setattr__(self, "_table", w1.transpose(0, 2, 1).reshape(r * n * v, width))
+        object.__setattr__(self, "_b1", self.params[:, o : o + width])
+        if self.kind == "mlp1":
+            o += h
+            object.__setattr__(self, "_w2", self.params[:, o : o + v * h].reshape(r, v, h))
+            object.__setattr__(self, "_b2", self.params[:, o + v * h :])
+
+    @classmethod
+    def of(cls, models: Sequence[LogitModel]) -> ModelStack:
+        """The stack of models of one architecture and vocabulary, in order."""
+        first = models[0]
+        for m in models[1:]:
+            if (m.arch, m.vocab_size) != (first.arch, first.vocab_size):
+                raise ValueError("stacked models must share architecture and vocabulary")
+        params = np.stack([m.params for m in models])
+        return cls(first.kind, first.vocab_size, first.window, first.hidden, params)
+
+    def model(self, r: int) -> LogitModel:
+        """Run r's model."""
+        return LogitModel(self.kind, self.vocab_size, self.window, self.hidden, self.params[r].copy())
+
+    def apply_update(self, grad: np.ndarray, lr: float) -> ModelStack:
+        """Gradient ascent on every run: params + lr * grad [R, P]."""
+        return replace(self, params=self.params + lr * grad)
+
+    def _bounds(self, run: np.ndarray) -> list[tuple[int, int]]:
+        """(start, end) of each run's rows, for sorted run indices."""
+        edges = np.searchsorted(run, self._edges).tolist()
+        return list(zip(edges[:-1], edges[1:]))
+
+    def _table_rows(self, contexts: np.ndarray, run: np.ndarray) -> np.ndarray:
+        return contexts + self._offsets + (run * (self.window * self.vocab_size))[:, None]
+
+    def _forward(
+        self, rows: np.ndarray, run: np.ndarray, bounds: list[tuple[int, int]]
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        u = _slot_sum(self._table, rows) + self._b1[run]
+        if self.kind == "linear":
+            return None, u
+        h = np.tanh(u)
+        z = np.empty((len(h), self.vocab_size))
+        for r, (lo, hi) in enumerate(bounds):
+            np.matmul(h[lo:hi], self._w2[r].T, out=z[lo:hi])
+        return h, z + self._b2[run]
+
+    def batch_logits(self, contexts: np.ndarray, run: np.ndarray) -> np.ndarray:
+        """Logits [N, V] for int contexts [N, window], row i under model run[i]."""
+        return self._forward(self._table_rows(contexts, run), run, self._bounds(run))[1]
+
+    def _first_layer_cotangent(
+        self, h: np.ndarray | None, dz: np.ndarray, bounds: list[tuple[int, int]]
+    ) -> np.ndarray:
+        if h is None:
+            return dz
+        du = np.empty_like(h)
+        for r, (lo, hi) in enumerate(bounds):
+            np.matmul(dz[lo:hi], self._w2[r], out=du[lo:hi])
+        return du * (1.0 - h * h)
+
+    def _scores(self, contexts: np.ndarray, actions: np.ndarray, run: np.ndarray):
+        """``LogitModel._scores`` with each row under its run's model, with
+        table rows in place of columns, plus the run bounds."""
+        rows, bounds = self._table_rows(contexts, run), self._bounds(run)
+        h, z = self._forward(rows, run, bounds)
+        lp = log_softmax(z)
+        err = -np.exp(lp)
+        err[np.arange(len(actions)), actions] += 1.0
+        return rows, bounds, h, lp, err
+
+    def weighted_logit_grad(
+        self, contexts: np.ndarray, actions: np.ndarray, weights: np.ndarray, run: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per run, sum_i w_i d log pi(a_i|c_i) / d params over its rows, as
+        [R, P], plus the log-probs [N, V] of the same forward pass."""
+        rows, bounds, h, lp, err = self._scores(contexts, actions, run)
+        dz = err * weights[:, None]
+        d1 = self._first_layer_cotangent(h, dz, bounds)
+        nv, width = self.window * self.vocab_size, d1.shape[1]
+        o = width * nv
+        grad = np.zeros_like(self.params)
+        # the first layer's scatter for all runs into one table (in row
+        # order, as LogitModel._backward), then laid out as each run's
+        # [width, nv]
+        g1t = np.zeros((len(self.params) * nv, width))
+        for j in range(self.window):
+            np.add.at(g1t, rows[:, j], d1)
+        grad[:, :o] = g1t.reshape(len(self.params), nv, width).transpose(0, 2, 1).reshape(-1, o)
+        for r, (lo, hi) in enumerate(bounds):
+            grad[r, o : o + width] = d1[lo:hi].sum(axis=0)
+            if h is not None:
+                p = o + width + self.vocab_size * width
+                grad[r, o + width : p] = (dz[lo:hi].T @ h[lo:hi]).ravel()
+                grad[r, p:] = dz[lo:hi].sum(axis=0)
+        return grad, lp
+
+    def score_sq_norms(
+        self, contexts: np.ndarray, actions: np.ndarray, run: np.ndarray
+    ) -> np.ndarray:
+        """``LogitModel.score_sq_norms`` with each row under its run's model."""
+        _, bounds, h, _, err = self._scores(contexts, actions, run)
+        e2 = (err * err).sum(axis=1)
+        if h is None:
+            return (self.window + 1) * e2
+        du = self._first_layer_cotangent(h, err, bounds)
+        return e2 * (1.0 + (h * h).sum(axis=1)) + (self.window + 1) * (du * du).sum(axis=1)
 
 
 def target_counts(

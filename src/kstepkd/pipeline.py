@@ -166,27 +166,44 @@ def run_seed(
     raw_cfg: dict[str, Any], seed: int, out_dir: str, splits: DataSplits
 ) -> list[dict[str, Any]]:
     """Full pipeline for one seed on the sweep's corpus splits: teacher,
-    pre-distilled student, and one RL run per variant.  Returns summary rows;
-    writes all per-run artifacts."""
+    pre-distilled student, and the RL runs of every variant, trained as one
+    population.  Returns summary rows; writes all per-run artifacts.  A
+    failed RL run is the stage ``rl:<variant>`` of the first failed variant,
+    raised after the artifacts of the variants before it."""
     cfg = ExperimentConfig(raw_cfg)
     seed_teacher = fit_seed_teacher(cfg, splits, seed)
     student0 = init_seed_student(cfg, seed)
     student_pd = predistill_student(cfg, student0, seed_teacher, splits, seed)
 
+    specs = variant_list(cfg)
+    try:
+        outcomes = trainer.train_population(
+            student_pd, seed_teacher, splits.train_states,
+            [cfg.rl_config(estimator, k, seed) for _, estimator, k in specs],
+            val_inputs=splits.val_states,
+        )
+    except Exception as exc:
+        # the shared first evaluation: in series, the first variant fails
+        raise StageError(f"rl:{specs[0][0]}", seed, exc) from exc
+    # the variants before the first failed one, whose artifacts are written
+    done = next((i for i, out in enumerate(outcomes) if isinstance(out, Exception)), len(specs))
+    bests = [best for best, _, _ in outcomes[:done]]
+    test_returns = trainer.evaluate_population(
+        models.ModelStack.of(bests), seed_teacher, splits.test_states, cfg.horizon
+    ) if bests else []
+
     rows: list[dict[str, Any]] = []
-    for spec in variant_list(cfg):
-        name, _, k = spec
+    for (name, _, k), out in zip(specs, outcomes):
         run_dir = Path(out_dir) / "runs" / name / f"seed{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         teacher_mod.save_teacher(seed_teacher, run_dir / "teacher.json")
         models.save_model(student_pd, run_dir / "student_predistill.json")
-        best, log = rl_student(cfg, student_pd, seed_teacher, splits, seed, spec)
+        if isinstance(out, Exception):
+            raise StageError(f"rl:{name}", seed, out) from out
+        best, log, best_val = out
         models.save_model(best, run_dir / "student_rl.json")
         log.to_csv(run_dir / "trainlog.csv")
-        test_return = trainer.evaluate_greedy(
-            best, seed_teacher, splits.test_states, cfg.horizon
-        )
-        best_val = trainer.evaluate_greedy(best, seed_teacher, splits.val_states, cfg.horizon)
+        test_return = test_returns[len(rows)]
         (run_dir / "eval.json").write_text(
             json.dumps({"variant": name, "k": k, "seed": seed,
                         "test_return": test_return, "best_val_return": best_val})

@@ -95,15 +95,28 @@ def trajectory_q_terms(
 
 
 def batch_q_terms(
-    batch: TrajectoryBatch, teacher: FrozenModelTeacher
+    batch: TrajectoryBatch, teacher: FrozenModelTeacher, run: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(q_taken, max_q) as [B, H] arrays, zero past each row's length."""
+    """(q_taken, max_q) as [B, H] arrays, zero past each row's length.
+
+    With ``run``, the sorted run index of each row of a population batch,
+    the teacher scores each run's steps in a call of their own, so they
+    round as in the call on that run's rows alone."""
     mask = batch.step_mask
+    contexts, actions = batch.step_contexts(teacher.window)[mask], batch.actions[mask]
     q = np.zeros(mask.shape, dtype=np.float64)
     m = np.zeros(mask.shape, dtype=np.float64)
-    q[mask], m[mask] = q_terms(
-        teacher, batch.step_contexts(teacher.window)[mask], batch.actions[mask]
-    )
+    if run is None:
+        q[mask], m[mask] = q_terms(teacher, contexts, actions)
+        return q, m
+    # each run's steps end after the steps of its last row
+    ends = np.cumsum(batch.lengths)[np.flatnonzero(np.diff(run, append=run[-1] + 1))]
+    parts = [
+        q_terms(teacher, contexts[lo:hi], actions[lo:hi])
+        for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist())
+    ]
+    q[mask] = np.concatenate([qt for qt, _ in parts])
+    m[mask] = np.concatenate([mt for _, mt in parts])
     return q, m
 
 
@@ -136,11 +149,12 @@ def kstep_from_terms(q: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
 
 
 def kstep_from_batch_terms(
-    q: np.ndarray, m: np.ndarray, lengths: np.ndarray, k: int
+    q: np.ndarray, m: np.ndarray, lengths: np.ndarray, k: int | np.ndarray
 ) -> np.ndarray:
     """``kstep_from_terms`` for every row of [B, H] term arrays at once, with
     the same per-element operations; row i ends at step lengths[i] - 1
-    (lengths >= 1).  K = 1 gives the actual return G.  The result is zero
+    (lengths >= 1).  ``k`` is one K for every row, or an int array [B] of
+    each row's own K.  K = 1 gives the actual return G.  The result is zero
     past each row's length, whatever the terms hold there."""
     rows = np.arange(q.shape[0])
     last = lengths - 1

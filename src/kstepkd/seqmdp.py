@@ -209,7 +209,8 @@ def decode(
     window: int,
     initial: Sequence[State],
     horizon: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    run: np.ndarray | None = None,
 ) -> TrajectoryBatch:
     """Rollouts of every initial state in lockstep.
 
@@ -219,6 +220,12 @@ def decode(
     per state.  With ``rng`` each running row draws its action from the
     softmax by inverse CDF, from one ``rng.random(n_running)`` per step in
     row order, so a single row draws exactly as ``rollout(mode="sample")``.
+
+    ``run`` makes the rows a population of independent runs: it holds each
+    row's run index, sorted.  ``score`` is then called as ``score(contexts,
+    run_of_each_row)``, and ``rng`` holds one generator per run; each step
+    draws ``rng[r].random(n_running_r)`` for the runs in order, so every run
+    draws exactly as its rows would alone.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -238,7 +245,9 @@ def decode(
     lengths = np.zeros(b, dtype=np.int64)
     alive = np.arange(b)
     for t in range(horizon):
-        logits = score(tokens[alive, p + t - window : p + t])
+        contexts = tokens[alive, p + t - window : p + t]
+        alive_run = None if run is None else run[alive]
+        logits = score(contexts) if run is None else score(contexts, alive_run)
         if logits.shape != (len(alive), vocab.size):
             raise ValueError(
                 f"scores have shape {logits.shape}, expected ({len(alive)}, {vocab.size})"
@@ -253,7 +262,11 @@ def decode(
             # clamp guards the final partial sum rounding below 1.0
             log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
             cdf = np.cumsum(np.exp(log_probs), axis=1)
-            u = rng.random(len(alive))
+            if run is None:
+                u = rng.random(len(alive))
+            else:
+                counts = np.bincount(alive_run, minlength=len(rng)).tolist()
+                u = np.concatenate([g.random(n) for g, n in zip(rng, counts)])
             actions = np.minimum((cdf <= u[:, None]).sum(axis=1), vocab.size - 1)
             lp = log_probs[np.arange(len(alive)), actions]
         if not np.all(np.isfinite(lp)):

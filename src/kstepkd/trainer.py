@@ -26,7 +26,7 @@ import numpy as np
 
 from . import models as models_mod
 from . import returns as ret
-from .models import LogitModel
+from .models import LogitModel, ModelStack
 from .returns import DEFAULT_CLIP_RANGE, ReturnConfig
 from .seqmdp import State, decode
 from .teacher import FrozenModelTeacher
@@ -89,20 +89,24 @@ class TrainRecord:
 TRAINLOG_HEADER = ("iter", "mean_G", "mean_Ghat", "grad_norm", "entropy", "eval_return")
 
 
+def _check_finite(record: TrainRecord) -> None:
+    for name in (
+        "mean_return_actual",
+        "mean_return_khat",
+        "grad_norm",
+        "policy_entropy",
+        "eval_greedy_return",
+    ):
+        if not np.isfinite(getattr(record, name)):
+            raise NonFiniteGradientError(f"non-finite {name} at iteration {record.iteration}")
+
+
 @dataclass
 class TrainLog:
     records: list[TrainRecord] = field(default_factory=list)
 
     def append(self, record: TrainRecord) -> None:
-        for name in (
-            "mean_return_actual",
-            "mean_return_khat",
-            "grad_norm",
-            "policy_entropy",
-            "eval_greedy_return",
-        ):
-            if not np.isfinite(getattr(record, name)):
-                raise NonFiniteGradientError(f"non-finite {name} at iteration {record.iteration}")
+        _check_finite(record)
         self.records.append(record)
 
     def to_csv(self, path: str | Path) -> None:
@@ -178,22 +182,24 @@ def estimator_signals(
     of the same rows (``kstep_from_batch_terms``).  The kstep estimators
     clip Ghat; both baselines are subtracted from clipped G and pool the
     rows still running at each step, and ``sq_norms`` [B, H] (||d log pi||^2
-    per step) weights the min-variance one."""
+    per step) weights the min-variance one.  Stacks [R, B, H] of R runs
+    (with lengths [R, B]) pool each run's baselines over its own rows."""
     rc = cfg.return_config
-    mask = np.arange(g.shape[1]) < lengths[:, None]
+    mask = np.arange(g.shape[-1]) < lengths[..., None]
     if cfg.estimator in ("kstep", "llmr"):
         return np.where(mask, ret.clip_returns(g_hat, rc), 0.0)
     g = np.where(mask, ret.clip_returns(g, rc), 0.0)
-    alive = mask.sum(axis=0)
+    alive = mask.sum(axis=-2, keepdims=True)
     if cfg.estimator == "mean_baseline":
         # leave-one-out mean of the other running rows; none for a lone row
         others = np.maximum(alive - 1, 1)
-        baseline = np.where(alive > 1, (g.sum(axis=0) - g) / others, 0.0)
+        baseline = np.where(alive > 1, (g.sum(axis=-2, keepdims=True) - g) / others, 0.0)
     else:  # minvar_baseline
         w = np.where(mask, sq_norms, 0.0)
-        denom = w.sum(axis=0)
+        denom = w.sum(axis=-2, keepdims=True)
         baseline = np.divide(
-            (w * g).sum(axis=0), denom, out=np.zeros_like(denom), where=denom > 0.0
+            (w * g).sum(axis=-2, keepdims=True), denom, out=np.zeros_like(denom),
+            where=denom > 0.0,
         )
     return np.where(mask, g - baseline, 0.0)
 
@@ -263,18 +269,97 @@ def reinforce_step(
     return new_student, record
 
 
+def _left_to_right_mean(values: list[float]) -> float:
+    # in input order: the mean must not depend on numpy's pairwise
+    # summation, which groups terms by the batch size
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def evaluate_greedy(
     student: LogitModel, teacher: FrozenModelTeacher, inputs: Sequence[State], horizon: int
 ) -> float:
     """Mean actual return of greedy rollouts over a fixed input set."""
     batch = decode(student.batch_logits, student.window, inputs, horizon)
     q, m = ret.batch_q_terms(batch, teacher)
-    # left to right in input order: the mean must not depend on numpy's
-    # pairwise summation, which groups terms by the batch size
-    total = 0.0
-    for g0 in ret.kstep_from_batch_terms(q, m, batch.lengths, 1)[:, 0].tolist():
-        total += g0
-    return total / len(inputs)
+    return _left_to_right_mean(ret.kstep_from_batch_terms(q, m, batch.lengths, 1)[:, 0].tolist())
+
+
+def evaluate_population(
+    stack: ModelStack, teacher: FrozenModelTeacher, inputs: Sequence[State], horizon: int
+) -> list[float]:
+    """``evaluate_greedy`` of every model of the stack, from one greedy
+    decode over R x len(inputs) rows; bitwise the solo values."""
+    n = len(inputs)
+    run = np.repeat(np.arange(len(stack.params)), n)
+    batch = decode(stack.batch_logits, stack.window, list(inputs) * len(stack.params), horizon,
+                   run=run)
+    q, m = ret.batch_q_terms(batch, teacher, run)
+    g0 = ret.kstep_from_batch_terms(q, m, batch.lengths, 1)[:, 0].tolist()
+    return [_left_to_right_mean(g0[lo : lo + n]) for lo in range(0, len(g0), n)]
+
+
+def _collapse(iteration: int) -> FloatingPointError:
+    return FloatingPointError(
+        f"policy collapsed at iteration {iteration}: entropy 0.0, so every "
+        "sampled score and update is 0"
+    )
+
+
+@dataclass
+class _Run:
+    """The state one training run carries between iterations, apart from
+    its current student: generator, input order, log, the best student by
+    greedy validation return and the latest such return, and, once it has
+    failed, the error that stopped it."""
+
+    cfg: TrainConfig
+    rng: np.random.Generator
+    best: LogitModel
+    best_eval: float
+    eval_return: float
+    log: TrainLog = field(default_factory=TrainLog)
+    order: list[int] = field(default_factory=list)
+    error: Exception | None = None
+
+    def next_batch(self, inputs: Sequence[State]) -> list[State]:
+        """The next batch_size inputs of reshuffled passes over the inputs."""
+        size = self.cfg.batch_size
+        while len(self.order) < size:
+            self.order.extend(int(i) for i in self.rng.permutation(len(inputs)))
+        batch = [inputs[i] for i in self.order[:size]]
+        del self.order[:size]
+        return batch
+
+    def eval_due(self, iteration: int) -> bool:
+        return (iteration + 1) % self.cfg.eval_every == 0 or iteration + 1 == self.cfg.iterations
+
+    def step(
+        self,
+        student: LogitModel,
+        teacher: FrozenModelTeacher,
+        batch: Sequence[State],
+        val: Sequence[State],
+        iteration: int,
+    ) -> LogitModel:
+        """One iteration of ``train``: the update, the collapse check, the
+        greedy evaluation with keep-best when due, and the log row.  Returns
+        the updated student."""
+        student, record = reinforce_step(
+            student, teacher, batch, self.cfg, self.rng, iteration=iteration,
+            eval_return=self.eval_return,
+        )
+        if record.policy_entropy == 0.0:
+            raise _collapse(iteration)
+        if self.eval_due(iteration):
+            self.eval_return = evaluate_greedy(student, teacher, val, self.cfg.horizon)
+            if self.eval_return > self.best_eval:
+                self.best, self.best_eval = student, self.eval_return
+            record = replace(record, eval_greedy_return=self.eval_return)
+        self.log.append(record)
+        return student
 
 
 def train(
@@ -296,36 +381,170 @@ def train(
         raise ValueError("train requires cfg.stage == 'rl'")
     if not inputs:
         raise ValueError("train requires a non-empty input set")
-    log = TrainLog()
     if cfg.iterations == 0:
-        return student, log
+        return student, TrainLog()
 
     val = list(val_inputs) if val_inputs else list(inputs)
-    rng = np.random.default_rng(cfg.seed)
-    order: list[int] = []
-
     eval_return = evaluate_greedy(student, teacher, val, cfg.horizon)
-    best_student, best_eval = student, eval_return
-
+    run = _Run(cfg, np.random.default_rng(cfg.seed), student, eval_return, eval_return)
     for iteration in range(cfg.iterations):
-        while len(order) < cfg.batch_size:
-            order.extend(int(i) for i in rng.permutation(len(inputs)))
-        batch = [inputs[i] for i in order[: cfg.batch_size]]
-        del order[: cfg.batch_size]
+        student = run.step(student, teacher, run.next_batch(inputs), val, iteration)
+    return run.best, run.log
 
-        student, record = reinforce_step(
-            student, teacher, batch, cfg, rng, iteration=iteration, eval_return=eval_return
+
+# -- population training --------------------------------------------------------
+
+
+def _lockstep_step(
+    stack: ModelStack,
+    teacher: FrozenModelTeacher,
+    batches: Sequence[Sequence[State]],
+    runs: Sequence[_Run],
+    iteration: int,
+) -> tuple[ModelStack, list[tuple[float, float, float, float]]]:
+    """``reinforce_step`` of every run of the stack at once: one population
+    decode, teacher scoring and K-step recursion with each row's own K, each
+    estimator's signals for its runs as one [R, B, H] stack, and one
+    backward into [R, P].  Returns the updated stack and, per run, the
+    record's (mean_G, mean_Ghat, grad_norm, entropy).  Raises when a
+    gradient or an updated parameter is not finite, without naming the
+    run."""
+    cfgs = [run.cfg for run in runs]
+    cfg, n_runs = cfgs[0], len(cfgs)
+    b = cfg.batch_size
+    run = np.repeat(np.arange(n_runs), b)
+    trajs = decode(
+        stack.batch_logits, stack.window, [s for batch in batches for s in batch], cfg.horizon,
+        rng=[r.rng for r in runs], run=run,
+    )
+    mask = trajs.step_mask
+    contexts, actions = trajs.step_contexts(stack.window)[mask], trajs.actions[mask]
+    step_run = np.repeat(run, trajs.lengths)
+    q, m = ret.batch_q_terms(trajs, teacher, run)
+    g = ret.kstep_from_batch_terms(q, m, trajs.lengths, 1)
+    k = np.repeat([c.return_config.k for c in cfgs], b)
+    g_hat = g if np.all(k == 1) else ret.kstep_from_batch_terms(q, m, trajs.lengths, k)
+
+    shape = (n_runs, b, g.shape[1])
+    sq_norms = None
+    if any(c.estimator == "minvar_baseline" for c in cfgs):
+        sq_norms = np.zeros(mask.shape)
+        sq_norms[mask] = stack.score_sq_norms(contexts, actions, step_run)
+        sq_norms = sq_norms.reshape(shape)
+    groups: dict[str, list[int]] = {}
+    for r, c in enumerate(cfgs):
+        groups.setdefault(c.estimator, []).append(r)
+    g3, g_hat3, lengths = g.reshape(shape), g_hat.reshape(shape), trajs.lengths.reshape(shape[:2])
+    signals = np.empty(shape)
+    for rows in groups.values():
+        signals[rows] = estimator_signals(
+            g3[rows], g_hat3[rows], lengths[rows],
+            None if sq_norms is None else sq_norms[rows], cfgs[rows[0]],
         )
-        if record.policy_entropy == 0.0:
-            raise FloatingPointError(
-                f"policy collapsed at iteration {iteration}: entropy 0.0, so every "
-                "sampled score and update is 0"
-            )
-        if (iteration + 1) % cfg.eval_every == 0 or iteration + 1 == cfg.iterations:
-            eval_return = evaluate_greedy(student, teacher, val, cfg.horizon)
-            if eval_return > best_eval:
-                best_student, best_eval = student, eval_return
-            record = replace(record, eval_greedy_return=eval_return)
-        log.append(record)
+    signals = signals.reshape(g.shape) / b
 
-    return best_student, log
+    accum, log_probs = stack.weighted_logit_grad(contexts, actions, signals[mask], step_run)
+    if not np.all(np.isfinite(accum)):
+        raise NonFiniteGradientError("non-finite gradient in a lockstep step")
+    new_stack = stack.apply_update(accum, cfg.lr) if cfg.lr > 0 else stack
+
+    entropy = -(np.exp(log_probs) * log_probs).sum(axis=1)
+    ends = np.searchsorted(step_run, np.arange(n_runs + 1)).tolist()
+    mean_g = g[:, 0].reshape(shape[:2]).mean(axis=1)
+    mean_g_hat = ret.clip_returns(g_hat[:, 0], cfg.return_config).reshape(shape[:2]).mean(axis=1)
+    stats = [
+        (float(mean_g[r]), float(mean_g_hat[r]), float(np.linalg.norm(accum[r])),
+         float(np.mean(entropy[ends[r] : ends[r + 1]])))
+        for r in range(n_runs)
+    ]
+    return new_stack, stats
+
+
+def _lockstep_iteration(
+    stack: ModelStack,
+    teacher: FrozenModelTeacher,
+    batches: Sequence[Sequence[State]],
+    runs: Sequence[_Run],
+    val: Sequence[State],
+    iteration: int,
+) -> ModelStack:
+    """``_Run.step`` of every run at once.  Unless every run completes the
+    iteration, this raises and changes nothing of any run but its
+    generator, so that the iteration can be replayed run by run."""
+    new_stack, stats = _lockstep_step(stack, teacher, batches, runs, iteration)
+    if any(entropy == 0.0 for *_, entropy in stats):
+        raise _collapse(iteration)
+    due = runs[0].eval_due(iteration)
+    if due:
+        evals = evaluate_population(new_stack, teacher, val, runs[0].cfg.horizon)
+    else:
+        evals = [run.eval_return for run in runs]
+    records = [TrainRecord(iteration, *st, ev) for st, ev in zip(stats, evals)]
+    for record in records:
+        _check_finite(record)
+    for r, (run, record) in enumerate(zip(runs, records)):
+        run.eval_return = record.eval_greedy_return
+        if due and run.eval_return > run.best_eval:
+            run.best, run.best_eval = new_stack.model(r), run.eval_return
+        run.log.append(record)
+    return new_stack
+
+
+def train_population(
+    student: LogitModel,
+    teacher: FrozenModelTeacher,
+    inputs: Sequence[State],
+    cfgs: Sequence[TrainConfig],
+    val_inputs: Sequence[State] | None = None,
+) -> list[tuple[LogitModel, TrainLog, float] | Exception]:
+    """``train`` for every config at once, from one student: R runs in one
+    REINFORCE loop over a ``ModelStack``.
+
+    The configs may differ only in (estimator, k).  Each run keeps its own
+    generator and input order, so it samples, updates, evaluates and keeps
+    its best student bitwise as its solo ``train`` does.  An iteration in
+    which any run fails is replayed run by run from the same draws, so that
+    each failing run raises exactly its solo error; a failed run is dropped
+    and the others go on.
+
+    Returns, per config, (best student, log, greedy validation return of
+    the best student), or the exception that stopped the run.  The
+    validation return is computed even at zero iterations.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("train_population requires at least one config")
+    if len({replace(c, estimator="kstep", k=1) for c in cfgs}) > 1:
+        raise ValueError("population runs may differ only in estimator and k")
+    cfg = cfgs[0]
+    if cfg.stage != "rl":
+        raise ValueError("train_population requires cfg.stage == 'rl'")
+    if not inputs:
+        raise ValueError("train_population requires a non-empty input set")
+
+    val = list(val_inputs) if val_inputs else list(inputs)
+    # every run starts from the same student, so one evaluation serves all
+    eval_return = evaluate_greedy(student, teacher, val, cfg.horizon)
+    runs = [_Run(c, np.random.default_rng(c.seed), student, eval_return, eval_return)
+            for c in cfgs]
+    live, stack = runs, ModelStack.of([student] * len(runs))
+    for iteration in range(cfg.iterations):
+        batches = [run.next_batch(inputs) for run in live]
+        states = [run.rng.bit_generator.state for run in live]
+        try:
+            stack = _lockstep_iteration(stack, teacher, batches, live, val, iteration)
+        except (ValueError, FloatingPointError, NonFiniteGradientError):
+            # replay the iteration run by run from the same draws
+            students = []
+            for r, run in enumerate(live):
+                run.rng.bit_generator.state = states[r]
+                try:
+                    students.append(run.step(stack.model(r), teacher, batches[r], val, iteration))
+                except Exception as exc:  # this run's stage failure; the others go on
+                    run.error = exc
+            live = [run for run in live if run.error is None]
+            if not live:
+                break
+            stack = ModelStack.of(students)
+    return [(run.best, run.log, run.best_eval) if run.error is None else run.error
+            for run in runs]

@@ -10,7 +10,7 @@ import pytest
 
 from kstepkd import pipeline, trainer
 from kstepkd.config import from_dict
-from kstepkd.models import LogitModel
+from kstepkd.models import LogitModel, ModelStack
 from kstepkd.teacher import FrozenModelTeacher
 
 
@@ -63,20 +63,24 @@ def desk_models(desk_cfg, desk_splits):
 @pytest.fixture(scope="session")
 def k_sweep_results(desk_cfg, desk_splits, desk_models):
     """Final greedy test returns per (variant, seed) for the default sweep,
-    plus the wall-clock seconds the sweep took."""
+    each seed's variants trained as one population (bitwise their solo
+    runs), plus the wall-clock seconds the sweep took."""
     import time
 
     start = time.time()
     rows = {}
+    variants = pipeline.variant_list(desk_cfg)
     for seed in desk_cfg.seeds:
         teacher, student = desk_models[seed]
-        for name, estimator, k in pipeline.variant_list(desk_cfg):
-            rl = desk_cfg.rl_config(estimator, k, seed)
-            best, _ = trainer.train(
-                student, teacher, desk_splits.train_states, rl,
-                val_inputs=desk_splits.val_states,
-            )
-            rows[(name, seed)] = trainer.evaluate_greedy(
-                best, teacher, desk_splits.test_states, desk_cfg.horizon
-            )
+        outcomes = trainer.train_population(
+            student, teacher, desk_splits.train_states,
+            [desk_cfg.rl_config(estimator, k, seed) for _, estimator, k in variants],
+            val_inputs=desk_splits.val_states,
+        )
+        bests = ModelStack.of([best for best, _, _ in outcomes])
+        test_returns = trainer.evaluate_population(
+            bests, teacher, desk_splits.test_states, desk_cfg.horizon
+        )
+        for (name, _, _), test_return in zip(variants, test_returns):
+            rows[(name, seed)] = test_return
     return rows, time.time() - start

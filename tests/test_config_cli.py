@@ -238,6 +238,37 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "failed (seed 0)" in err and "entropy 0.0" in err
 
+    def test_first_failed_variant_is_the_stage(self, tmp_path, capsys, monkeypatch):
+        """The RL runs of a seed train as one population.  When two of them
+        fail (non-finite signals for both baselines), the first in variant
+        order is the failed stage; the variants before it keep their
+        artifacts, and nothing after it is written."""
+        from kstepkd import cli, trainer
+
+        signals = trainer.estimator_signals
+
+        def spoiled(g, g_hat, lengths, sq_norms, cfg):
+            out = signals(g, g_hat, lengths, sq_norms, cfg)
+            return out * np.nan if cfg.estimator.endswith("_baseline") else out
+
+        monkeypatch.setattr(trainer, "estimator_signals", spoiled)
+        data = tiny_config(tmp_path, include_baselines=True, seeds=[0])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with np.errstate(all="ignore"):
+            code = main(["--config", str(path), "sweep-k"])
+        assert code == cli.EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "stage 'rl:mean_baseline' failed (seed 0)" in err
+        assert "non-finite gradient from trajectory" in err
+        runs = tmp_path / "runs" / "runs"
+        for variant in ("llmr", "kstep_k2"):
+            assert (runs / variant / "seed0" / "eval.json").exists()
+        assert sorted(p.name for p in (runs / "mean_baseline" / "seed0").iterdir()) == [
+            "student_predistill.json", "teacher.json"
+        ]
+        assert not (runs / "minvar_baseline").exists()
+
     def test_empty_test_split_exit_2(self, tmp_path):
         data = tiny_config(tmp_path)
         data["corpus"] = {**data["corpus"], "n_test": 0}

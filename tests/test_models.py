@@ -95,6 +95,72 @@ class TestForward:
                 np.testing.assert_allclose(batched[i], m.logits(s), atol=1e-14)
 
 
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp1", 4), ("mlp1", 8), ("mlp1", 32)])
+    def test_slot_accumulation_matches_window_reduction(self, kind, hidden, window):
+        """The first layer accumulates slot by slot; it must equal the sum
+        over the gathered [N, window, width] block bitwise."""
+        rng = np.random.default_rng(window * 100 + hidden)
+        m = init_model(ModelArch(kind, window=window, hidden=hidden), 7, rng, scale=1.0)
+        cols = rng.integers(0, 7, size=(5000, window)) + np.arange(window) * 7
+        h, z = m._forward(cols)
+        if kind == "linear":
+            w, b = m._views
+            assert np.array_equal(z, w.T[cols].sum(axis=1) + b)
+        else:
+            w1, b1, w2, b2 = m._views
+            h_ref = np.tanh(w1.T[cols].sum(axis=1) + b1)
+            assert np.array_equal(h, h_ref)
+            assert np.array_equal(z, h_ref @ w2.T + b2)
+
+
+class TestModelStack:
+    @pytest.mark.parametrize("arch", [
+        ModelArch("linear", window=2),
+        ModelArch("mlp1", window=3, hidden=8),
+        ModelArch("mlp1", window=2, hidden=32),
+    ])
+    @pytest.mark.parametrize("sizes", [(1,), (3, 1, 40), (0, 5, 2, 300)])
+    def test_each_run_matches_its_model_bitwise(self, arch, sizes):
+        """Logits, weighted gradients and squared score norms of each run's
+        rows equal the LogitModel call on those rows alone, for ragged run
+        sizes, an empty run included."""
+        rng = np.random.default_rng(sum(sizes))
+        ms = [init_model(arch, 6, rng, scale=1.0) for _ in sizes]
+        stack = models.ModelStack.of(ms)
+        run = np.repeat(np.arange(len(sizes)), sizes)
+        contexts = rng.integers(0, 6, size=(len(run), arch.window))
+        actions = rng.integers(0, 6, size=len(run))
+        weights = rng.normal(size=len(run))
+        logits = stack.batch_logits(contexts, run)
+        grad, lp = stack.weighted_logit_grad(contexts, actions, weights, run)
+        sq = stack.score_sq_norms(contexts, actions, run)
+        ends = np.cumsum((0,) + sizes)
+        for r, m in enumerate(ms):
+            rows = slice(ends[r], ends[r + 1])
+            assert np.array_equal(logits[rows], m.batch_logits(contexts[rows]))
+            g_r, lp_r = m.weighted_logit_grad(contexts[rows], actions[rows], weights[rows])
+            assert np.array_equal(grad[r], g_r)
+            assert np.array_equal(lp[rows], lp_r)
+            assert np.array_equal(sq[rows], m.score_sq_norms(contexts[rows], actions[rows]))
+            assert np.array_equal(stack.model(r).params, m.params)
+
+    def test_mixed_architectures_rejected(self):
+        rng = np.random.default_rng(3)
+        a = init_model(ModelArch("mlp1", window=2, hidden=4), 5, rng)
+        b = init_model(ModelArch("mlp1", window=2, hidden=5), 5, rng)
+        with pytest.raises(ValueError):
+            models.ModelStack.of([a, b])
+
+    def test_non_finite_update_rejected(self):
+        m = init_model(ModelArch("linear", window=1), 3, np.random.default_rng(4))
+        stack = models.ModelStack.of([m, m])
+        grad = np.zeros_like(stack.params)
+        grad[1, 0] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            stack.apply_update(grad, 0.1)
+
+
 class TestGradLogProb:
     def test_bias_gradient_at_uniform(self):
         # vocab 2, window 1, zero params, action 0: bias grad = onehot - [.5,.5]

@@ -318,6 +318,27 @@ def test_batch_terms_match_per_row_bitwise(rows, pad):
         assert np.array_equal(g[i, : len(q)], ret.actual_from_terms(q, m))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(term_arrays(), st.integers(1, 9)), min_size=1, max_size=8),
+    st.floats(-5.0, 5.0),
+)
+def test_batch_terms_per_row_k_bitwise(rows, pad):
+    """A [B] array of per-row K (1-9) gives each row's ``kstep_from_terms``
+    at its own K exactly, whatever the padding holds, and zeros past its
+    length."""
+    width = max(len(q) for (q, _), _ in rows)
+    q_pad, m_pad = np.full((len(rows), width), pad), np.full((len(rows), width), pad)
+    for i, ((q, m), _) in enumerate(rows):
+        q_pad[i, : len(q)], m_pad[i, : len(m)] = q, m
+    lengths = np.array([len(q) for (q, _), _ in rows])
+    k = np.array([k for _, k in rows])
+    g = ret.kstep_from_batch_terms(q_pad, m_pad, lengths, k)
+    for i, ((q, m), k_i) in enumerate(rows):
+        assert np.array_equal(g[i, : len(q)], ret.kstep_from_terms(q, m, k_i))
+        assert not g[i, len(q) :].any()
+
+
 @pytest.mark.slow
 class TestIidConstruction:
     def test_variance_matches_closed_form(self):

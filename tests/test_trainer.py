@@ -1,12 +1,16 @@
 """Pre-distillation, REINFORCE stepping, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstepkd import pipeline, trainer
 from kstepkd import returns as ret
-from kstepkd.models import LogitModel, ModelArch, init_model, param_count
+from kstepkd.config import from_dict
+from kstepkd.models import LogitModel, ModelArch, ModelStack, init_model, param_count
 from kstepkd.seqmdp import Vocabulary, decode, initial_state, rollout
 from kstepkd.teacher import FrozenModelTeacher
 from kstepkd.trainer import (
@@ -19,6 +23,7 @@ from kstepkd.trainer import (
     predistill,
     reinforce_step,
     train,
+    train_population,
 )
 
 from conftest import table_teacher
@@ -274,6 +279,127 @@ class TestTrainLoop:
             for v in (r.mean_return_actual, r.mean_return_khat, r.grad_norm,
                       r.policy_entropy, r.eval_greedy_return):
                 assert np.isfinite(v)
+
+
+def tiny_population(student_kind):
+    """(config, splits, teacher, pre-distilled student) on a second-scale
+    config with all 7 variants; rl.iterations 7 with eval_every 3 evaluates
+    at iterations 2, 5 and 6."""
+    student = {"kind": "mlp1", "hidden": 4} if student_kind == "mlp1" else {"kind": "linear", "hidden": 0}
+    cfg = from_dict({
+        "vocab_size": 6, "horizon": 8, "window": 2,
+        "task": {"kind": "markov_chain", "order": 1, "transition_seed": 3,
+                 "eos_prob": 0.1, "cond_len": 1},
+        "teacher": {"kind": "mlp1", "hidden": 8}, "student": student,
+        "teacher_fit": {"epochs": 25, "lr": 1.0}, "predistill": {"epochs": 2, "lr": 0.5},
+        "rl": {"iterations": 7, "lr": 0.3, "batch_size": 3, "eval_every": 3},
+        "seeds": [0], "corpus": {"n_sequences": 24, "seed": 5, "n_val": 4, "n_test": 4},
+    })
+    splits = pipeline.build_corpus(cfg)
+    teacher = pipeline.fit_seed_teacher(cfg, splits, 0)
+    student = pipeline.predistill_student(
+        cfg, pipeline.init_seed_student(cfg, 0), teacher, splits, 0
+    )
+    return cfg, splits, teacher, student
+
+
+def sampled_batches(monkeypatch):
+    """Record (actions, lengths) of every sampled decode the trainer makes."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        batch = decode(*args, **kwargs)
+        if kwargs.get("rng") is not None:
+            n = batch.lengths
+            seen.append([tuple(a[: n[i]].tolist()) for i, a in enumerate(batch.actions)])
+        return batch
+
+    monkeypatch.setattr(trainer, "decode", recording)
+    return seen
+
+
+def spoil_signals(monkeypatch, estimator, factor):
+    """Multiply one estimator's learning signals by ``factor``, in every code
+    path that calls ``estimator_signals``."""
+    signals = trainer.estimator_signals
+
+    def spoiled(g, g_hat, lengths, sq_norms, cfg):
+        out = signals(g, g_hat, lengths, sq_norms, cfg)
+        return out * factor if cfg.estimator == estimator else out
+
+    monkeypatch.setattr(trainer, "estimator_signals", spoiled)
+
+
+class TestTrainPopulation:
+    @pytest.mark.parametrize("student_kind", ["linear", "mlp1"])
+    def test_each_run_matches_solo_train_bitwise(self, monkeypatch, student_kind):
+        cfg, splits, teacher, student = tiny_population(student_kind)
+        variants = pipeline.variant_list(cfg)
+        assert len(variants) == 7
+        cfgs = [cfg.rl_config(estimator, k, 0) for _, estimator, k in variants]
+        seen = sampled_batches(monkeypatch)
+        solo = [train(student, teacher, splits.train_states, c, splits.val_states) for c in cfgs]
+        solo_draws, seen[:] = list(seen), []
+        population = train_population(student, teacher, splits.train_states, cfgs, splits.val_states)
+        b, iters = cfgs[0].batch_size, cfgs[0].iterations
+        assert len(solo_draws) == len(cfgs) * iters and len(seen) == iters
+        for r, ((best, log), (p_best, p_log, p_val)) in enumerate(zip(solo, population)):
+            for it in range(iters):
+                assert seen[it][r * b : (r + 1) * b] == solo_draws[r * iters + it], (r, it)
+            assert np.array_equal(p_best.params, best.params)
+            assert p_log.records == log.records
+            assert p_val == evaluate_greedy(best, teacher, splits.val_states, cfg.horizon)
+        tests = trainer.evaluate_population(
+            ModelStack.of([out[0] for out in population]), teacher, splits.test_states, cfg.horizon
+        )
+        assert tests == [
+            evaluate_greedy(best, teacher, splits.test_states, cfg.horizon) for best, _ in solo
+        ]
+
+    @pytest.mark.parametrize("factor,message", [
+        (np.nan, "non-finite gradient from trajectory"),
+        (1e150, "entropy 0.0"),
+        (1e302, "non-finite grad_norm"),
+    ], ids=["gradient", "collapse", "record"])
+    def test_failed_run_dropped_with_its_solo_error(self, monkeypatch, factor, message):
+        """One run's signals are scaled so that it fails: a non-finite
+        gradient naming a trajectory of that run, a policy collapsed to
+        entropy 0.0 on the next step, or an overflowing gradient norm.  That
+        run stops with its solo error; the others match their solo runs."""
+        cfg, splits, teacher, student = tiny_population("mlp1")
+        cfgs = [cfg.rl_config(estimator, k, 0) for _, estimator, k in pipeline.variant_list(cfg)]
+        spoil_signals(monkeypatch, "mean_baseline", factor)
+        with np.errstate(all="ignore"):
+            population = train_population(
+                student, teacher, splits.train_states, cfgs, splits.val_states
+            )
+        for c, out in zip(cfgs, population):
+            if c.estimator == "mean_baseline":
+                with np.errstate(all="ignore"), pytest.raises(Exception) as solo_error:
+                    train(student, teacher, splits.train_states, c, splits.val_states)
+                assert type(out) is solo_error.type and str(out) == str(solo_error.value)
+                assert message in str(out)
+                continue
+            best, log = train(student, teacher, splits.train_states, c, splits.val_states)
+            assert np.array_equal(out[0].params, best.params)
+            assert out[1].records == log.records
+
+    def test_zero_iterations_evaluates_once(self):
+        cfg, splits, teacher, student = tiny_population("linear")
+        cfgs = [replace(cfg.rl_config(e, k, 0), iterations=0)
+                for _, e, k in pipeline.variant_list(cfg)[:2]]
+        val = evaluate_greedy(student, teacher, splits.val_states, cfg.horizon)
+        for best, log, best_val in train_population(
+            student, teacher, splits.train_states, cfgs, splits.val_states
+        ):
+            assert best is student and log.records == [] and best_val == val
+
+    @pytest.mark.parametrize("field,value", [("lr", 0.1), ("seed", 1), ("batch_size", 2),
+                                             ("iterations", 3), ("clip_range", (-1.0, 1.0))])
+    def test_configs_may_differ_only_in_estimator_and_k(self, field, value):
+        cfgs = [rl_cfg(estimator="kstep", k=2), replace(rl_cfg(estimator="llmr"), **{field: value})]
+        with pytest.raises(ValueError, match="only in estimator and k"):
+            train_population(make_student(), make_teacher(), [initial_state(VOCAB)], cfgs)
 
 
 @pytest.mark.slow
