@@ -108,13 +108,20 @@ def _cmd_predistill(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    splits = pipeline.build_corpus(cfg)
     seed = _seed(cfg, args)
+    name, estimator, k = pipeline.variant(args.estimator, args.k)
+    try:
+        rl_cfg = cfg.rl_config(estimator, k, seed)
+    except ValueError as exc:
+        raise ConfigError(f"train: {exc}") from exc
+    splits = pipeline.build_corpus(cfg)
     fitted = pipeline.fit_seed_teacher(cfg, splits, seed)
     student0 = pipeline.init_seed_student(cfg, seed)
     student = pipeline.predistill_student(cfg, student0, fitted, splits, seed)
-    variant = pipeline.variant(args.estimator, args.k)
-    best, log = pipeline.rl_student(cfg, student, fitted, splits, seed, variant)
+    try:
+        best, log = trainer.train(student, fitted, splits.train_states, rl_cfg, splits.val_states)
+    except Exception as exc:
+        raise pipeline.StageError(f"rl:{name}", seed, exc) from exc
     out = _out_dir(cfg, args)
     models.save_model(best, out / "student_rl.json")
     log.to_csv(out / "trainlog.csv")

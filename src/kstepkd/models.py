@@ -8,7 +8,9 @@ serves both the student policy and frozen neural teachers.
 
 The conceptual input is the concatenation of ``window`` one-hot vectors.
 Because exactly one entry per slot is hot, forward and backward passes gather
-and scatter columns instead of materializing the encoding.
+and scatter columns instead of materializing the encoding.  The batched
+passes are written once, over rows that each belong to one model of a
+``ModelStack``; ``LogitModel`` runs them as the stack of one.
 """
 
 from __future__ import annotations
@@ -89,8 +91,148 @@ def _slot_sum(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return acc
 
 
+class _RunRows:
+    """The batched forward, backward and scores of R models of one
+    architecture, each written once, over rows that each belong to one run.
+
+    ``run`` holds each row's run index, sorted, so that the rows of a run
+    are contiguous (``bounds`` are their (start, end)); None means one run
+    holding every row, which is how ``LogitModel`` calls this code.  The
+    first layer's columns of all runs are rows of one run-major table: row
+    i's slot j reads table row run[i] * window * V + column.  Gathers,
+    scatters and elementwise steps run on all rows at once.  Each matrix
+    product and sum over rows runs once per run, on that run's rows: BLAS
+    rounds a row of a product differently at another row count, so this
+    keeps every run bitwise equal to the call on its rows alone.
+    """
+
+    def _set_layers(self) -> None:
+        """Freezes the (finite) parameters and fixes their layer views, read
+        as [R, P]: the first-layer table [R * window * V, width], b1
+        [R, width] and, for mlp1, w2 [R, V, hidden] and b2 [R, V].  At R = 1
+        every one is a view of the parameter vector."""
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("model parameters must be finite")
+        self.params.flags.writeable = False
+        params = self.params.reshape(-1, self.params.shape[-1])
+        r, v, n = len(params), self.vocab_size, self.window
+        width = v if self.kind == "linear" else self.hidden
+        o = width * n * v
+        w1 = params[:, :o].reshape(r, width, n * v)
+        object.__setattr__(self, "_offsets", np.arange(n) * v)
+        object.__setattr__(self, "_table", w1.transpose(0, 2, 1).reshape(r * n * v, width))
+        object.__setattr__(self, "_b1", params[:, o : o + width])
+        if self.kind == "mlp1":
+            o += width
+            object.__setattr__(self, "_w2", params[:, o : o + v * width].reshape(r, v, width))
+            object.__setattr__(self, "_b2", params[:, o + v * width :])
+
+    def _locate(
+        self, contexts: np.ndarray, run: np.ndarray | None
+    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """Table rows [N, window] of int contexts [N, window], and each run's
+        (start, end) rows."""
+        rows = contexts + self._offsets
+        if run is None:
+            return rows, [(0, len(rows))]
+        edges = np.searchsorted(run, self._edges).tolist()
+        rows += (run * (self.window * self.vocab_size))[:, None]
+        return rows, list(zip(edges[:-1], edges[1:]))
+
+    def _forward(
+        self, rows: np.ndarray, run: np.ndarray | None, bounds: list[tuple[int, int]]
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """Hidden activations [N, hidden] (None for linear) and logits [N, V]."""
+        u = _slot_sum(self._table, rows) + (self._b1[0] if run is None else self._b1[run])
+        if self.kind == "linear":
+            return None, u
+        h = np.tanh(u)
+        z = np.empty((len(h), self.vocab_size))
+        for r, (lo, hi) in enumerate(bounds):
+            np.matmul(h[lo:hi], self._w2[r].T, out=z[lo:hi])
+        return h, z + (self._b2[0] if run is None else self._b2[run])
+
+    def _first_layer_cotangent(
+        self, h: np.ndarray | None, dz: np.ndarray, bounds: list[tuple[int, int]]
+    ) -> np.ndarray:
+        """dz itself for linear; du = (dz @ w2) * tanh' for mlp1."""
+        if h is None:
+            return dz
+        du = np.empty_like(h)
+        for r, (lo, hi) in enumerate(bounds):
+            np.matmul(dz[lo:hi], self._w2[r], out=du[lo:hi])
+        return du * (1.0 - h * h)
+
+    def _backward(
+        self, rows: np.ndarray, bounds: list[tuple[int, int]], h: np.ndarray | None,
+        dz: np.ndarray,
+    ) -> np.ndarray:
+        """Per run, the parameter gradient of sum_i dz_i . logits_i over its
+        rows, as [R, P], for logit cotangents dz [N, V] at the table rows and
+        hidden activations of one forward pass."""
+        d1 = self._first_layer_cotangent(h, dz, bounds)
+        n_runs, nv, width = len(bounds), self.window * self.vocab_size, d1.shape[1]
+        o = width * nv
+        # a table row repeats across rows, so accumulate with np.add.at (row
+        # order), then lay the table out as each run's [width, nv]
+        g1t = np.zeros((n_runs * nv, width))
+        for j in range(self.window):
+            np.add.at(g1t, rows[:, j], d1)
+        grad = np.zeros((n_runs, self.params.shape[-1]))
+        grad[:, :o] = g1t.reshape(n_runs, nv, width).transpose(0, 2, 1).reshape(n_runs, o)
+        for r, (lo, hi) in enumerate(bounds):
+            grad[r, o : o + width] = d1[lo:hi].sum(axis=0)
+            if h is not None:
+                p = o + width + self.vocab_size * width
+                grad[r, o + width : p] = (dz[lo:hi].T @ h[lo:hi]).ravel()
+                grad[r, p:] = dz[lo:hi].sum(axis=0)
+        return grad
+
+    def _scores(
+        self, contexts: np.ndarray, actions: np.ndarray, run: np.ndarray | None
+    ) -> Scores:
+        """The scores at int contexts [N, window] and actions [N]."""
+        rows, bounds = self._locate(contexts, run)
+        h, z = self._forward(rows, run, bounds)
+        lp = log_softmax(z)
+        err = -np.exp(lp)
+        err[np.arange(len(actions)), actions] += 1.0
+        return Scores(self, rows, bounds, h, lp, err)
+
+
 @dataclass(frozen=True)
-class LogitModel:
+class Scores:
+    """The logit score err = onehot(a) - pi at (context, action) rows, from
+    one forward pass.  The backward of err is d log pi(a|c) / d params, so
+    the squared norms and every weighted gradient of the rows share it."""
+
+    model: _RunRows
+    rows: np.ndarray
+    bounds: list[tuple[int, int]]
+    hidden: np.ndarray | None
+    log_probs: np.ndarray
+    err: np.ndarray
+
+    def sq_norms(self) -> np.ndarray:
+        """||d log pi(a_i|c_i) / d params||^2 per row, in closed form: the
+        encoding x has ``window`` ones, so ||outer(d1, x)||^2 = window ||d1||^2.
+        linear (window+1)||err||^2; mlp1 ||err||^2 (1+||h||^2) + (window+1)||du||^2."""
+        h, err, n = self.hidden, self.err, self.model.window
+        e2 = (err * err).sum(axis=1)
+        if h is None:
+            return (n + 1) * e2
+        du = self.model._first_layer_cotangent(h, err, self.bounds)
+        return e2 * (1.0 + (h * h).sum(axis=1)) + (n + 1) * (du * du).sum(axis=1)
+
+    def weighted_grad(self, weights: np.ndarray) -> np.ndarray:
+        """Per run, sum_i w_i d log pi(a_i|c_i) / d params over its rows, for
+        weights [N]: [R, P]."""
+        dz = self.err * weights[:, None]
+        return self.model._backward(self.rows, self.bounds, self.hidden, dz)
+
+
+@dataclass(frozen=True)
+class LogitModel(_RunRows):
     kind: str
     vocab_size: int
     window: int
@@ -103,24 +245,12 @@ class LogitModel:
             raise ValueError(
                 f"parameter vector has shape {self.params.shape}, expected ({expected},)"
             )
-        if not np.all(np.isfinite(self.params)):
-            raise ValueError("model parameters must be finite")
-        self.params.flags.writeable = False
-        # params never change after construction, so layer views and the
-        # per-slot column offsets can be fixed up front (hot-path win)
-        object.__setattr__(self, "_offsets", np.arange(self.window) * self.vocab_size)
-        if self.kind == "linear":
-            v, n = self.vocab_size, self.window
-            views = (self.params[: v * n * v].reshape(v, n * v), self.params[v * n * v :])
-        else:
-            v, n, h = self.vocab_size, self.window, self.hidden
-            o = h * n * v
-            views = (
-                self.params[:o].reshape(h, n * v),
-                self.params[o : o + h],
-                self.params[o + h : o + h + v * h].reshape(v, h),
-                self.params[o + h + v * h :],
-            )
+        # params never change after construction, so the layer views can be
+        # fixed up front: the batched code's, and the per-state references'
+        self._set_layers()
+        views = (self._table.T, self._b1[0])
+        if self.kind == "mlp1":
+            views += (self._w2[0], self._b2[0])
         object.__setattr__(self, "_views", views)
 
     @property
@@ -131,7 +261,7 @@ class LogitModel:
     def num_params(self) -> int:
         return self.params.shape[0]
 
-    # -- forward ---------------------------------------------------------
+    # -- per-state references ----------------------------------------------
 
     def context(self, state: State) -> tuple[int, ...]:
         if state.vocab.size != self.vocab_size:
@@ -150,80 +280,6 @@ class LogitModel:
     def distribution(self, state: State) -> PolicyDistribution:
         return _distribution_from_logits(self.logits(state))
 
-    def _forward(self, cols: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-        """Hidden activations [N, hidden] (None for linear) and logits [N, V]
-        for gathered columns [N, window]."""
-        if self.kind == "linear":
-            w, b = self._views
-            return None, _slot_sum(w.T, cols) + b
-        w1, b1, w2, b2 = self._views
-        h = np.tanh(_slot_sum(w1.T, cols) + b1)
-        return h, h @ w2.T + b2
-
-    def batch_logits(self, contexts: np.ndarray) -> np.ndarray:
-        """Logits for an int array of contexts with shape [batch, window]."""
-        return self._forward(contexts + self._offsets)[1]
-
-    # -- gradients -------------------------------------------------------
-
-    def _first_layer_cotangent(self, h: np.ndarray | None, dz: np.ndarray) -> np.ndarray:
-        """dz itself for linear; du = (dz @ w2) * tanh' for mlp1."""
-        if h is None:
-            return dz
-        w2 = self._views[2]
-        return (dz @ w2) * (1.0 - h * h)
-
-    def _backward(self, cols: np.ndarray, h: np.ndarray | None, dz: np.ndarray) -> np.ndarray:
-        """Parameter gradient of sum_i dz_i . logits_i, for logit cotangents
-        dz [N, V] at the gathered columns [N, window] and hidden activations
-        of one forward pass."""
-        grad = np.zeros_like(self.params)
-        d1 = self._first_layer_cotangent(h, dz)
-        width, nv = d1.shape[1], self.window * self.vocab_size
-        o = width * nv
-        g1t = grad[:o].reshape(width, nv).T
-        # a column repeats across rows, so accumulate with np.add.at (row order)
-        for j in range(self.window):
-            np.add.at(g1t, cols[:, j], d1)
-        grad[o : o + width] = d1.sum(axis=0)
-        if h is not None:
-            o += width
-            grad[o : o + self.vocab_size * width] = (dz.T @ h).ravel()
-            grad[o + self.vocab_size * width :] = dz.sum(axis=0)
-        return grad
-
-    def _scores(
-        self, contexts: np.ndarray, actions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-        """Columns, hidden activations, log-probs [N, V] and the logit score
-        err = onehot(a) - pi, whose backward is d log pi(a|c) / d params."""
-        cols = contexts + self._offsets
-        h, z = self._forward(cols)
-        lp = log_softmax(z)
-        err = -np.exp(lp)
-        err[np.arange(len(actions)), actions] += 1.0
-        return cols, h, lp, err
-
-    def weighted_logit_grad(
-        self, contexts: np.ndarray, actions: np.ndarray, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """sum_i w_i d log pi(a_i|c_i) / d params over int contexts
-        [N, window], actions [N] and weights [N], plus the log-probs [N, V]
-        of the same forward pass."""
-        cols, h, lp, err = self._scores(contexts, actions)
-        return self._backward(cols, h, err * weights[:, None]), lp
-
-    def score_sq_norms(self, contexts: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """||d log pi(a_i|c_i) / d params||^2 per row, in closed form: the
-        encoding x has ``window`` ones, so ||outer(d1, x)||^2 = window ||d1||^2.
-        linear (window+1)||err||^2; mlp1 ||err||^2 (1+||h||^2) + (window+1)||du||^2."""
-        _, h, _, err = self._scores(contexts, actions)
-        e2 = (err * err).sum(axis=1)
-        if h is None:
-            return (self.window + 1) * e2
-        du = self._first_layer_cotangent(h, err)
-        return e2 * (1.0 + (h * h).sum(axis=1)) + (self.window + 1) * (du * du).sum(axis=1)
-
     def grad_log_prob(self, state: State, action: int) -> np.ndarray:
         """d log pi(action|state) / d params, flat, same length as params.
         The per-state reference for the batched backward, on the dense
@@ -241,6 +297,26 @@ class LogitModel:
         du = (w2.T @ err) * (1.0 - h * h)
         return np.concatenate([np.outer(du, x).ravel(), du, np.outer(err, h).ravel(), err])
 
+    # -- batched: the one-run case of ``_RunRows`` ---------------------------
+
+    def batch_logits(self, contexts: np.ndarray) -> np.ndarray:
+        """Logits for an int array of contexts with shape [batch, window]."""
+        rows, bounds = self._locate(contexts, None)
+        return self._forward(rows, None, bounds)[1]
+
+    def weighted_logit_grad(
+        self, contexts: np.ndarray, actions: np.ndarray, weights: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """sum_i w_i d log pi(a_i|c_i) / d params over int contexts
+        [N, window], actions [N] and weights [N], plus the log-probs [N, V]
+        of the same forward pass."""
+        scores = self._scores(contexts, actions, None)
+        return scores.weighted_grad(weights)[0], scores.log_probs
+
+    def score_sq_norms(self, contexts: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """||d log pi(a_i|c_i) / d params||^2 per row (``Scores.sq_norms``)."""
+        return self._scores(contexts, actions, None).sq_norms()
+
     def cross_entropy_grad(
         self, contexts: np.ndarray, counts: np.ndarray
     ) -> tuple[float, np.ndarray]:
@@ -254,12 +330,12 @@ class LogitModel:
         """
         row_totals = counts.sum(axis=1)
         total = row_totals.sum()
-        cols = contexts + self._offsets
-        h, z = self._forward(cols)
+        rows, bounds = self._locate(contexts, None)
+        h, z = self._forward(rows, None, bounds)
         lp = log_softmax(z)
         loss = float(-(counts * lp).sum() / total)
         dz = (np.exp(lp) * row_totals[:, None] - counts) / total
-        return loss, self._backward(cols, h, dz)
+        return loss, self._backward(rows, bounds, h, dz)[0]
 
     # -- updates ---------------------------------------------------------
 
@@ -278,17 +354,10 @@ class LogitModel:
 
 
 @dataclass(frozen=True)
-class ModelStack:
+class ModelStack(_RunRows):
     """R models of one architecture with their parameters stacked [R, P]:
-    the population form of ``LogitModel``.
-
-    Each batched call takes the run index of every row, sorted, so that the
-    rows of a run are contiguous.  Gathers, scatters and elementwise steps
-    run on all rows at once.  Each matrix product and sum over rows runs
-    once per run, on that run's rows: BLAS rounds a row of a product
-    differently at another row count, so this keeps every run bitwise equal
-    to the ``LogitModel`` call on its rows alone.
-    """
+    the population form of ``LogitModel``.  Each batched call takes the run
+    index of every row, sorted (``_RunRows``)."""
 
     kind: str
     vocab_size: int
@@ -302,23 +371,8 @@ class ModelStack:
             raise ValueError(
                 f"stacked parameters have shape {self.params.shape}, expected (R, {expected})"
             )
-        if not np.all(np.isfinite(self.params)):
-            raise ValueError("model parameters must be finite")
-        self.params.flags.writeable = False
-        object.__setattr__(self, "_offsets", np.arange(self.window) * self.vocab_size)
         object.__setattr__(self, "_edges", np.arange(len(self.params) + 1))
-        r, v, n, h = len(self.params), self.vocab_size, self.window, self.hidden
-        width = v if self.kind == "linear" else h
-        o = width * n * v
-        w1 = self.params[:, :o].reshape(r, width, n * v)
-        # the first layer's columns as rows of one table, run-major: a row's
-        # slot j reads table row run * n * v + column (``_table_rows``)
-        object.__setattr__(self, "_table", w1.transpose(0, 2, 1).reshape(r * n * v, width))
-        object.__setattr__(self, "_b1", self.params[:, o : o + width])
-        if self.kind == "mlp1":
-            o += h
-            object.__setattr__(self, "_w2", self.params[:, o : o + v * h].reshape(r, v, h))
-            object.__setattr__(self, "_b2", self.params[:, o + v * h :])
+        self._set_layers()
 
     @classmethod
     def of(cls, models: Sequence[LogitModel]) -> ModelStack:
@@ -338,86 +392,16 @@ class ModelStack:
         """Gradient ascent on every run: params + lr * grad [R, P]."""
         return replace(self, params=self.params + lr * grad)
 
-    def _bounds(self, run: np.ndarray) -> list[tuple[int, int]]:
-        """(start, end) of each run's rows, for sorted run indices."""
-        edges = np.searchsorted(run, self._edges).tolist()
-        return list(zip(edges[:-1], edges[1:]))
+    def batch_logits(self, contexts: np.ndarray, run: np.ndarray | None = None) -> np.ndarray:
+        """Logits [N, V] for int contexts [N, window], row i under model
+        run[i] (all under model 0 without ``run``)."""
+        rows, bounds = self._locate(contexts, run)
+        return self._forward(rows, run, bounds)[1]
 
-    def _table_rows(self, contexts: np.ndarray, run: np.ndarray) -> np.ndarray:
-        return contexts + self._offsets + (run * (self.window * self.vocab_size))[:, None]
-
-    def _forward(
-        self, rows: np.ndarray, run: np.ndarray, bounds: list[tuple[int, int]]
-    ) -> tuple[np.ndarray | None, np.ndarray]:
-        u = _slot_sum(self._table, rows) + self._b1[run]
-        if self.kind == "linear":
-            return None, u
-        h = np.tanh(u)
-        z = np.empty((len(h), self.vocab_size))
-        for r, (lo, hi) in enumerate(bounds):
-            np.matmul(h[lo:hi], self._w2[r].T, out=z[lo:hi])
-        return h, z + self._b2[run]
-
-    def batch_logits(self, contexts: np.ndarray, run: np.ndarray) -> np.ndarray:
-        """Logits [N, V] for int contexts [N, window], row i under model run[i]."""
-        return self._forward(self._table_rows(contexts, run), run, self._bounds(run))[1]
-
-    def _first_layer_cotangent(
-        self, h: np.ndarray | None, dz: np.ndarray, bounds: list[tuple[int, int]]
-    ) -> np.ndarray:
-        if h is None:
-            return dz
-        du = np.empty_like(h)
-        for r, (lo, hi) in enumerate(bounds):
-            np.matmul(dz[lo:hi], self._w2[r], out=du[lo:hi])
-        return du * (1.0 - h * h)
-
-    def _scores(self, contexts: np.ndarray, actions: np.ndarray, run: np.ndarray):
-        """``LogitModel._scores`` with each row under its run's model, with
-        table rows in place of columns, plus the run bounds."""
-        rows, bounds = self._table_rows(contexts, run), self._bounds(run)
-        h, z = self._forward(rows, run, bounds)
-        lp = log_softmax(z)
-        err = -np.exp(lp)
-        err[np.arange(len(actions)), actions] += 1.0
-        return rows, bounds, h, lp, err
-
-    def weighted_logit_grad(
-        self, contexts: np.ndarray, actions: np.ndarray, weights: np.ndarray, run: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per run, sum_i w_i d log pi(a_i|c_i) / d params over its rows, as
-        [R, P], plus the log-probs [N, V] of the same forward pass."""
-        rows, bounds, h, lp, err = self._scores(contexts, actions, run)
-        dz = err * weights[:, None]
-        d1 = self._first_layer_cotangent(h, dz, bounds)
-        nv, width = self.window * self.vocab_size, d1.shape[1]
-        o = width * nv
-        grad = np.zeros_like(self.params)
-        # the first layer's scatter for all runs into one table (in row
-        # order, as LogitModel._backward), then laid out as each run's
-        # [width, nv]
-        g1t = np.zeros((len(self.params) * nv, width))
-        for j in range(self.window):
-            np.add.at(g1t, rows[:, j], d1)
-        grad[:, :o] = g1t.reshape(len(self.params), nv, width).transpose(0, 2, 1).reshape(-1, o)
-        for r, (lo, hi) in enumerate(bounds):
-            grad[r, o : o + width] = d1[lo:hi].sum(axis=0)
-            if h is not None:
-                p = o + width + self.vocab_size * width
-                grad[r, o + width : p] = (dz[lo:hi].T @ h[lo:hi]).ravel()
-                grad[r, p:] = dz[lo:hi].sum(axis=0)
-        return grad, lp
-
-    def score_sq_norms(
-        self, contexts: np.ndarray, actions: np.ndarray, run: np.ndarray
-    ) -> np.ndarray:
-        """``LogitModel.score_sq_norms`` with each row under its run's model."""
-        _, bounds, h, _, err = self._scores(contexts, actions, run)
-        e2 = (err * err).sum(axis=1)
-        if h is None:
-            return (self.window + 1) * e2
-        du = self._first_layer_cotangent(h, err, bounds)
-        return e2 * (1.0 + (h * h).sum(axis=1)) + (self.window + 1) * (du * du).sum(axis=1)
+    def scores(self, contexts: np.ndarray, actions: np.ndarray, run: np.ndarray | None) -> Scores:
+        """The scores at int contexts [N, window] and actions [N], row i
+        under model run[i] (all under model 0 for run None)."""
+        return self._scores(contexts, actions, run)
 
 
 def target_counts(

@@ -123,26 +123,6 @@ def predistill_student(
     return out
 
 
-def rl_student(
-    cfg: ExperimentConfig,
-    student: LogitModel,
-    teacher: FrozenModelTeacher,
-    splits: DataSplits,
-    seed: int,
-    variant: tuple[str, str, int],
-) -> tuple[LogitModel, trainer.TrainLog]:
-    """The RL stage of one (name, estimator, k) variant: the best student by
-    greedy validation return and its training log."""
-    name, estimator, k = variant
-    try:
-        return trainer.train(
-            student, teacher, splits.train_states, cfg.rl_config(estimator, k, seed),
-            val_inputs=splits.val_states,
-        )
-    except Exception as exc:
-        raise StageError(f"rl:{name}", seed, exc) from exc
-
-
 # -- single-seed pipeline ------------------------------------------------------
 
 

@@ -28,7 +28,7 @@ from . import models as models_mod
 from . import returns as ret
 from .models import LogitModel, ModelStack
 from .returns import DEFAULT_CLIP_RANGE, ReturnConfig
-from .seqmdp import State, decode
+from .seqmdp import State, TrajectoryBatch, decode
 from .teacher import FrozenModelTeacher
 
 ESTIMATORS = ("kstep", "llmr", "mean_baseline", "minvar_baseline")
@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError(f"{self.stage} epochs and iterations must be >= 0")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
         if self.estimator == "llmr" and self.k != 1:
             raise ValueError("llmr is the one-step estimator; k must be 1")
         if self.eval_every < 1:
@@ -207,63 +209,108 @@ def estimator_signals(
 # -- REINFORCE ----------------------------------------------------------------
 
 
+def _lockstep_step(
+    stack: ModelStack,
+    teacher: FrozenModelTeacher,
+    batches: Sequence[Sequence[State]],
+    cfgs: Sequence[TrainConfig],
+    rngs: Sequence[np.random.Generator],
+) -> tuple[ModelStack, list[tuple[float, float, float, float]], TrajectoryBatch]:
+    """One sampled-batch policy update of every run of the stack, run r on
+    batches[r] under cfgs[r] with generator rngs[r].
+
+    One population decode samples one trajectory per input, then one
+    teacher scoring and K-step recursion with each row's own K, each
+    estimator's signals over the batch size for its runs as one [R, B, H]
+    stack, and one backward into [R, P] from the scores of one forward pass,
+    which the min-variance baseline's norms share.  Returns the ascended
+    stack, per run the record's (mean_G, mean_Ghat, grad_norm, entropy), and
+    the sampled batch.
+    """
+    cfg, n_runs, b = cfgs[0], len(cfgs), len(batches[0])
+    # each row's run, run-major; None for one run, which every batched call
+    # takes as all rows in run 0 without locating the runs
+    run = None if n_runs == 1 else np.repeat(np.arange(n_runs), b)
+    trajs = decode(
+        stack.batch_logits, stack.window, [s for batch in batches for s in batch], cfg.horizon,
+        rng=rngs[0] if run is None else rngs, run=run,
+    )
+    mask = trajs.step_mask
+    step_contexts = trajs.step_contexts(stack.window)
+    step_run = None if run is None else np.repeat(run, trajs.lengths)
+    scores = stack.scores(step_contexts[mask], trajs.actions[mask], step_run)
+    q, m = ret.batch_q_terms(trajs, teacher, run)
+    g = ret.kstep_from_batch_terms(q, m, trajs.lengths, 1)
+    k = np.repeat([c.return_config.k for c in cfgs], b)
+    g_hat = g if np.all(k == 1) else ret.kstep_from_batch_terms(q, m, trajs.lengths, k)
+
+    shape = (n_runs, b, g.shape[1])
+    sq_norms = None
+    if any(c.estimator == "minvar_baseline" for c in cfgs):
+        sq_norms = np.zeros(mask.shape)
+        sq_norms[mask] = scores.sq_norms()
+        sq_norms = sq_norms.reshape(shape)
+    g3, g_hat3, lengths = g.reshape(shape), g_hat.reshape(shape), trajs.lengths.reshape(shape[:2])
+    signals = np.empty(shape)
+    for estimator in dict.fromkeys(c.estimator for c in cfgs):
+        rows = [r for r, c in enumerate(cfgs) if c.estimator == estimator]
+        signals[rows] = estimator_signals(
+            g3[rows], g_hat3[rows], lengths[rows],
+            None if sq_norms is None else sq_norms[rows], cfgs[rows[0]],
+        )
+    signals = signals.reshape(g.shape) / b
+
+    accum = scores.weighted_grad(signals[mask])
+    finite = np.all(np.isfinite(accum), axis=1)
+    if not finite.all():
+        # in the first run with a non-finite gradient, name its first
+        # trajectory whose own share of the sum is non-finite: its signals
+        # are, or its scores overflow (a non-finite weight always yields a
+        # non-finite share)
+        r = int(np.flatnonzero(~finite)[0])
+        model = stack.model(r)
+        for i, n in enumerate(lengths[r].tolist()):
+            row = r * b + i
+            c, a, w = step_contexts[row, :n], trajs.actions[row, :n], signals[row, :n]
+            if not np.all(np.isfinite(model.weighted_logit_grad(c, a, w)[0])):
+                raise NonFiniteGradientError(
+                    f"non-finite gradient from trajectory {i} (actions {tuple(a.tolist())})"
+                )
+        raise NonFiniteGradientError(f"non-finite sum of {b} trajectory gradients")
+    new_stack = stack.apply_update(accum, cfg.lr) if cfg.lr > 0 else stack
+
+    entropy = -(np.exp(scores.log_probs) * scores.log_probs).sum(axis=1)
+    mean_g = g[:, 0].reshape(shape[:2]).mean(axis=1)
+    mean_g_hat = ret.clip_returns(g_hat[:, 0], cfg.return_config).reshape(shape[:2]).mean(axis=1)
+    stats = [
+        (float(mean_g[r]), float(mean_g_hat[r]), float(np.linalg.norm(accum[r])),
+         float(np.mean(entropy[lo:hi])))
+        for r, (lo, hi) in enumerate(scores.bounds)
+    ]
+    return new_stack, stats, trajs
+
+
 def reinforce_step(
     student: LogitModel,
     teacher: FrozenModelTeacher,
     batch: Sequence[State],
     cfg: TrainConfig,
     rng: np.random.Generator,
-    iteration: int = 0,
-    eval_return: float = 0.0,
     return_trajectories: bool = False,
 ):
-    """One sampled-batch policy update.
+    """One sampled-batch policy update: the one-run ``_lockstep_step``.
 
-    Samples one trajectory per input in lockstep, weights each step's
-    log-prob gradient by the configured estimator signal over the batch size,
-    sums them in one backward pass, and ascends.
-    Returns (student, record); the sampled ``TrajectoryBatch`` is
-    appended when ``return_trajectories`` is set.
+    Returns (student, record), with the record's iteration and greedy
+    return 0; the sampled ``TrajectoryBatch`` is appended when
+    ``return_trajectories`` is set.
     """
     if cfg.stage != "rl":
         raise ValueError("reinforce_step requires cfg.stage == 'rl'")
-    trajs = decode(student.batch_logits, student.window, batch, cfg.horizon, rng=rng)
-    mask = trajs.step_mask
-    step_contexts = trajs.step_contexts(student.window)
-    contexts, actions = step_contexts[mask], trajs.actions[mask]
-    sq_norms = None
-    if cfg.estimator == "minvar_baseline":
-        sq_norms = np.zeros(mask.shape)
-        sq_norms[mask] = student.score_sq_norms(contexts, actions)
-    q, m = ret.batch_q_terms(trajs, teacher)
-    rc = cfg.return_config
-    g = ret.kstep_from_batch_terms(q, m, trajs.lengths, 1)
-    g_hat = g if rc.k == 1 else ret.kstep_from_batch_terms(q, m, trajs.lengths, rc.k)
-    signals = estimator_signals(g, g_hat, trajs.lengths, sq_norms, cfg) / len(batch)
-
-    accum, log_probs = student.weighted_logit_grad(contexts, actions, signals[mask])
-    if not np.all(np.isfinite(accum)):
-        # name the first trajectory whose own share of the sum is non-finite:
-        # its signals are, or its scores overflow (a non-finite weight always
-        # yields a non-finite share)
-        for i, n in enumerate(trajs.lengths.tolist()):
-            c, a, w = step_contexts[i, :n], trajs.actions[i, :n], signals[i, :n]
-            if not np.all(np.isfinite(student.weighted_logit_grad(c, a, w)[0])):
-                raise NonFiniteGradientError(
-                    f"non-finite gradient from trajectory {i} (actions {tuple(a.tolist())})"
-                )
-        raise NonFiniteGradientError(f"non-finite sum of {len(batch)} trajectory gradients")
-
-    new_student = student.apply_update(accum, cfg.lr) if cfg.lr > 0 else student
-
-    record = TrainRecord(
-        iteration=iteration,
-        mean_return_actual=float(np.mean(g[:, 0])),
-        mean_return_khat=float(np.mean(ret.clip_returns(g_hat[:, 0], rc))),
-        grad_norm=float(np.linalg.norm(accum)),
-        policy_entropy=float(np.mean(-(np.exp(log_probs) * log_probs).sum(axis=1))),
-        eval_greedy_return=eval_return,
+    stack, (stats,), trajs = _lockstep_step(
+        ModelStack.of([student]), teacher, [batch], [cfg], [rng]
     )
+    new_student = stack.model(0) if cfg.lr > 0 else student
+    record = TrainRecord(0, *stats, 0.0)
     if return_trajectories:
         return new_student, record, trajs
     return new_student, record
@@ -278,27 +325,30 @@ def _left_to_right_mean(values: list[float]) -> float:
     return total / len(values)
 
 
-def evaluate_greedy(
-    student: LogitModel, teacher: FrozenModelTeacher, inputs: Sequence[State], horizon: int
-) -> float:
-    """Mean actual return of greedy rollouts over a fixed input set."""
-    batch = decode(student.batch_logits, student.window, inputs, horizon)
-    q, m = ret.batch_q_terms(batch, teacher)
-    return _left_to_right_mean(ret.kstep_from_batch_terms(q, m, batch.lengths, 1)[:, 0].tolist())
-
-
 def evaluate_population(
     stack: ModelStack, teacher: FrozenModelTeacher, inputs: Sequence[State], horizon: int
 ) -> list[float]:
-    """``evaluate_greedy`` of every model of the stack, from one greedy
-    decode over R x len(inputs) rows; bitwise the solo values."""
+    """Mean actual return of greedy rollouts over a fixed input set, for
+    every model of the stack, from one greedy decode over R x len(inputs)
+    rows."""
     n = len(inputs)
-    run = np.repeat(np.arange(len(stack.params)), n)
+    run = None if len(stack.params) == 1 else np.repeat(np.arange(len(stack.params)), n)
     batch = decode(stack.batch_logits, stack.window, list(inputs) * len(stack.params), horizon,
                    run=run)
     q, m = ret.batch_q_terms(batch, teacher, run)
     g0 = ret.kstep_from_batch_terms(q, m, batch.lengths, 1)[:, 0].tolist()
     return [_left_to_right_mean(g0[lo : lo + n]) for lo in range(0, len(g0), n)]
+
+
+def evaluate_greedy(
+    student: LogitModel, teacher: FrozenModelTeacher, inputs: Sequence[State], horizon: int
+) -> float:
+    """Mean actual return of greedy rollouts over a fixed input set: the
+    one-model ``evaluate_population``."""
+    return evaluate_population(ModelStack.of([student]), teacher, inputs, horizon)[0]
+
+
+# -- training loop --------------------------------------------------------------
 
 
 def _collapse(iteration: int) -> FloatingPointError:
@@ -333,132 +383,6 @@ class _Run:
         del self.order[:size]
         return batch
 
-    def eval_due(self, iteration: int) -> bool:
-        return (iteration + 1) % self.cfg.eval_every == 0 or iteration + 1 == self.cfg.iterations
-
-    def step(
-        self,
-        student: LogitModel,
-        teacher: FrozenModelTeacher,
-        batch: Sequence[State],
-        val: Sequence[State],
-        iteration: int,
-    ) -> LogitModel:
-        """One iteration of ``train``: the update, the collapse check, the
-        greedy evaluation with keep-best when due, and the log row.  Returns
-        the updated student."""
-        student, record = reinforce_step(
-            student, teacher, batch, self.cfg, self.rng, iteration=iteration,
-            eval_return=self.eval_return,
-        )
-        if record.policy_entropy == 0.0:
-            raise _collapse(iteration)
-        if self.eval_due(iteration):
-            self.eval_return = evaluate_greedy(student, teacher, val, self.cfg.horizon)
-            if self.eval_return > self.best_eval:
-                self.best, self.best_eval = student, self.eval_return
-            record = replace(record, eval_greedy_return=self.eval_return)
-        self.log.append(record)
-        return student
-
-
-def train(
-    student: LogitModel,
-    teacher: FrozenModelTeacher,
-    inputs: Sequence[State],
-    cfg: TrainConfig,
-    val_inputs: Sequence[State] | None = None,
-) -> tuple[LogitModel, TrainLog]:
-    """Run cfg.iterations REINFORCE updates over shuffled input batches.
-
-    Each update consumes batch_size inputs.  The best student by greedy
-    validation return is kept and returned.  Deterministic given cfg.seed.
-    An iteration whose policy entropy is exactly 0.0 raises
-    FloatingPointError: every sampled softmax is then one-hot, so every
-    score and every further update is exactly 0 (a diverged step).
-    """
-    if cfg.stage != "rl":
-        raise ValueError("train requires cfg.stage == 'rl'")
-    if not inputs:
-        raise ValueError("train requires a non-empty input set")
-    if cfg.iterations == 0:
-        return student, TrainLog()
-
-    val = list(val_inputs) if val_inputs else list(inputs)
-    eval_return = evaluate_greedy(student, teacher, val, cfg.horizon)
-    run = _Run(cfg, np.random.default_rng(cfg.seed), student, eval_return, eval_return)
-    for iteration in range(cfg.iterations):
-        student = run.step(student, teacher, run.next_batch(inputs), val, iteration)
-    return run.best, run.log
-
-
-# -- population training --------------------------------------------------------
-
-
-def _lockstep_step(
-    stack: ModelStack,
-    teacher: FrozenModelTeacher,
-    batches: Sequence[Sequence[State]],
-    runs: Sequence[_Run],
-    iteration: int,
-) -> tuple[ModelStack, list[tuple[float, float, float, float]]]:
-    """``reinforce_step`` of every run of the stack at once: one population
-    decode, teacher scoring and K-step recursion with each row's own K, each
-    estimator's signals for its runs as one [R, B, H] stack, and one
-    backward into [R, P].  Returns the updated stack and, per run, the
-    record's (mean_G, mean_Ghat, grad_norm, entropy).  Raises when a
-    gradient or an updated parameter is not finite, without naming the
-    run."""
-    cfgs = [run.cfg for run in runs]
-    cfg, n_runs = cfgs[0], len(cfgs)
-    b = cfg.batch_size
-    run = np.repeat(np.arange(n_runs), b)
-    trajs = decode(
-        stack.batch_logits, stack.window, [s for batch in batches for s in batch], cfg.horizon,
-        rng=[r.rng for r in runs], run=run,
-    )
-    mask = trajs.step_mask
-    contexts, actions = trajs.step_contexts(stack.window)[mask], trajs.actions[mask]
-    step_run = np.repeat(run, trajs.lengths)
-    q, m = ret.batch_q_terms(trajs, teacher, run)
-    g = ret.kstep_from_batch_terms(q, m, trajs.lengths, 1)
-    k = np.repeat([c.return_config.k for c in cfgs], b)
-    g_hat = g if np.all(k == 1) else ret.kstep_from_batch_terms(q, m, trajs.lengths, k)
-
-    shape = (n_runs, b, g.shape[1])
-    sq_norms = None
-    if any(c.estimator == "minvar_baseline" for c in cfgs):
-        sq_norms = np.zeros(mask.shape)
-        sq_norms[mask] = stack.score_sq_norms(contexts, actions, step_run)
-        sq_norms = sq_norms.reshape(shape)
-    groups: dict[str, list[int]] = {}
-    for r, c in enumerate(cfgs):
-        groups.setdefault(c.estimator, []).append(r)
-    g3, g_hat3, lengths = g.reshape(shape), g_hat.reshape(shape), trajs.lengths.reshape(shape[:2])
-    signals = np.empty(shape)
-    for rows in groups.values():
-        signals[rows] = estimator_signals(
-            g3[rows], g_hat3[rows], lengths[rows],
-            None if sq_norms is None else sq_norms[rows], cfgs[rows[0]],
-        )
-    signals = signals.reshape(g.shape) / b
-
-    accum, log_probs = stack.weighted_logit_grad(contexts, actions, signals[mask], step_run)
-    if not np.all(np.isfinite(accum)):
-        raise NonFiniteGradientError("non-finite gradient in a lockstep step")
-    new_stack = stack.apply_update(accum, cfg.lr) if cfg.lr > 0 else stack
-
-    entropy = -(np.exp(log_probs) * log_probs).sum(axis=1)
-    ends = np.searchsorted(step_run, np.arange(n_runs + 1)).tolist()
-    mean_g = g[:, 0].reshape(shape[:2]).mean(axis=1)
-    mean_g_hat = ret.clip_returns(g_hat[:, 0], cfg.return_config).reshape(shape[:2]).mean(axis=1)
-    stats = [
-        (float(mean_g[r]), float(mean_g_hat[r]), float(np.linalg.norm(accum[r])),
-         float(np.mean(entropy[ends[r] : ends[r + 1]])))
-        for r in range(n_runs)
-    ]
-    return new_stack, stats
-
 
 def _lockstep_iteration(
     stack: ModelStack,
@@ -468,15 +392,20 @@ def _lockstep_iteration(
     val: Sequence[State],
     iteration: int,
 ) -> ModelStack:
-    """``_Run.step`` of every run at once.  Unless every run completes the
-    iteration, this raises and changes nothing of any run but its
-    generator, so that the iteration can be replayed run by run."""
-    new_stack, stats = _lockstep_step(stack, teacher, batches, runs, iteration)
+    """One iteration of every run: the update, the collapse check, the
+    greedy evaluation with keep-best when due, and the log row.  Unless
+    every run completes the iteration, this raises and changes nothing of
+    any run but its generator, so that the iteration can be replayed run by
+    run."""
+    cfg = runs[0].cfg
+    new_stack, stats, _ = _lockstep_step(
+        stack, teacher, batches, [run.cfg for run in runs], [run.rng for run in runs]
+    )
     if any(entropy == 0.0 for *_, entropy in stats):
         raise _collapse(iteration)
-    due = runs[0].eval_due(iteration)
+    due = (iteration + 1) % cfg.eval_every == 0 or iteration + 1 == cfg.iterations
     if due:
-        evals = evaluate_population(new_stack, teacher, val, runs[0].cfg.horizon)
+        evals = evaluate_population(new_stack, teacher, val, cfg.horizon)
     else:
         evals = [run.eval_return for run in runs]
     records = [TrainRecord(iteration, *st, ev) for st, ev in zip(stats, evals)]
@@ -497,15 +426,19 @@ def train_population(
     cfgs: Sequence[TrainConfig],
     val_inputs: Sequence[State] | None = None,
 ) -> list[tuple[LogitModel, TrainLog, float] | Exception]:
-    """``train`` for every config at once, from one student: R runs in one
-    REINFORCE loop over a ``ModelStack``.
+    """cfg.iterations REINFORCE updates over shuffled input batches for
+    every config at once, from one student: R runs in one loop over a
+    ``ModelStack``.
 
     The configs may differ only in (estimator, k).  Each run keeps its own
     generator and input order, so it samples, updates, evaluates and keeps
-    its best student bitwise as its solo ``train`` does.  An iteration in
-    which any run fails is replayed run by run from the same draws, so that
-    each failing run raises exactly its solo error; a failed run is dropped
-    and the others go on.
+    its best student by greedy validation return bitwise as it would alone.
+    An iteration whose policy entropy is exactly 0.0 fails the run with
+    FloatingPointError: every sampled softmax is then one-hot, so every
+    score and every further update is exactly 0 (a diverged step).  An
+    iteration in which any run fails is replayed run by run from the same
+    draws, so that each failing run raises exactly its error alone; a
+    failed run is dropped and the others go on.
 
     Returns, per config, (best student, log, greedy validation return of
     the best student), or the exception that stopped the run.  The
@@ -539,7 +472,9 @@ def train_population(
             for r, run in enumerate(live):
                 run.rng.bit_generator.state = states[r]
                 try:
-                    students.append(run.step(stack.model(r), teacher, batches[r], val, iteration))
+                    one = _lockstep_iteration(ModelStack.of([stack.model(r)]), teacher,
+                                              [batches[r]], [run], val, iteration)
+                    students.append(one.model(0))
                 except Exception as exc:  # this run's stage failure; the others go on
                     run.error = exc
             live = [run for run in live if run.error is None]
@@ -548,3 +483,18 @@ def train_population(
             stack = ModelStack.of(students)
     return [(run.best, run.log, run.best_eval) if run.error is None else run.error
             for run in runs]
+
+
+def train(
+    student: LogitModel,
+    teacher: FrozenModelTeacher,
+    inputs: Sequence[State],
+    cfg: TrainConfig,
+    val_inputs: Sequence[State] | None = None,
+) -> tuple[LogitModel, TrainLog]:
+    """The one-config ``train_population``: (best student, log).  Raises
+    the exception that stopped the run."""
+    outcome = train_population(student, teacher, inputs, [cfg], val_inputs)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[:2]

@@ -185,6 +185,21 @@ class TestCliErrors:
         assert code == cli.EXIT_STAGE
         assert "stage 'rl:kstep_k2' failed (seed 0)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_train_bad_k_exits_2_before_any_stage(self, tmp_path, monkeypatch, capsys, k):
+        """A K below 1 is a bad setting: exit 2 before the corpus or the
+        teacher fit, with no run directory written."""
+
+        def stage_ran(*args, **kwargs):
+            raise AssertionError("a stage ran before the RL setting was checked")
+
+        monkeypatch.setattr(pipeline, "build_corpus", stage_ran)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(tiny_config(tmp_path)))
+        assert main(["--config", str(path), "train", "--estimator", "kstep", "--k", k]) == EXIT_CONFIG
+        assert f"k must be >= 1, got {k}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_stage_failure_exit_3(self, tmp_path, monkeypatch):
         from kstepkd import cli
 

@@ -7,7 +7,7 @@ import pytest
 
 from kstepkd import models
 from kstepkd.models import LogitModel, ModelArch, encode_context, init_model, zero_model
-from kstepkd.seqmdp import Vocabulary, initial_state, step
+from kstepkd.seqmdp import State, Vocabulary, initial_state, step
 
 VOCAB3 = Vocabulary(size=3, eos_id=2, bos_id=0)
 VOCAB4 = Vocabulary(size=4, eos_id=3, bos_id=0)
@@ -98,20 +98,23 @@ class TestForward:
     @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp1", 4), ("mlp1", 8), ("mlp1", 32)])
     def test_slot_accumulation_matches_window_reduction(self, kind, hidden, window):
-        """The first layer accumulates slot by slot; it must equal the sum
-        over the gathered [N, window, width] block bitwise."""
+        """The first layer accumulates slot by slot; the batched logits must
+        equal those from the sum over the gathered [N, window, width] block
+        bitwise."""
         rng = np.random.default_rng(window * 100 + hidden)
         m = init_model(ModelArch(kind, window=window, hidden=hidden), 7, rng, scale=1.0)
-        cols = rng.integers(0, 7, size=(5000, window)) + np.arange(window) * 7
-        h, z = m._forward(cols)
+        contexts = rng.integers(0, 7, size=(5000, window))
+        cols = contexts + np.arange(window) * 7
+        width = 7 if kind == "linear" else hidden
+        o = width * window * 7
+        w1, b1 = m.params[:o].reshape(width, window * 7), m.params[o : o + width]
+        u = w1.T[cols].sum(axis=1) + b1
         if kind == "linear":
-            w, b = m._views
-            assert np.array_equal(z, w.T[cols].sum(axis=1) + b)
+            assert np.array_equal(m.batch_logits(contexts), u)
         else:
-            w1, b1, w2, b2 = m._views
-            h_ref = np.tanh(w1.T[cols].sum(axis=1) + b1)
-            assert np.array_equal(h, h_ref)
-            assert np.array_equal(z, h_ref @ w2.T + b2)
+            w2 = m.params[o + width : o + width + 7 * width].reshape(7, width)
+            b2 = m.params[o + width + 7 * width :]
+            assert np.array_equal(m.batch_logits(contexts), np.tanh(u) @ w2.T + b2)
 
 
 class TestModelStack:
@@ -122,9 +125,9 @@ class TestModelStack:
     ])
     @pytest.mark.parametrize("sizes", [(1,), (3, 1, 40), (0, 5, 2, 300)])
     def test_each_run_matches_its_model_bitwise(self, arch, sizes):
-        """Logits, weighted gradients and squared score norms of each run's
-        rows equal the LogitModel call on those rows alone, for ragged run
-        sizes, an empty run included."""
+        """Logits, weighted gradients, log-probs and squared score norms of
+        each run's rows equal the one-model call on those rows alone, for
+        ragged run sizes, an empty run included."""
         rng = np.random.default_rng(sum(sizes))
         ms = [init_model(arch, 6, rng, scale=1.0) for _ in sizes]
         stack = models.ModelStack.of(ms)
@@ -133,8 +136,8 @@ class TestModelStack:
         actions = rng.integers(0, 6, size=len(run))
         weights = rng.normal(size=len(run))
         logits = stack.batch_logits(contexts, run)
-        grad, lp = stack.weighted_logit_grad(contexts, actions, weights, run)
-        sq = stack.score_sq_norms(contexts, actions, run)
+        scores = stack.scores(contexts, actions, run)
+        grad, lp, sq = scores.weighted_grad(weights), scores.log_probs, scores.sq_norms()
         ends = np.cumsum((0,) + sizes)
         for r, m in enumerate(ms):
             rows = slice(ends[r], ends[r + 1])
@@ -144,6 +147,38 @@ class TestModelStack:
             assert np.array_equal(lp[rows], lp_r)
             assert np.array_equal(sq[rows], m.score_sq_norms(contexts[rows], actions[rows]))
             assert np.array_equal(stack.model(r).params, m.params)
+
+    @pytest.mark.parametrize("arch", [
+        ModelArch("linear", window=2),
+        ModelArch("mlp1", window=3, hidden=8),
+    ])
+    def test_each_run_matches_per_state_references(self, arch):
+        """Each run of a ragged stack, an empty run included, against the
+        per-state references of its model: the weighted sum of
+        ``grad_log_prob``, ``distribution(state).log_probs`` and g @ g."""
+        vocab = Vocabulary(size=6, eos_id=5, bos_id=0)
+        sizes = (4, 0, 1, 12)
+        rng = np.random.default_rng(29)
+        ms = [init_model(arch, vocab.size, rng, scale=1.0) for _ in sizes]
+        stack = models.ModelStack.of(ms)
+        run = np.repeat(np.arange(len(sizes)), sizes)
+        contexts = rng.integers(0, vocab.size, size=(len(run), arch.window))
+        actions = rng.integers(0, vocab.size, size=len(run))
+        weights = rng.normal(size=len(run))
+        scores = stack.scores(contexts, actions, run)
+        grad, sq = scores.weighted_grad(weights), scores.sq_norms()
+        states = [State(vocab, tuple(c)) for c in contexts.tolist()]
+        for i, (state, a, r) in enumerate(zip(states, actions, run)):
+            g = ms[r].grad_log_prob(state, a)
+            np.testing.assert_allclose(sq[i], g @ g, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                scores.log_probs[i], ms[r].distribution(state).log_probs, rtol=0, atol=1e-12
+            )
+        for r, m in enumerate(ms):
+            ref = np.zeros(m.num_params)
+            for i in np.flatnonzero(run == r):
+                ref += weights[i] * m.grad_log_prob(states[i], actions[i])
+            np.testing.assert_allclose(grad[r], ref, rtol=0, atol=1e-12)
 
     def test_mixed_architectures_rejected(self):
         rng = np.random.default_rng(3)

@@ -326,6 +326,21 @@ class TestMonteCarloConvergence:
             [e.sample_mean for e in report.entries[1:]], grad, rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_stack_blocks_do_not_change_the_report(self, monkeypatch, block):
+        # each sample's gradient is the run of its own rows, so splitting the
+        # samples into stacks of any size leaves every figure bitwise
+        spec, policy, teacher = self._instance()
+
+        def report():
+            return oracle.montecarlo_convergence(
+                policy, spec, teacher, ReturnConfig(k=2), 20, np.random.default_rng(4)
+            )
+
+        whole = report()
+        monkeypatch.setattr(oracle, "MC_STACK_BLOCK", block)
+        assert report() == whole
+
     def test_single_sample_produces_report(self):
         spec, policy, teacher = self._instance()
         report = oracle.montecarlo_convergence(
