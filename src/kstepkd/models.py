@@ -81,6 +81,20 @@ def encode_context(context: tuple[int, ...], vocab_size: int) -> np.ndarray:
     return enc
 
 
+def merge_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of int rows [N, W], in lexicographic order, and the
+    index [N] of each row's distinct row: numpy's row-wise ``unique`` with
+    its inverse, bitwise, from one ``np.lexsort`` (first column most
+    significant) instead of a sort of the rows as structured records."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
+
+
 def _slot_sum(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """sum_j table[idx[:, j]] for int idx [N, window], accumulated slot by
     slot: bitwise ``table[idx].sum(axis=1)``, without that gather's
@@ -89,6 +103,24 @@ def _slot_sum(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     for j in range(1, idx.shape[1]):
         acc += table[idx[:, j]]
     return acc
+
+
+def _scatter_rows(idx: np.ndarray, d1: np.ndarray, n_rows: int) -> np.ndarray:
+    """sum over i, j of d1[i] into table row idx[i, j], as [n_rows, width],
+    for int idx [N, window] whose slots address disjoint table rows: per
+    slot, one ``np.bincount`` over the flat index row * width + column.
+    Each adds in row order from 0.0, as an unbuffered scatter-add does, and
+    each table row takes sums from one slot only, so the result is bitwise
+    that of a scatter-add slot by slot.  One bincount over every slot would
+    first build window x N x width indices and weights; at the teacher-fit
+    shape that took about three times as long."""
+    width = d1.shape[1]
+    cols, weights = np.arange(width), d1.ravel()
+    sums = np.zeros(n_rows * width)
+    for j in range(idx.shape[1]):
+        flat = np.add.outer(idx[:, j] * width, cols).ravel()
+        sums += np.bincount(flat, weights=weights, minlength=n_rows * width)
+    return sums.reshape(n_rows, width)
 
 
 class _RunRows:
@@ -173,11 +205,9 @@ class _RunRows:
         d1 = self._first_layer_cotangent(h, dz, bounds)
         n_runs, nv, width = len(bounds), self.window * self.vocab_size, d1.shape[1]
         o = width * nv
-        # a table row repeats across rows, so accumulate with np.add.at (row
-        # order), then lay the table out as each run's [width, nv]
-        g1t = np.zeros((n_runs * nv, width))
-        for j in range(self.window):
-            np.add.at(g1t, rows[:, j], d1)
+        # a table row repeats across rows, so accumulate by row, then lay
+        # the table out as each run's [width, nv]
+        g1t = _scatter_rows(rows, d1, n_runs * nv)
         grad = np.zeros((n_runs, self.params.shape[-1]))
         grad[:, :o] = g1t.reshape(n_runs, nv, width).transpose(0, 2, 1).reshape(n_runs, o)
         for r, (lo, hi) in enumerate(bounds):
@@ -269,13 +299,16 @@ class LogitModel(_RunRows):
         return state.last_tokens(self.window)
 
     def logits(self, state: State) -> np.ndarray:
-        cols = self._offsets + self.context(state)
+        # the context's table rows, added slot by slot as in ``_slot_sum``
+        table, v = self._table, self.vocab_size
+        tokens = self.context(state)
+        u = table[tokens[0]]
+        for j in range(1, self.window):
+            u = u + table[j * v + tokens[j]]
+        u = u + self._b1[0]
         if self.kind == "linear":
-            w, b = self._views
-            return w[:, cols].sum(axis=1) + b
-        w1, b1, w2, b2 = self._views
-        h = np.tanh(w1[:, cols].sum(axis=1) + b1)
-        return w2 @ h + b2
+            return u
+        return self._w2[0] @ np.tanh(u) + self._b2[0]
 
     def distribution(self, state: State) -> PolicyDistribution:
         return _distribution_from_logits(self.logits(state))
@@ -410,8 +443,8 @@ def target_counts(
     """The distinct rows of int contexts [N, window], sorted, and the count
     [C, vocab_size] of each target after each of them: the sufficient
     statistics of a hard-target cross-entropy over the N rows."""
-    distinct, inverse = np.unique(contexts, axis=0, return_inverse=True)
-    flat = inverse.reshape(-1) * vocab_size + targets
+    distinct, inverse = merge_rows(contexts)
+    flat = inverse * vocab_size + targets
     counts = np.bincount(flat, minlength=len(distinct) * vocab_size)
     return distinct, counts.reshape(len(distinct), vocab_size).astype(np.float64)
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import returns as ret
-from .models import LogitModel, ModelStack, log_softmax
+from .models import LogitModel, ModelStack, log_softmax, merge_rows
 from .returns import ReturnConfig
 from .seqmdp import Policy, State, Trajectory, TrajectoryBatch, TrajectoryStep, Vocabulary
 from .seqmdp import decode, step
@@ -43,6 +43,10 @@ MAX_TRAJECTORIES = 10**6
 # stack of all 4,000 samples of ``pipeline.oracle_check`` took 4.2 MB at its
 # peak, blocks of 1,000 take 2.4 MB
 MC_STACK_BLOCK = 1000
+# runs x V^horizon per stacked enumeration of the finite-difference check,
+# a bound on the rows it scores at once (2^18 rows of an mlp1 of hidden 32
+# hold 64 MB of activations)
+FD_STACK_ROWS = 2**18
 
 
 @dataclass(frozen=True)
@@ -94,25 +98,44 @@ def enumerate_batch(
     spec: EnumerationSpec, policy: LogitModel
 ) -> tuple[TrajectoryBatch, np.ndarray]:
     """Every maximal trajectory as one ``TrajectoryBatch``, with the exact
-    path probabilities [N].  Built depth by depth: one ``batch_logits`` call
-    scores the paths still running, each repeats once per action, and the
-    path log-probs accumulate left to right as in ``enumerate_trajectories``."""
-    vocab, window, prefix = spec.vocab, policy.window, spec.initial.prefix
+    path probabilities [N]: the one-run case of ``_enumerate``."""
+    batch, probs = _enumerate(spec, policy.batch_logits, policy.window, 1)
+    return batch, probs[0]
+
+
+def _enumerate(
+    spec: EnumerationSpec, score: Callable, window: int, runs: int
+) -> tuple[TrajectoryBatch, np.ndarray]:
+    """Every maximal trajectory, and its exact path probability under each
+    of ``runs`` policies [runs, N].  The token tree does not depend on the
+    policy, so it is built once, depth by depth: one ``score`` call scores
+    the paths still running, each repeats once per action, and the path
+    log-probs accumulate left to right as in ``enumerate_trajectories``.
+    With several runs ``score`` is called as in ``decode``, on the contexts
+    repeated run by run with their run index, so each run's rows are the
+    one-run call's rows."""
+    vocab, prefix = spec.vocab, spec.initial.prefix
     p = max(window, len(prefix))
     running = np.full((1, p + spec.horizon), vocab.bos_id, dtype=np.int64)
     running[0, p - len(prefix) : p] = prefix
-    logp = np.zeros(1)
+    logp = np.zeros((runs, 1))
     finished = []
     for t in range(spec.horizon):
-        lp = log_softmax(policy.batch_logits(running[:, p + t - window : p + t]))
+        contexts, n = running[:, p + t - window : p + t], len(running)
+        if runs == 1:
+            logits = score(contexts)
+        else:
+            logits = score(np.tile(contexts, (runs, 1)), np.repeat(np.arange(runs), n))
+        lp = log_softmax(logits).reshape(runs, n * vocab.size)
         running = np.repeat(running, vocab.size, axis=0)
-        running[:, p + t] = np.tile(np.arange(vocab.size), len(lp))
-        logp = np.repeat(logp, vocab.size) + lp.ravel()
+        running[:, p + t] = np.tile(np.arange(vocab.size), n)
+        logp = np.repeat(logp, vocab.size, axis=1) + lp
         done = (running[:, p + t] == vocab.eos_id) | (t + 1 == spec.horizon)
-        finished.append((running[done], logp[done], np.full(int(done.sum()), t + 1)))
-        running, logp = running[~done], logp[~done]
-    tokens, logps, lengths = (np.concatenate(parts) for parts in zip(*finished))
-    return TrajectoryBatch(vocab, tokens, p, lengths), np.exp(logps)
+        finished.append((running[done], logp[:, done], np.full(int(done.sum()), t + 1)))
+        running, logp = running[~done], logp[:, ~done]
+    tokens, logps, lengths = zip(*finished)
+    batch = TrajectoryBatch(vocab, np.concatenate(tokens), p, np.concatenate(lengths))
+    return batch, np.exp(np.concatenate(logps, axis=1))
 
 
 @dataclass(frozen=True)
@@ -170,8 +193,8 @@ def _weighted_score_sum(
     has ~10^4 steps but at most V^(window+1) rows."""
     mask = batch.step_mask
     rows = np.column_stack([batch.step_contexts(policy.window)[mask], batch.actions[mask]])
-    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
-    summed = np.bincount(inverse.ravel(), weights=weights[mask], minlength=len(unique))
+    unique, inverse = merge_rows(rows)
+    summed = np.bincount(inverse, weights=weights[mask], minlength=len(unique))
     return policy.weighted_logit_grad(unique[:, :-1], unique[:, -1], summed)[0]
 
 
@@ -213,17 +236,33 @@ def check_gradient(
     fd_step: float = 1e-5,
     threshold: float = 1e-6,
 ) -> GradientCheckReport:
-    """Exact enumeration gradient vs central finite differences of J(theta)."""
-    analytic = _exact_policy_gradient(spec, policy, teacher)
-    fd = np.zeros_like(analytic)
+    """Exact enumeration gradient vs central finite differences of J(theta).
+
+    The enumeration serves every J at once: run 0 of a stack holds the
+    policy, runs 1..P its +fd_step copies and runs P+1..2P its -fd_step
+    copies (``FD_STACK_ROWS`` bounds the runs per enumeration), and each
+    run's path probabilities equal the one-run enumeration's bitwise."""
     base = policy.params
-    for i in range(len(base)):
-        bumped = base.copy()
-        bumped[i] = base[i] + fd_step
-        j_plus = exact_objective(spec, policy.with_params(bumped), teacher)
-        bumped[i] = base[i] - fd_step
-        j_minus = exact_objective(spec, policy.with_params(bumped), teacher)
-        fd[i] = (j_plus - j_minus) / (2.0 * fd_step)
+    n = len(base)
+    params = np.tile(base, (2 * n + 1, 1))
+    params[1 + np.arange(n), np.arange(n)] = base + fd_step
+    params[1 + n + np.arange(n), np.arange(n)] = base - fd_step
+    arch = (policy.kind, policy.vocab_size, policy.window, policy.hidden)
+    block = max(1, FD_STACK_ROWS // spec.vocab.size**spec.horizon)
+    parts = []
+    for lo in range(0, len(params), block):
+        stack = ModelStack(*arch, params[lo : lo + block])
+        batch, probs = _enumerate(spec, stack.batch_logits, policy.window, len(stack.params))
+        parts.append(probs)
+    probs = np.concatenate(parts)
+    q, m = ret.batch_q_terms(batch, teacher)
+    g = ret.kstep_from_batch_terms(q, m, batch.lengths, 1)
+    # one dot per run, as exact_objective takes: a matrix-vector product
+    # would round J differently
+    j = np.array([run_probs @ g[:, 0] for run_probs in probs[1:]])
+    fd = (j[:n] - j[n:]) / (2.0 * fd_step)
+    # unbiased per-step form with unclipped G, as in _exact_policy_gradient
+    analytic = _weighted_score_sum(policy, batch, probs[0][:, None] * batch.step_mask * g)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     rel = np.abs(analytic - fd) / denom
     max_rel = float(rel.max())

@@ -84,14 +84,8 @@ def trajectory_q_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(q_taken, max_q) per step state; one teacher evaluation per state.
     The per-state reference for the batched forms below."""
-    n = traj.num_steps
-    q_taken = np.empty(n, dtype=np.float64)
-    max_q = np.empty(n, dtype=np.float64)
-    for t, s in enumerate(traj.steps):
-        qv = teacher.q_values(s.state)
-        q_taken[t] = qv[s.action]
-        max_q[t] = qv.max()
-    return q_taken, max_q
+    qv = np.array([teacher.q_values(s.state) for s in traj.steps])
+    return qv[np.arange(len(qv)), traj.actions], qv.max(axis=1)
 
 
 def batch_q_terms(
@@ -156,15 +150,23 @@ def kstep_from_batch_terms(
     (lengths >= 1).  ``k`` is one K for every row, or an int array [B] of
     each row's own K.  K = 1 gives the actual return G.  The result is zero
     past each row's length, whatever the terms hold there."""
-    rows = np.arange(q.shape[0])
+    b, h = q.shape
+    rows = np.arange(b)
     last = lengths - 1
-    g = np.zeros_like(q)
+    g = np.zeros((b, h))
     g[rows, last] = q[rows, last]
+    # step t of row i reads the flat [B x H] index of the step it jumps to
+    # (a jump of K lands at t + K <= last, inside the row) and is written
+    # only where t < last
+    steps = np.arange(h)
+    k_col = np.reshape(k, (-1, 1))
+    jump = np.where(last[:, None] - steps < k_col, steps + 1, steps + k_col) + (rows * h)[:, None]
+    live = steps < last[:, None]
+    m_flat, g_flat = m.ravel(), g.ravel()
     # columns at or past every row's last step keep their values
     for t in range(int(last.max()) - 1, -1, -1):
-        # a jump of K from t lands at t + K <= last, inside the row
-        nxt = np.where(last - t < k, t + 1, t + k)
-        g[:, t] = np.where(t < last, (q[:, t] - m[rows, nxt]) + g[rows, nxt], g[:, t])
+        nxt = jump[:, t]
+        np.copyto(g[:, t], (q[:, t] - m_flat[nxt]) + g_flat[nxt], where=live[:, t])
     return g
 
 

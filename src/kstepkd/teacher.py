@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import models
 from .models import LogitModel, ModelArch, PolicyDistribution
@@ -54,15 +56,27 @@ class FrozenModelTeacher:
 def _corpus_training_rows(
     corpus: list[list[int]], vocab: Vocabulary, window: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    contexts: list[tuple[int, ...]] = []
-    targets: list[int] = []
-    for seq in corpus:
-        state = initial_state(vocab)
-        for tok in seq:
-            contexts.append(state.last_tokens(window))
-            targets.append(tok)
-            state = step(state, tok)
-    return np.asarray(contexts, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+    """(context, target) rows for every corpus token, line by line: the
+    context is the last ``window`` tokens of BOS plus the line so far,
+    BOS-padded.  The lines stand in one array, each after ``window`` BOS,
+    so the contexts are the windows ending just before each token."""
+    bos = [vocab.bos_id] * window
+    padded = np.fromiter(chain.from_iterable(bos + list(seq) for seq in corpus), np.int64)
+    lengths = [n for seq in corpus for n in (window, len(seq))]
+    is_token = np.repeat(np.tile([False, True], len(corpus)), lengths)
+    positions = np.flatnonzero(is_token)
+    targets = padded[positions]
+    # a pad is never EOS, so a token after an EOS token follows it in its line
+    after_eos = is_token[1:] & (padded[:-1] == vocab.eos_id)
+    if after_eos.any() or not np.all((targets >= 0) & (targets < vocab.size)):
+        # replay the lines token by token: ``step`` raises the error of the
+        # first bad token (TerminalStateError after EOS, else ValueError)
+        for seq in corpus:
+            state = initial_state(vocab)
+            for tok in seq:
+                state = step(state, tok)
+    contexts = sliding_window_view(padded, window)[positions - window]
+    return contexts, targets
 
 
 def fit_teacher(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kstepkd import models
 from kstepkd.models import LogitModel, ModelArch, encode_context, init_model, zero_model
@@ -115,6 +117,69 @@ class TestForward:
             w2 = m.params[o + width : o + width + 7 * width].reshape(7, width)
             b2 = m.params[o + width + 7 * width :]
             assert np.array_equal(m.batch_logits(contexts), np.tanh(u) @ w2.T + b2)
+
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp1", 4), ("mlp1", 32)])
+    @pytest.mark.parametrize("vocab", [VOCAB3, Vocabulary(size=12, eos_id=11, bos_id=0)])
+    def test_per_state_logits_match_column_sum(self, vocab, kind, hidden, window):
+        """``logits(state)`` adds the context's table rows slot by slot; it
+        must equal the sum over the gathered columns of the first-layer
+        weights [width, window x V], in C and in Fortran order, bitwise."""
+        rng = np.random.default_rng(window * 100 + hidden + vocab.size)
+        v = vocab.size
+        m = init_model(ModelArch(kind, window=window, hidden=hidden), v, rng, scale=1.0)
+        width = v if kind == "linear" else hidden
+        o = width * window * v
+        w1, b1 = m.params[:o].reshape(width, window * v), m.params[o : o + width]
+        for _ in range(40):
+            state = random_state(vocab, rng, max_extra=7)
+            cols = np.arange(window) * v + np.array(state.last_tokens(window))
+            for w in (w1, np.asfortranarray(w1)):
+                u = w[:, cols].sum(axis=1) + b1
+                if kind == "mlp1":
+                    w2 = m.params[o + width : o + width + v * width].reshape(v, width)
+                    u = w2 @ np.tanh(u) + m.params[o + width + v * width :]
+                assert np.array_equal(m.logits(state), u)
+
+
+@st.composite
+def int_rows(draw):
+    """Int rows [N, W] (N >= 1) of ids up to a drawn bound, with repeats."""
+    high = draw(st.sampled_from([1, 11, 256, 70_000, 2**62]))
+    width = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(st.integers(0, high), min_size=width, max_size=width),
+                         min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return np.array([pool[i] for i in picks], dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rows())
+@example(np.array([[300, 257, 4096]], dtype=np.int64))
+def test_merge_rows_matches_unique_bitwise(rows):
+    distinct, inverse = models.merge_rows(rows)
+    ref_distinct, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert distinct.dtype == ref_distinct.dtype and np.array_equal(distinct, ref_distinct)
+    assert inverse.dtype == ref_inverse.dtype
+    assert np.array_equal(inverse, ref_inverse.reshape(-1))
+
+
+def test_scatter_rows_matches_add_at_bitwise():
+    """The first-layer scatter of a stack's backward: repeated table rows
+    across four runs, run 2 with no rows, equal to np.add.at slot by slot."""
+    rng = np.random.default_rng(23)
+    window, v, width, n_runs = 3, 5, 6, 4
+    run = np.sort(rng.choice([0, 1, 3], size=200))
+    contexts = rng.integers(0, v, size=(40, window))[rng.integers(0, 40, size=200)]
+    idx = contexts + np.arange(window) * v + (run * window * v)[:, None]
+    d1 = rng.standard_normal((200, width)) * 10.0 ** rng.integers(-8, 8, size=(200, 1))
+    ref = np.zeros((n_runs * window * v, width))
+    for j in range(window):
+        np.add.at(ref, idx[:, j], d1)
+    got = models._scatter_rows(idx, d1, n_runs * window * v)
+    assert np.array_equal(got, ref)
+    assert not got[2 * window * v : 3 * window * v].any()
 
 
 class TestModelStack:

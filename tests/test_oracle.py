@@ -281,6 +281,62 @@ class TestCheckGradient:
             oracle._exact_policy_gradient(spec, policy, teacher), ref_g, rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "kind,horizon,prefix",
+        [("linear", 3, ()), ("mlp1", 4, ()), ("linear", 3, (1,)), ("mlp1", 3, (1, 0, 1))],
+        ids=["linear", "mlp1", "linear-prefix", "mlp1-long-prefix"],
+    )
+    @pytest.mark.parametrize("stack_rows", [oracle.FD_STACK_ROWS, 1, 2000])
+    def test_stacked_check_matches_per_parameter_objectives_bitwise(
+        self, monkeypatch, kind, horizon, prefix, stack_rows
+    ):
+        """The stacked enumeration gives the finite differences of one
+        ``exact_objective`` per perturbed parameter, and the analytic
+        gradient of ``_exact_policy_gradient``, bit for bit (C5 shapes, and
+        prefixes shorter and longer than the window), in one block of runs,
+        one run per block, or blocks of a few dozen runs."""
+        monkeypatch.setattr(oracle, "FD_STACK_ROWS", stack_rows)
+        rng = np.random.default_rng(len(prefix) * 10 + horizon)
+        arch = ModelArch(kind, window=2, hidden=4 if kind == "mlp1" else 0)
+        policy = init_model(arch, VOCAB3.size, rng, scale=0.6)
+        teacher = FrozenModelTeacher(
+            init_model(ModelArch("linear", window=2), VOCAB3.size, rng, scale=1.0)
+        )
+        spec = EnumerationSpec(VOCAB3, horizon, initial_state(VOCAB3, prefix))
+        fd_step = 1e-5
+        report = oracle.check_gradient(policy, spec, teacher, ReturnConfig(k=2), fd_step)
+        base = policy.params
+        fd = np.zeros_like(base)
+        for i in range(len(base)):
+            bumped = base.copy()
+            bumped[i] = base[i] + fd_step
+            j_plus = oracle.exact_objective(spec, policy.with_params(bumped), teacher)
+            bumped[i] = base[i] - fd_step
+            j_minus = oracle.exact_objective(spec, policy.with_params(bumped), teacher)
+            fd[i] = (j_plus - j_minus) / (2.0 * fd_step)
+        assert np.array_equal(report.finite_diff, fd)
+        assert np.array_equal(report.analytic, oracle._exact_policy_gradient(spec, policy, teacher))
+
+    def test_one_enumeration_and_one_teacher_scoring(self, monkeypatch):
+        calls = {"enumerate": 0, "score": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(oracle, "_enumerate", counted("enumerate", oracle._enumerate))
+        monkeypatch.setattr(ret, "batch_q_terms", counted("score", ret.batch_q_terms))
+        rng = np.random.default_rng(16)
+        policy = init_model(ModelArch("mlp1", window=2, hidden=4), VOCAB3.size, rng, scale=0.6)
+        teacher = FrozenModelTeacher(
+            init_model(ModelArch("linear", window=2), VOCAB3.size, rng, scale=1.0)
+        )
+        spec = EnumerationSpec(VOCAB3, 4, initial_state(VOCAB3))
+        oracle.check_gradient(policy, spec, teacher, ReturnConfig(k=2))
+        assert calls == {"enumerate": 1, "score": 1}
+
     def test_symmetric_teacher_zero_gradient(self):
         # all Q-values equal: every return is the same constant, so the
         # score-function average cancels exactly

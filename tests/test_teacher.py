@@ -20,7 +20,13 @@ from kstepkd.seqmdp import (
     step,
 )
 from kstepkd.tasks import MarkovChainTask, gen_corpus
-from kstepkd.teacher import FrozenModelTeacher, fit_teacher, load_teacher, save_teacher
+from kstepkd.teacher import (
+    FrozenModelTeacher,
+    _corpus_training_rows,
+    fit_teacher,
+    load_teacher,
+    save_teacher,
+)
 
 from conftest import table_teacher
 
@@ -147,6 +153,35 @@ class TestFitTeacher:
         with pytest.raises(ValueError):
             fit_teacher([[1, 1]], VOCAB, ModelArch("linear", window=1), 1, 0.1,
                         np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [[1, 7, 2], [1, -1, 2], [3, 2]])
+    def test_token_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="out of range") as info:
+            fit_teacher([[1, 2], bad], VOCAB, ModelArch("linear", window=2), 1, 0.1,
+                        np.random.default_rng(0))
+        assert not isinstance(info.value, TerminalStateError)
+
+    def test_eos_before_end_of_line_rejected(self):
+        with pytest.raises(TerminalStateError):
+            fit_teacher([[1, 2], [1, 2, 1, 2]], VOCAB, ModelArch("linear", window=2), 1, 0.1,
+                        np.random.default_rng(0))
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 5])
+    def test_training_rows_match_per_token_states(self, window):
+        vocab = Vocabulary(size=4, eos_id=3, bos_id=0)
+        task = MarkovChainTask(vocab, order=1, transition_seed=3, eos_prob=0.2)
+        corpus = gen_corpus(task, 30, np.random.default_rng(1), max_len=9)
+        ref_contexts, ref_targets = [], []
+        for seq in corpus:
+            state = initial_state(vocab)
+            for tok in seq:
+                ref_contexts.append(state.last_tokens(window))
+                ref_targets.append(tok)
+                state = step(state, tok)
+        contexts, targets = _corpus_training_rows(corpus, vocab, window)
+        assert contexts.dtype == targets.dtype == np.int64
+        assert np.array_equal(contexts, np.array(ref_contexts))
+        assert np.array_equal(targets, np.array(ref_targets))
 
     def test_zero_epochs_equals_init(self):
         arch = ModelArch("mlp1", window=2, hidden=4)
