@@ -16,6 +16,7 @@ from typing import Any
 from .models import ModelArch
 from .seqmdp import Vocabulary
 from .tasks import CopyTask, MarkovChainTask, ReverseTask, Task
+from .teacher import check_table_size
 from .trainer import TrainConfig
 
 
@@ -76,6 +77,37 @@ def _merge(defaults: dict[str, Any], override: dict[str, Any], path: str) -> dic
         else:
             merged[key] = value
     return merged
+
+
+def _check_value(value: Any, default: Any, name: str) -> None:
+    """ConfigError unless ``value`` has the kind of its default: a bool or
+    str for a bool or str default, an integer (an integral float too) for an
+    int, any int or float for a float."""
+    if isinstance(default, (bool, str)):
+        if not isinstance(value, type(default)):
+            kind = type(default).__name__
+            raise ConfigError(f"config key {name!r} must be a {kind}, got {value!r}")
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {name!r} must be a number, got {value!r}")
+    if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config key {name!r} must be an integer, got {value!r}")
+
+
+def _check_types(defaults: dict[str, Any], raw: dict[str, Any], path: str) -> None:
+    """Checks every setting of a merged config, list entries too, against
+    the kind of its default."""
+    for key, default in defaults.items():
+        value, name = raw[key], path + key
+        if isinstance(default, dict):
+            _check_types(default, value, name + ".")
+        elif isinstance(default, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"config key {name!r} must be a list, got {value!r}")
+            for entry in value:
+                _check_value(entry, default[0], name)
+        else:
+            _check_value(value, default, name)
 
 
 @dataclass(frozen=True)
@@ -174,6 +206,9 @@ class ExperimentConfig:
         return dict(self.raw["sweep"])
 
     def validate(self) -> None:
+        _check_types(DEFAULTS, self.raw, "")
+        if len(self.raw["clip_range"]) != 2:
+            raise ConfigError("clip_range must be two numbers [lo, hi]")
         if int(self.raw["vocab_size"]) < 3:
             raise ConfigError("vocab_size must be >= 3 (BOS, EOS, and content)")
         if self.horizon < 1:
@@ -222,6 +257,7 @@ class ExperimentConfig:
             self.task()
             self.arch("teacher")
             self.arch("student")
+            check_table_size(self.vocab.size, self.window)
             # the bias/variance sweep pre-distils for each bucket's epochs
             for epochs in [None, *buckets]:
                 self.predistill_config(epochs)

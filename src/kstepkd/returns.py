@@ -58,25 +58,13 @@ def clip_returns(values: np.ndarray, cfg: ReturnConfig) -> np.ndarray:
     return np.clip(values, lo, hi)
 
 
-# rows per batched teacher evaluation: a frozen mlp1 teacher's forward pass
-# holds [rows, window, hidden] floats, which the bias/variance sweep's
-# hundreds of thousands of sampled steps would otherwise hold all at once
-Q_TERMS_BLOCK = 16384
-
-
 def q_terms(
     teacher: FrozenModelTeacher, contexts: np.ndarray, actions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(q_taken, max_q) for int contexts [N, teacher.window] and actions [N],
-    from batched teacher evaluations of at most ``Q_TERMS_BLOCK`` rows."""
-    q_taken = np.empty(len(actions), dtype=np.float64)
-    max_q = np.empty(len(actions), dtype=np.float64)
-    for lo in range(0, len(actions), Q_TERMS_BLOCK):
-        rows = slice(lo, lo + Q_TERMS_BLOCK)
-        qv = teacher.batch_q_values(contexts[rows])
-        q_taken[rows] = qv[np.arange(len(qv)), actions[rows]]
-        max_q[rows] = qv.max(axis=1)
-    return q_taken, max_q
+    """(q_taken, max_q) for int contexts [N, teacher.window] and actions [N]:
+    two gathers from the teacher's Q table, the same bits in any call."""
+    idx = teacher.index(contexts)
+    return teacher.q[idx, actions], teacher.max_q[idx]
 
 
 def trajectory_q_terms(
@@ -89,28 +77,13 @@ def trajectory_q_terms(
 
 
 def batch_q_terms(
-    batch: TrajectoryBatch, teacher: FrozenModelTeacher, run: np.ndarray | None = None
+    batch: TrajectoryBatch, teacher: FrozenModelTeacher
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(q_taken, max_q) as [B, H] arrays, zero past each row's length.
-
-    With ``run``, the sorted run index of each row of a population batch,
-    the teacher scores each run's steps in a call of their own, so they
-    round as in the call on that run's rows alone."""
+    """(q_taken, max_q) as [B, H] arrays, zero past each row's length."""
     mask = batch.step_mask
-    contexts, actions = batch.step_contexts(teacher.window)[mask], batch.actions[mask]
-    q = np.zeros(mask.shape, dtype=np.float64)
-    m = np.zeros(mask.shape, dtype=np.float64)
-    if run is None:
-        q[mask], m[mask] = q_terms(teacher, contexts, actions)
-        return q, m
-    # each run's steps end after the steps of its last row
-    ends = np.cumsum(batch.lengths)[np.flatnonzero(np.diff(run, append=run[-1] + 1))]
-    parts = [
-        q_terms(teacher, contexts[lo:hi], actions[lo:hi])
-        for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist())
-    ]
-    q[mask] = np.concatenate([qt for qt, _ in parts])
-    m[mask] = np.concatenate([mt for _, mt in parts])
+    q, m = np.zeros((2, *mask.shape))
+    q[mask], m[mask] = q_terms(teacher, batch.step_contexts(teacher.window)[mask],
+                               batch.actions[mask])
     return q, m
 
 

@@ -1,15 +1,17 @@
 """The frozen teacher, its fitting and its checkpoints.
 
 A teacher is a frozen logit model: its pre-softmax logits at a state are the
-Q-values of every action there, per state (``q_values``) or batched over
-context arrays (``batch_q_values``).  ``returns`` turns them into induced
-step rewards and returns.
+Q-values of every action there.  They depend only on the last ``window``
+tokens, so the teacher tabulates them once, read-only: ``q`` [V^window, V]
+at row ``index(context)`` and each row's maximum ``max_q``.  Batched scoring
+is a gather from them; ``q_values(state)`` stays the per-state model call.
+``returns`` turns Q-values into induced step rewards and returns.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -21,9 +23,29 @@ from .models import LogitModel, ModelArch, PolicyDistribution
 from .seqmdp import State, TerminalStateError, Vocabulary, initial_state, step
 
 
+MAX_TABLE_FLOATS = 2**24  # the most floats, vocab_size^(window + 1), a Q table may hold
+
+
+def check_table_size(vocab_size: int, window: int) -> None:
+    if vocab_size ** (window + 1) > MAX_TABLE_FLOATS:
+        raise ValueError(f"teacher Q table of {vocab_size}^{window + 1} > {MAX_TABLE_FLOATS} floats")
+
+
 @dataclass(frozen=True)
 class FrozenModelTeacher:
     model: LogitModel
+    q: np.ndarray = field(init=False, repr=False, compare=False)
+    max_q: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        v, n = self.vocab_size, self.window
+        check_table_size(v, n)
+        # one call per first token: each product stays below BLAS's threading size
+        blocks = np.indices((v,) * n).reshape(n, v, -1).transpose(1, 2, 0)
+        q = np.concatenate([self.model.batch_logits(block) for block in blocks])
+        for name, table in (("q", q), ("max_q", q.max(axis=1))):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def window(self) -> int:
@@ -33,6 +55,10 @@ class FrozenModelTeacher:
     def vocab_size(self) -> int:
         return self.model.vocab_size
 
+    def index(self, contexts: np.ndarray) -> np.ndarray:
+        """Table rows [N] of int contexts [N, window], read base V, first slot high."""
+        return np.ravel_multi_index(contexts.T, (self.vocab_size,) * self.window)
+
     def q_values(self, state: State) -> np.ndarray:
         if state.is_terminal:
             raise TerminalStateError("q_values is undefined at terminal states")
@@ -41,7 +67,7 @@ class FrozenModelTeacher:
     def batch_q_values(self, contexts: np.ndarray) -> np.ndarray:
         """Q-vectors [N, vocab_size] for int contexts [N, window] of
         non-terminal states (the last ``window`` tokens, BOS-padded)."""
-        return self.model.batch_logits(contexts)
+        return self.q[self.index(contexts)]
 
     def distribution(self, state: State) -> PolicyDistribution:
         """Boltzmann policy over the teacher's own Q-values."""

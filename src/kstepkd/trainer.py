@@ -239,7 +239,7 @@ def _lockstep_step(
     step_contexts = trajs.step_contexts(stack.window)
     step_run = None if run is None else np.repeat(run, trajs.lengths)
     scores = stack.scores(step_contexts[mask], trajs.actions[mask], step_run)
-    q, m = ret.batch_q_terms(trajs, teacher, run)
+    q, m = ret.batch_q_terms(trajs, teacher)
     g = ret.kstep_from_batch_terms(q, m, trajs.lengths, 1)
     k = np.repeat([c.return_config.k for c in cfgs], b)
     g_hat = g if np.all(k == 1) else ret.kstep_from_batch_terms(q, m, trajs.lengths, k)
@@ -335,7 +335,7 @@ def evaluate_population(
     run = None if len(stack.params) == 1 else np.repeat(np.arange(len(stack.params)), n)
     batch = decode(stack.batch_logits, stack.window, list(inputs) * len(stack.params), horizon,
                    run=run)
-    q, m = ret.batch_q_terms(batch, teacher, run)
+    q, m = ret.batch_q_terms(batch, teacher)
     g0 = ret.kstep_from_batch_terms(q, m, batch.lengths, 1)[:, 0].tolist()
     return [_left_to_right_mean(g0[lo : lo + n]) for lo in range(0, len(g0), n)]
 

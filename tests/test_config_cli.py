@@ -237,6 +237,29 @@ class TestCliErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("override,message", [
+        ({"vocab_size": "x"}, "'vocab_size' must be a number"),
+        ({"corpus": {"n_sequences": "a"}}, "'corpus.n_sequences' must be a number"),
+        ({"clip_range": [0]}, "clip_range must be two numbers"),
+        ({"k_list": [1.5]}, "'k_list' must be an integer"),
+        ({"horizon": 2.5}, "'horizon' must be an integer"),
+        ({"seeds": [0.5]}, "'seeds' must be an integer"),
+        ({"sweep": {"iid_mode": "no"}}, "'sweep.iid_mode' must be a bool"),
+        ({"out_dir": 5}, "'out_dir' must be a str"),
+        ({"vocab_size": 200, "window": 4}, "teacher Q table"),
+    ], ids=["vocab_size-str", "n_sequences-str", "clip_range-one", "k_list-float",
+            "horizon-float", "seeds-float", "iid_mode-str", "out_dir-int", "table-too-large"])
+    def test_mistyped_or_oversized_setting_exit_2(self, tmp_path, capsys, override, message):
+        data = tiny_config(tmp_path)
+        for key, value in override.items():
+            data[key] = {**data[key], **value} if isinstance(value, dict) else value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        assert main(["--config", str(path), "sweep-k"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("command", ["sweep-k", "train"])
     def test_collapsed_rl_policy_exit_3(self, tmp_path, capsys, command):
         """At rl.lr 1e300 the first update leaves every parameter finite but

@@ -333,13 +333,23 @@ def test_tabular_batch_lookups():
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp1"])
-def test_q_terms_in_blocks_match_one_evaluation(monkeypatch, kind):
-    rng = np.random.default_rng(3)
-    teacher = FrozenModelTeacher(init_model(_arch(kind, 2, 4), VOCAB.size, rng, scale=1.0))
-    contexts = rng.integers(0, VOCAB.size, size=(50, 2))
-    actions = rng.integers(0, VOCAB.size, size=50)
-    qv = teacher.batch_q_values(contexts)
-    monkeypatch.setattr(ret, "Q_TERMS_BLOCK", 7)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_q_terms_on_any_split_match_one_call(kind, data):
+    # teacher scoring is a gather, so a row's terms are the same bits
+    # whichever rows share its call and in whatever order
+    size, window = data.draw(st.integers(3, 12)), data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    teacher = FrozenModelTeacher(init_model(_arch(kind, window, 4), size, rng, scale=1.0))
+    n = data.draw(st.integers(0, 60))
+    contexts = rng.integers(0, size, size=(n, window))
+    actions = rng.integers(0, size, size=n)
     q, m = ret.q_terms(teacher, contexts, actions)
-    _close(q, qv[np.arange(50), actions], bitwise=kind == "linear")
-    _close(m, qv.max(axis=1), bitwise=kind == "linear")
+    qv = teacher.batch_q_values(contexts)
+    assert q.tobytes() == qv[np.arange(n), actions].tobytes()
+    assert m.tobytes() == qv.max(axis=1).tobytes()
+    order = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    for part in np.split(order, cuts):
+        qp, mp = ret.q_terms(teacher, contexts[part], actions[part])
+        assert qp.tobytes() == q[part].tobytes() and mp.tobytes() == m[part].tobytes()

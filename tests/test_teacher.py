@@ -11,6 +11,7 @@ from kstepkd import returns as ret
 from kstepkd.models import ModelArch, init_model, zero_model
 from kstepkd.returns import ReturnConfig
 from kstepkd.seqmdp import (
+    State,
     TerminalStateError,
     Trajectory,
     TrajectoryStep,
@@ -21,8 +22,10 @@ from kstepkd.seqmdp import (
 )
 from kstepkd.tasks import MarkovChainTask, gen_corpus
 from kstepkd.teacher import (
+    MAX_TABLE_FLOATS,
     FrozenModelTeacher,
     _corpus_training_rows,
+    check_table_size,
     fit_teacher,
     load_teacher,
     save_teacher,
@@ -84,6 +87,38 @@ class TestQValue:
         t = table_teacher({(0,): [1.0, 2.0, 0.0]}, 3)
         with pytest.raises(TerminalStateError):
             t.q_values(step(initial_state(VOCAB), VOCAB.eos_id))
+
+
+class TestQTable:
+    @pytest.mark.parametrize("size", [3, 5, 12])
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    def test_rows_match_model_logits(self, kind, window, size):
+        vocab = Vocabulary(size=size, eos_id=size - 1, bos_id=0)
+        arch = ModelArch(kind, window=window, hidden=5 if kind == "mlp1" else 0)
+        t = FrozenModelTeacher(init_model(arch, size, np.random.default_rng(size), scale=1.0))
+        assert t.q.shape == (size**window, size)
+        contexts = np.indices((size,) * window).reshape(window, -1).T
+        np.testing.assert_array_equal(t.index(contexts), np.arange(size**window))
+        for ctx, row in zip(contexts, t.q):
+            state = State(vocab, (vocab.bos_id, *ctx.tolist()), 0)
+            np.testing.assert_allclose(row, t.model.logits(state), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(t.max_q, t.q.max(axis=1))
+
+    def test_frozen(self):
+        m = init_model(ModelArch("linear", window=2), 4, np.random.default_rng(0))
+        t = FrozenModelTeacher(m)
+        for table in (t.q, t.max_q):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+
+    def test_size_bound(self):
+        check_table_size(4096, 1)  # 4096^2 = 2^24 floats: at the bound
+        assert 4096**2 == MAX_TABLE_FLOATS
+        with pytest.raises(ValueError, match="Q table of"):
+            check_table_size(4097, 1)
+        with pytest.raises(ValueError, match="Q table of"):
+            FrozenModelTeacher(zero_model(ModelArch("linear", window=3), 200))
 
 
 class TestMaxQ:
