@@ -269,7 +269,12 @@ class ExperimentConfig:
 def from_dict(data: dict[str, Any]) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    cfg = ExperimentConfig(_merge(DEFAULTS, data, ""))
+    raw = _merge(DEFAULTS, data, "")
+    for which in ("teacher", "student"):
+        # a linear model has no hidden layer, so its width defaults to 0
+        if raw[which]["kind"] == "linear" and "hidden" not in data.get(which, {}):
+            raw[which]["hidden"] = 0
+    cfg = ExperimentConfig(raw)
     cfg.validate()
     return cfg
 

@@ -172,12 +172,15 @@ def run_seed(
         models.ModelStack.of(bests), seed_teacher, splits.test_states, cfg.horizon
     ) if bests else []
 
-    rows: list[dict[str, Any]] = []
-    for (name, _, k), out in zip(specs, outcomes):
-        run_dir = Path(out_dir) / "runs" / name / f"seed{seed}"
+    # the first failed variant's directory holds the shared checkpoints too
+    run_dirs = [Path(out_dir) / "runs" / name / f"seed{seed}" for name, _, _ in specs[: done + 1]]
+    for run_dir in run_dirs:
         run_dir.mkdir(parents=True, exist_ok=True)
-        teacher_mod.save_teacher(seed_teacher, run_dir / "teacher.json")
-        models.save_model(student_pd, run_dir / "student_predistill.json")
+    teacher_mod.save_teacher(seed_teacher, *(d / "teacher.json" for d in run_dirs))
+    models.save_model(student_pd, *(d / "student_predistill.json" for d in run_dirs))
+
+    rows: list[dict[str, Any]] = []
+    for (name, _, k), out, run_dir in zip(specs, outcomes, run_dirs):
         if isinstance(out, Exception):
             raise StageError(f"rl:{name}", seed, out) from out
         best, log, best_val = out

@@ -215,17 +215,19 @@ def decode(
     """Rollouts of every initial state in lockstep.
 
     ``score`` maps int contexts [N, window] to logits [N, V]; each step makes
-    one call on the rows still running.  Without ``rng`` each row takes the
-    argmax (ties to the lowest token id), as ``rollout(mode="greedy")`` does
-    per state.  With ``rng`` each running row draws its action from the
+    one call on every row, finished or not, so the rows keep one shape for
+    the whole decode.  A finished row's tokens and length stay frozen, and
+    only the rows still running take an action.  Without ``rng`` each takes
+    the argmax (ties to the lowest token id), as ``rollout(mode="greedy")``
+    does per state.  With ``rng`` each running row draws its action from the
     softmax by inverse CDF, from one ``rng.random(n_running)`` per step in
     row order, so a single row draws exactly as ``rollout(mode="sample")``.
 
     ``run`` makes the rows a population of independent runs: it holds each
-    row's run index, sorted.  ``score`` is then called as ``score(contexts,
-    run_of_each_row)``, and ``rng`` holds one generator per run; each step
-    draws ``rng[r].random(n_running_r)`` for the runs in order, so every run
-    draws exactly as its rows would alone.
+    row's run index, sorted, and is fixed for the decode.  ``score`` is then
+    called as ``score(contexts, run)``, and ``rng`` holds one generator per
+    run; each step draws ``rng[r].random(n_running_r)`` for the runs in
+    order, so every run draws exactly as its rows would alone.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -245,13 +247,12 @@ def decode(
     lengths = np.zeros(b, dtype=np.int64)
     alive = np.arange(b)
     for t in range(horizon):
-        contexts = tokens[alive, p + t - window : p + t]
-        alive_run = None if run is None else run[alive]
-        logits = score(contexts) if run is None else score(contexts, alive_run)
-        if logits.shape != (len(alive), vocab.size):
-            raise ValueError(
-                f"scores have shape {logits.shape}, expected ({len(alive)}, {vocab.size})"
-            )
+        contexts = tokens[:, p + t - window : p + t]
+        logits = score(contexts) if run is None else score(contexts, run)
+        if logits.shape != (b, vocab.size):
+            raise ValueError(f"scores have shape {logits.shape}, expected ({b}, {vocab.size})")
+        if len(alive) < b:
+            logits = logits.take(alive, axis=0)
         z = logits - logits.max(axis=1, keepdims=True)
         if rng is None:
             actions = np.argmax(logits, axis=1)
@@ -265,12 +266,13 @@ def decode(
             if run is None:
                 u = rng.random(len(alive))
             else:
-                counts = np.bincount(alive_run, minlength=len(rng)).tolist()
+                counts = np.bincount(run[alive], minlength=len(rng)).tolist()
                 u = np.concatenate([g.random(n) for g, n in zip(rng, counts)])
             actions = np.minimum((cdf <= u[:, None]).sum(axis=1), vocab.size - 1)
             lp = log_probs[np.arange(len(alive)), actions]
-        if not np.all(np.isfinite(lp)):
-            bad = int(np.flatnonzero(~np.isfinite(lp))[0])
+        finite = np.isfinite(lp)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
             raise ValueError(f"non-finite log-probability for action {int(actions[bad])}")
         tokens[alive, p + t] = actions
         lengths[alive] = t + 1

@@ -17,6 +17,7 @@ for markov_chain.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,7 +46,7 @@ class MarkovChainTask:
     transition_seed: int = 0
     eos_prob: float = 0.1
     cond_len: int = 2
-    _cdfs: dict[tuple[int, ...], np.ndarray] = field(
+    _cdfs: dict[tuple[int, ...], list[float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -69,7 +70,7 @@ class MarkovChainTask:
         row[self.vocab.eos_id] = self.eos_prob
         return row
 
-    def _cdf(self, context: tuple[int, ...]) -> np.ndarray:
+    def _cdf(self, context: tuple[int, ...]) -> list[float]:
         cdf = self._cdfs.get(context)
         if cdf is None:
             row = self.transition_row(context)
@@ -80,6 +81,7 @@ class MarkovChainTask:
                 raise ValueError(f"transition row for {context} does not sum to 1")
             cdf = row.cumsum()
             cdf /= cdf[-1]
+            cdf = cdf.tolist()
             self._cdfs[context] = cdf
         return cdf
 
@@ -92,8 +94,9 @@ class MarkovChainTask:
             if len(seq) == max_len - 1:
                 seq.append(self.vocab.eos_id)
                 return seq
-            # Generator.choice(V, p=row)'s own arithmetic, on the cached CDF
-            tok = int(self._cdf(ctx).searchsorted(rng.random(), side="right"))
+            # Generator.choice(V, p=row)'s own arithmetic (a right-side
+            # search of the CDF), on the cached CDF
+            tok = bisect.bisect_right(self._cdf(ctx), rng.random())
             seq.append(tok)
             if tok == self.vocab.eos_id:
                 return seq

@@ -147,10 +147,13 @@ def fit_teacher(
 # -- serialization ---------------------------------------------------------
 
 
-def save_teacher(teacher: FrozenModelTeacher, path: str | Path) -> None:
+def save_teacher(teacher: FrozenModelTeacher, *paths: str | Path) -> None:
+    """Writes the frozen checkpoint to every path, serialized once."""
     data = models.model_to_dict(teacher.model)
     data["frozen"] = True
-    Path(path).write_text(json.dumps(data) + "\n")
+    text = json.dumps(data) + "\n"
+    for path in paths:
+        Path(path).write_text(text)
 
 
 def load_teacher(path: str | Path) -> FrozenModelTeacher:

@@ -220,7 +220,7 @@ def _lockstep_step(
     batches[r] under cfgs[r] with generator rngs[r].
 
     One population decode samples one trajectory per input, then one
-    teacher scoring and K-step recursion with each row's own K, each
+    teacher scoring and one recursion for G and each row's K-step Ghat, each
     estimator's signals over the batch size for its runs as one [R, B, H]
     stack, and one backward into [R, P] from the scores of one forward pass,
     which the min-variance baseline's norms share.  Returns the ascended
@@ -240,9 +240,16 @@ def _lockstep_step(
     step_run = None if run is None else np.repeat(run, trajs.lengths)
     scores = stack.scores(step_contexts[mask], trajs.actions[mask], step_run)
     q, m = ret.batch_q_terms(trajs, teacher)
-    g = ret.kstep_from_batch_terms(q, m, trajs.lengths, 1)
     k = np.repeat([c.return_config.k for c in cfgs], b)
-    g_hat = g if np.all(k == 1) else ret.kstep_from_batch_terms(q, m, trajs.lengths, k)
+    if np.all(k == 1):
+        g = g_hat = ret.kstep_from_batch_terms(q, m, trajs.lengths, 1)
+    else:
+        # G (K = 1) and Ghat (each row's K) as one recursion over the rows twice
+        both = ret.kstep_from_batch_terms(
+            np.concatenate([q, q]), np.concatenate([m, m]), np.concatenate([trajs.lengths] * 2),
+            np.concatenate([np.ones_like(k), k]),
+        )
+        g, g_hat = both[: len(q)], both[len(q) :]
 
     shape = (n_runs, b, g.shape[1])
     sq_norms = None

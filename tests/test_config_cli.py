@@ -101,6 +101,22 @@ class TestConfig:
             cfg = from_dict({"task": {"kind": kind}})
             assert cfg.task() is not None
 
+    @pytest.mark.parametrize("which", ["teacher", "student"])
+    def test_linear_kind_defaults_to_width_zero(self, which):
+        cfg = from_dict({which: {"kind": "linear"}})
+        assert cfg.arch(which).hidden == 0
+        assert cfg.raw[which] == {"kind": "linear", "hidden": 0}
+
+    @pytest.mark.parametrize("which", ["teacher", "student"])
+    def test_linear_kind_with_hidden_width_rejected(self, tmp_path, capsys, which):
+        with pytest.raises(ConfigError, match="linear model takes no hidden width"):
+            from_dict({which: {"kind": "linear", "hidden": 4}})
+        path = tmp_path / "c.json"
+        data = tiny_config(tmp_path, **{which: {"kind": "linear", "hidden": 4}})
+        path.write_text(json.dumps(data))
+        assert main(["--config", str(path), "sweep-k"]) == EXIT_CONFIG
+        assert "linear model takes no hidden width" in capsys.readouterr().err
+
     def test_defaults_not_mutated_by_overrides(self):
         before = json.dumps(DEFAULTS, sort_keys=True)
         from_dict({"rl": {"lr": 0.123}})
@@ -375,6 +391,33 @@ class TestPipeline:
         out2 = pipeline.run_pipeline(from_dict(data2))
         assert (out2 / "summary.csv").read_bytes() == summary1
         assert (out2 / "runs" / "kstep_k2" / "seed0" / "trainlog.csv").read_bytes() == trainlog1
+
+    def test_shared_checkpoints_serialized_once_per_seed(self, tmp_path):
+        """Every run directory of a seed holds the bytes ``save_teacher`` and
+        ``save_model`` write for that seed's teacher and pre-distilled
+        student, and they reload bitwise."""
+        from kstepkd import models, teacher as teacher_mod
+
+        cfg = from_dict(tiny_config(tmp_path, include_baselines=True))
+        out = pipeline.run_pipeline(cfg)
+        splits = pipeline.build_corpus(cfg)
+        for seed in cfg.seeds:
+            teacher = pipeline.fit_seed_teacher(cfg, splits, seed)
+            student = pipeline.predistill_student(
+                cfg, pipeline.init_seed_student(cfg, seed), teacher, splits, seed
+            )
+            teacher_mod.save_teacher(teacher, tmp_path / "teacher.json")
+            models.save_model(student, tmp_path / "student.json")
+            for name, _, _ in pipeline.variant_list(cfg):
+                d = out / "runs" / name / f"seed{seed}"
+                assert (d / "teacher.json").read_bytes() == (tmp_path / "teacher.json").read_bytes()
+                assert ((d / "student_predistill.json").read_bytes()
+                        == (tmp_path / "student.json").read_bytes())
+                loaded = teacher_mod.load_teacher(d / "teacher.json")
+                assert np.array_equal(loaded.model.params, teacher.model.params)
+                assert np.array_equal(loaded.q, teacher.q)
+                reloaded = models.load_model(d / "student_predistill.json")
+                assert np.array_equal(reloaded.params, student.params)
 
     def test_summary_schema(self, tmp_path):
         cfg = from_dict(tiny_config(tmp_path))

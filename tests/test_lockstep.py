@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from kstepkd import oracle, pipeline, returns as ret
 from kstepkd.config import from_dict
-from kstepkd.models import ModelArch, init_model, target_counts, zero_model
+from kstepkd.models import ModelArch, ModelStack, init_model, target_counts, zero_model
 from kstepkd.seqmdp import TerminalStateError, Vocabulary, decode, initial_state, rollout, step
 from kstepkd.teacher import FrozenModelTeacher
 from kstepkd.trainer import evaluate_greedy, teacher_greedy_targets
@@ -108,6 +108,76 @@ def test_sampled_decoder_matches_rollout(inst, seed):
             if not running:
                 break
         assert batch.lengths.tolist() == [s.length for s in states]
+
+
+@st.composite
+def eos_heavy_populations(draw):
+    """A stack of R policies whose EOS logit is raised, so that rows end at
+    different steps, and B ragged conditioning prefixes per run."""
+    size = draw(st.integers(3, 6))
+    vocab = Vocabulary(size=size, bos_id=0, eos_id=size - 1)
+    kind = draw(st.sampled_from(["linear", "mlp1"]))
+    arch = _arch(kind, draw(st.integers(1, 3)), draw(st.integers(1, 5)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_runs, b = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    policies = []
+    for _ in range(n_runs):
+        policy = init_model(arch, size, rng, scale=1.0)
+        params = policy.params.copy()
+        params[-1] += draw(st.sampled_from([0.5, 1.5, 3.0]))  # the EOS output bias
+        policies.append(policy.with_params(params))
+    prefixes = draw(st.lists(st.lists(st.integers(0, size - 2), max_size=4),
+                             min_size=n_runs * b, max_size=n_runs * b))
+    inputs = [initial_state(vocab, tuple(p)) for p in prefixes]
+    return policies, b, inputs, draw(st.integers(1, 10)), seed
+
+
+class _Draws:
+    """A stand-in generator that hands ``rollout`` given uniforms in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(eos_heavy_populations())
+def test_population_decode_matches_each_run_alone(case):
+    """The fixed-shape population decode scores every row at every step, a
+    finished one too: each run's actions and lengths are bitwise those of
+    the run decoded alone, greedy and sampled, and each row's actions are
+    its ``rollout``, fed the uniforms its run draws for it (one per running
+    row per step, rows in order)."""
+    policies, b, inputs, horizon, seed = case
+    stack, window = ModelStack.of(policies), policies[0].window
+    run = np.repeat(np.arange(len(policies)), b)
+    for sampled in (False, True):
+        rngs = [np.random.default_rng([seed, r]) for r in range(len(policies))]
+        pop = decode(stack.batch_logits, window, inputs, horizon,
+                     rng=rngs if sampled else None, run=run)
+        for r, policy in enumerate(policies):
+            rows = slice(r * b, (r + 1) * b)
+            alone = decode(policy.batch_logits, window, inputs[rows], horizon,
+                           rng=np.random.default_rng([seed, r]) if sampled else None)
+            assert np.array_equal(pop.actions[rows], alone.actions)
+            assert np.array_equal(pop.lengths[rows], alone.lengths)
+            lengths = pop.lengths[rows].tolist()
+            draws = [[] for _ in range(b)]
+            g = np.random.default_rng([seed, r])
+            for t in range(horizon):
+                running = [i for i in range(b) if lengths[i] > t]
+                for i, u in zip(running, g.random(len(running)).tolist()):
+                    draws[i].append(u)
+            for i, s0 in enumerate(inputs[rows]):
+                if sampled:
+                    traj = rollout(policy, s0, horizon, mode="sample", rng=_Draws(draws[i]))
+                else:
+                    traj = rollout(policy, s0, horizon, mode="greedy")
+                assert traj.num_steps == lengths[i]
+                assert tuple(pop.actions[r * b + i, : lengths[i]].tolist()) == traj.actions
 
 
 @pytest.mark.slow

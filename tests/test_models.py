@@ -182,6 +182,51 @@ def test_scatter_rows_matches_add_at_bitwise():
     assert not got[2 * window * v : 3 * window * v].any()
 
 
+@st.composite
+def stacked_rows(draw):
+    """A stack of R models of one drawn architecture, and rows of int
+    contexts, actions and weights split into runs of equal or ragged sizes."""
+    kind = draw(st.sampled_from(["linear", "mlp1"]))
+    hidden = draw(st.sampled_from([4, 8, 32])) if kind == "mlp1" else 0
+    arch = ModelArch(kind, window=draw(st.integers(1, 3)), hidden=hidden)
+    v = draw(st.sampled_from([3, 5, 12]))
+    n_runs = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(1, 40))] * n_runs
+    else:
+        sizes = draw(st.lists(st.integers(0, 40), min_size=n_runs, max_size=n_runs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ms = [init_model(arch, v, rng, scale=draw(st.sampled_from([0.3, 1.0, 3.0])))
+          for _ in range(n_runs)]
+    n = sum(sizes)
+    rows = (rng.integers(0, v, size=(n, arch.window)), rng.integers(0, v, size=n),
+            rng.normal(size=n))
+    return ms, sizes, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_rows())
+def test_stack_matches_per_run_models_bitwise(case):
+    """Logits, weighted gradients, log-probs and squared score norms of a
+    stack (strided layer views of one [R, P] array) equal each run's own
+    ``LogitModel`` calls on its rows, bitwise: runs of equal size take one
+    stacked product, ragged runs one product per run."""
+    ms, sizes, (contexts, actions, weights) = case
+    stack = models.ModelStack.of(ms)
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    logits = stack.batch_logits(contexts, run)
+    scores = stack.scores(contexts, actions, run)
+    grad, sq = scores.weighted_grad(weights), scores.sq_norms()
+    ends = np.cumsum([0] + sizes)
+    for r, m in enumerate(ms):
+        rows = slice(ends[r], ends[r + 1])
+        assert np.array_equal(logits[rows], m.batch_logits(contexts[rows]))
+        g_r, lp_r = m.weighted_logit_grad(contexts[rows], actions[rows], weights[rows])
+        assert np.array_equal(grad[r], g_r)
+        assert np.array_equal(scores.log_probs[rows], lp_r)
+        assert np.array_equal(sq[rows], m.score_sq_norms(contexts[rows], actions[rows]))
+
+
 class TestModelStack:
     @pytest.mark.parametrize("arch", [
         ModelArch("linear", window=2),

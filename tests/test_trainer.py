@@ -168,17 +168,19 @@ class TestReinforceStep:
     def test_teacher_overflow_raises_non_finite_gradient(self, estimator, k):
         # every teacher logit overflows to inf, so each q - m term is inf - inf = nan
         huge = np.full(param_count(ModelArch("linear", window=2), VOCAB.size), 1e308)
-        teacher = FrozenModelTeacher(LogitModel("linear", VOCAB.size, 2, 0, huge))
         student = make_student()
         batch = [initial_state(VOCAB)] * 4
         first = first_sampled_actions(student, batch)
         assert len(first) >= 2  # a one-step trajectory's clipped return stays finite
         message = f"non-finite gradient from trajectory 0 (actions {first})"
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteGradientError) as info:
-            reinforce_step(
-                student, teacher, batch, rl_cfg(estimator=estimator, k=k),
-                np.random.default_rng(0),
-            )
+        with np.errstate(all="ignore"):
+            # the teacher's Q table overflows as it is built
+            teacher = FrozenModelTeacher(LogitModel("linear", VOCAB.size, 2, 0, huge))
+            with pytest.raises(NonFiniteGradientError) as info:
+                reinforce_step(
+                    student, teacher, batch, rl_cfg(estimator=estimator, k=k),
+                    np.random.default_rng(0),
+                )
         assert str(info.value) == message
 
     def test_student_gradient_overflow_names_trajectory(self):
