@@ -36,7 +36,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="JSON experiment config")
     parser.add_argument("--out", type=str, default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None, help="seed override (single-seed ops)")
-    parser.add_argument("--threads", type=int, default=1, help="parallel (variant, seed) runs")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="sweep-k worker processes, one seed per task (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic corpus file")
@@ -174,6 +175,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,20 +124,18 @@ def _scatter_rows(idx: np.ndarray, d1: np.ndarray, n_rows: int) -> np.ndarray:
     return sums.reshape(n_rows, width)
 
 
-def _run_products(
-    a: np.ndarray, b: np.ndarray, bounds: list[tuple[int, int]], width: int
-) -> np.ndarray:
+def _run_products(a: np.ndarray, b: np.ndarray, layout: RowLayout, width: int) -> np.ndarray:
     """a[lo:hi] @ b[r] for each run r's rows (lo, hi), as [N, width].  Equal
     runs make one stacked product over [R, n, .] views; its slice r is the
     same gemm call, on the same strides, as run r's own product, so both
     ways agree bitwise.  Ragged runs loop over the runs."""
     out = np.empty((len(a), width))
-    n = bounds[0][1] - bounds[0][0]
-    if len(bounds) > 1 and all(hi - lo == n for lo, hi in bounds):
-        r = len(bounds)
+    if layout.stacked:
+        r = len(layout.bounds)
+        n = len(a) // r
         np.matmul(a.reshape(r, n, a.shape[1]), b, out=out.reshape(r, n, width))
         return out
-    for r, (lo, hi) in enumerate(bounds):
+    for r, (lo, hi) in enumerate(layout.bounds):
         np.matmul(a[lo:hi], b[r], out=out[lo:hi])
     return out
 
@@ -146,18 +144,16 @@ class _RunRows:
     """The batched forward, backward and scores of R models of one
     architecture, each written once, over rows that each belong to one run.
 
-    ``run`` holds each row's run index, sorted, so that the rows of a run
-    are contiguous (``bounds`` are their (start, end)); None means one run
-    holding every row, which is how ``LogitModel`` calls this code.  The
-    first layer's columns of all runs are rows of one run-major table: row
-    i's slot j reads table row run[i] * window * V + column.  Gathers,
-    scatters and elementwise steps run on all rows at once.  Each matrix
-    product and sum over rows runs per run, on that run's rows: BLAS rounds
-    a row of a product differently at another row count, so this keeps
-    every run bitwise equal to the call on its rows alone.  When every run
-    holds the same row count, as in a population decode, the runs' products
-    are one stacked ``np.matmul``, whose slices are gemm calls of each run's
-    own shape (``_run_products``).
+    Which run each row belongs to is a ``RowLayout`` (``layout``), fixed
+    for a given ``run``.  The first layer's columns of all runs are rows of
+    one run-major table: row i's slot j reads table row run[i] * window * V
+    + column.  Gathers, scatters and elementwise steps run on all rows at
+    once.  Each matrix product and sum over rows runs per run, on that
+    run's rows: BLAS rounds a row of a product differently at another row
+    count, so this keeps every run bitwise equal to the call on its rows
+    alone.  When every run holds the same row count, as in a population
+    decode, the runs' products are one stacked ``np.matmul``, whose slices
+    are gemm calls of each run's own shape (``_run_products``).
     """
 
     def _set_layers(self) -> None:
@@ -174,6 +170,7 @@ class _RunRows:
         o = width * n * v
         w1 = params[:, :o].reshape(r, width, n * v)
         object.__setattr__(self, "_offsets", np.arange(n) * v)
+        object.__setattr__(self, "_edges", np.arange(r + 1))
         object.__setattr__(self, "_table", w1.transpose(0, 2, 1).reshape(r * n * v, width))
         object.__setattr__(self, "_b1", params[:, o : o + width])
         if self.kind == "mlp1":
@@ -181,54 +178,57 @@ class _RunRows:
             object.__setattr__(self, "_w2", params[:, o : o + v * width].reshape(r, v, width))
             object.__setattr__(self, "_b2", params[:, o + v * width :])
 
-    def _locate(
-        self, contexts: np.ndarray, run: np.ndarray | None
-    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """Table rows [N, window] of int contexts [N, window], and each run's
-        (start, end) rows."""
-        rows = contexts + self._offsets
+    def layout(self, run: np.ndarray | None = None) -> RowLayout:
+        """The layout of rows under models run[i], for ``run`` sorted, or of
+        any number of rows all under model 0 (None)."""
+        mlp1 = self.kind == "mlp1"
         if run is None:
-            return rows, [(0, len(rows))]
+            return RowLayout(self, self._offsets, [(0, None)], False, self._b1[0],
+                             self._b2[0] if mlp1 else None)
         edges = np.searchsorted(run, self._edges).tolist()
-        rows += (run * (self.window * self.vocab_size))[:, None]
-        return rows, list(zip(edges[:-1], edges[1:]))
+        bounds = list(zip(edges[:-1], edges[1:]))
+        sizes = {hi - lo for lo, hi in bounds}
+        return RowLayout(
+            self, self._offsets + (run * (self.window * self.vocab_size))[:, None], bounds,
+            len(bounds) > 1 and len(sizes) == 1, self._b1.take(run, axis=0),
+            self._b2.take(run, axis=0) if mlp1 else None,
+        )
 
     def _forward(
-        self, rows: np.ndarray, run: np.ndarray | None, bounds: list[tuple[int, int]]
+        self, rows: np.ndarray, layout: RowLayout
     ) -> tuple[np.ndarray | None, np.ndarray]:
-        """Hidden activations [N, hidden] (None for linear) and logits [N, V]."""
-        b1 = self._b1[0] if run is None else self._b1.take(run, axis=0)
-        u = _slot_sum(self._table, rows) + b1
+        """Hidden activations [N, hidden] (None for linear) and logits [N, V]
+        at table rows [N, window]."""
+        u = _slot_sum(self._table, rows) + layout.b1
         if self.kind == "linear":
             return None, u
         h = np.tanh(u)
-        z = _run_products(h, self._w2.transpose(0, 2, 1), bounds, self.vocab_size)
-        return h, z + (self._b2[0] if run is None else self._b2.take(run, axis=0))
+        z = _run_products(h, self._w2.transpose(0, 2, 1), layout, self.vocab_size)
+        return h, z + layout.b2
 
     def _first_layer_cotangent(
-        self, h: np.ndarray | None, dz: np.ndarray, bounds: list[tuple[int, int]]
+        self, h: np.ndarray | None, dz: np.ndarray, layout: RowLayout
     ) -> np.ndarray:
         """dz itself for linear; du = (dz @ w2) * tanh' for mlp1."""
         if h is None:
             return dz
-        return _run_products(dz, self._w2, bounds, self.hidden) * (1.0 - h * h)
+        return _run_products(dz, self._w2, layout, self.hidden) * (1.0 - h * h)
 
     def _backward(
-        self, rows: np.ndarray, bounds: list[tuple[int, int]], h: np.ndarray | None,
-        dz: np.ndarray,
+        self, rows: np.ndarray, layout: RowLayout, h: np.ndarray | None, dz: np.ndarray
     ) -> np.ndarray:
         """Per run, the parameter gradient of sum_i dz_i . logits_i over its
         rows, as [R, P], for logit cotangents dz [N, V] at the table rows and
         hidden activations of one forward pass."""
-        d1 = self._first_layer_cotangent(h, dz, bounds)
-        n_runs, nv, width = len(bounds), self.window * self.vocab_size, d1.shape[1]
+        d1 = self._first_layer_cotangent(h, dz, layout)
+        n_runs, nv, width = len(layout.bounds), self.window * self.vocab_size, d1.shape[1]
         o = width * nv
         # a table row repeats across rows, so accumulate by row, then lay
         # the table out as each run's [width, nv]
         g1t = _scatter_rows(rows, d1, n_runs * nv)
         grad = np.zeros((n_runs, self.params.shape[-1]))
         grad[:, :o] = g1t.reshape(n_runs, nv, width).transpose(0, 2, 1).reshape(n_runs, o)
-        for r, (lo, hi) in enumerate(bounds):
+        for r, (lo, hi) in enumerate(layout.bounds):
             grad[r, o : o + width] = d1[lo:hi].sum(axis=0)
             if h is not None:
                 p = o + width + self.vocab_size * width
@@ -236,16 +236,44 @@ class _RunRows:
                 grad[r, p:] = dz[lo:hi].sum(axis=0)
         return grad
 
-    def _scores(
-        self, contexts: np.ndarray, actions: np.ndarray, run: np.ndarray | None
-    ) -> Scores:
+
+class RowLayout(NamedTuple):
+    """Which run each row of a batched call belongs to, worked out once for
+    a fixed ``run`` and shared by every call on those rows (``_RunRows.layout``):
+    each row's table-row offsets [N, window] (slot offset + run * window * V),
+    each run's (start, end) rows, whether the runs (more than one) are of
+    equal size and so take one stacked product, and each row's b1 and b2.
+    The layout of one run holds every row under model 0 ((0, None) rows,
+    the per-slot offsets and model 0's biases), so it fits any row count."""
+
+    model: _RunRows
+    offsets: np.ndarray
+    bounds: list[tuple[int, int | None]]
+    stacked: bool
+    b1: np.ndarray
+    b2: np.ndarray | None
+
+    def batch_logits(self, contexts: np.ndarray) -> np.ndarray:
+        """Logits [N, V] of int contexts [N, window] laid out as this layout's rows."""
+        return self.model._forward(contexts + self.offsets, self)[1]
+
+    def scores(self, contexts: np.ndarray, actions: np.ndarray) -> Scores:
         """The scores at int contexts [N, window] and actions [N]."""
-        rows, bounds = self._locate(contexts, run)
-        h, z = self._forward(rows, run, bounds)
+        rows = contexts + self.offsets
+        h, z = self.model._forward(rows, self)
         lp = log_softmax(z)
         err = -np.exp(lp)
         err[np.arange(len(actions)), actions] += 1.0
-        return Scores(self, rows, bounds, h, lp, err)
+        return Scores(self, rows, h, lp, err)
+
+
+def _closed_form_sq_norms(
+    window: int, err: np.ndarray, h: np.ndarray | None, du: np.ndarray
+) -> np.ndarray:
+    e2 = (err * err).sum(axis=1)
+    if h is None:
+        return (window + 1) * e2
+    return e2 * (1.0 + (h * h).sum(axis=1)) + (window + 1) * (du * du).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -254,29 +282,38 @@ class Scores:
     one forward pass.  The backward of err is d log pi(a|c) / d params, so
     the squared norms and every weighted gradient of the rows share it."""
 
-    model: _RunRows
+    layout: RowLayout
     rows: np.ndarray
-    bounds: list[tuple[int, int]]
     hidden: np.ndarray | None
     log_probs: np.ndarray
     err: np.ndarray
 
-    def sq_norms(self) -> np.ndarray:
+    def sq_norms(self, runs: Sequence[int] | None = None) -> np.ndarray:
         """||d log pi(a_i|c_i) / d params||^2 per row, in closed form: the
         encoding x has ``window`` ones, so ||outer(d1, x)||^2 = window ||d1||^2.
-        linear (window+1)||err||^2; mlp1 ||err||^2 (1+||h||^2) + (window+1)||du||^2."""
-        h, err, n = self.hidden, self.err, self.model.window
-        e2 = (err * err).sum(axis=1)
-        if h is None:
-            return (n + 1) * e2
-        du = self.model._first_layer_cotangent(h, err, self.bounds)
-        return e2 * (1.0 + (h * h).sum(axis=1)) + (n + 1) * (du * du).sum(axis=1)
+        linear (window+1)||err||^2; mlp1 ||err||^2 (1+||h||^2) + (window+1)||du||^2.
+
+        ``runs`` (all by default) picks the runs whose rows are computed,
+        returned run after run.  Each run's du comes from its own product
+        either way, so a run's norms are bitwise the same."""
+        h, err, layout = self.hidden, self.err, self.layout
+        model = layout.model
+        if runs is None or len(runs) == len(layout.bounds):
+            du = model._first_layer_cotangent(h, err, layout)
+            return _closed_form_sq_norms(model.window, err, h, du)
+        parts = []
+        for r in runs:
+            rows = slice(*layout.bounds[r])
+            e, h_r = err[rows], None if h is None else h[rows]
+            du = e if h is None else np.matmul(e, model._w2[r]) * (1.0 - h_r * h_r)
+            parts.append(_closed_form_sq_norms(model.window, e, h_r, du))
+        return np.concatenate(parts)
 
     def weighted_grad(self, weights: np.ndarray) -> np.ndarray:
         """Per run, sum_i w_i d log pi(a_i|c_i) / d params over its rows, for
         weights [N]: [R, P]."""
         dz = self.err * weights[:, None]
-        return self.model._backward(self.rows, self.bounds, self.hidden, dz)
+        return self.layout.model._backward(self.rows, self.layout, self.hidden, dz)
 
 
 @dataclass(frozen=True)
@@ -352,8 +389,7 @@ class LogitModel(_RunRows):
 
     def batch_logits(self, contexts: np.ndarray) -> np.ndarray:
         """Logits for an int array of contexts with shape [batch, window]."""
-        rows, bounds = self._locate(contexts, None)
-        return self._forward(rows, None, bounds)[1]
+        return self.layout().batch_logits(contexts)
 
     def weighted_logit_grad(
         self, contexts: np.ndarray, actions: np.ndarray, weights: np.ndarray
@@ -361,12 +397,12 @@ class LogitModel(_RunRows):
         """sum_i w_i d log pi(a_i|c_i) / d params over int contexts
         [N, window], actions [N] and weights [N], plus the log-probs [N, V]
         of the same forward pass."""
-        scores = self._scores(contexts, actions, None)
+        scores = self.layout().scores(contexts, actions)
         return scores.weighted_grad(weights)[0], scores.log_probs
 
     def score_sq_norms(self, contexts: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """||d log pi(a_i|c_i) / d params||^2 per row (``Scores.sq_norms``)."""
-        return self._scores(contexts, actions, None).sq_norms()
+        return self.layout().scores(contexts, actions).sq_norms()
 
     def cross_entropy_grad(
         self, contexts: np.ndarray, counts: np.ndarray
@@ -381,12 +417,13 @@ class LogitModel(_RunRows):
         """
         row_totals = counts.sum(axis=1)
         total = row_totals.sum()
-        rows, bounds = self._locate(contexts, None)
-        h, z = self._forward(rows, None, bounds)
+        rows = contexts + self._offsets
+        layout = self.layout()
+        h, z = self._forward(rows, layout)
         lp = log_softmax(z)
         loss = float(-(counts * lp).sum() / total)
         dz = (np.exp(lp) * row_totals[:, None] - counts) / total
-        return loss, self._backward(rows, bounds, h, dz)[0]
+        return loss, self._backward(rows, layout, h, dz)[0]
 
     # -- updates ---------------------------------------------------------
 
@@ -422,7 +459,6 @@ class ModelStack(_RunRows):
             raise ValueError(
                 f"stacked parameters have shape {self.params.shape}, expected (R, {expected})"
             )
-        object.__setattr__(self, "_edges", np.arange(len(self.params) + 1))
         self._set_layers()
 
     @classmethod
@@ -446,13 +482,12 @@ class ModelStack(_RunRows):
     def batch_logits(self, contexts: np.ndarray, run: np.ndarray | None = None) -> np.ndarray:
         """Logits [N, V] for int contexts [N, window], row i under model
         run[i] (all under model 0 without ``run``)."""
-        rows, bounds = self._locate(contexts, run)
-        return self._forward(rows, run, bounds)[1]
+        return self.layout(run).batch_logits(contexts)
 
     def scores(self, contexts: np.ndarray, actions: np.ndarray, run: np.ndarray | None) -> Scores:
         """The scores at int contexts [N, window] and actions [N], row i
         under model run[i] (all under model 0 for run None)."""
-        return self._scores(contexts, actions, run)
+        return self.layout(run).scores(contexts, actions)
 
 
 def target_counts(

@@ -111,9 +111,9 @@ def _enumerate(
     policy, so it is built once, depth by depth: one ``score`` call scores
     the paths still running, each repeats once per action, and the path
     log-probs accumulate left to right as in ``enumerate_trajectories``.
-    With several runs ``score`` is called as in ``decode``, on the contexts
-    repeated run by run with their run index, so each run's rows are the
-    one-run call's rows."""
+    With several runs ``score`` is called as ``ModelStack.batch_logits``,
+    on the contexts repeated run by run with their run index, so each run's
+    rows are the one-run call's rows."""
     vocab, prefix = spec.vocab, spec.initial.prefix
     p = max(window, len(prefix))
     running = np.full((1, p + spec.horizon), vocab.bos_id, dtype=np.int64)

@@ -199,6 +199,19 @@ def run_seed(
     return rows
 
 
+# the sweep's splits in a pool worker, set once per worker by ``_init_worker``
+_worker_splits: DataSplits | None = None
+
+
+def _init_worker(splits: DataSplits) -> None:
+    global _worker_splits
+    _worker_splits = splits
+
+
+def _run_seed_in_worker(raw_cfg: dict[str, Any], seed: int, out_dir: str) -> list[dict[str, Any]]:
+    return run_seed(raw_cfg, seed, out_dir, _worker_splits)
+
+
 def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
     out_dir = cfg.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -215,9 +228,13 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
 
     all_rows: list[dict[str, Any]] = []
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # the splits reach each worker once, as its initializer's argument:
+        # inherited under fork, pickled once per worker otherwise
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=_init_worker, initargs=(splits,)
+        ) as pool:
             futures = [
-                pool.submit(run_seed, cfg.raw, seed, str(out_dir), splits) for seed in cfg.seeds
+                pool.submit(_run_seed_in_worker, cfg.raw, seed, str(out_dir)) for seed in cfg.seeds
             ]
             for fut in futures:
                 all_rows.extend(fut.result())

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class TerminalStateError(ValueError):
@@ -200,8 +200,23 @@ class TrajectoryBatch:
         if window > p:
             pad = np.full((tokens.shape[0], window - p), self.vocab.bos_id, dtype=tokens.dtype)
             tokens, p = np.concatenate([pad, tokens], axis=1), window
-        start = p - window
-        return sliding_window_view(tokens, window, axis=1)[:, start : start + self.horizon]
+        # the window view made directly: ``sliding_window_view``'s checks
+        # cost about three times as much at a decode's size
+        s0, s1 = tokens.strides
+        return as_strided(tokens[:, p - window :], shape=(len(tokens), self.horizon, window),
+                          strides=(s0, s1, s1), writeable=False)
+
+
+def _draw_pointers(
+    runs: np.ndarray, base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For running rows of runs ``runs`` (sorted) whose runs' next uniforms
+    sit at ``base``: each run's count of running rows, each row's index of
+    its next uniform (its run's next plus its rank among the run's running
+    rows), and how far a step moves that index (its run's count)."""
+    counts = np.bincount(runs, minlength=len(base))
+    firsts = np.cumsum(counts) - counts
+    return counts, (base - firsts)[runs] + np.arange(len(runs)), counts[runs]
 
 
 def decode(
@@ -214,20 +229,27 @@ def decode(
 ) -> TrajectoryBatch:
     """Rollouts of every initial state in lockstep.
 
-    ``score`` maps int contexts [N, window] to logits [N, V]; each step makes
-    one call on every row, finished or not, so the rows keep one shape for
-    the whole decode.  A finished row's tokens and length stay frozen, and
-    only the rows still running take an action.  Without ``rng`` each takes
-    the argmax (ties to the lowest token id), as ``rollout(mode="greedy")``
-    does per state.  With ``rng`` each running row draws its action from the
-    softmax by inverse CDF, from one ``rng.random(n_running)`` per step in
-    row order, so a single row draws exactly as ``rollout(mode="sample")``.
+    ``score`` maps int contexts [N, window] to logits [N, V], one call per
+    step.  Without ``run`` the rows are one policy's, and each step scores
+    only the rows still running.  With ``run`` (each row's run index,
+    sorted) the rows are a population of independent runs, and ``score``
+    must keep each run's rows apart, as ``RowLayout.batch_logits`` of the
+    layout of ``run`` does: each step scores every row, finished or not, so
+    that every run keeps one row count, and so one product shape, for the
+    whole decode; ``run`` itself only routes the draws.  Either way a
+    finished row's tokens and length stay frozen, and only the rows still
+    running take an action.
 
-    ``run`` makes the rows a population of independent runs: it holds each
-    row's run index, sorted, and is fixed for the decode.  ``score`` is then
-    called as ``score(contexts, run)``, and ``rng`` holds one generator per
-    run; each step draws ``rng[r].random(n_running_r)`` for the runs in
-    order, so every run draws exactly as its rows would alone.
+    Without ``rng`` each takes the argmax (ties to the lowest token id), as
+    ``rollout(mode="greedy")`` does per state.  With ``rng`` (one generator,
+    or one per run with ``run``) each running row draws its action from the
+    softmax by inverse CDF.  Each generator draws its run's uniforms as one
+    ``random(rows * horizon)`` block, handed out step by step to the run's
+    running rows in row order, and on any exit, raised or not, it is reset
+    and advanced by exactly the uniforms handed out: the draws and the end
+    state are those of one ``random(n_running)`` call per step, for any bit
+    generator.  So a single row draws exactly as ``rollout(mode="sample")``,
+    and every run as its rows would alone.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -237,46 +259,78 @@ def decode(
     for s in initial:
         if s.is_terminal:
             raise TerminalStateError("rollout must start from a non-terminal state")
-        if s.vocab != vocab:
+        if s.vocab is not vocab and s.vocab != vocab:
             raise ValueError("initial states must share one vocabulary")
     b = len(initial)
     p = max(window, max(len(s.prefix) for s in initial))
     tokens = np.full((b, p + horizon), vocab.bos_id, dtype=np.int64)
     for i, s in enumerate(initial):
         tokens[i, p - len(s.prefix) : p] = s.prefix
-    lengths = np.zeros(b, dtype=np.int64)
+    # a row's length is written when it ends; the rest run the horizon
+    lengths = np.full(b, horizon, dtype=np.int64)
     alive = np.arange(b)
-    for t in range(horizon):
-        contexts = tokens[:, p + t - window : p + t]
-        logits = score(contexts) if run is None else score(contexts, run)
-        if logits.shape != (b, vocab.size):
-            raise ValueError(f"scores have shape {logits.shape}, expected ({b}, {vocab.size})")
-        if len(alive) < b:
-            logits = logits.take(alive, axis=0)
-        z = logits - logits.max(axis=1, keepdims=True)
-        if rng is None:
-            actions = np.argmax(logits, axis=1)
-            # log_softmax at the argmax, whose shifted logit is exactly 0
-            lp = -np.log(np.exp(z).sum(axis=1))
-        else:
-            # the same log_softmax and inverse-CDF draw as rollout; the
-            # clamp guards the final partial sum rounding below 1.0
-            log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-            cdf = np.cumsum(np.exp(log_probs), axis=1)
-            if run is None:
-                u = rng.random(len(alive))
+
+    gens = [] if rng is None else [rng] if run is None else list(rng)
+    saved = [g.bit_generator.state for g in gens]
+    sizes = [b] if run is None else np.bincount(run, minlength=len(gens)).tolist()
+    blocks = [g.random(n * horizon) for g, n in zip(gens, sizes)]
+    flat = np.concatenate(blocks) if blocks else None
+    # one generator hands out flat[drawn:] in order; in a population, run r
+    # has handed out used[r] and running row i takes flat[ptr[i]] next
+    drawn, used = 0, np.zeros(len(gens), dtype=np.int64)
+    pooled = bool(gens) and run is not None
+    if pooled:
+        starts = horizon * (np.cumsum(sizes) - sizes)
+        counts, ptr, stride = _draw_pointers(run, starts)
+    try:
+        for t in range(horizon):
+            contexts = tokens[:, p + t - window : p + t]
+            if run is None and len(alive) < b:
+                contexts = contexts.take(alive, axis=0)
+            logits = score(contexts)
+            if logits.shape != (len(contexts), vocab.size):
+                raise ValueError(
+                    f"scores have shape {logits.shape}, expected ({len(contexts)}, {vocab.size})"
+                )
+            if len(logits) > len(alive):
+                logits = logits.take(alive, axis=0)
+            z = logits - logits.max(axis=1, keepdims=True)
+            if rng is None:
+                actions = np.argmax(logits, axis=1)
+                # log_softmax at the argmax, whose shifted logit is exactly 0
+                lp = -np.log(np.exp(z).sum(axis=1))
             else:
-                counts = np.bincount(run[alive], minlength=len(rng)).tolist()
-                u = np.concatenate([g.random(n) for g, n in zip(rng, counts)])
-            actions = np.minimum((cdf <= u[:, None]).sum(axis=1), vocab.size - 1)
-            lp = log_probs[np.arange(len(alive)), actions]
-        finite = np.isfinite(lp)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
-            raise ValueError(f"non-finite log-probability for action {int(actions[bad])}")
-        tokens[alive, p + t] = actions
-        lengths[alive] = t + 1
-        alive = alive[actions != vocab.eos_id]
-        if not len(alive):
-            break
+                # the same log_softmax and inverse-CDF draw as rollout; the
+                # clamp guards the final partial sum rounding below 1.0
+                log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+                cdf = np.cumsum(np.exp(log_probs), axis=1)
+                if pooled:
+                    u = flat[ptr]
+                    ptr += stride
+                    used += counts
+                else:
+                    u = flat[drawn : drawn + len(alive)]
+                    drawn += len(alive)
+                actions = np.minimum((cdf <= u[:, None]).sum(axis=1), vocab.size - 1)
+                lp = log_probs[np.arange(len(alive)), actions]
+            finite = np.isfinite(lp)
+            if not finite.all():
+                bad = int(np.flatnonzero(~finite)[0])
+                raise ValueError(f"non-finite log-probability for action {int(actions[bad])}")
+            if len(alive) == b:
+                tokens[:, p + t] = actions
+            else:
+                tokens[alive, p + t] = actions
+            ended = actions == vocab.eos_id
+            if np.count_nonzero(ended):
+                lengths[alive[ended]] = t + 1
+                alive = alive[~ended]
+                if not len(alive):
+                    break
+                if pooled:
+                    counts, ptr, stride = _draw_pointers(run[alive], starts + used)
+    finally:
+        for g, state, n in zip(gens, saved, used.tolist() if pooled else [drawn]):
+            g.bit_generator.state = state
+            g.random(n)
     return TrajectoryBatch(vocab, tokens, p, lengths)

@@ -220,20 +220,22 @@ def _lockstep_step(
     batches[r] under cfgs[r] with generator rngs[r].
 
     One population decode samples one trajectory per input, then one
-    teacher scoring and one recursion for G and each row's K-step Ghat, each
-    estimator's signals over the batch size for its runs as one [R, B, H]
-    stack, and one backward into [R, P] from the scores of one forward pass,
-    which the min-variance baseline's norms share.  Returns the ascended
-    stack, per run the record's (mean_G, mean_Ghat, grad_norm, entropy), and
-    the sampled batch.
+    teacher scoring and one recursion for G and each row's K-step Ghat, the
+    signals as one [R, B, H] stack, and one backward into [R, P] from the
+    scores of one forward pass, which the min-variance baseline's norms
+    share.  Each distinct estimator's signals are computed on the whole
+    stack, and each run takes its own estimator's: every reduction runs
+    over one run's B rows, so a run's signals are bitwise those of the run
+    alone.  Returns the ascended stack, per run the record's (mean_G,
+    mean_Ghat, grad_norm, entropy), and the sampled batch.
     """
     cfg, n_runs, b = cfgs[0], len(cfgs), len(batches[0])
     # each row's run, run-major; None for one run, which every batched call
     # takes as all rows in run 0 without locating the runs
     run = None if n_runs == 1 else np.repeat(np.arange(n_runs), b)
     trajs = decode(
-        stack.batch_logits, stack.window, [s for batch in batches for s in batch], cfg.horizon,
-        rng=rngs[0] if run is None else rngs, run=run,
+        stack.layout(run).batch_logits, stack.window, [s for batch in batches for s in batch],
+        cfg.horizon, rng=rngs[0] if run is None else rngs, run=run,
     )
     mask = trajs.step_mask
     step_contexts = trajs.step_contexts(stack.window)
@@ -252,19 +254,21 @@ def _lockstep_step(
         g, g_hat = both[: len(q)], both[len(q) :]
 
     shape = (n_runs, b, g.shape[1])
+    names = [c.estimator for c in cfgs]
+    estimators = np.array(names)[:, None, None]
     sq_norms = None
-    if any(c.estimator == "minvar_baseline" for c in cfgs):
-        sq_norms = np.zeros(mask.shape)
-        sq_norms[mask] = scores.sq_norms()
-        sq_norms = sq_norms.reshape(shape)
+    minvar = [r for r, name in enumerate(names) if name == "minvar_baseline"]
+    if minvar:
+        # the norms of the min-variance runs' steps; zero weight elsewhere
+        steps = np.zeros(shape, dtype=bool)
+        steps[minvar] = mask.reshape(shape)[minvar]
+        sq_norms = np.zeros(shape)
+        sq_norms[steps] = scores.sq_norms(minvar)
     g3, g_hat3, lengths = g.reshape(shape), g_hat.reshape(shape), trajs.lengths.reshape(shape[:2])
-    signals = np.empty(shape)
-    for estimator in dict.fromkeys(c.estimator for c in cfgs):
-        rows = [r for r, c in enumerate(cfgs) if c.estimator == estimator]
-        signals[rows] = estimator_signals(
-            g3[rows], g_hat3[rows], lengths[rows],
-            None if sq_norms is None else sq_norms[rows], cfgs[rows[0]],
-        )
+    signals = np.zeros(shape)
+    for name in dict.fromkeys(names):
+        picked = estimator_signals(g3, g_hat3, lengths, sq_norms, cfgs[names.index(name)])
+        signals = np.where(estimators == name, picked, signals)
     signals = signals.reshape(g.shape) / b
 
     accum = scores.weighted_grad(signals[mask])
@@ -292,7 +296,7 @@ def _lockstep_step(
     stats = [
         (float(mean_g[r]), float(mean_g_hat[r]), float(np.linalg.norm(accum[r])),
          float(np.mean(entropy[lo:hi])))
-        for r, (lo, hi) in enumerate(scores.bounds)
+        for r, (lo, hi) in enumerate(scores.layout.bounds)
     ]
     return new_stack, stats, trajs
 
@@ -340,8 +344,8 @@ def evaluate_population(
     rows."""
     n = len(inputs)
     run = None if len(stack.params) == 1 else np.repeat(np.arange(len(stack.params)), n)
-    batch = decode(stack.batch_logits, stack.window, list(inputs) * len(stack.params), horizon,
-                   run=run)
+    batch = decode(stack.layout(run).batch_logits, stack.window, list(inputs) * len(stack.params),
+                   horizon, run=run)
     q, m = ret.batch_q_terms(batch, teacher)
     g0 = ret.kstep_from_batch_terms(q, m, batch.lengths, 1)[:, 0].tolist()
     return [_left_to_right_mean(g0[lo : lo + n]) for lo in range(0, len(g0), n)]
@@ -385,7 +389,7 @@ class _Run:
         """The next batch_size inputs of reshuffled passes over the inputs."""
         size = self.cfg.batch_size
         while len(self.order) < size:
-            self.order.extend(int(i) for i in self.rng.permutation(len(inputs)))
+            self.order.extend(self.rng.permutation(len(inputs)).tolist())
         batch = [inputs[i] for i in self.order[:size]]
         del self.order[:size]
         return batch
@@ -422,7 +426,7 @@ def _lockstep_iteration(
         run.eval_return = record.eval_greedy_return
         if due and run.eval_return > run.best_eval:
             run.best, run.best_eval = new_stack.model(r), run.eval_return
-        run.log.append(record)
+        run.log.records.append(record)  # checked above
     return new_stack
 
 

@@ -139,6 +139,13 @@ class TestCliBasics:
         assert main(["--config", cfg, command]) == EXIT_CONFIG
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        cfg = self.write_config(tmp_path, tiny_config(tmp_path))
+        assert main(["--config", cfg, "--threads", threads, "sweep-k"]) == EXIT_CONFIG
+        assert "config error: --threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_gen_corpus(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, tiny_config(tmp_path))
         assert main(["--config", cfg, "gen-corpus", "--n", "7"]) == EXIT_OK
@@ -428,11 +435,22 @@ class TestPipeline:
         assert len(rows) == 1 + 2 * 2  # two variants x two seeds
 
     def test_threaded_sweep_matches_sequential(self, tmp_path):
+        """Every artifact of a pool sweep, whose workers get the splits from
+        their initializer, is byte-identical to the one-process sweep's,
+        but metadata.json and config.json's out_dir."""
         data = tiny_config(tmp_path)
         seq = pipeline.run_pipeline(from_dict(data))
         data2 = tiny_config(tmp_path, out_dir=str(tmp_path / "runs_mt"))
         par = pipeline.run_pipeline(from_dict(data2), threads=2)
-        assert (seq / "summary.csv").read_bytes() == (par / "summary.csv").read_bytes()
+        files = sorted(p.relative_to(seq) for p in seq.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(par) for p in par.rglob("*") if p.is_file())
+        assert len(files) > 10
+        for rel in files:
+            if rel.name == "config.json":
+                a, b = (json.loads((d / rel).read_text()) for d in (seq, par))
+                assert {**a, "out_dir": None} == {**b, "out_dir": None}
+            elif rel.name != "metadata.json":
+                assert (seq / rel).read_bytes() == (par / rel).read_bytes(), rel
 
     def test_corpus_built_once_per_sweep(self, tmp_path, monkeypatch):
         from kstepkd import tasks

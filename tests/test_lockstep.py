@@ -147,16 +147,17 @@ class _Draws:
 @given(eos_heavy_populations())
 def test_population_decode_matches_each_run_alone(case):
     """The fixed-shape population decode scores every row at every step, a
-    finished one too: each run's actions and lengths are bitwise those of
-    the run decoded alone, greedy and sampled, and each row's actions are
-    its ``rollout``, fed the uniforms its run draws for it (one per running
-    row per step, rows in order)."""
+    finished one too, through the layout of its rows: each run's actions
+    and lengths are bitwise those of the run decoded alone, greedy and
+    sampled, and each row's actions are its ``rollout``, fed the uniforms
+    its run draws for it (one per running row per step, rows in order).
+    Each generator ends in the state of that per-step replay."""
     policies, b, inputs, horizon, seed = case
     stack, window = ModelStack.of(policies), policies[0].window
     run = np.repeat(np.arange(len(policies)), b)
     for sampled in (False, True):
         rngs = [np.random.default_rng([seed, r]) for r in range(len(policies))]
-        pop = decode(stack.batch_logits, window, inputs, horizon,
+        pop = decode(stack.layout(run).batch_logits, window, inputs, horizon,
                      rng=rngs if sampled else None, run=run)
         for r, policy in enumerate(policies):
             rows = slice(r * b, (r + 1) * b)
@@ -171,6 +172,8 @@ def test_population_decode_matches_each_run_alone(case):
                 running = [i for i in range(b) if lengths[i] > t]
                 for i, u in zip(running, g.random(len(running)).tolist()):
                     draws[i].append(u)
+            if sampled:
+                assert rngs[r].bit_generator.state == g.bit_generator.state
             for i, s0 in enumerate(inputs[rows]):
                 if sampled:
                     traj = rollout(policy, s0, horizon, mode="sample", rng=_Draws(draws[i]))
@@ -389,6 +392,26 @@ def test_decoder_error_paths():
             decode(bad_score, 2, [s0, s0], 3)
     with pytest.raises(ValueError, match="shape"):
         decode(lambda c: np.zeros((len(c), 5)), 2, [s0], 3)
+
+    # a sampled decode that fails at its third step has drawn the uniforms
+    # of its first three steps, not its whole block
+    calls = []
+
+    def late_bad_score(contexts):
+        calls.append(len(contexts))
+        out = np.zeros((len(contexts), VOCAB.size))
+        out[:, VOCAB.eos_id] = -50.0  # no row ends
+        if len(calls) == 3:
+            out[-1, 2] = np.inf
+        return out
+
+    rng, replay = np.random.default_rng(7), np.random.default_rng(7)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite log-probability"):
+            decode(late_bad_score, 2, [s0, s0], 6, rng=rng)
+    assert calls == [2, 2, 2]
+    replay.random(3 * 2)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_tabular_batch_lookups():

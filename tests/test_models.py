@@ -210,21 +210,25 @@ def test_stack_matches_per_run_models_bitwise(case):
     """Logits, weighted gradients, log-probs and squared score norms of a
     stack (strided layer views of one [R, P] array) equal each run's own
     ``LogitModel`` calls on its rows, bitwise: runs of equal size take one
-    stacked product, ragged runs one product per run."""
+    stacked product, ragged runs one product per run.  So do the logits of
+    the rows' layout, a decode's scorer, and each run's norms on their own."""
     ms, sizes, (contexts, actions, weights) = case
     stack = models.ModelStack.of(ms)
     run = np.repeat(np.arange(len(sizes)), sizes)
     logits = stack.batch_logits(contexts, run)
+    layout_logits = stack.layout(run).batch_logits(contexts)
     scores = stack.scores(contexts, actions, run)
     grad, sq = scores.weighted_grad(weights), scores.sq_norms()
     ends = np.cumsum([0] + sizes)
     for r, m in enumerate(ms):
         rows = slice(ends[r], ends[r + 1])
         assert np.array_equal(logits[rows], m.batch_logits(contexts[rows]))
+        assert np.array_equal(layout_logits[rows], m.batch_logits(contexts[rows]))
         g_r, lp_r = m.weighted_logit_grad(contexts[rows], actions[rows], weights[rows])
         assert np.array_equal(grad[r], g_r)
         assert np.array_equal(scores.log_probs[rows], lp_r)
         assert np.array_equal(sq[rows], m.score_sq_norms(contexts[rows], actions[rows]))
+        assert np.array_equal(scores.sq_norms([r]), sq[rows])
 
 
 class TestModelStack:
