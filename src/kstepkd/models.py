@@ -267,15 +267,6 @@ class RowLayout(NamedTuple):
         return Scores(self, rows, h, lp, err)
 
 
-def _closed_form_sq_norms(
-    window: int, err: np.ndarray, h: np.ndarray | None, du: np.ndarray
-) -> np.ndarray:
-    e2 = (err * err).sum(axis=1)
-    if h is None:
-        return (window + 1) * e2
-    return e2 * (1.0 + (h * h).sum(axis=1)) + (window + 1) * (du * du).sum(axis=1)
-
-
 @dataclass(frozen=True)
 class Scores:
     """The logit score err = onehot(a) - pi at (context, action) rows, from
@@ -288,26 +279,17 @@ class Scores:
     log_probs: np.ndarray
     err: np.ndarray
 
-    def sq_norms(self, runs: Sequence[int] | None = None) -> np.ndarray:
+    def sq_norms(self) -> np.ndarray:
         """||d log pi(a_i|c_i) / d params||^2 per row, in closed form: the
         encoding x has ``window`` ones, so ||outer(d1, x)||^2 = window ||d1||^2.
         linear (window+1)||err||^2; mlp1 ||err||^2 (1+||h||^2) + (window+1)||du||^2.
-
-        ``runs`` (all by default) picks the runs whose rows are computed,
-        returned run after run.  Each run's du comes from its own product
-        either way, so a run's norms are bitwise the same."""
-        h, err, layout = self.hidden, self.err, self.layout
-        model = layout.model
-        if runs is None or len(runs) == len(layout.bounds):
-            du = model._first_layer_cotangent(h, err, layout)
-            return _closed_form_sq_norms(model.window, err, h, du)
-        parts = []
-        for r in runs:
-            rows = slice(*layout.bounds[r])
-            e, h_r = err[rows], None if h is None else h[rows]
-            du = e if h is None else np.matmul(e, model._w2[r]) * (1.0 - h_r * h_r)
-            parts.append(_closed_form_sq_norms(model.window, e, h_r, du))
-        return np.concatenate(parts)
+        du comes from the rows' layout, each run's own product."""
+        h, err, n = self.hidden, self.err, self.layout.model.window
+        e2 = (err * err).sum(axis=1)
+        if h is None:
+            return (n + 1) * e2
+        du = self.layout.model._first_layer_cotangent(h, err, self.layout)
+        return e2 * (1.0 + (h * h).sum(axis=1)) + (n + 1) * (du * du).sum(axis=1)
 
     def weighted_grad(self, weights: np.ndarray) -> np.ndarray:
         """Per run, sum_i w_i d log pi(a_i|c_i) / d params over its rows, for

@@ -207,18 +207,6 @@ class TrajectoryBatch:
                           strides=(s0, s1, s1), writeable=False)
 
 
-def _draw_pointers(
-    runs: np.ndarray, base: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For running rows of runs ``runs`` (sorted) whose runs' next uniforms
-    sit at ``base``: each run's count of running rows, each row's index of
-    its next uniform (its run's next plus its rank among the run's running
-    rows), and how far a step moves that index (its run's count)."""
-    counts = np.bincount(runs, minlength=len(base))
-    firsts = np.cumsum(counts) - counts
-    return counts, (base - firsts)[runs] + np.arange(len(runs)), counts[runs]
-
-
 def decode(
     score: Callable[[np.ndarray], np.ndarray],
     window: int,
@@ -230,26 +218,25 @@ def decode(
     """Rollouts of every initial state in lockstep.
 
     ``score`` maps int contexts [N, window] to logits [N, V], one call per
-    step.  Without ``run`` the rows are one policy's, and each step scores
-    only the rows still running.  With ``run`` (each row's run index,
-    sorted) the rows are a population of independent runs, and ``score``
-    must keep each run's rows apart, as ``RowLayout.batch_logits`` of the
-    layout of ``run`` does: each step scores every row, finished or not, so
-    that every run keeps one row count, and so one product shape, for the
-    whole decode; ``run`` itself only routes the draws.  Either way a
-    finished row's tokens and length stay frozen, and only the rows still
-    running take an action.
+    step.  With ``run`` (each row's run index, sorted, fixed for the
+    decode) the rows are a population of runs, and ``score`` must keep each
+    run's rows apart, as ``RowLayout.batch_logits`` of the layout of ``run``
+    does: each step scores every row, finished or not, so that every run
+    keeps one row count, and so one product shape, for the whole decode;
+    ``run`` itself only routes the draws.  A caller whose one run must
+    match that run inside a population passes ``run`` too.  Without
+    ``run`` the rows are one policy's, and once a row has ended each step
+    scores only the rows still running.  Either way a finished row's tokens
+    and length stay frozen, and only the rows still running take an action.
 
     Without ``rng`` each takes the argmax (ties to the lowest token id), as
-    ``rollout(mode="greedy")`` does per state.  With ``rng`` (one generator,
-    or one per run with ``run``) each running row draws its action from the
-    softmax by inverse CDF.  Each generator draws its run's uniforms as one
-    ``random(rows * horizon)`` block, handed out step by step to the run's
-    running rows in row order, and on any exit, raised or not, it is reset
-    and advanced by exactly the uniforms handed out: the draws and the end
-    state are those of one ``random(n_running)`` call per step, for any bit
-    generator.  So a single row draws exactly as ``rollout(mode="sample")``,
-    and every run as its rows would alone.
+    ``rollout(mode="greedy")`` does per state.  With ``rng`` each running
+    row draws its action from the softmax by inverse CDF, from one
+    ``rng.random(n_running)`` per step in row order, so a single row draws
+    exactly as ``rollout(mode="sample")``.  With ``run``, ``rng`` holds one
+    generator per run, and each step draws ``rng[r].random(n_running_r)``
+    for the runs in order, so every run draws exactly as its rows would
+    alone.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -269,68 +256,49 @@ def decode(
     # a row's length is written when it ends; the rest run the horizon
     lengths = np.full(b, horizon, dtype=np.int64)
     alive = np.arange(b)
-
-    gens = [] if rng is None else [rng] if run is None else list(rng)
-    saved = [g.bit_generator.state for g in gens]
-    sizes = [b] if run is None else np.bincount(run, minlength=len(gens)).tolist()
-    blocks = [g.random(n * horizon) for g, n in zip(gens, sizes)]
-    flat = np.concatenate(blocks) if blocks else None
-    # one generator hands out flat[drawn:] in order; in a population, run r
-    # has handed out used[r] and running row i takes flat[ptr[i]] next
-    drawn, used = 0, np.zeros(len(gens), dtype=np.int64)
-    pooled = bool(gens) and run is not None
-    if pooled:
-        starts = horizon * (np.cumsum(sizes) - sizes)
-        counts, ptr, stride = _draw_pointers(run, starts)
-    try:
-        for t in range(horizon):
-            contexts = tokens[:, p + t - window : p + t]
-            if run is None and len(alive) < b:
-                contexts = contexts.take(alive, axis=0)
-            logits = score(contexts)
-            if logits.shape != (len(contexts), vocab.size):
-                raise ValueError(
-                    f"scores have shape {logits.shape}, expected ({len(contexts)}, {vocab.size})"
-                )
-            if len(logits) > len(alive):
-                logits = logits.take(alive, axis=0)
-            z = logits - logits.max(axis=1, keepdims=True)
-            if rng is None:
-                actions = np.argmax(logits, axis=1)
-                # log_softmax at the argmax, whose shifted logit is exactly 0
-                lp = -np.log(np.exp(z).sum(axis=1))
+    if rng is not None and run is not None:
+        counts = np.bincount(run, minlength=len(rng)).tolist()
+    for t in range(horizon):
+        contexts = tokens[:, p + t - window : p + t]
+        if run is None and len(alive) < b:
+            contexts = contexts.take(alive, axis=0)
+        logits = score(contexts)
+        if logits.shape != (len(contexts), vocab.size):
+            raise ValueError(
+                f"scores have shape {logits.shape}, expected ({len(contexts)}, {vocab.size})"
+            )
+        if len(logits) > len(alive):
+            logits = logits.take(alive, axis=0)
+        z = logits - logits.max(axis=1, keepdims=True)
+        if rng is None:
+            actions = np.argmax(logits, axis=1)
+            # log_softmax at the argmax, whose shifted logit is exactly 0
+            lp = -np.log(np.exp(z).sum(axis=1))
+        else:
+            # the same log_softmax and inverse-CDF draw as rollout; the
+            # clamp guards the final partial sum rounding below 1.0
+            log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            cdf = np.cumsum(np.exp(log_probs), axis=1)
+            if run is None:
+                u = rng.random(len(alive))
             else:
-                # the same log_softmax and inverse-CDF draw as rollout; the
-                # clamp guards the final partial sum rounding below 1.0
-                log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-                cdf = np.cumsum(np.exp(log_probs), axis=1)
-                if pooled:
-                    u = flat[ptr]
-                    ptr += stride
-                    used += counts
-                else:
-                    u = flat[drawn : drawn + len(alive)]
-                    drawn += len(alive)
-                actions = np.minimum((cdf <= u[:, None]).sum(axis=1), vocab.size - 1)
-                lp = log_probs[np.arange(len(alive)), actions]
-            finite = np.isfinite(lp)
-            if not finite.all():
-                bad = int(np.flatnonzero(~finite)[0])
-                raise ValueError(f"non-finite log-probability for action {int(actions[bad])}")
-            if len(alive) == b:
-                tokens[:, p + t] = actions
-            else:
-                tokens[alive, p + t] = actions
-            ended = actions == vocab.eos_id
-            if np.count_nonzero(ended):
-                lengths[alive[ended]] = t + 1
-                alive = alive[~ended]
-                if not len(alive):
-                    break
-                if pooled:
-                    counts, ptr, stride = _draw_pointers(run[alive], starts + used)
-    finally:
-        for g, state, n in zip(gens, saved, used.tolist() if pooled else [drawn]):
-            g.bit_generator.state = state
-            g.random(n)
+                u = np.concatenate([g.random(n) for g, n in zip(rng, counts)])
+            actions = np.minimum((cdf <= u[:, None]).sum(axis=1), vocab.size - 1)
+            lp = log_probs[np.arange(len(alive)), actions]
+        finite = np.isfinite(lp)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"non-finite log-probability for action {int(actions[bad])}")
+        if len(alive) == b:
+            tokens[:, p + t] = actions
+        else:
+            tokens[alive, p + t] = actions
+        ended = actions == vocab.eos_id
+        if np.count_nonzero(ended):
+            lengths[alive[ended]] = t + 1
+            alive = alive[~ended]
+            if not len(alive):
+                break
+            if rng is not None and run is not None:
+                counts = np.bincount(run[alive], minlength=len(rng)).tolist()
     return TrajectoryBatch(vocab, tokens, p, lengths)

@@ -230,16 +230,17 @@ def _lockstep_step(
     mean_Ghat, grad_norm, entropy), and the sampled batch.
     """
     cfg, n_runs, b = cfgs[0], len(cfgs), len(batches[0])
-    # each row's run, run-major; None for one run, which every batched call
-    # takes as all rows in run 0 without locating the runs
-    run = None if n_runs == 1 else np.repeat(np.arange(n_runs), b)
+    # each row's run, run-major; the decode takes it for one run too, so
+    # that a run alone scores the rows it scores in a population
+    run = np.repeat(np.arange(n_runs), b)
     trajs = decode(
         stack.layout(run).batch_logits, stack.window, [s for batch in batches for s in batch],
-        cfg.horizon, rng=rngs[0] if run is None else rngs, run=run,
+        cfg.horizon, rng=rngs, run=run,
     )
     mask = trajs.step_mask
     step_contexts = trajs.step_contexts(stack.window)
-    step_run = None if run is None else np.repeat(run, trajs.lengths)
+    # None for one run, which scores takes as all rows in run 0
+    step_run = None if n_runs == 1 else np.repeat(run, trajs.lengths)
     scores = stack.scores(step_contexts[mask], trajs.actions[mask], step_run)
     q, m = ret.batch_q_terms(trajs, teacher)
     k = np.repeat([c.return_config.k for c in cfgs], b)
@@ -257,13 +258,10 @@ def _lockstep_step(
     names = [c.estimator for c in cfgs]
     estimators = np.array(names)[:, None, None]
     sq_norms = None
-    minvar = [r for r, name in enumerate(names) if name == "minvar_baseline"]
-    if minvar:
-        # the norms of the min-variance runs' steps; zero weight elsewhere
-        steps = np.zeros(shape, dtype=bool)
-        steps[minvar] = mask.reshape(shape)[minvar]
-        sq_norms = np.zeros(shape)
-        sq_norms[steps] = scores.sq_norms(minvar)
+    if "minvar_baseline" in names:
+        sq_norms = np.zeros(mask.shape)
+        sq_norms[mask] = scores.sq_norms()
+        sq_norms = sq_norms.reshape(shape)
     g3, g_hat3, lengths = g.reshape(shape), g_hat.reshape(shape), trajs.lengths.reshape(shape[:2])
     signals = np.zeros(shape)
     for name in dict.fromkeys(names):
@@ -343,7 +341,7 @@ def evaluate_population(
     every model of the stack, from one greedy decode over R x len(inputs)
     rows."""
     n = len(inputs)
-    run = None if len(stack.params) == 1 else np.repeat(np.arange(len(stack.params)), n)
+    run = np.repeat(np.arange(len(stack.params)), n)
     batch = decode(stack.layout(run).batch_logits, stack.window, list(inputs) * len(stack.params),
                    horizon, run=run)
     q, m = ret.batch_q_terms(batch, teacher)
@@ -426,7 +424,7 @@ def _lockstep_iteration(
         run.eval_return = record.eval_greedy_return
         if due and run.eval_return > run.best_eval:
             run.best, run.best_eval = new_stack.model(r), run.eval_return
-        run.log.records.append(record)  # checked above
+        run.log.append(record)
     return new_stack
 
 

@@ -394,7 +394,7 @@ def test_decoder_error_paths():
         decode(lambda c: np.zeros((len(c), 5)), 2, [s0], 3)
 
     # a sampled decode that fails at its third step has drawn the uniforms
-    # of its first three steps, not its whole block
+    # of its first three steps and no more
     calls = []
 
     def late_bad_score(contexts):

@@ -211,7 +211,7 @@ def test_stack_matches_per_run_models_bitwise(case):
     stack (strided layer views of one [R, P] array) equal each run's own
     ``LogitModel`` calls on its rows, bitwise: runs of equal size take one
     stacked product, ragged runs one product per run.  So do the logits of
-    the rows' layout, a decode's scorer, and each run's norms on their own."""
+    the rows' layout, a decode's scorer."""
     ms, sizes, (contexts, actions, weights) = case
     stack = models.ModelStack.of(ms)
     run = np.repeat(np.arange(len(sizes)), sizes)
@@ -228,7 +228,6 @@ def test_stack_matches_per_run_models_bitwise(case):
         assert np.array_equal(grad[r], g_r)
         assert np.array_equal(scores.log_probs[rows], lp_r)
         assert np.array_equal(sq[rows], m.score_sq_norms(contexts[rows], actions[rows]))
-        assert np.array_equal(scores.sq_norms([r]), sq[rows])
 
 
 class TestModelStack:
