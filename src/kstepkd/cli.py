@@ -177,6 +177,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -224,10 +224,16 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if len(seeds) != len(set(seeds)):
             raise ConfigError("seeds must be distinct")
+        if min(seeds) < 0:
+            raise ConfigError("seeds must be >= 0")
         lo, hi = self.clip_range
         if not lo < hi:
             raise ConfigError("clip_range must satisfy lo < hi")
         corpus = self.corpus_params()
+        for name, seed in (("corpus.seed", corpus["seed"]),
+                           ("task.transition_seed", self.raw["task"]["transition_seed"])):
+            if int(seed) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         for key in ("n_val", "n_test"):
             if int(corpus[key]) < 1:
                 raise ConfigError(f"corpus.{key} must be >= 1 (greedy eval averages over it)")

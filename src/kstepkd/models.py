@@ -153,7 +153,10 @@ class _RunRows:
     count, so this keeps every run bitwise equal to the call on its rows
     alone.  When every run holds the same row count, as in a population
     decode, the runs' products are one stacked ``np.matmul``, whose slices
-    are gemm calls of each run's own shape (``_run_products``).
+    are gemm calls of each run's own shape (``_run_products``).  The
+    backward's sums can instead be keyed by finer segments of the rows
+    within their runs, such as trajectories, while the forward and the
+    cotangents stay the runs' (``Scores.weighted_grad``).
     """
 
     def _set_layers(self) -> None:
@@ -215,20 +218,29 @@ class _RunRows:
         return _run_products(dz, self._w2, layout, self.hidden) * (1.0 - h * h)
 
     def _backward(
-        self, rows: np.ndarray, layout: RowLayout, h: np.ndarray | None, dz: np.ndarray
+        self, rows: np.ndarray, layout: RowLayout, h: np.ndarray | None, dz: np.ndarray,
+        segment: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per run, the parameter gradient of sum_i dz_i . logits_i over its
         rows, as [R, P], for logit cotangents dz [N, V] at the table rows and
-        hidden activations of one forward pass."""
+        hidden activations of one forward pass.  With a sorted ``segment``
+        key [N] nested in the runs, the sums are per segment instead, as
+        [S, P] for S = segment[-1] + 1; the cotangent stays the runs'."""
         d1 = self._first_layer_cotangent(h, dz, layout)
-        n_runs, nv, width = len(layout.bounds), self.window * self.vocab_size, d1.shape[1]
-        o = width * nv
+        nv, width = self.window * self.vocab_size, d1.shape[1]
+        bounds = layout.bounds
+        if segment is not None:
+            # a table row's column within its run, moved to its segment's table
+            rows = rows % nv + (segment * nv)[:, None]
+            edges = np.searchsorted(segment, np.arange(segment.max(initial=-1) + 2)).tolist()
+            bounds = list(zip(edges[:-1], edges[1:]))
+        n_out, o = len(bounds), width * nv
         # a table row repeats across rows, so accumulate by row, then lay
-        # the table out as each run's [width, nv]
-        g1t = _scatter_rows(rows, d1, n_runs * nv)
-        grad = np.zeros((n_runs, self.params.shape[-1]))
-        grad[:, :o] = g1t.reshape(n_runs, nv, width).transpose(0, 2, 1).reshape(n_runs, o)
-        for r, (lo, hi) in enumerate(layout.bounds):
+        # the table out as each run's (or segment's) [width, nv]
+        g1t = _scatter_rows(rows, d1, n_out * nv)
+        grad = np.zeros((n_out, self.params.shape[-1]))
+        grad[:, :o] = g1t.reshape(n_out, nv, width).transpose(0, 2, 1).reshape(n_out, o)
+        for r, (lo, hi) in enumerate(bounds):
             grad[r, o : o + width] = d1[lo:hi].sum(axis=0)
             if h is not None:
                 p = o + width + self.vocab_size * width
@@ -270,8 +282,9 @@ class RowLayout(NamedTuple):
 @dataclass(frozen=True)
 class Scores:
     """The logit score err = onehot(a) - pi at (context, action) rows, from
-    one forward pass.  The backward of err is d log pi(a|c) / d params, so
-    the squared norms and every weighted gradient of the rows share it."""
+    one forward pass of a ``RowLayout``.  The backward of err is
+    d log pi(a|c) / d params, so the squared norms and every weighted
+    gradient of the rows share it, summed per run or per segment of rows."""
 
     layout: RowLayout
     rows: np.ndarray
@@ -291,11 +304,14 @@ class Scores:
         du = self.layout.model._first_layer_cotangent(h, err, self.layout)
         return e2 * (1.0 + (h * h).sum(axis=1)) + (n + 1) * (du * du).sum(axis=1)
 
-    def weighted_grad(self, weights: np.ndarray) -> np.ndarray:
+    def weighted_grad(self, weights: np.ndarray, segment: np.ndarray | None = None) -> np.ndarray:
         """Per run, sum_i w_i d log pi(a_i|c_i) / d params over its rows, for
-        weights [N]: [R, P]."""
+        weights [N]: [R, P].  With a segment key [N] (sorted, 0..S-1, each
+        segment within one run), the sums are per segment instead: [S, P],
+        row s the gradient of segment s's rows, say one trajectory's, under
+        its run's model."""
         dz = self.err * weights[:, None]
-        return self.layout.model._backward(self.rows, self.layout, self.hidden, dz)
+        return self.layout.model._backward(self.rows, self.layout, self.hidden, dz, segment)
 
 
 @dataclass(frozen=True)
@@ -373,19 +389,6 @@ class LogitModel(_RunRows):
         """Logits for an int array of contexts with shape [batch, window]."""
         return self.layout().batch_logits(contexts)
 
-    def weighted_logit_grad(
-        self, contexts: np.ndarray, actions: np.ndarray, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """sum_i w_i d log pi(a_i|c_i) / d params over int contexts
-        [N, window], actions [N] and weights [N], plus the log-probs [N, V]
-        of the same forward pass."""
-        scores = self.layout().scores(contexts, actions)
-        return scores.weighted_grad(weights)[0], scores.log_probs
-
-    def score_sq_norms(self, contexts: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """||d log pi(a_i|c_i) / d params||^2 per row (``Scores.sq_norms``)."""
-        return self.layout().scores(contexts, actions).sq_norms()
-
     def cross_entropy_grad(
         self, contexts: np.ndarray, counts: np.ndarray
     ) -> tuple[float, np.ndarray]:
@@ -426,8 +429,8 @@ class LogitModel(_RunRows):
 @dataclass(frozen=True)
 class ModelStack(_RunRows):
     """R models of one architecture with their parameters stacked [R, P]:
-    the population form of ``LogitModel``.  Each batched call takes the run
-    index of every row, sorted (``_RunRows``)."""
+    the population form of ``LogitModel``.  Batched calls go through the
+    ``layout`` of the run index of every row, sorted (``_RunRows``)."""
 
     kind: str
     vocab_size: int
@@ -460,16 +463,6 @@ class ModelStack(_RunRows):
     def apply_update(self, grad: np.ndarray, lr: float) -> ModelStack:
         """Gradient ascent on every run: params + lr * grad [R, P]."""
         return replace(self, params=self.params + lr * grad)
-
-    def batch_logits(self, contexts: np.ndarray, run: np.ndarray | None = None) -> np.ndarray:
-        """Logits [N, V] for int contexts [N, window], row i under model
-        run[i] (all under model 0 without ``run``)."""
-        return self.layout(run).batch_logits(contexts)
-
-    def scores(self, contexts: np.ndarray, actions: np.ndarray, run: np.ndarray | None) -> Scores:
-        """The scores at int contexts [N, window] and actions [N], row i
-        under model run[i] (all under model 0 for run None)."""
-        return self.layout(run).scores(contexts, actions)
 
 
 def target_counts(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,10 +39,6 @@ class SizeBoundError(ValueError):
 MAX_VOCAB = 5
 MAX_HORIZON = 6
 MAX_TRAJECTORIES = 10**6
-# samples per stack of policy copies in the Monte-Carlo gradient check: one
-# stack of all 4,000 samples of ``pipeline.oracle_check`` took 4.2 MB at its
-# peak, blocks of 1,000 take 2.4 MB
-MC_STACK_BLOCK = 1000
 # runs x V^horizon per stacked enumeration of the finite-difference check,
 # a bound on the rows it scores at once (2^18 rows of an mlp1 of hidden 32
 # hold 64 MB of activations)
@@ -99,22 +95,21 @@ def enumerate_batch(
 ) -> tuple[TrajectoryBatch, np.ndarray]:
     """Every maximal trajectory as one ``TrajectoryBatch``, with the exact
     path probabilities [N]: the one-run case of ``_enumerate``."""
-    batch, probs = _enumerate(spec, policy.batch_logits, policy.window, 1)
+    batch, probs = _enumerate(spec, policy, 1)
     return batch, probs[0]
 
 
 def _enumerate(
-    spec: EnumerationSpec, score: Callable, window: int, runs: int
+    spec: EnumerationSpec, model: LogitModel | ModelStack, runs: int
 ) -> tuple[TrajectoryBatch, np.ndarray]:
     """Every maximal trajectory, and its exact path probability under each
-    of ``runs`` policies [runs, N].  The token tree does not depend on the
-    policy, so it is built once, depth by depth: one ``score`` call scores
-    the paths still running, each repeats once per action, and the path
-    log-probs accumulate left to right as in ``enumerate_trajectories``.
-    With several runs ``score`` is called as ``ModelStack.batch_logits``,
-    on the contexts repeated run by run with their run index, so each run's
-    rows are the one-run call's rows."""
-    vocab, prefix = spec.vocab, spec.initial.prefix
+    of the model's ``runs`` runs [runs, N].  The token tree does not depend
+    on the policy, so it is built once, depth by depth: one forward pass
+    scores the paths still running, each repeats once per action, and the
+    path log-probs accumulate left to right as in ``enumerate_trajectories``.
+    The forward pass takes the contexts repeated run by run, laid out with
+    their run index, so each run's rows are the one-run call's rows."""
+    vocab, prefix, window = spec.vocab, spec.initial.prefix, model.window
     p = max(window, len(prefix))
     running = np.full((1, p + spec.horizon), vocab.bos_id, dtype=np.int64)
     running[0, p - len(prefix) : p] = prefix
@@ -122,11 +117,9 @@ def _enumerate(
     finished = []
     for t in range(spec.horizon):
         contexts, n = running[:, p + t - window : p + t], len(running)
-        if runs == 1:
-            logits = score(contexts)
-        else:
-            logits = score(np.tile(contexts, (runs, 1)), np.repeat(np.arange(runs), n))
-        lp = log_softmax(logits).reshape(runs, n * vocab.size)
+        layout = model.layout(np.repeat(np.arange(runs), n))
+        lp = log_softmax(layout.batch_logits(np.tile(contexts, (runs, 1))))
+        lp = lp.reshape(runs, n * vocab.size)
         running = np.repeat(running, vocab.size, axis=0)
         running[:, p + t] = np.tile(np.arange(vocab.size), n)
         logp = np.repeat(logp, vocab.size, axis=1) + lp
@@ -195,7 +188,7 @@ def _weighted_score_sum(
     rows = np.column_stack([batch.step_contexts(policy.window)[mask], batch.actions[mask]])
     unique, inverse = merge_rows(rows)
     summed = np.bincount(inverse, weights=weights[mask], minlength=len(unique))
-    return policy.weighted_logit_grad(unique[:, :-1], unique[:, -1], summed)[0]
+    return policy.layout().scores(unique[:, :-1], unique[:, -1]).weighted_grad(summed)[0]
 
 
 # -- policy gradient check ---------------------------------------------------
@@ -252,7 +245,7 @@ def check_gradient(
     parts = []
     for lo in range(0, len(params), block):
         stack = ModelStack(*arch, params[lo : lo + block])
-        batch, probs = _enumerate(spec, stack.batch_logits, policy.window, len(stack.params))
+        batch, probs = _enumerate(spec, stack, len(stack.params))
         parts.append(probs)
     probs = np.concatenate(parts)
     q, m = ret.batch_q_terms(batch, teacher)
@@ -343,19 +336,10 @@ def montecarlo_convergence(
     )
     q, m = ret.batch_q_terms(batch, teacher)
     gh = ret.clip_returns(ret.kstep_from_batch_terms(q, m, batch.lengths, cfg.k), cfg)
-    # each sample's gradient estimate, as the run of its own rows in a stack
-    # of copies of the policy
-    mask, lengths = batch.step_mask, batch.lengths
-    contexts, actions = batch.step_contexts(policy.window)[mask], batch.actions[mask]
-    weights = gh[mask]
-    starts = np.concatenate([[0], np.cumsum(lengths)])
-    parts = []
-    for lo in range(0, n_samples, MC_STACK_BLOCK):
-        hi = min(lo + MC_STACK_BLOCK, n_samples)
-        rows, run = slice(starts[lo], starts[hi]), np.repeat(np.arange(hi - lo), lengths[lo:hi])
-        stack = ModelStack.of([policy] * (hi - lo))
-        parts.append(stack.scores(contexts[rows], actions[rows], run).weighted_grad(weights[rows]))
-    grads = np.concatenate(parts)
+    # each sample's gradient estimate, from one backward keyed by sample
+    mask = batch.step_mask
+    scores = policy.layout().scores(batch.step_contexts(policy.window)[mask], batch.actions[mask])
+    grads = scores.weighted_grad(gh[mask], np.repeat(np.arange(n_samples), batch.lengths))
     entries = [_entry("g_hat_0", gh[:, 0], float(exact.expected_g_hat[0]), z_threshold)]
     entries += [
         _entry(f"grad[{i}]", grads[:, i], float(exact.grad_j_kstep[i]), z_threshold)

@@ -27,10 +27,7 @@ G = Ghat + baseline is exact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -250,32 +247,3 @@ def iid_gaussian_samples(
     g_hat = sd_q * rng.standard_normal((n_samples, c_kstep)).sum(axis=1)
     g_hat -= sd_m * rng.standard_normal((n_samples, c_kstep)).sum(axis=1)
     return g, g_hat
-
-
-# -- diagnostics -------------------------------------------------------------
-
-DIAGNOSTICS_HEADER = ("traj_id", "t", "g_actual", "g_hat", "baseline", "K")
-
-
-def write_diagnostics_csv(
-    path: str | Path,
-    trajs: Iterable[Trajectory],
-    teacher: FrozenModelTeacher,
-    cfg: ReturnConfig,
-) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DIAGNOSTICS_HEADER)
-        for traj_id, traj in enumerate(trajs):
-            est = estimate(traj, teacher, cfg)
-            for t in range(traj.num_steps):
-                writer.writerow(
-                    (
-                        traj_id,
-                        t,
-                        repr(float(est.g_actual[t])),
-                        repr(float(est.g_hat[t])),
-                        repr(float(est.baseline[t])),
-                        cfg.k,
-                    )
-                )

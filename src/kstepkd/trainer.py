@@ -238,10 +238,9 @@ def _lockstep_step(
         cfg.horizon, rng=rngs, run=run,
     )
     mask = trajs.step_mask
-    step_contexts = trajs.step_contexts(stack.window)
-    # None for one run, which scores takes as all rows in run 0
-    step_run = None if n_runs == 1 else np.repeat(run, trajs.lengths)
-    scores = stack.scores(step_contexts[mask], trajs.actions[mask], step_run)
+    scores = stack.layout(np.repeat(run, trajs.lengths)).scores(
+        trajs.step_contexts(stack.window)[mask], trajs.actions[mask]
+    )
     q, m = ret.batch_q_terms(trajs, teacher)
     k = np.repeat([c.return_config.k for c in cfgs], b)
     if np.all(k == 1):
@@ -273,18 +272,17 @@ def _lockstep_step(
     finite = np.all(np.isfinite(accum), axis=1)
     if not finite.all():
         # in the first run with a non-finite gradient, name its first
-        # trajectory whose own share of the sum is non-finite: its signals
-        # are, or its scores overflow (a non-finite weight always yields a
-        # non-finite share)
+        # trajectory whose own share of the sum, from the same scores keyed
+        # by trajectory, is non-finite: its signals are, or its scores
+        # overflow (a non-finite weight always yields a non-finite share)
         r = int(np.flatnonzero(~finite)[0])
-        model = stack.model(r)
-        for i, n in enumerate(lengths[r].tolist()):
-            row = r * b + i
-            c, a, w = step_contexts[row, :n], trajs.actions[row, :n], signals[row, :n]
-            if not np.all(np.isfinite(model.weighted_logit_grad(c, a, w)[0])):
-                raise NonFiniteGradientError(
-                    f"non-finite gradient from trajectory {i} (actions {tuple(a.tolist())})"
-                )
+        trajectory = np.repeat(np.arange(n_runs * b), trajs.lengths)
+        shares = scores.weighted_grad(signals[mask], trajectory)[r * b : (r + 1) * b]
+        for i in np.flatnonzero(~np.isfinite(shares).all(axis=1)).tolist():
+            actions = tuple(trajs.actions[r * b + i, : lengths[r, i]].tolist())
+            raise NonFiniteGradientError(
+                f"non-finite gradient from trajectory {i} (actions {actions})"
+            )
         raise NonFiniteGradientError(f"non-finite sum of {b} trajectory gradients")
     new_stack = stack.apply_update(accum, cfg.lr) if cfg.lr > 0 else stack
 

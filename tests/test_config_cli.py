@@ -146,6 +146,24 @@ class TestCliBasics:
         assert "config error: --threads must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("argv,override,message", [
+        (["fit-teacher"], {"seeds": [-1]}, "seeds must be >= 0"),
+        (["sweep-k"], {"seeds": [-1]}, "seeds must be >= 0"),
+        (["gen-corpus"], {"corpus": {"seed": -5}}, "corpus.seed must be >= 0"),
+        (["gen-corpus"], {"task": {"transition_seed": -3}}, "task.transition_seed must be >= 0"),
+        (["--seed", "-2", "fit-teacher"], {}, "--seed must be >= 0"),
+    ], ids=["seeds-fit-teacher", "seeds-sweep-k", "corpus-seed", "transition-seed", "seed-flag"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, argv, override, message):
+        """A negative seed would reach ``np.random.default_rng``, which
+        raises; it is rejected as a config error before any stage runs."""
+        data = tiny_config(tmp_path)
+        for key, value in override.items():
+            data[key] = {**data[key], **value} if isinstance(value, dict) else value
+        cfg = self.write_config(tmp_path, data)
+        assert main(["--config", cfg, *argv]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_gen_corpus(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, tiny_config(tmp_path))
         assert main(["--config", cfg, "gen-corpus", "--n", "7"]) == EXIT_OK

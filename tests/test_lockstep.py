@@ -328,11 +328,13 @@ def test_weighted_logit_grad_matches_per_step(inst, data):
     )
     for model in (student, teacher.model):
         contexts, actions = _step_arrays(trajs, model.window)
-        grad, lp = model.weighted_logit_grad(contexts, actions, weights)
+        scores = model.layout().scores(contexts, actions)
         per_step = [model.grad_log_prob(s.state, s.action) for s in steps]
-        _close(grad, sum(w * g for w, g in zip(weights, per_step)), bitwise=False)
-        _close(model.score_sq_norms(contexts, actions), [g @ g for g in per_step], bitwise=False)
-        _close(lp, [model.distribution(s.state).log_probs for s in steps], bitwise=False)
+        _close(scores.weighted_grad(weights)[0], sum(w * g for w, g in zip(weights, per_step)),
+               bitwise=False)
+        _close(scores.sq_norms(), [g @ g for g in per_step], bitwise=False)
+        _close(scores.log_probs, [model.distribution(s.state).log_probs for s in steps],
+               bitwise=False)
 
 
 @settings(max_examples=80, deadline=None)

@@ -210,24 +210,82 @@ def test_stack_matches_per_run_models_bitwise(case):
     """Logits, weighted gradients, log-probs and squared score norms of a
     stack (strided layer views of one [R, P] array) equal each run's own
     ``LogitModel`` calls on its rows, bitwise: runs of equal size take one
-    stacked product, ragged runs one product per run.  So do the logits of
-    the rows' layout, a decode's scorer."""
+    stacked product, ragged runs one product per run."""
     ms, sizes, (contexts, actions, weights) = case
     stack = models.ModelStack.of(ms)
     run = np.repeat(np.arange(len(sizes)), sizes)
-    logits = stack.batch_logits(contexts, run)
-    layout_logits = stack.layout(run).batch_logits(contexts)
-    scores = stack.scores(contexts, actions, run)
+    layout = stack.layout(run)
+    logits, scores = layout.batch_logits(contexts), layout.scores(contexts, actions)
     grad, sq = scores.weighted_grad(weights), scores.sq_norms()
     ends = np.cumsum([0] + sizes)
     for r, m in enumerate(ms):
         rows = slice(ends[r], ends[r + 1])
         assert np.array_equal(logits[rows], m.batch_logits(contexts[rows]))
-        assert np.array_equal(layout_logits[rows], m.batch_logits(contexts[rows]))
-        g_r, lp_r = m.weighted_logit_grad(contexts[rows], actions[rows], weights[rows])
-        assert np.array_equal(grad[r], g_r)
-        assert np.array_equal(scores.log_probs[rows], lp_r)
-        assert np.array_equal(sq[rows], m.score_sq_norms(contexts[rows], actions[rows]))
+        alone = m.layout().scores(contexts[rows], actions[rows])
+        assert np.array_equal(grad[r], alone.weighted_grad(weights[rows])[0])
+        assert np.array_equal(scores.log_probs[rows], alone.log_probs)
+        assert np.array_equal(sq[rows], alone.sq_norms())
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_rows(), st.data())
+def test_segment_keyed_grad_matches_each_segment_alone(case, data):
+    """A backward keyed by any sorted segment key nested in the runs (gaps
+    included) gives, in row s, the one-run gradient of segment s's rows
+    alone under its run's model: bitwise for linear, whose cotangent is the
+    score itself; to 1e-12 for mlp1, whose products run over the whole run's
+    rows.  Keyed by the run itself it is the call without a key, bitwise."""
+    ms, sizes, (contexts, actions, weights) = case
+    stack = models.ModelStack.of(ms)
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    # each row steps the segment by 0-2, and the first row of a run by at least 1
+    segment, s = [], -1
+    for n in sizes:
+        steps = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        for i, step in enumerate(steps):
+            s += max(step, 1) if i == 0 else step
+            segment.append(s)
+    segment = np.array(segment, dtype=np.int64)
+    scores = stack.layout(run).scores(contexts, actions)
+    keyed = scores.weighted_grad(weights, segment)
+    assert keyed.shape == (s + 1, stack.params.shape[1])
+    for seg in range(s + 1):
+        rows = segment == seg
+        r = run[rows][0] if rows.any() else 0
+        alone = ms[r].layout().scores(contexts[rows], actions[rows])
+        expected = alone.weighted_grad(weights[rows])[0]
+        if ms[r].kind == "linear":
+            assert np.array_equal(keyed[seg], expected)
+        else:
+            np.testing.assert_allclose(keyed[seg], expected, rtol=1e-12, atol=1e-12)
+    whole = scores.weighted_grad(weights)
+    by_run = scores.weighted_grad(weights, run)
+    assert np.array_equal(by_run, whole[: len(by_run)])
+    assert not whole[len(by_run) :].any()  # trailing empty runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([ModelArch("linear", window=1), ModelArch("linear", window=3),
+                     ModelArch("mlp1", window=2, hidden=4), ModelArch("mlp1", window=3, hidden=32)]),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+)
+def test_run_of_one_layout_matches_unkeyed_layout_bitwise(arch, n, seed):
+    """The layout of n rows all keyed to run 0 and the layout of one run
+    (``layout()``) give the same logits, log-probs, squared score norms and
+    weighted gradient, bitwise, for a model and for its stack of one."""
+    rng = np.random.default_rng(seed)
+    m = init_model(arch, 5, rng, scale=1.0)
+    contexts = rng.integers(0, 5, size=(n, arch.window))
+    actions, weights = rng.integers(0, 5, size=n), rng.normal(size=n)
+    for model in (m, models.ModelStack.of([m])):
+        keyed, unkeyed = model.layout(np.zeros(n, dtype=np.int64)), model.layout()
+        assert np.array_equal(keyed.batch_logits(contexts), unkeyed.batch_logits(contexts))
+        a, b = keyed.scores(contexts, actions), unkeyed.scores(contexts, actions)
+        assert np.array_equal(a.log_probs, b.log_probs)
+        assert np.array_equal(a.sq_norms(), b.sq_norms())
+        assert np.array_equal(a.weighted_grad(weights), b.weighted_grad(weights))
 
 
 class TestModelStack:
@@ -248,17 +306,17 @@ class TestModelStack:
         contexts = rng.integers(0, 6, size=(len(run), arch.window))
         actions = rng.integers(0, 6, size=len(run))
         weights = rng.normal(size=len(run))
-        logits = stack.batch_logits(contexts, run)
-        scores = stack.scores(contexts, actions, run)
+        layout = stack.layout(run)
+        logits, scores = layout.batch_logits(contexts), layout.scores(contexts, actions)
         grad, lp, sq = scores.weighted_grad(weights), scores.log_probs, scores.sq_norms()
         ends = np.cumsum((0,) + sizes)
         for r, m in enumerate(ms):
             rows = slice(ends[r], ends[r + 1])
             assert np.array_equal(logits[rows], m.batch_logits(contexts[rows]))
-            g_r, lp_r = m.weighted_logit_grad(contexts[rows], actions[rows], weights[rows])
-            assert np.array_equal(grad[r], g_r)
-            assert np.array_equal(lp[rows], lp_r)
-            assert np.array_equal(sq[rows], m.score_sq_norms(contexts[rows], actions[rows]))
+            alone = m.layout().scores(contexts[rows], actions[rows])
+            assert np.array_equal(grad[r], alone.weighted_grad(weights[rows])[0])
+            assert np.array_equal(lp[rows], alone.log_probs)
+            assert np.array_equal(sq[rows], alone.sq_norms())
             assert np.array_equal(stack.model(r).params, m.params)
 
     @pytest.mark.parametrize("arch", [
@@ -278,7 +336,7 @@ class TestModelStack:
         contexts = rng.integers(0, vocab.size, size=(len(run), arch.window))
         actions = rng.integers(0, vocab.size, size=len(run))
         weights = rng.normal(size=len(run))
-        scores = stack.scores(contexts, actions, run)
+        scores = stack.layout(run).scores(contexts, actions)
         grad, sq = scores.weighted_grad(weights), scores.sq_norms()
         states = [State(vocab, tuple(c)) for c in contexts.tolist()]
         for i, (state, a, r) in enumerate(zip(states, actions, run)):

@@ -5,8 +5,6 @@ forward-summation over segment jumps, and a literal memoized transcription of
 the backward pseudocode.  The shipped implementation must agree with both.
 """
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,17 +364,3 @@ class TestIidConstruction:
             measured = gh.var(ddof=1) / g.var(ddof=1)
             expected = ((terms - 1) // k + 1) / terms
             assert abs(measured / expected - 1) < 0.05
-
-
-class TestDiagnosticsDump:
-    def test_csv_schema_and_content(self, tmp_path):
-        teacher, traj = hand_case()
-        path = tmp_path / "diag.csv"
-        ret.write_diagnostics_csv(path, [traj, traj], teacher, ReturnConfig(k=2))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == list(ret.DIAGNOSTICS_HEADER)
-        assert len(rows) == 1 + 2 * traj.num_steps
-        first = rows[1]
-        assert first[0] == "0" and first[1] == "0"
-        assert float(first[2]) == 1.5 and float(first[3]) == 2.0 and float(first[4]) == -0.5
