@@ -330,11 +330,14 @@ class LogitModel(_RunRows):
             )
         # params never change after construction, so the layer views can be
         # fixed up front: the batched code's, and the per-state references'
+        # (``_slots`` holds one [V, width] view of the table per slot)
         self._set_layers()
         views = (self._table.T, self._b1[0])
         if self.kind == "mlp1":
             views += (self._w2[0], self._b2[0])
         object.__setattr__(self, "_views", views)
+        slots = self._table.reshape(self.window, self.vocab_size, -1)
+        object.__setattr__(self, "_slots", tuple(slots))
 
     @property
     def arch(self) -> ModelArch:
@@ -352,16 +355,21 @@ class LogitModel(_RunRows):
         return state.last_tokens(self.window)
 
     def logits(self, state: State) -> np.ndarray:
-        # the context's table rows, added slot by slot as in ``_slot_sum``
-        table, v = self._table, self.vocab_size
-        tokens = self.context(state)
-        u = table[tokens[0]]
-        for j in range(1, self.window):
-            u = u + table[j * v + tokens[j]]
-        u = u + self._b1[0]
+        # the context's table rows, added slot by slot as in ``_slot_sum``,
+        # then b1; the context is ``context(state)``, padded inline
+        if state.vocab.size != self.vocab_size:
+            raise ValueError("state vocabulary does not match model vocab_size")
+        prefix, n, slots = state.prefix, self.window, self._slots
+        pad = n - len(prefix)
+        tokens = prefix[-n:] if pad <= 0 else (state.vocab.bos_id,) * pad + prefix
+        u = slots[0][tokens[0]]
+        for j in range(1, n):
+            u = u + slots[j][tokens[j]]
+        views = self._views
+        u = u + views[1]
         if self.kind == "linear":
             return u
-        return self._w2[0] @ np.tanh(u) + self._b2[0]
+        return views[2] @ np.tanh(u) + views[3]
 
     def distribution(self, state: State) -> PolicyDistribution:
         return _distribution_from_logits(self.logits(state))

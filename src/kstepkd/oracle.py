@@ -77,12 +77,13 @@ def _expand(
 ) -> None:
     # module level, not nested: a self-referencing closure would hold ``out``
     # in a reference cycle that only the cyclic collector frees
-    dist = policy.distribution(state)
+    # the step log-probs as Python floats, converted once per state, not
+    # once per action
+    log_probs = policy.distribution(state).log_probs.tolist()
     for action in range(spec.vocab.size):
         nxt = step(state, action)
-        record = TrajectoryStep(state, action, float(dist.log_probs[action]))
-        steps.append(record)
-        path_logp = logp + record.logprob
+        steps.append(TrajectoryStep(state, action, log_probs[action]))
+        path_logp = logp + log_probs[action]
         if nxt.is_terminal or len(steps) == spec.horizon:
             out.append((Trajectory(tuple(steps), nxt), float(np.exp(path_logp))))
         else:
@@ -165,6 +166,7 @@ def exact_moments(
     step_prob = pw.sum(axis=0)
     expected_g = (pw * g).sum(axis=0) / step_prob
     expected_g_hat = (pw * g_hat).sum(axis=0) / step_prob
+    grad_g, grad_g_hat = _weighted_score_sums(policy, batch, pw * g, pw * g_hat)
     return ExactMoments(
         expected_g=expected_g,
         expected_g_hat=expected_g_hat,
@@ -172,23 +174,27 @@ def exact_moments(
         var_g_hat=(pw * (g_hat - expected_g_hat) ** 2).sum(axis=0) / step_prob,
         bias=expected_g_hat - expected_g,
         step_prob=step_prob,
-        grad_j_actual=_weighted_score_sum(policy, batch, pw * g),
-        grad_j_kstep=_weighted_score_sum(policy, batch, pw * g_hat),
+        grad_j_actual=grad_g,
+        grad_j_kstep=grad_g_hat,
     )
 
 
-def _weighted_score_sum(
-    policy: LogitModel, batch: TrajectoryBatch, weights: np.ndarray
-) -> np.ndarray:
-    """Sum over the batch's steps of weight x d log pi(a|c) / d params for
-    weights [N, H], in one backward call.  Steps sharing a (context, action)
-    row share the score, so their weights are summed first: an enumeration
-    has ~10^4 steps but at most V^(window+1) rows."""
+def _weighted_score_sums(
+    policy: LogitModel, batch: TrajectoryBatch, *weights: np.ndarray
+) -> list[np.ndarray]:
+    """For each of the weights [N, H], the sum over the batch's steps of
+    weight x d log pi(a|c) / d params, in one backward call each.  Steps
+    sharing a (context, action) row share the score, so their weights are
+    summed first: an enumeration has ~10^4 steps but at most V^(window+1)
+    rows.  The rows are merged and scored once for all the weights."""
     mask = batch.step_mask
     rows = np.column_stack([batch.step_contexts(policy.window)[mask], batch.actions[mask]])
     unique, inverse = merge_rows(rows)
-    summed = np.bincount(inverse, weights=weights[mask], minlength=len(unique))
-    return policy.layout().scores(unique[:, :-1], unique[:, -1]).weighted_grad(summed)[0]
+    scores = policy.layout().scores(unique[:, :-1], unique[:, -1])
+    return [
+        scores.weighted_grad(np.bincount(inverse, weights=w[mask], minlength=len(unique)))[0]
+        for w in weights
+    ]
 
 
 # -- policy gradient check ---------------------------------------------------
@@ -208,7 +214,8 @@ def _exact_policy_gradient(
     # unbiased per-step form with unclipped G; clipping would couple prefix
     # and suffix terms and break the exact identity against d/dtheta of J
     batch, probs, (g,) = _enumerated_returns(spec, policy, teacher, (1,))
-    return _weighted_score_sum(policy, batch, probs[:, None] * batch.step_mask * g)
+    (grad,) = _weighted_score_sums(policy, batch, probs[:, None] * batch.step_mask * g)
+    return grad
 
 
 @dataclass(frozen=True)
@@ -255,7 +262,7 @@ def check_gradient(
     j = np.array([run_probs @ g[:, 0] for run_probs in probs[1:]])
     fd = (j[:n] - j[n:]) / (2.0 * fd_step)
     # unbiased per-step form with unclipped G, as in _exact_policy_gradient
-    analytic = _weighted_score_sum(policy, batch, probs[0][:, None] * batch.step_mask * g)
+    (analytic,) = _weighted_score_sums(policy, batch, probs[0][:, None] * batch.step_mask * g)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     rel = np.abs(analytic - fd) / denom
     max_rel = float(rel.max())

@@ -69,8 +69,10 @@ def trajectory_q_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(q_taken, max_q) per step state; one teacher evaluation per state.
     The per-state reference for the batched forms below."""
-    qv = np.array([teacher.q_values(s.state) for s in traj.steps])
-    return qv[np.arange(len(qv)), traj.actions], qv.max(axis=1)
+    steps = traj.steps
+    qv = np.array([teacher.q_values(s.state) for s in steps])
+    v = qv.shape[1]
+    return qv.take([i * v + s.action for i, s in enumerate(steps)]), qv.max(axis=1)
 
 
 def batch_q_terms(
@@ -91,25 +93,31 @@ def actual_return(traj: Trajectory, teacher: FrozenModelTeacher) -> np.ndarray:
 
 
 def actual_from_terms(q: np.ndarray, m: np.ndarray) -> np.ndarray:
-    n = len(q)
-    g = np.empty(n, dtype=np.float64)
-    g[n - 1] = q[n - 1]
-    for t in range(n - 2, -1, -1):
+    """G [n] from float64 term arrays q, m [n] (n >= 1).
+
+    The recursion runs on Python floats, whose + and - round as numpy's
+    float64 scalars do, so the bits are those of a numpy recursion; a
+    non-finite term gives the same inf or nan, and no RuntimeWarning."""
+    q, m = q.tolist(), m.tolist()
+    g = q[:]  # g[last] = q[last]; every earlier entry is overwritten
+    for t in range(len(q) - 2, -1, -1):
         g[t] = (q[t] - m[t + 1]) + g[t + 1]
-    return g
+    return np.array(g)
 
 
 def kstep_from_terms(q: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
-    n = len(q)
-    last = n - 1
-    g = np.empty(n, dtype=np.float64)
-    g[last] = q[last]
+    """Ghat [n] from float64 term arrays q, m [n] (n >= 1), on Python
+    floats as ``actual_from_terms``: the same bits as a numpy recursion,
+    and no RuntimeWarning on non-finite terms."""
+    q, m = q.tolist(), m.tolist()
+    g = q[:]
+    last = len(q) - 1
     for t in range(last - 1, -1, -1):
         if last - t < k:
             g[t] = (q[t] - m[t + 1]) + g[t + 1]
         else:
             g[t] = (q[t] - m[t + k]) + g[t + k]
-    return g
+    return np.array(g)
 
 
 def kstep_from_batch_terms(

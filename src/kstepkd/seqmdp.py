@@ -16,6 +16,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -243,16 +244,21 @@ def decode(
     if not initial:
         raise ValueError("decode requires at least one initial state")
     vocab = initial[0].vocab
+    prefixes = []
     for s in initial:
-        if s.is_terminal:
+        # ``s.is_terminal`` inlined: this loop runs once per row
+        sv, prefix = s.vocab, s.prefix
+        if prefix and prefix[-1] == sv.eos_id:
             raise TerminalStateError("rollout must start from a non-terminal state")
-        if s.vocab is not vocab and s.vocab != vocab:
+        if sv is not vocab and sv != vocab:
             raise ValueError("initial states must share one vocabulary")
-    b = len(initial)
-    p = max(window, max(len(s.prefix) for s in initial))
+        prefixes.append(prefix)
+    b, p = len(initial), max(window, max(map(len, prefixes)))
+    bos = (vocab.bos_id,)
     tokens = np.full((b, p + horizon), vocab.bos_id, dtype=np.int64)
-    for i, s in enumerate(initial):
-        tokens[i, p - len(s.prefix) : p] = s.prefix
+    # each prefix right-aligned in the first p columns, BOS-padded
+    padded = chain.from_iterable([bos * (p - len(x)) + x for x in prefixes])
+    tokens[:, :p] = np.fromiter(padded, np.int64, b * p).reshape(b, p)
     # a row's length is written when it ends; the rest run the horizon
     lengths = np.full(b, horizon, dtype=np.int64)
     alive = np.arange(b)

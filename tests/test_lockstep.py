@@ -383,6 +383,15 @@ def test_decoder_error_paths():
         decode(model.batch_logits, 2, [s0, step(s0, VOCAB.eos_id)], 3)
     with pytest.raises(ValueError, match="at least one"):
         decode(model.batch_logits, 2, [], 3)
+    other = Vocabulary(size=VOCAB.size + 1, eos_id=VOCAB.eos_id, bos_id=VOCAB.bos_id)
+    with pytest.raises(ValueError, match="initial states must share one vocabulary"):
+        decode(model.batch_logits, 2, [s0, initial_state(other, (1,))], 3)
+    # an equal vocabulary that is another object is the same vocabulary
+    twin = Vocabulary(size=VOCAB.size, eos_id=VOCAB.eos_id, bos_id=VOCAB.bos_id)
+    assert twin is not VOCAB
+    batch = decode(model.batch_logits, 2, [s0, initial_state(twin, (1,))], 3)
+    assert np.array_equal(batch.tokens[0], batch.tokens[1])
+    assert np.array_equal(batch.lengths, decode(model.batch_logits, 2, [s0, s0], 3).lengths)
 
     def bad_score(contexts):
         out = np.zeros((len(contexts), VOCAB.size))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kstepkd import models
 from kstepkd.models import LogitModel, ModelArch, encode_context, init_model, zero_model
 from kstepkd.seqmdp import State, Vocabulary, initial_state, step
+from kstepkd.teacher import FrozenModelTeacher
 
 VOCAB3 = Vocabulary(size=3, eos_id=2, bos_id=0)
 VOCAB4 = Vocabulary(size=4, eos_id=3, bos_id=0)
@@ -85,6 +86,25 @@ class TestForward:
         params[0] = np.nan
         with pytest.raises(ValueError):
             LogitModel("linear", 3, 1, 0, params)
+
+    @pytest.mark.parametrize("arch", [ModelArch("linear", window=2),
+                                      ModelArch("mlp1", window=3, hidden=4)],
+                             ids=["linear", "mlp1"])
+    def test_state_of_another_vocabulary_rejected(self, arch):
+        """Every per-state call refuses a state whose vocabulary size is
+        not the model's, padded context or not."""
+        model = init_model(arch, VOCAB3.size, np.random.default_rng(5))
+        teacher = FrozenModelTeacher(model)
+        for state in (initial_state(VOCAB4), step(step(initial_state(VOCAB4), 1), 2),
+                      State(VOCAB4, (1, 2, 1, 2), 4)):
+            with pytest.raises(ValueError, match="vocab"):
+                model.logits(state)
+            with pytest.raises(ValueError, match="vocab"):
+                model.distribution(state)
+            with pytest.raises(ValueError, match="vocab"):
+                model.grad_log_prob(state, 0)
+            with pytest.raises(ValueError, match="vocab"):
+                teacher.q_values(state)
 
     def test_batch_logits_match_single(self):
         rng = np.random.default_rng(17)

@@ -79,6 +79,23 @@ class TestEnumeration:
             if was_enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("arch,horizon", [(ModelArch("linear", window=2), 3),
+                                              (ModelArch("mlp1", window=2, hidden=4), 4)],
+                             ids=["linear", "mlp1"])
+    def test_steps_and_paths_pinned_to_the_policy_bitwise(self, arch, horizon, seed):
+        """On C5-shaped instances, every step's logprob is the policy's
+        log-prob of its action at its state, and every path probability is
+        np.exp of the step logprobs summed left to right from 0.0, bitwise."""
+        policy = init_model(arch, VOCAB3.size, np.random.default_rng([seed, 5]), scale=0.6)
+        spec = EnumerationSpec(VOCAB3, horizon, initial_state(VOCAB3))
+        for traj, p in oracle.enumerate_trajectories(spec, policy):
+            path_logp = 0.0
+            for s in traj.steps:
+                assert s.logprob == policy.distribution(s.state).log_probs[s.action]
+                path_logp += s.logprob
+            assert p == np.exp(path_logp)
+
     def test_size_bounds_enforced(self):
         with pytest.raises(SizeBoundError):
             EnumerationSpec(Vocabulary(6, eos_id=5, bos_id=0), 3, initial_state(VOCAB3))

@@ -337,6 +337,43 @@ def test_batch_terms_per_row_k_bitwise(rows, pad):
         assert not g[i, len(q) :].any()
 
 
+# finite values, both infinities and nan, so that sums of terms hit inf - inf
+NON_FINITE_TERM = st.sampled_from([0.0, -1.5, 2.25, 1e308, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def non_finite_term_arrays(draw):
+    n = draw(st.integers(1, 12))
+    q = np.array(draw(st.lists(NON_FINITE_TERM, min_size=n, max_size=n)))
+    m = np.array(draw(st.lists(NON_FINITE_TERM, min_size=n, max_size=n)))
+    return q, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(non_finite_term_arrays(), min_size=1, max_size=4), st.integers(1, 6))
+def test_non_finite_terms_match_batch_rows(rows, k):
+    """With +-inf and nan among the terms, ``kstep_from_terms`` and
+    ``actual_from_terms`` equal the matching rows of
+    ``kstep_from_batch_terms`` position by position (nan where it has nan),
+    and the per-trajectory recursions raise no RuntimeWarning (the
+    settings turn one into an error) even outside ``np.errstate``."""
+    width = max(len(q) for q, _ in rows)
+    q_pad, m_pad = np.zeros((2, len(rows), width))
+    for i, (q, m) in enumerate(rows):
+        q_pad[i, : len(q)], m_pad[i, : len(m)] = q, m
+    lengths = np.array([len(q) for q, _ in rows])
+    with np.errstate(all="ignore"):
+        g_hat = ret.kstep_from_batch_terms(q_pad, m_pad, lengths, k)
+        g = ret.kstep_from_batch_terms(q_pad, m_pad, lengths, 1)
+        for i, (q, m) in enumerate(rows):
+            n = len(q)
+            assert np.array_equal(ret.kstep_from_terms(q, m, k), g_hat[i, :n], equal_nan=True)
+            assert np.array_equal(ret.actual_from_terms(q, m), g[i, :n], equal_nan=True)
+    for q, m in rows:
+        ret.kstep_from_terms(q, m, k)
+        ret.actual_from_terms(q, m)
+
+
 @pytest.mark.slow
 class TestIidConstruction:
     def test_variance_matches_closed_form(self):
