@@ -81,18 +81,18 @@ def encode_context(context: tuple[int, ...], vocab_size: int) -> np.ndarray:
     return enc
 
 
-def merge_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of int rows [N, W], in lexicographic order, and the
-    index [N] of each row's distinct row: numpy's row-wise ``unique`` with
-    its inverse, bitwise, from one ``np.lexsort`` (first column most
-    significant) instead of a sort of the rows as structured records."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ranked[new], inverse
+MAX_TABLE_FLOATS = 2**24  # the most codes, vocab_size^width, a context code may take
+
+
+def context_code(rows: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Each int row of [N, width] read as one base-V number, first slot most
+    significant: its index [N] among all V^width rows in lexicographic order.
+    Raises ValueError on a token outside [0, V), or, before any work, when
+    the V^width codes exceed ``MAX_TABLE_FLOATS``."""
+    width = rows.shape[1]
+    if vocab_size**width > MAX_TABLE_FLOATS:
+        raise ValueError(f"context code of {vocab_size}^{width} > {MAX_TABLE_FLOATS} values")
+    return np.ravel_multi_index(rows.T, (vocab_size,) * width)
 
 
 def _slot_sum(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -476,13 +476,16 @@ class ModelStack(_RunRows):
 def target_counts(
     contexts: np.ndarray, targets: np.ndarray, vocab_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of int contexts [N, window], sorted, and the count
-    [C, vocab_size] of each target after each of them: the sufficient
-    statistics of a hard-target cross-entropy over the N rows."""
-    distinct, inverse = merge_rows(contexts)
-    flat = inverse * vocab_size + targets
-    counts = np.bincount(flat, minlength=len(distinct) * vocab_size)
-    return distinct, counts.reshape(len(distinct), vocab_size).astype(np.float64)
+    """The distinct rows of int contexts [N, window], sorted (code order), and
+    the count [C, vocab_size] of each target after each of them, from one
+    bincount over the (context, target) codes: the sufficient statistics of
+    a hard-target cross-entropy over the N rows."""
+    window = contexts.shape[1]
+    code = context_code(np.column_stack([contexts, targets]), vocab_size)
+    counts = np.bincount(code, minlength=vocab_size ** (window + 1)).reshape(-1, vocab_size)
+    present = np.flatnonzero(counts.any(axis=1))
+    distinct = np.column_stack(np.unravel_index(present, (vocab_size,) * window))
+    return distinct, counts[present].astype(np.float64)
 
 
 def param_count(arch: ModelArch, vocab_size: int) -> int:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import returns as ret
-from .models import LogitModel, ModelStack, log_softmax, merge_rows
+from .models import LogitModel, ModelStack, context_code, log_softmax
 from .returns import ReturnConfig
 from .seqmdp import Policy, State, Trajectory, TrajectoryBatch, TrajectoryStep, Vocabulary
 from .seqmdp import decode, step
@@ -160,22 +160,18 @@ def _enumerated_returns(
 def exact_moments(
     spec: EnumerationSpec, policy: LogitModel, teacher: FrozenModelTeacher, cfg: ReturnConfig
 ) -> ExactMoments:
-    batch, probs, (g, g_hat) = _enumerated_returns(spec, policy, teacher, (1, cfg.k))
-    g, g_hat = ret.clip_returns(g, cfg), ret.clip_returns(g_hat, cfg)
+    # at K = 1 Ghat is G: one recursion, and G's moments and gradient serve both
+    batch, probs, gs = _enumerated_returns(spec, policy, teacher, sorted({1, cfg.k}))
+    gs = [ret.clip_returns(g, cfg) for g in gs]
     pw = probs[:, None] * batch.step_mask
     step_prob = pw.sum(axis=0)
-    expected_g = (pw * g).sum(axis=0) / step_prob
-    expected_g_hat = (pw * g_hat).sum(axis=0) / step_prob
-    grad_g, grad_g_hat = _weighted_score_sums(policy, batch, pw * g, pw * g_hat)
+    means = [(pw * g).sum(axis=0) / step_prob for g in gs]
+    var = [(pw * (g - mean) ** 2).sum(axis=0) / step_prob for g, mean in zip(gs, means)]
+    grads = _weighted_score_sums(policy, batch, *(pw * g for g in gs))
     return ExactMoments(
-        expected_g=expected_g,
-        expected_g_hat=expected_g_hat,
-        var_g=(pw * (g - expected_g) ** 2).sum(axis=0) / step_prob,
-        var_g_hat=(pw * (g_hat - expected_g_hat) ** 2).sum(axis=0) / step_prob,
-        bias=expected_g_hat - expected_g,
-        step_prob=step_prob,
-        grad_j_actual=grad_g,
-        grad_j_kstep=grad_g_hat,
+        expected_g=means[0], expected_g_hat=means[-1], var_g=var[0], var_g_hat=var[-1],
+        bias=means[-1] - means[0], step_prob=step_prob,
+        grad_j_actual=grads[0], grad_j_kstep=grads[-1],
     )
 
 
@@ -185,14 +181,18 @@ def _weighted_score_sums(
     """For each of the weights [N, H], the sum over the batch's steps of
     weight x d log pi(a|c) / d params, in one backward call each.  Steps
     sharing a (context, action) row share the score, so their weights are
-    summed first: an enumeration has ~10^4 steps but at most V^(window+1)
-    rows.  The rows are merged and scored once for all the weights."""
+    summed first, keyed by the row's code: an enumeration has ~10^4 steps
+    but at most V^(window+1) rows.  The rows present are scored once, in
+    code order, for all the weights."""
     mask = batch.step_mask
     rows = np.column_stack([batch.step_contexts(policy.window)[mask], batch.actions[mask]])
-    unique, inverse = merge_rows(rows)
-    scores = policy.layout().scores(unique[:, :-1], unique[:, -1])
+    code = context_code(rows, policy.vocab_size)
+    n_codes = policy.vocab_size ** rows.shape[1]
+    present = np.flatnonzero(np.bincount(code, minlength=n_codes))
+    distinct = np.column_stack(np.unravel_index(present, (policy.vocab_size,) * rows.shape[1]))
+    scores = policy.layout().scores(distinct[:, :-1], distinct[:, -1])
     return [
-        scores.weighted_grad(np.bincount(inverse, weights=w[mask], minlength=len(unique)))[0]
+        scores.weighted_grad(np.bincount(code, weights=w[mask], minlength=n_codes)[present])[0]
         for w in weights
     ]
 

@@ -216,8 +216,8 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
     out_dir = cfg.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n")
-    # the batched matrix products round differently at another BLAS thread
-    # count, so the artifacts reproduce byte for byte only at the same setting
+    # every other file matches byte for byte at 1 and 2 BLAS threads on the
+    # configs tests/test_blas_threads.py runs; other settings are untested
     meta = {"started_unix": time.time(), "numpy_version": np.__version__,
             "cpu_count": os.cpu_count()}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import context_code
 from .seqmdp import Trajectory, TrajectoryBatch
 from .teacher import FrozenModelTeacher
 
@@ -60,7 +61,7 @@ def q_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(q_taken, max_q) for int contexts [N, teacher.window] and actions [N]:
     two gathers from the teacher's Q table, the same bits in any call."""
-    idx = teacher.index(contexts)
+    idx = context_code(contexts, teacher.vocab_size)
     return teacher.q[idx, actions], teacher.max_q[idx]
 
 

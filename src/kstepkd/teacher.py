@@ -3,8 +3,9 @@
 A teacher is a frozen logit model: its pre-softmax logits at a state are the
 Q-values of every action there.  They depend only on the last ``window``
 tokens, so the teacher tabulates them once, read-only: ``q`` [V^window, V]
-at row ``index(context)`` and each row's maximum ``max_q``.  Batched scoring
-is a gather from them; ``q_values(state)`` stays the per-state model call.
+at row ``context_code(context)``, the context read as a base-V number, and
+each row's maximum ``max_q``.  Batched scoring is a gather from them;
+``q_values(state)`` stays the per-state model call.
 ``returns`` turns Q-values into induced step rewards and returns.
 """
 
@@ -19,11 +20,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import models
-from .models import LogitModel, ModelArch, PolicyDistribution
+from .models import MAX_TABLE_FLOATS, LogitModel, ModelArch, PolicyDistribution
 from .seqmdp import State, TerminalStateError, Vocabulary, initial_state, step
-
-
-MAX_TABLE_FLOATS = 2**24  # the most floats, vocab_size^(window + 1), a Q table may hold
 
 
 def check_table_size(vocab_size: int, window: int) -> None:
@@ -55,10 +53,6 @@ class FrozenModelTeacher:
     def vocab_size(self) -> int:
         return self.model.vocab_size
 
-    def index(self, contexts: np.ndarray) -> np.ndarray:
-        """Table rows [N] of int contexts [N, window], read base V, first slot high."""
-        return np.ravel_multi_index(contexts.T, (self.vocab_size,) * self.window)
-
     def q_values(self, state: State) -> np.ndarray:
         if state.is_terminal:
             raise TerminalStateError("q_values is undefined at terminal states")
@@ -67,7 +61,7 @@ class FrozenModelTeacher:
     def batch_q_values(self, contexts: np.ndarray) -> np.ndarray:
         """Q-vectors [N, vocab_size] for int contexts [N, window] of
         non-terminal states (the last ``window`` tokens, BOS-padded)."""
-        return self.q[self.index(contexts)]
+        return self.q[models.context_code(contexts, self.vocab_size)]
 
     def distribution(self, state: State) -> PolicyDistribution:
         """Boltzmann policy over the teacher's own Q-values."""

@@ -13,6 +13,23 @@ from kstepkd.config import from_dict
 from kstepkd.models import LogitModel, ModelStack
 from kstepkd.teacher import FrozenModelTeacher
 
+# C11's two-seed pipeline: every stage of ``sweep-k`` in about a second
+TINY_CONFIG = {
+    "vocab_size": 6,
+    "horizon": 8,
+    "window": 2,
+    "task": {"kind": "markov_chain", "order": 1, "transition_seed": 3,
+             "eos_prob": 0.1, "cond_len": 1},
+    "teacher": {"kind": "mlp1", "hidden": 8},
+    "student": {"kind": "mlp1", "hidden": 4},
+    "teacher_fit": {"epochs": 25, "lr": 1.0},
+    "predistill": {"epochs": 2, "lr": 0.5},
+    "rl": {"iterations": 6, "lr": 0.02, "batch_size": 2, "eval_every": 3},
+    "k_list": [1, 2],
+    "seeds": [0, 1],
+    "corpus": {"n_sequences": 24, "seed": 5, "n_val": 4, "n_test": 4},
+}
+
 
 def table_teacher(rows, vocab_size, window=1):
     """A frozen linear teacher whose Q-vector at each context of ``rows``

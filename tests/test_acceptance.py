@@ -20,6 +20,8 @@ from kstepkd.returns import ReturnConfig
 from kstepkd.seqmdp import Vocabulary, initial_state, rollout, step
 from kstepkd.teacher import FrozenModelTeacher
 
+from conftest import TINY_CONFIG
+
 K_GRID = (1, 2, 4, 8, 16)
 VOCAB5 = Vocabulary(size=5, eos_id=4, bos_id=0)
 VOCAB3 = Vocabulary(size=3, eos_id=2, bos_id=0)
@@ -296,22 +298,7 @@ def test_c10_gradient_correctness_suite():
 
 
 def test_c11_pipeline_determinism(tmp_path):
-    data = {
-        "vocab_size": 6,
-        "horizon": 8,
-        "window": 2,
-        "task": {"kind": "markov_chain", "order": 1, "transition_seed": 3,
-                 "eos_prob": 0.1, "cond_len": 1},
-        "teacher": {"kind": "mlp1", "hidden": 8},
-        "student": {"kind": "mlp1", "hidden": 4},
-        "teacher_fit": {"epochs": 25, "lr": 1.0},
-        "predistill": {"epochs": 2, "lr": 0.5},
-        "rl": {"iterations": 6, "lr": 0.02, "batch_size": 2, "eval_every": 3},
-        "k_list": [1, 2],
-        "seeds": [0, 1],
-        "corpus": {"n_sequences": 24, "seed": 5, "n_val": 4, "n_test": 4},
-        "out_dir": str(tmp_path / "a"),
-    }
+    data = {**TINY_CONFIG, "out_dir": str(tmp_path / "a")}
     out_a = pipeline.run_pipeline(from_dict(data))
     out_b = pipeline.run_pipeline(from_dict({**data, "out_dir": str(tmp_path / "b")}))
     identical = (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()

@@ -164,25 +164,66 @@ class TestForward:
 
 
 @st.composite
-def int_rows(draw):
-    """Int rows [N, W] (N >= 1) of ids up to a drawn bound, with repeats."""
-    high = draw(st.sampled_from([1, 11, 256, 70_000, 2**62]))
-    width = draw(st.integers(1, 4))
-    pool = draw(st.lists(st.lists(st.integers(0, high), min_size=width, max_size=width),
-                         min_size=1, max_size=8))
+def coded_rows(draw):
+    """(V, int rows [N, width] of tokens in [0, V) with repeats, weights [N]
+    spread over 10^-8..10^8 in magnitude), width >= 2 so that the rows split
+    into contexts and targets."""
+    v = draw(st.integers(2, 12))
+    width = draw(st.integers(2, 4))
+    token = st.integers(0, v - 1)
+    pool = draw(st.lists(st.lists(token, min_size=width, max_size=width), min_size=1, max_size=8))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
-    return np.array([pool[i] for i in picks], dtype=np.int64)
+    n = len(picks)
+    mantissas = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    exponents = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+    weights = np.array(mantissas) * 10.0 ** np.array(exponents)
+    return v, np.array([pool[i] for i in picks], dtype=np.int64), weights
 
 
 @settings(max_examples=200, deadline=None)
-@given(int_rows())
-@example(np.array([[300, 257, 4096]], dtype=np.int64))
-def test_merge_rows_matches_unique_bitwise(rows):
-    distinct, inverse = models.merge_rows(rows)
-    ref_distinct, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
-    assert distinct.dtype == ref_distinct.dtype and np.array_equal(distinct, ref_distinct)
-    assert inverse.dtype == ref_inverse.dtype
-    assert np.array_equal(inverse, ref_inverse.reshape(-1))
+@given(coded_rows())
+@example((5, np.array([[4, 0, 3], [0, 4, 4], [4, 0, 3]], dtype=np.int64), np.array([1e8, 3.0, -1e-8])))
+def test_context_code_merges_rows_as_unique_bitwise(case):
+    """Rows read as base-V codes and merged by ``bincount`` give
+    ``np.unique(axis=0, return_inverse=True)``'s distinct rows, in its order
+    and dtype, the same ``target_counts`` matrix, and weight sums keyed by
+    code equal to those keyed by the inverse, bit for bit."""
+    v, rows, weights = case
+    width = rows.shape[1]
+    ref_rows, inverse = np.unique(rows, axis=0, return_inverse=True)
+    code = models.context_code(rows, v)
+    present = np.flatnonzero(np.bincount(code, minlength=v**width))
+    distinct = np.column_stack(np.unravel_index(present, (v,) * width))
+    assert distinct.dtype == ref_rows.dtype and np.array_equal(distinct, ref_rows)
+    sums = np.bincount(code, weights=weights, minlength=v**width)[present]
+    ref_sums = np.bincount(inverse.reshape(-1), weights=weights, minlength=len(ref_rows))
+    assert sums.tobytes() == ref_sums.tobytes()
+
+    contexts, targets = rows[:, :-1], rows[:, -1]
+    ref_contexts, ctx_inverse = np.unique(contexts, axis=0, return_inverse=True)
+    ref_counts = np.zeros((len(ref_contexts), v))
+    np.add.at(ref_counts, (ctx_inverse.reshape(-1), targets), 1.0)
+    got_contexts, counts = models.target_counts(contexts, targets, v)
+    assert got_contexts.dtype == ref_contexts.dtype
+    assert np.array_equal(got_contexts, ref_contexts)
+    assert counts.dtype == ref_counts.dtype and counts.tobytes() == ref_counts.tobytes()
+
+
+class TestContextCode:
+    def test_reads_rows_base_v_first_slot_high(self):
+        rows = np.array([[0, 0, 0], [0, 0, 4], [0, 1, 0], [4, 4, 4], [2, 3, 1]])
+        assert models.context_code(rows, 5).tolist() == [0, 4, 5, 124, 2 * 25 + 3 * 5 + 1]
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_token_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="invalid entry"):
+            models.context_code(np.array([[0, 1], [bad, 2]]), 5)
+
+    def test_code_space_bound(self):
+        assert models.context_code(np.array([[4095, 4095]]), 4096).tolist() == [2**24 - 1]
+        # 2^40 codes: the bound raises before any code or count is made
+        with pytest.raises(ValueError, match="context code of"):
+            models.context_code(np.array([[0, 1]]), 2**20)
 
 
 def test_scatter_rows_matches_add_at_bitwise():

@@ -186,6 +186,31 @@ class TestExactMoments:
         moments = oracle.exact_moments(spec, policy, teacher, ReturnConfig(k=1))
         assert np.array_equal(moments.bias, np.zeros_like(moments.bias))
 
+    def test_k1_takes_g_and_its_gradient_once(self, monkeypatch):
+        """At K = 1 Ghat is G: one recursion and one weighted gradient serve
+        both, and every Ghat field equals its G field bitwise."""
+        calls = {"recursion": 0, "weights": []}
+
+        def recursion(*args):
+            calls["recursion"] += 1
+            return kstep(*args)
+
+        def score_sums(policy, batch, *weights):
+            calls["weights"].append(len(weights))
+            return sums(policy, batch, *weights)
+
+        kstep, sums = ret.kstep_from_batch_terms, oracle._weighted_score_sums
+        monkeypatch.setattr(ret, "kstep_from_batch_terms", recursion)
+        monkeypatch.setattr(oracle, "_weighted_score_sums", score_sums)
+        spec, policy, teacher = hand_instance()
+        m = oracle.exact_moments(spec, policy, teacher, ReturnConfig(k=1))
+        assert calls == {"recursion": 1, "weights": [1]}
+        for g, g_hat in [(m.expected_g, m.expected_g_hat), (m.var_g, m.var_g_hat),
+                         (m.grad_j_actual, m.grad_j_kstep)]:
+            assert g.tobytes() == g_hat.tobytes()
+        oracle.exact_moments(spec, policy, teacher, ReturnConfig(k=2))
+        assert calls == {"recursion": 3, "weights": [1, 2]}
+
     def test_hand_computed_bias(self):
         spec, policy, teacher = hand_instance()
         moments = oracle.exact_moments(spec, policy, teacher, ReturnConfig(k=2))
@@ -297,6 +322,19 @@ class TestCheckGradient:
         np.testing.assert_allclose(
             oracle._exact_policy_gradient(spec, policy, teacher), ref_g, rtol=0, atol=1e-12
         )
+
+    def test_code_space_past_the_bound_raises_before_any_count(self, monkeypatch):
+        # V = 5 at window 10: 5^11 (context, action) codes, above 2^24
+        vocab = Vocabulary(size=5, eos_id=4, bos_id=0)
+        policy = uniform_policy(vocab.size, window=10)
+        batch, probs = oracle.enumerate_batch(EnumerationSpec(vocab, 2, initial_state(vocab)), policy)
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("bincount ran past the code-space bound")
+
+        monkeypatch.setattr(np, "bincount", no_count)
+        with pytest.raises(ValueError, match=r"context code of 5\^11"):
+            oracle._weighted_score_sums(policy, batch, probs[:, None] * batch.step_mask)
 
     @pytest.mark.parametrize(
         "kind,horizon,prefix",

@@ -8,7 +8,7 @@ import pytest
 
 from kstepkd import models
 from kstepkd import returns as ret
-from kstepkd.models import ModelArch, init_model, zero_model
+from kstepkd.models import MAX_TABLE_FLOATS, ModelArch, init_model, zero_model
 from kstepkd.returns import ReturnConfig
 from kstepkd.seqmdp import (
     State,
@@ -22,7 +22,6 @@ from kstepkd.seqmdp import (
 )
 from kstepkd.tasks import MarkovChainTask, gen_corpus
 from kstepkd.teacher import (
-    MAX_TABLE_FLOATS,
     FrozenModelTeacher,
     _corpus_training_rows,
     check_table_size,
@@ -99,7 +98,7 @@ class TestQTable:
         t = FrozenModelTeacher(init_model(arch, size, np.random.default_rng(size), scale=1.0))
         assert t.q.shape == (size**window, size)
         contexts = np.indices((size,) * window).reshape(window, -1).T
-        np.testing.assert_array_equal(t.index(contexts), np.arange(size**window))
+        np.testing.assert_array_equal(models.context_code(contexts, size), np.arange(size**window))
         for ctx, row in zip(contexts, t.q):
             state = State(vocab, (vocab.bos_id, *ctx.tolist()), 0)
             np.testing.assert_allclose(row, t.model.logits(state), rtol=0, atol=1e-12)
