@@ -81,6 +81,14 @@ def encode_context(context: tuple[int, ...], vocab_size: int) -> np.ndarray:
     return enc
 
 
+def _checked(context: tuple[int, ...], vocab_size: int) -> tuple[int, ...]:
+    """The context, checked: a token outside [0, V), which indexing would
+    wrap (-1) or fail on (V), raises ValueError, as in ``context_code``."""
+    if not all(0 <= tok < vocab_size for tok in context):
+        raise ValueError(f"context {context} holds a token outside [0, {vocab_size})")
+    return context
+
+
 MAX_TABLE_FLOATS = 2**24  # the most codes, vocab_size^width, a context code may take
 
 
@@ -338,6 +346,9 @@ class LogitModel(_RunRows):
         object.__setattr__(self, "_views", views)
         slots = self._table.reshape(self.window, self.vocab_size, -1)
         object.__setattr__(self, "_slots", tuple(slots))
+        # ``logits``' read-only results by padded context: at most one entry
+        # per distinct context that this instance's per-state calls visit
+        object.__setattr__(self, "_memo", {})
 
     @property
     def arch(self) -> ModelArch:
@@ -352,24 +363,30 @@ class LogitModel(_RunRows):
     def context(self, state: State) -> tuple[int, ...]:
         if state.vocab.size != self.vocab_size:
             raise ValueError("state vocabulary does not match model vocab_size")
-        return state.last_tokens(self.window)
+        return _checked(state.last_tokens(self.window), self.vocab_size)
 
     def logits(self, state: State) -> np.ndarray:
-        # the context's table rows, added slot by slot as in ``_slot_sum``,
-        # then b1; the context is ``context(state)``, padded inline
+        # read-only and memoized by context (``context(state)``, padded
+        # inline), as params never change; a miss checks the tokens, adds
+        # the context's table rows slot by slot as in ``_slot_sum``, then b1
         if state.vocab.size != self.vocab_size:
             raise ValueError("state vocabulary does not match model vocab_size")
         prefix, n, slots = state.prefix, self.window, self._slots
         pad = n - len(prefix)
         tokens = prefix[-n:] if pad <= 0 else (state.vocab.bos_id,) * pad + prefix
+        z = self._memo.get(tokens)
+        if z is not None:
+            return z
+        _checked(tokens, self.vocab_size)
         u = slots[0][tokens[0]]
         for j in range(1, n):
             u = u + slots[j][tokens[j]]
         views = self._views
         u = u + views[1]
-        if self.kind == "linear":
-            return u
-        return views[2] @ np.tanh(u) + views[3]
+        z = u if self.kind == "linear" else views[2] @ np.tanh(u) + views[3]
+        z.flags.writeable = False
+        self._memo[tokens] = z
+        return z
 
     def distribution(self, state: State) -> PolicyDistribution:
         return _distribution_from_logits(self.logits(state))

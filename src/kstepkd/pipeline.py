@@ -26,7 +26,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -228,6 +227,9 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
 
     all_rows: list[dict[str, Any]] = []
     if threads > 1:
+        # imported here: the pool module adds about 25 ms to every start
+        from concurrent.futures import ProcessPoolExecutor
+
         # the splits reach each worker once, as its initializer's argument:
         # inherited under fork, pickled once per worker otherwise
         with ProcessPoolExecutor(

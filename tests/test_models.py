@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kstepkd import models
+from kstepkd import models, returns
 from kstepkd.models import LogitModel, ModelArch, encode_context, init_model, zero_model
-from kstepkd.seqmdp import State, Vocabulary, initial_state, step
+from kstepkd.seqmdp import State, Trajectory, TrajectoryStep, Vocabulary, initial_state, step
 from kstepkd.teacher import FrozenModelTeacher
 
 VOCAB3 = Vocabulary(size=3, eos_id=2, bos_id=0)
@@ -106,6 +106,32 @@ class TestForward:
             with pytest.raises(ValueError, match="vocab"):
                 teacher.q_values(state)
 
+    @pytest.mark.parametrize("bad", [-1, VOCAB4.size])
+    @pytest.mark.parametrize("arch", [ModelArch("linear", window=2),
+                                      ModelArch("mlp1", window=3, hidden=4)],
+                             ids=["linear", "mlp1"])
+    def test_token_out_of_range_rejected(self, arch, bad):
+        """Every per-state reader refuses a context token outside [0, V),
+        which indexing would wrap (-1) or fail on (V), before and after the
+        model has memoized other contexts, and stores nothing for it."""
+        model = init_model(arch, VOCAB4.size, np.random.default_rng(7))
+        teacher = FrozenModelTeacher(model)
+        state = State(VOCAB4, (0, 1, bad), 2)
+        traj = Trajectory((TrajectoryStep(state, 0, 0.0),), State(VOCAB4, (0, 1, bad, 0), 3))
+        for calls in range(2):
+            with pytest.raises(ValueError, match="outside"):
+                model.logits(state)
+            with pytest.raises(ValueError, match="outside"):
+                model.distribution(state)
+            with pytest.raises(ValueError, match="outside"):
+                model.grad_log_prob(state, 0)
+            with pytest.raises(ValueError, match="outside"):
+                teacher.q_values(state)
+            with pytest.raises(ValueError, match="outside"):
+                returns.trajectory_q_terms(traj, teacher)
+            assert len(model._memo) == calls  # only the good context below
+            model.logits(State(VOCAB4, (0, 1, 2), 2))
+
     def test_batch_logits_match_single(self):
         rng = np.random.default_rng(17)
         for arch in (ModelArch("linear", window=2), ModelArch("mlp1", window=2, hidden=5)):
@@ -161,6 +187,47 @@ class TestForward:
                     w2 = m.params[o + width : o + width + v * width].reshape(v, width)
                     u = w2 @ np.tanh(u) + m.params[o + width + v * width :]
                 assert np.array_equal(m.logits(state), u)
+
+
+@st.composite
+def memo_cases(draw):
+    """(model, states): a linear or mlp1 model over VOCAB4, window 1-3, and
+    states, some repeated, whose prefixes run from empty to two tokens past
+    the window."""
+    kind = draw(st.sampled_from(["linear", "mlp1"]))
+    window = draw(st.integers(1, 3))
+    arch = ModelArch(kind, window=window, hidden=3 if kind == "mlp1" else 0)
+    model = init_model(arch, VOCAB4.size, np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       scale=1.0)
+    prefix = st.lists(st.integers(0, VOCAB4.size - 1), max_size=window + 2)
+    states = draw(st.lists(prefix.map(lambda p: State(VOCAB4, tuple(p), len(p))),
+                           min_size=1, max_size=8))
+    return model, states
+
+
+@settings(max_examples=100, deadline=None)
+@given(memo_cases())
+def test_logits_memo_is_transparent(case):
+    """``logits(state)`` returns, first call and repeat, the bytes of the
+    same call on a fresh copy of the model, as a read-only array that a
+    repeat returns again; a state of another vocabulary still raises after
+    its tokens are memoized; an updated model starts with an empty memo and
+    returns its own logits."""
+    model, states = case
+    for state in states + states:
+        got = model.logits(state)
+        assert got.tobytes() == model.with_params(model.params).logits(state).tobytes()
+        assert not got.flags.writeable
+        assert model.logits(state) is got
+    other = Vocabulary(size=5, eos_id=4, bos_id=0)
+    with pytest.raises(ValueError, match="vocab"):
+        model.logits(State(other, states[0].prefix, states[0].length))
+    updated = model.apply_update(np.ones_like(model.params), 0.5)
+    assert len(updated._memo) == 0
+    for state in states:
+        got = updated.logits(state)
+        assert got.tobytes() == updated.with_params(updated.params).logits(state).tobytes()
+        assert got.tobytes() != model.logits(state).tobytes()
 
 
 @st.composite
