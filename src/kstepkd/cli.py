@@ -47,7 +47,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("predistill", help="teacher + supervised student warm-start")
 
     p = sub.add_parser("train", help="single RL training run")
-    p.add_argument("--estimator", choices=trainer.ESTIMATORS, default="kstep")
+    p.add_argument("--estimator", choices=("llmr", *trainer.ESTIMATORS), default="kstep")
     p.add_argument("--k", type=int, default=2)
 
     sub.add_parser("sweep-k", help="full pipeline over all variants and seeds")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -82,7 +83,8 @@ def _merge(defaults: dict[str, Any], override: dict[str, Any], path: str) -> dic
 def _check_value(value: Any, default: Any, name: str) -> None:
     """ConfigError unless ``value`` has the kind of its default: a bool or
     str for a bool or str default, an integer (an integral float too) for an
-    int, any int or float for a float."""
+    int, any finite int or float for a float (JSON's NaN and Infinity are
+    refused)."""
     if isinstance(default, (bool, str)):
         if not isinstance(value, type(default)):
             kind = type(default).__name__
@@ -90,6 +92,8 @@ def _check_value(value: Any, default: Any, name: str) -> None:
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {name!r} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {name!r} must be finite, got {value!r}")
     if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"config key {name!r} must be an integer, got {value!r}")
 
@@ -174,20 +178,9 @@ class ExperimentConfig:
     def teacher_fit_params(self) -> dict[str, Any]:
         return dict(self.raw["teacher_fit"])
 
-    def predistill_config(self, epochs: int | None = None) -> TrainConfig:
-        spec = self.raw["predistill"]
-        return TrainConfig(
-            stage="predistill",
-            lr=float(spec["lr"]),
-            epochs=int(spec["epochs"]) if epochs is None else epochs,
-            horizon=self.horizon,
-            clip_range=self.clip_range,
-        )
-
     def rl_config(self, estimator: str, k: int, seed: int) -> TrainConfig:
         spec = self.raw["rl"]
         return TrainConfig(
-            stage="rl",
             lr=float(spec["lr"]),
             batch_size=int(spec["batch_size"]),
             iterations=int(spec["iterations"]),
@@ -259,14 +252,17 @@ class ExperimentConfig:
             raise ConfigError("teacher_fit.lr must be positive when epochs > 0")
         if not float(fit["init_scale"]) >= 0.0:
             raise ConfigError("teacher_fit.init_scale must be >= 0")
+        # the bias/variance sweep pre-distils for each bucket's epochs
+        pd = self.raw["predistill"]
+        if min(int(pd["epochs"]), *buckets) < 0:
+            raise ConfigError("predistill.epochs and sweep.kl_bucket_epochs entries must be >= 0")
+        if max(int(pd["epochs"]), *buckets) > 0 and not float(pd["lr"]) > 0.0:
+            raise ConfigError("predistill.lr must be positive when any epochs > 0")
         try:
             self.task()
             self.arch("teacher")
             self.arch("student")
             check_table_size(self.vocab.size, self.window)
-            # the bias/variance sweep pre-distils for each bucket's epochs
-            for epochs in [None, *buckets]:
-                self.predistill_config(epochs)
             self.rl_config("kstep", 1, 0)
         except (ValueError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc

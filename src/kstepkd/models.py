@@ -505,6 +505,28 @@ def target_counts(
     return distinct, counts[present].astype(np.float64)
 
 
+def fit_targets(
+    model: LogitModel, contexts: np.ndarray, targets: np.ndarray, epochs: int, lr: float
+) -> tuple[LogitModel, list[float]]:
+    """Full-batch descent on the mean cross-entropy of hard targets after
+    int contexts [N, window], over the distinct contexts and their target
+    counts (the same loss as over every row).  Returns the fitted model and
+    the loss of every epoch.  A divergent fit raises FloatingPointError: a
+    non-finite epoch loss, or a last epoch's loss above the first's (with a
+    sane lr the loss is, statistically, non-increasing)."""
+    distinct, counts = target_counts(contexts, targets, model.vocab_size)
+    losses: list[float] = []
+    for epoch in range(epochs):
+        loss, grad = model.cross_entropy_grad(distinct, counts)
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"fit diverged: loss {loss} at epoch {epoch}")
+        losses.append(loss)
+        model = model.apply_update(-grad, lr)
+    if losses and losses[-1] > losses[0]:
+        raise FloatingPointError(f"fit diverged: loss rose {losses[0]!r} -> {losses[-1]!r}")
+    return model, losses
+
+
 def param_count(arch: ModelArch, vocab_size: int) -> int:
     v, n = vocab_size, arch.window
     if arch.kind == "linear":

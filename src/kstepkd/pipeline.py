@@ -16,8 +16,8 @@ Artifact layout under the configured output directory:
         trainlog.csv                 per-iteration training log
         eval.json                    final greedy return on held-out inputs
 
-Variants are named ``llmr`` (one-step), ``kstep_k<K>`` for K > 1, and the two
-batch-baseline competitors.
+Variants are named ``llmr`` (the K-step estimator at K = 1, the one-step
+return), ``kstep_k<K>`` for K > 1, and the two batch-baseline competitors.
 """
 
 from __future__ import annotations
@@ -114,9 +114,12 @@ def predistill_student(
     seed: int,
     epochs: int | None = None,
 ) -> LogitModel:
-    pcfg = cfg.predistill_config(epochs)
+    spec = cfg.raw["predistill"]
     try:
-        out, _ = trainer.predistill(student, teacher, splits.train_states, pcfg)
+        out, _ = trainer.predistill(
+            student, teacher, splits.train_states, cfg.horizon,
+            int(spec["epochs"]) if epochs is None else epochs, float(spec["lr"]),
+        )
     except Exception as exc:
         raise StageError("predistill", seed, exc) from exc
     return out
@@ -126,8 +129,12 @@ def predistill_student(
 
 
 def variant(estimator: str, k: int) -> tuple[str, str, int]:
-    """The (name, estimator, k) triple of one RL run; every estimator but
-    kstep is one-step, so its k is 1."""
+    """The (name, estimator, k) triple of one RL run.  ``llmr`` names the
+    K-step estimator at K = 1, the one-step return of LLMR: ``("llmr", any
+    k)`` and ``("kstep", 1)`` both give ``("llmr", "kstep", 1)``.  Every
+    estimator but kstep is one-step, so its k is 1."""
+    if estimator == "llmr" or (estimator, k) == ("kstep", 1):
+        return "llmr", "kstep", 1
     if estimator != "kstep":
         return estimator, estimator, 1
     return f"kstep_k{k}", estimator, k
@@ -135,7 +142,7 @@ def variant(estimator: str, k: int) -> tuple[str, str, int]:
 
 def variant_list(cfg: ExperimentConfig) -> list[tuple[str, str, int]]:
     """(name, estimator, k) triples for the configured sweep."""
-    variants = [variant("llmr" if k == 1 else "kstep", k) for k in cfg.k_list]
+    variants = [variant("kstep", k) for k in cfg.k_list]
     if cfg.include_baselines:
         variants += [variant("mean_baseline", 1), variant("minvar_baseline", 1)]
     return variants

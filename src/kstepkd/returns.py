@@ -88,28 +88,19 @@ def batch_q_terms(
 
 
 def actual_return(traj: Trajectory, teacher: FrozenModelTeacher) -> np.ndarray:
-    """Per-step cumulative induced reward G[t], unclipped."""
-    q, m = trajectory_q_terms(traj, teacher)
-    return actual_from_terms(q, m)
+    """Per-step cumulative induced reward G[t], unclipped: the K-step return
+    at K = 1."""
+    return kstep_return_raw(traj, teacher, 1)
 
 
-def actual_from_terms(q: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """G [n] from float64 term arrays q, m [n] (n >= 1).
+def kstep_from_terms(q: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
+    """Ghat [n] from float64 term arrays q, m [n] (n >= 1); K = 1 gives the
+    actual return G.  The per-trajectory reference for
+    ``kstep_from_batch_terms``.
 
     The recursion runs on Python floats, whose + and - round as numpy's
     float64 scalars do, so the bits are those of a numpy recursion; a
     non-finite term gives the same inf or nan, and no RuntimeWarning."""
-    q, m = q.tolist(), m.tolist()
-    g = q[:]  # g[last] = q[last]; every earlier entry is overwritten
-    for t in range(len(q) - 2, -1, -1):
-        g[t] = (q[t] - m[t + 1]) + g[t + 1]
-    return np.array(g)
-
-
-def kstep_from_terms(q: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
-    """Ghat [n] from float64 term arrays q, m [n] (n >= 1), on Python
-    floats as ``actual_from_terms``: the same bits as a numpy recursion,
-    and no RuntimeWarning on non-finite terms."""
     q, m = q.tolist(), m.tolist()
     g = q[:]
     last = len(q) - 1
@@ -164,7 +155,7 @@ def implied_baseline(
 ) -> np.ndarray:
     """The baseline the K-step estimator implicitly subtracts: G - Ghat, pre-clip."""
     q, m = trajectory_q_terms(traj, teacher)
-    return actual_from_terms(q, m) - kstep_from_terms(q, m, cfg.k)
+    return kstep_from_terms(q, m, 1) - kstep_from_terms(q, m, cfg.k)
 
 
 def skipped_step_gaps(traj: Trajectory, teacher: FrozenModelTeacher, k: int) -> np.ndarray:
@@ -211,7 +202,7 @@ class ReturnEstimate:
 
 def estimate(traj: Trajectory, teacher: FrozenModelTeacher, cfg: ReturnConfig) -> ReturnEstimate:
     q, m = trajectory_q_terms(traj, teacher)
-    g = actual_from_terms(q, m)
+    g = kstep_from_terms(q, m, 1)
     g_hat = kstep_from_terms(q, m, cfg.k)
     return ReturnEstimate(g_hat=g_hat, g_actual=g, baseline=g - g_hat, config=cfg)
 

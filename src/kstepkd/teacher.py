@@ -110,31 +110,19 @@ def fit_teacher(
 ) -> tuple[FrozenModelTeacher, list[float]]:
     """Train a next-token model on an EOS-terminated corpus and freeze it.
 
-    Full-batch gradient descent on the mean cross-entropy, over the distinct
-    contexts and their target counts (the same loss as over every row).
-    Returns the frozen teacher and the loss of every epoch.  A divergent fit
-    raises FloatingPointError: a non-finite epoch loss, or a last epoch's loss
-    above the first's (with a sane lr the loss is, statistically,
-    non-increasing).
+    ``models.fit_targets`` on every corpus token after its context: returns
+    the frozen teacher and the loss of every epoch, and raises
+    FloatingPointError on a divergent fit.
     """
     if not corpus:
         raise ValueError("fit_teacher requires a non-empty corpus")
     for i, seq in enumerate(corpus):
         if not seq or seq[-1] != vocab.eos_id:
             raise ValueError(f"corpus sequence {i} does not end with eos")
-    model = models.init_model(arch, vocab.size, rng, scale=init_scale)
-    contexts, counts = models.target_counts(
-        *_corpus_training_rows(corpus, vocab, arch.window), vocab.size
+    model, losses = models.fit_targets(
+        models.init_model(arch, vocab.size, rng, scale=init_scale),
+        *_corpus_training_rows(corpus, vocab, arch.window), epochs, lr,
     )
-    losses: list[float] = []
-    for epoch in range(epochs):
-        loss, grad = model.cross_entropy_grad(contexts, counts)
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"teacher fit diverged: loss {loss} at epoch {epoch}")
-        losses.append(loss)
-        model = model.apply_update(-grad, lr)
-    if losses and losses[-1] > losses[0]:
-        raise FloatingPointError(f"teacher fit diverged: loss rose {losses[0]!r} -> {losses[-1]!r}")
     return FrozenModelTeacher(model), losses
 
 

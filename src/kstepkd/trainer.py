@@ -6,8 +6,8 @@ the student, scores each step with a pluggable return estimator, and ascends
 the score-weighted log-probability gradient.
 
 Estimators:
-  kstep            clipped K-step approximate return
-  llmr             alias of kstep with K = 1 (plain one-step accumulation)
+  kstep            clipped K-step approximate return; at K = 1 the one-step
+                   return of LLMR (Li, Hao & Mou, 2024)
   mean_baseline    actual return minus the leave-one-out batch mean at each
                    step; the baseline never depends on the trajectory's own
                    actions, so the estimator stays unbiased
@@ -31,7 +31,7 @@ from .returns import DEFAULT_CLIP_RANGE, ReturnConfig
 from .seqmdp import State, TrajectoryBatch, decode
 from .teacher import FrozenModelTeacher
 
-ESTIMATORS = ("kstep", "llmr", "mean_baseline", "minvar_baseline")
+ESTIMATORS = ("kstep", "mean_baseline", "minvar_baseline")
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -40,11 +40,11 @@ class NonFiniteGradientError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    stage: str
+    """The settings of one RL run."""
+
     lr: float
     batch_size: int = 8
     iterations: int = 0
-    epochs: int = 0
     horizon: int = 20
     seed: int = 0
     estimator: str = "kstep"
@@ -53,29 +53,21 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self) -> None:
-        if self.stage not in ("predistill", "rl"):
-            raise ValueError(f"unknown stage {self.stage!r}")
-        if self.stage == "rl" and self.lr < 0:
+        if not self.lr >= 0:
             raise ValueError("rl lr must be non-negative (0 skips the update)")
-        if self.stage == "predistill" and self.epochs > 0 and not self.lr > 0:
-            raise ValueError("predistill lr must be positive when epochs > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0 or self.iterations < 0:
-            raise ValueError(f"{self.stage} epochs and iterations must be >= 0")
+        if self.iterations < 0:
+            raise ValueError("rl iterations must be >= 0")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.estimator == "llmr" and self.k != 1:
-            raise ValueError("llmr is the one-step estimator; k must be 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        ReturnConfig(self.k, self.clip_range)  # raises on a bad k or clip range
 
     @property
     def return_config(self) -> ReturnConfig:
-        k = 1 if self.estimator == "llmr" else self.k
-        return ReturnConfig(k=k, clip_range=self.clip_range)
+        return ReturnConfig(k=self.k, clip_range=self.clip_range)
 
 
 @dataclass(frozen=True)
@@ -146,27 +138,19 @@ def predistill(
     student: LogitModel,
     teacher: FrozenModelTeacher,
     inputs: Sequence[State],
-    cfg: TrainConfig,
+    horizon: int,
+    epochs: int,
+    lr: float,
 ) -> tuple[LogitModel, list[float]]:
-    """Cross-entropy training on teacher-greedy sequences (hard targets).
-
-    Full-batch descent over the distinct contexts and their target counts;
-    the targets are deterministic, so the result depends only on (student,
-    teacher, inputs, cfg).  Returns the updated student and the mean CE loss
-    per epoch.
+    """Cross-entropy training on teacher-greedy sequences (hard targets):
+    ``models.fit_targets`` on the teacher's greedy continuations of the
+    inputs.  The targets are deterministic, so the result depends only on
+    the arguments.  Returns the updated student and the mean CE loss per
+    epoch, and raises FloatingPointError on a divergent fit.
     """
-    if cfg.stage != "predistill":
-        raise ValueError("predistill requires cfg.stage == 'predistill'")
-    contexts, counts = models_mod.target_counts(
-        *teacher_greedy_targets(teacher, inputs, cfg.horizon, student.window),
-        student.vocab_size,
+    return models_mod.fit_targets(
+        student, *teacher_greedy_targets(teacher, inputs, horizon, student.window), epochs, lr
     )
-    losses: list[float] = []
-    for _ in range(cfg.epochs):
-        loss, grad = student.cross_entropy_grad(contexts, counts)
-        losses.append(loss)
-        student = student.apply_update(-grad, cfg.lr)
-    return student, losses
 
 
 # -- estimator signals ---------------------------------------------------------
@@ -188,7 +172,7 @@ def estimator_signals(
     (with lengths [R, B]) pool each run's baselines over its own rows."""
     rc = cfg.return_config
     mask = np.arange(g.shape[-1]) < lengths[..., None]
-    if cfg.estimator in ("kstep", "llmr"):
+    if cfg.estimator == "kstep":
         return np.where(mask, ret.clip_returns(g_hat, rc), 0.0)
     g = np.where(mask, ret.clip_returns(g, rc), 0.0)
     alive = mask.sum(axis=-2, keepdims=True)
@@ -311,8 +295,6 @@ def reinforce_step(
     return 0; the sampled ``TrajectoryBatch`` is appended when
     ``return_trajectories`` is set.
     """
-    if cfg.stage != "rl":
-        raise ValueError("reinforce_step requires cfg.stage == 'rl'")
     stack, (stats,), trajs = _lockstep_step(
         ModelStack.of([student]), teacher, [batch], [cfg], [rng]
     )
@@ -457,8 +439,6 @@ def train_population(
     if len({replace(c, estimator="kstep", k=1) for c in cfgs}) > 1:
         raise ValueError("population runs may differ only in estimator and k")
     cfg = cfgs[0]
-    if cfg.stage != "rl":
-        raise ValueError("train_population requires cfg.stage == 'rl'")
     if not inputs:
         raise ValueError("train_population requires a non-empty input set")
 

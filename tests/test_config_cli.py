@@ -85,6 +85,16 @@ class TestConfig:
         {"rl": {"iterations": -1}},
         {"sweep": {"kl_bucket_epochs": [0, -1]}},
         {"sweep": {"kl_bucket_epochs": [0, 0]}},
+        # JSON's NaN and Infinity: a NaN lr would skip every RL update, and
+        # an infinite iid variance would write nan rows
+        {"rl": {"lr": float("nan")}},
+        {"rl": {"lr": float("inf")}},
+        {"teacher_fit": {"lr": float("inf")}},
+        {"teacher_fit": {"init_scale": float("inf")}},
+        {"predistill": {"lr": float("inf")}},
+        {"predistill": {"lr": float("nan")}},
+        {"sweep": {"iid_mode": True, "iid_var_sa": float("inf")}},
+        {"clip_range": [-float("inf"), float("inf")]},
     ])
     def test_bad_stage_setting_rejected(self, override):
         with pytest.raises(ConfigError):
@@ -182,6 +192,18 @@ class TestCliBasics:
         assert main(["--config", cfg, "train", "--estimator", "kstep", "--k", "2"]) == EXIT_OK
         assert (tmp_path / "runs" / "trainlog.csv").exists()
 
+    def test_llmr_is_kstep_at_k1(self, tmp_path):
+        """``llmr`` names the K-step estimator at K = 1: both spellings give
+        one variant, and train writes the same bytes under either."""
+        assert pipeline.variant("llmr", 4) == ("llmr", "kstep", 1)
+        assert pipeline.variant("kstep", 1) == ("llmr", "kstep", 1)
+        cfg = self.write_config(tmp_path, tiny_config(tmp_path))
+        for out, flags in (("llmr", ["--estimator", "llmr"]),
+                           ("k1", ["--estimator", "kstep", "--k", "1"])):
+            assert main(["--config", cfg, "--out", str(tmp_path / out), "train", *flags]) == EXIT_OK
+        for name in ("student_rl.json", "trainlog.csv"):
+            assert (tmp_path / "llmr" / name).read_bytes() == (tmp_path / "k1" / name).read_bytes()
+
     def test_oracle_check(self, tmp_path):
         cfg = self.write_config(tmp_path, tiny_config(tmp_path))
         assert main(["--config", cfg, "oracle-check"]) == EXIT_OK
@@ -251,6 +273,16 @@ class TestCliErrors:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(tmp_path)))
         assert main(["--config", str(path), "sweep-k"]) == cli.EXIT_STAGE
+
+    def test_nan_learning_rate_exit_2(self, tmp_path, capsys):
+        """A NaN lr fails every ``lr > 0`` test, so RL would skip every
+        update and exit 0; it is a bad setting, named by its key."""
+        data = tiny_config(tmp_path, rl={"iterations": 4, "lr": float("nan")})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))  # written as the JSON token NaN
+        assert main(["--config", str(path), "sweep-k"]) == EXIT_CONFIG
+        assert "config key 'rl.lr' must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
         "command,stage", [("sweep-k", "teacher_fit"), ("train", "predistill")]

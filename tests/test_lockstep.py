@@ -220,9 +220,9 @@ def test_batched_q_terms_and_returns_match_per_state(inst):
         _close(q[i, :n], ref_q, bitwise)
         _close(m[i, :n], ref_m, bitwise)
         assert not q[i, n:].any() and not m[i, n:].any() and not g[i, n:].any()
-        _close(g[i, :n], ret.actual_from_terms(ref_q, ref_m), bitwise)
+        _close(g[i, :n], ret.kstep_from_terms(ref_q, ref_m, 1), bitwise)
         # same terms in, same returns out: the vectorized recursion is exact
-        np.testing.assert_array_equal(g[i, :n], ret.actual_from_terms(q[i, :n], m[i, :n]))
+        np.testing.assert_array_equal(g[i, :n], ret.kstep_from_terms(q[i, :n], m[i, :n], 1))
     # sampled trajectories of ragged lengths, scored in one call, against
     # per-state terms along each row's actions
     sampled = decode(
@@ -275,7 +275,7 @@ def test_bias_variance_rows_match_per_row_groups(seed):
             state = step(state, a)
         terms.append((np.array(q), np.array(m)))
     assert abs(kl - sum(kl_terms) / len(kl_terms)) <= TOL
-    g = np.array([ret.clip_returns(ret.actual_from_terms(q, m), rc)[0] for q, m in terms])
+    g = np.array([ret.clip_returns(ret.kstep_from_terms(q, m, 1), rc)[0] for q, m in terms])
     for (k, bias, var), k_ref in zip(rows, k_list):
         gh = np.array([ret.clip_returns(ret.kstep_from_terms(q, m, k), rc)[0] for q, m in terms])
         groups = [slice(j * spi, (j + 1) * spi) for j in range(len(inputs))]

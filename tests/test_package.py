@@ -1,9 +1,22 @@
 """The package's public surface."""
 
+import re
+from pathlib import Path
+
 import kstepkd
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_exports_resolve():
     missing = [name for name in kstepkd.__all__ if not hasattr(kstepkd, name)]
     assert missing == []
     assert len(set(kstepkd.__all__)) == len(kstepkd.__all__)
+
+
+def test_readme_src_line_count():
+    """The README's "`src/` holds N lines" figure is the line total of
+    src/kstepkd/*.py, as ``wc -l`` counts it."""
+    figures = re.findall(r"`src/`\s+holds\s+(\d+)\s+lines", (ROOT / "README.md").read_text())
+    total = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "kstepkd").glob("*.py"))
+    assert figures and all(int(n) == total for n in figures), (figures, total)

@@ -274,24 +274,17 @@ def term_arrays(draw, min_size=1, max_size=20):
 
 
 @settings(max_examples=200, deadline=None)
-@given(term_arrays())
-def test_k1_kstep_is_actual_bitwise(terms):
-    q, m = terms
-    assert np.array_equal(ret.kstep_from_terms(q, m, 1), ret.actual_from_terms(q, m))
-
-
-@settings(max_examples=200, deadline=None)
 @given(term_arrays(), st.integers(0, 5))
 def test_k_at_least_length_gives_actual_bitwise(terms, extra):
     q, m = terms
-    assert np.array_equal(ret.kstep_from_terms(q, m, len(q) + extra), ret.actual_from_terms(q, m))
+    assert np.array_equal(ret.kstep_from_terms(q, m, len(q) + extra), ret.kstep_from_terms(q, m, 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(term_arrays(), st.integers(1, 25))
 def test_skipped_gaps_sum_to_implied_baseline(terms, k):
     q, m = terms
-    gap = ret.actual_from_terms(q, m) - ret.kstep_from_terms(q, m, k)
+    gap = ret.kstep_from_terms(q, m, 1) - ret.kstep_from_terms(q, m, k)
     np.testing.assert_allclose(ret.skipped_gaps_from_terms(q, m, k), gap, rtol=0, atol=1e-12)
 
 
@@ -299,8 +292,8 @@ def test_skipped_gaps_sum_to_implied_baseline(terms, k):
 @given(st.lists(term_arrays(), min_size=1, max_size=6), st.floats(-5.0, 5.0))
 def test_batch_terms_match_per_row_bitwise(rows, pad):
     """[B, H] rows of ragged lengths 1-20, padded with an arbitrary value,
-    give each row's ``kstep_from_terms`` exactly at every K (K = 1:
-    ``actual_from_terms``), and zeros past its length."""
+    give each row's ``kstep_from_terms`` exactly at every K (K = 1: the
+    actual return G), and zeros past its length."""
     width = max(len(q) for q, _ in rows)
     q_pad, m_pad = np.full((len(rows), width), pad), np.full((len(rows), width), pad)
     for i, (q, m) in enumerate(rows):
@@ -313,7 +306,7 @@ def test_batch_terms_match_per_row_bitwise(rows, pad):
             assert not g[i, len(q) :].any()
     g = ret.kstep_from_batch_terms(q_pad, m_pad, lengths, 1)
     for i, (q, m) in enumerate(rows):
-        assert np.array_equal(g[i, : len(q)], ret.actual_from_terms(q, m))
+        assert np.array_equal(g[i, : len(q)], ret.kstep_from_terms(q, m, 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -352,8 +345,8 @@ def non_finite_term_arrays(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(non_finite_term_arrays(), min_size=1, max_size=4), st.integers(1, 6))
 def test_non_finite_terms_match_batch_rows(rows, k):
-    """With +-inf and nan among the terms, ``kstep_from_terms`` and
-    ``actual_from_terms`` equal the matching rows of
+    """With +-inf and nan among the terms, ``kstep_from_terms`` at K and at
+    K = 1 equals the matching rows of
     ``kstep_from_batch_terms`` position by position (nan where it has nan),
     and the per-trajectory recursions raise no RuntimeWarning (the
     settings turn one into an error) even outside ``np.errstate``."""
@@ -368,10 +361,10 @@ def test_non_finite_terms_match_batch_rows(rows, k):
         for i, (q, m) in enumerate(rows):
             n = len(q)
             assert np.array_equal(ret.kstep_from_terms(q, m, k), g_hat[i, :n], equal_nan=True)
-            assert np.array_equal(ret.actual_from_terms(q, m), g[i, :n], equal_nan=True)
+            assert np.array_equal(ret.kstep_from_terms(q, m, 1), g[i, :n], equal_nan=True)
     for q, m in rows:
         ret.kstep_from_terms(q, m, k)
-        ret.actual_from_terms(q, m)
+        ret.kstep_from_terms(q, m, 1)
 
 
 @pytest.mark.slow

@@ -50,17 +50,28 @@ def first_sampled_actions(student, batch, horizon=8, seed=0):
 
 
 def rl_cfg(**kw):
-    defaults = dict(stage="rl", lr=0.05, batch_size=4, iterations=5, horizon=8, seed=0)
+    defaults = dict(lr=0.05, batch_size=4, iterations=5, horizon=8, seed=0)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("setting", [
+        {"lr": float("nan")}, {"clip_range": (1.0, -1.0)}, {"clip_range": (1.0, 1.0)},
+        {"estimator": "llmr"},
+    ], ids=["nan-lr", "reversed-clip", "empty-clip", "llmr"])
+    def test_bad_setting_raises_at_construction(self, setting):
+        """A bad RL setting raises when the config is built, not in the
+        first step; ``llmr`` is a variant name, not an estimator."""
+        with pytest.raises(ValueError):
+            rl_cfg(**setting)
 
 
 class TestPredistill:
     def test_zero_epochs_unchanged(self):
         student = make_student()
         out, losses = predistill(
-            student, make_teacher(), [initial_state(VOCAB)],
-            TrainConfig(stage="predistill", lr=0.1, epochs=0, horizon=8),
+            student, make_teacher(), [initial_state(VOCAB)], horizon=8, epochs=0, lr=0.1
         )
         assert losses == []
         np.testing.assert_array_equal(out.params, student.params)
@@ -69,8 +80,7 @@ class TestPredistill:
         teacher = make_teacher(seed=3)
         student = teacher.model  # same architecture, same parameters
         _, losses = predistill(
-            student, teacher, [initial_state(VOCAB)],
-            TrainConfig(stage="predistill", lr=0.05, epochs=2, horizon=8),
+            student, teacher, [initial_state(VOCAB)], horizon=8, epochs=2, lr=0.05
         )
         assert losses[1] <= losses[0] + 1e-6
 
@@ -78,18 +88,18 @@ class TestPredistill:
         teacher = make_teacher(seed=5)
         student = make_student(seed=6)
         inputs = [initial_state(VOCAB)]
-        out, losses = predistill(
-            student, teacher, inputs,
-            TrainConfig(stage="predistill", lr=1.0, epochs=800, horizon=8),
-        )
+        out, losses = predistill(student, teacher, inputs, horizon=8, epochs=800, lr=1.0)
         target = rollout(teacher, inputs[0], 8, mode="greedy").actions
         got = rollout(out, inputs[0], 8, mode="greedy").actions
         assert got == target
         assert losses[-1] < losses[0]
 
-    def test_requires_predistill_stage(self):
-        with pytest.raises(ValueError):
-            predistill(make_student(), make_teacher(), [initial_state(VOCAB)], rl_cfg())
+    def test_non_finite_loss_raises(self):
+        # every logit overflows, so the first epoch's loss is nan
+        student = make_student()
+        huge = student.with_params(np.full(student.num_params, 1e308))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="loss nan at epoch 0"):
+            predistill(huge, make_teacher(), [initial_state(VOCAB)], horizon=8, epochs=2, lr=0.1)
 
 
 class TestReinforceStep:
@@ -100,14 +110,14 @@ class TestReinforceStep:
         sharp = teacher.model.with_params(teacher.model.params * 60.0)
         batch = [initial_state(VOCAB)] * 4
         outs = {}
-        for estimator, k in (("kstep", 4), ("kstep", 8), ("llmr", 1)):
+        for estimator, k in (("kstep", 4), ("kstep", 8), ("kstep", 1)):
             cfg = rl_cfg(estimator=estimator, k=k, lr=0.1)
             student, _ = reinforce_step(
                 sharp, teacher, batch, cfg, np.random.default_rng(11)
             )
             outs[(estimator, k)] = student.params
-        np.testing.assert_allclose(outs[("kstep", 4)], outs[("llmr", 1)], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(outs[("kstep", 8)], outs[("llmr", 1)], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(outs[("kstep", 4)], outs[("kstep", 1)], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(outs[("kstep", 8)], outs[("kstep", 1)], rtol=0, atol=1e-12)
 
     def test_lr_zero_keeps_params_and_logs(self):
         teacher = make_teacher()
@@ -128,7 +138,7 @@ class TestReinforceStep:
         batch = [initial_state(VOCAB)] * 4
         seen = []
         for estimator, k in (
-            ("kstep", 4), ("llmr", 1), ("mean_baseline", 1), ("minvar_baseline", 1),
+            ("kstep", 4), ("kstep", 1), ("mean_baseline", 1), ("minvar_baseline", 1),
         ):
             cfg = rl_cfg(estimator=estimator, k=k)
             _, _, trajs = reinforce_step(
@@ -163,7 +173,7 @@ class TestReinforceStep:
         assert np.all(z < 3.0), f"max z {z.max():.2f}"
 
     @pytest.mark.parametrize(
-        "estimator,k", [("kstep", 4), ("llmr", 1), ("mean_baseline", 1), ("minvar_baseline", 1)]
+        "estimator,k", [("kstep", 4), ("kstep", 1), ("mean_baseline", 1), ("minvar_baseline", 1)]
     )
     def test_teacher_overflow_raises_non_finite_gradient(self, estimator, k):
         # every teacher logit overflows to inf, so each q - m term is inf - inf = nan
@@ -226,7 +236,7 @@ class TestReinforceStep:
         if estimator == "kstep":
             want = [ret.clip_returns(ret.kstep_from_terms(qi, mi, 2), rc) for qi, mi in rows]
         else:
-            g = [ret.clip_returns(ret.actual_from_terms(qi, mi), rc) for qi, mi in rows]
+            g = [ret.clip_returns(ret.kstep_from_terms(qi, mi, 1), rc) for qi, mi in rows]
             want = [gi.copy() for gi in g]
             for t in range(h):
                 alive = [i for i, n in enumerate(lengths) if n > t]
@@ -399,7 +409,7 @@ class TestTrainPopulation:
     @pytest.mark.parametrize("field,value", [("lr", 0.1), ("seed", 1), ("batch_size", 2),
                                              ("iterations", 3), ("clip_range", (-1.0, 1.0))])
     def test_configs_may_differ_only_in_estimator_and_k(self, field, value):
-        cfgs = [rl_cfg(estimator="kstep", k=2), replace(rl_cfg(estimator="llmr"), **{field: value})]
+        cfgs = [rl_cfg(estimator="kstep", k=2), replace(rl_cfg(estimator="kstep"), **{field: value})]
         with pytest.raises(ValueError, match="only in estimator and k"):
             train_population(make_student(), make_teacher(), [initial_state(VOCAB)], cfgs)
 
