@@ -34,8 +34,8 @@ EXIT_ORACLE = 4
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kstepkd", description=__doc__.splitlines()[0])
     parser.add_argument("--config", type=str, default=None, help="JSON experiment config")
-    parser.add_argument("--out", type=str, default=None, help="output directory override")
-    parser.add_argument("--seed", type=int, default=None, help="seed override (single-seed ops)")
+    parser.add_argument("--out", type=str, default=None, help="sets out_dir")
+    parser.add_argument("--seed", type=int, default=None, help="sets seeds to [SEED]")
     parser.add_argument("--threads", type=int, default=1,
                         help="sweep-k worker processes, one seed per task (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -53,7 +53,8 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("sweep-k", help="full pipeline over all variants and seeds")
 
     p = sub.add_parser("sweep-bias-variance", help="bias/variance sweep over K")
-    p.add_argument("--samples-per-input", type=int, default=None)
+    p.add_argument("--samples-per-input", type=int, default=None,
+                   help="sets sweep.samples_per_input")
 
     sub.add_parser("oracle-check", help="run enumeration-oracle self checks")
 
@@ -62,24 +63,32 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(cfg: ExperimentConfig, args: argparse.Namespace) -> Path:
-    out = Path(args.out) if args.out else cfg.out_dir
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _seed(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else cfg.seeds[0]
+def _overrides(args: argparse.Namespace) -> dict[str, object]:
+    """The settings the command line gives, as a config layer over the file's."""
+    over: dict[str, object] = {}
+    if args.out is not None:
+        over["out_dir"] = args.out
+    if args.seed is not None:
+        over["seeds"] = [args.seed]
+    if getattr(args, "samples_per_input", None) is not None:
+        over["sweep"] = {"samples_per_input": args.samples_per_input}
+    return over
 
 
 def _cmd_gen_corpus(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    params = cfg.corpus_params()
-    n = args.n if args.n is not None else int(params["n_sequences"])
+    params = cfg.raw["corpus"]
+    n = args.n if args.n is not None else params["n_sequences"]
     if n < 1:
         raise ConfigError("--n must be >= 1")
-    rng = np.random.default_rng(int(params["seed"]))
+    rng = np.random.default_rng(params["seed"])
     corpus = tasks.gen_corpus(cfg.task(), n, rng, max_len=cfg.horizon)
-    path = _out_dir(cfg, args) / "corpus.txt"
+    path = _out_dir(cfg) / "corpus.txt"
     tasks.write_corpus(path, corpus)
     print(f"wrote {len(corpus)} sequences to {path}")
     return EXIT_OK
@@ -87,9 +96,9 @@ def _cmd_gen_corpus(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _cmd_fit_teacher(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     splits = pipeline.build_corpus(cfg)
-    seed = _seed(cfg, args)
+    seed = cfg.seeds[0]
     fitted = pipeline.fit_seed_teacher(cfg, splits, seed)
-    path = _out_dir(cfg, args) / "teacher.json"
+    path = _out_dir(cfg) / "teacher.json"
     teacher_mod.save_teacher(fitted, path)
     print(f"wrote teacher checkpoint to {path}")
     return EXIT_OK
@@ -97,11 +106,11 @@ def _cmd_fit_teacher(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _cmd_predistill(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     splits = pipeline.build_corpus(cfg)
-    seed = _seed(cfg, args)
+    seed = cfg.seeds[0]
     fitted = pipeline.fit_seed_teacher(cfg, splits, seed)
     student0 = pipeline.init_seed_student(cfg, seed)
     student = pipeline.predistill_student(cfg, student0, fitted, splits, seed)
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     teacher_mod.save_teacher(fitted, out / "teacher.json")
     models.save_model(student, out / "student_predistill.json")
     print(f"wrote pre-distilled student to {out / 'student_predistill.json'}")
@@ -109,7 +118,7 @@ def _cmd_predistill(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    seed = _seed(cfg, args)
+    seed = cfg.seeds[0]
     name, estimator, k = pipeline.variant(args.estimator, args.k)
     try:
         rl_cfg = cfg.rl_config(estimator, k, seed)
@@ -123,7 +132,7 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         best, log = trainer.train(student, fitted, splits.train_states, rl_cfg, splits.val_states)
     except Exception as exc:
         raise pipeline.StageError(f"rl:{name}", seed, exc) from exc
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     models.save_model(best, out / "student_rl.json")
     log.to_csv(out / "trainlog.csv")
     final = trainer.evaluate_greedy(best, fitted, splits.test_states, cfg.horizon)
@@ -133,29 +142,27 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_k(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    if args.out:
-        cfg = ExperimentConfig({**cfg.raw, "out_dir": args.out})
     out = pipeline.run_pipeline(cfg, threads=args.threads)
     print(f"pipeline artifacts in {out}")
     return EXIT_OK
 
 
 def _cmd_sweep_bias_variance(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args) / "bias_variance.csv"
-    pipeline.sweep_bias_variance(cfg, args.samples_per_input, out_path=out)
+    out = _out_dir(cfg) / "bias_variance.csv"
+    pipeline.sweep_bias_variance(cfg, out_path=out)
     print(f"wrote bias/variance sweep to {out}")
     return EXIT_OK
 
 
 def _cmd_oracle_check(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(cfg, args) / "oracle_report.csv"
-    ok = pipeline.oracle_check(out_path=out, seed=_seed(cfg, args))
+    out = _out_dir(cfg) / "oracle_report.csv"
+    ok = pipeline.oracle_check(out_path=out, seed=cfg.seeds[0])
     print(f"oracle report in {out}: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_ORACLE
 
 
 def _cmd_emit_plots(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = pipeline.emit_plots(args.csvs, _out_dir(cfg, args) / "plots")
+    out = pipeline.emit_plots(args.csvs, _out_dir(cfg) / "plots")
     print(f"plot data in {out}")
     return EXIT_OK
 
@@ -179,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--threads must be >= 1")
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed must be >= 0")
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, _overrides(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

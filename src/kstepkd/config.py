@@ -1,13 +1,16 @@
-"""Experiment configuration: strict JSON with defaults.
+"""Experiment configuration: strict JSON with defaults, resolved once.
 
 A config file may set any subset of the known keys; unknown keys at any level
 are errors (silent typos would invalidate whole sweeps).  The defaults below
-are the desk-scale setup every CLI subcommand starts from.
+are the desk-scale setup every CLI subcommand starts from.  Loading resolves
+every setting in one pass: the command line's settings override the file's,
+and each value takes its default's kind and is checked against its lower
+bound in ``MINIMUM``.  ``ExperimentConfig.raw`` so holds typed values that
+every stage reads as they are; ``validate`` checks the rules between settings.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -66,89 +69,105 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
-def _merge(defaults: dict[str, Any], override: dict[str, Any], path: str) -> dict[str, Any]:
-    merged = copy.deepcopy(defaults)
-    for key, value in override.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {path + key!r} must be an object")
-            merged[key] = _merge(defaults[key], value, path + key + ".")
-        else:
-            merged[key] = value
-    return merged
+# The lower bound of each numeric setting that has one, every entry of a list
+# setting included.  A vocabulary holds BOS, EOS and at least one content token.
+MINIMUM: dict[str, int] = {
+    "vocab_size": 3, "horizon": 1, "k_list": 1, "seeds": 0,
+    "task.transition_seed": 0, "corpus.seed": 0, "corpus.n_val": 1, "corpus.n_test": 1,
+    "sweep.samples_per_input": 2, "sweep.iid_samples": 2, "sweep.n_inputs": 1,
+    "sweep.iid_num_terms": 1, "sweep.iid_var_sa": 0, "sweep.iid_var_s": 0,
+    "sweep.kl_bucket_epochs": 0,
+    "teacher_fit.epochs": 0, "teacher_fit.init_scale": 0, "predistill.epochs": 0,
+}
 
 
-def _check_value(value: Any, default: Any, name: str) -> None:
-    """ConfigError unless ``value`` has the kind of its default: a bool or
-    str for a bool or str default, an integer (an integral float too) for an
-    int, any finite int or float for a float (JSON's NaN and Infinity are
-    refused)."""
+def _setting(value: Any, default: Any, name: str) -> Any:
+    """``value`` in the kind of its default, list entries too: a bool or str
+    as given, an int from an integral number, a float from any number a
+    float holds (JSON's NaN and Infinity are refused); then checked against
+    its ``MINIMUM``."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {name!r} must be a list, got {value!r}")
+        return [_setting(entry, default[0], name) for entry in value]
     if isinstance(default, (bool, str)):
         if not isinstance(value, type(default)):
             kind = type(default).__name__
             raise ConfigError(f"config key {name!r} must be a {kind}, got {value!r}")
-        return
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {name!r} must be a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"config key {name!r} must be finite, got {value!r}")
-    if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"config key {name!r} must be an integer, got {value!r}")
+    if isinstance(default, int):
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config key {name!r} must be an integer, got {value!r}")
+        value = int(value)
+    else:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"config key {name!r} is too large for a float") from None
+    if name in MINIMUM and value < MINIMUM[name]:
+        raise ConfigError(f"{name} must be >= {MINIMUM[name]}")
+    return value
 
 
-def _check_types(defaults: dict[str, Any], raw: dict[str, Any], path: str) -> None:
-    """Checks every setting of a merged config, list entries too, against
-    the kind of its default."""
+def _resolve(defaults: dict[str, Any], layers: list[Any], path: str) -> dict[str, Any]:
+    """The settings of ``defaults`` overridden by each layer in turn (the
+    config file, then the command line): a new dict in which every setting
+    has its default's kind and meets its lower bound."""
+    for layer in layers:
+        if not isinstance(layer, dict):
+            raise ConfigError(f"config key {path[:-1]!r} must be an object")
+        for key in layer:
+            if key not in defaults:
+                raise ConfigError(f"unknown config key {path + key!r}")
+    resolved = {}
     for key, default in defaults.items():
-        value, name = raw[key], path + key
+        given = [layer[key] for layer in layers if key in layer]
         if isinstance(default, dict):
-            _check_types(default, value, name + ".")
-        elif isinstance(default, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"config key {name!r} must be a list, got {value!r}")
-            for entry in value:
-                _check_value(entry, default[0], name)
+            resolved[key] = _resolve(default, given, path + key + ".")
         else:
-            _check_value(value, default, name)
+            resolved[key] = _setting(given[-1] if given else default, default, path + key)
+    return resolved
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    raw: dict[str, Any] = field(repr=False)
+    raw: dict[str, Any] = field(repr=False)  # resolved: every setting typed
 
     # -- derived views -----------------------------------------------------
 
     @property
     def vocab(self) -> Vocabulary:
-        size = int(self.raw["vocab_size"])
+        size = self.raw["vocab_size"]
         return Vocabulary(size=size, bos_id=0, eos_id=size - 1)
 
     @property
     def horizon(self) -> int:
-        return int(self.raw["horizon"])
+        return self.raw["horizon"]
 
     @property
     def window(self) -> int:
-        return int(self.raw["window"])
+        return self.raw["window"]
 
     @property
     def clip_range(self) -> tuple[float, float]:
         lo, hi = self.raw["clip_range"]
-        return (float(lo), float(hi))
+        return (lo, hi)
 
     @property
     def k_list(self) -> list[int]:
-        return [int(k) for k in self.raw["k_list"]]
+        return self.raw["k_list"]
 
     @property
     def seeds(self) -> list[int]:
-        return [int(s) for s in self.raw["seeds"]]
+        return self.raw["seeds"]
 
     @property
     def include_baselines(self) -> bool:
-        return bool(self.raw["include_baselines"])
+        return self.raw["include_baselines"]
 
     @property
     def out_dir(self) -> Path:
@@ -160,103 +179,63 @@ class ExperimentConfig:
         if kind == "markov_chain":
             return MarkovChainTask(
                 vocab=self.vocab,
-                order=int(spec["order"]),
-                transition_seed=int(spec["transition_seed"]),
-                eos_prob=float(spec["eos_prob"]),
-                cond_len=int(spec["cond_len"]),
+                order=spec["order"],
+                transition_seed=spec["transition_seed"],
+                eos_prob=spec["eos_prob"],
+                cond_len=spec["cond_len"],
             )
         if kind == "copy":
-            return CopyTask(vocab=self.vocab, length=int(spec["length"]))
+            return CopyTask(vocab=self.vocab, length=spec["length"])
         if kind == "reverse":
-            return ReverseTask(vocab=self.vocab, length=int(spec["length"]))
+            return ReverseTask(vocab=self.vocab, length=spec["length"])
         raise ConfigError(f"unknown task kind {kind!r}")
 
     def arch(self, which: str) -> ModelArch:
         spec = self.raw[which]
-        return ModelArch(kind=spec["kind"], window=self.window, hidden=int(spec["hidden"]))
-
-    def teacher_fit_params(self) -> dict[str, Any]:
-        return dict(self.raw["teacher_fit"])
+        return ModelArch(kind=spec["kind"], window=self.window, hidden=spec["hidden"])
 
     def rl_config(self, estimator: str, k: int, seed: int) -> TrainConfig:
         spec = self.raw["rl"]
         return TrainConfig(
-            lr=float(spec["lr"]),
-            batch_size=int(spec["batch_size"]),
-            iterations=int(spec["iterations"]),
+            lr=spec["lr"],
+            batch_size=spec["batch_size"],
+            iterations=spec["iterations"],
             horizon=self.horizon,
             seed=seed,
             estimator=estimator,
             k=k,
             clip_range=self.clip_range,
-            eval_every=int(spec["eval_every"]),
+            eval_every=spec["eval_every"],
         )
 
-    def corpus_params(self) -> dict[str, Any]:
-        return dict(self.raw["corpus"])
-
     def sweep_params(self) -> dict[str, Any]:
-        return dict(self.raw["sweep"])
+        return self.raw["sweep"]
 
     def validate(self) -> None:
-        _check_types(DEFAULTS, self.raw, "")
+        """The rules between settings; each setting's kind and lower bound
+        are checked as it is resolved."""
         if len(self.raw["clip_range"]) != 2:
             raise ConfigError("clip_range must be two numbers [lo, hi]")
-        if int(self.raw["vocab_size"]) < 3:
-            raise ConfigError("vocab_size must be >= 3 (BOS, EOS, and content)")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
-        if not self.k_list:
-            raise ConfigError("k_list must be non-empty")
-        if any(k < 1 for k in self.k_list):
-            raise ConfigError("k_list entries must be >= 1")
-        if len(self.k_list) != len(set(self.k_list)):
-            raise ConfigError("k_list entries must be distinct")
-        seeds = self.seeds
-        if not seeds:
-            raise ConfigError("seeds must be non-empty")
-        if len(seeds) != len(set(seeds)):
-            raise ConfigError("seeds must be distinct")
-        if min(seeds) < 0:
-            raise ConfigError("seeds must be >= 0")
         lo, hi = self.clip_range
         if not lo < hi:
             raise ConfigError("clip_range must satisfy lo < hi")
-        corpus = self.corpus_params()
-        for name, seed in (("corpus.seed", corpus["seed"]),
-                           ("task.transition_seed", self.raw["task"]["transition_seed"])):
-            if int(seed) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        for key in ("n_val", "n_test"):
-            if int(corpus[key]) < 1:
-                raise ConfigError(f"corpus.{key} must be >= 1 (greedy eval averages over it)")
-        if int(corpus["n_val"]) + int(corpus["n_test"]) >= int(corpus["n_sequences"]):
+        for name in ("k_list", "seeds"):
+            if not self.raw[name]:
+                raise ConfigError(f"{name} must be non-empty")
+        buckets = self.raw["sweep"]["kl_bucket_epochs"]
+        for name, entries in (("k_list", self.k_list), ("seeds", self.seeds),
+                              ("sweep.kl_bucket_epochs", buckets)):
+            if len(entries) != len(set(entries)):
+                raise ConfigError(f"{name} entries must be distinct")
+        corpus = self.raw["corpus"]
+        if corpus["n_val"] + corpus["n_test"] >= corpus["n_sequences"]:
             raise ConfigError("corpus.n_sequences too small for the val/test splits")
-        sweep = self.sweep_params()
-        for key in ("samples_per_input", "iid_samples"):
-            if int(sweep[key]) < 2:
-                raise ConfigError(f"sweep.{key} must be >= 2")
-        buckets = [int(e) for e in sweep["kl_bucket_epochs"]]
-        if len(buckets) != len(set(buckets)):
-            raise ConfigError("sweep.kl_bucket_epochs entries must be distinct")
-        for key in ("n_inputs", "iid_num_terms"):
-            if int(sweep[key]) < 1:
-                raise ConfigError(f"sweep.{key} must be >= 1")
-        for key in ("iid_var_sa", "iid_var_s"):
-            if not float(sweep[key]) >= 0.0:
-                raise ConfigError(f"sweep.{key} must be >= 0")
-        fit = self.teacher_fit_params()
-        if int(fit["epochs"]) < 0:
-            raise ConfigError("teacher_fit.epochs must be >= 0")
-        if int(fit["epochs"]) > 0 and not float(fit["lr"]) > 0.0:
+        fit = self.raw["teacher_fit"]
+        if fit["epochs"] > 0 and not fit["lr"] > 0.0:
             raise ConfigError("teacher_fit.lr must be positive when epochs > 0")
-        if not float(fit["init_scale"]) >= 0.0:
-            raise ConfigError("teacher_fit.init_scale must be >= 0")
         # the bias/variance sweep pre-distils for each bucket's epochs
         pd = self.raw["predistill"]
-        if min(int(pd["epochs"]), *buckets) < 0:
-            raise ConfigError("predistill.epochs and sweep.kl_bucket_epochs entries must be >= 0")
-        if max(int(pd["epochs"]), *buckets) > 0 and not float(pd["lr"]) > 0.0:
+        if max([pd["epochs"], *buckets]) > 0 and not pd["lr"] > 0.0:
             raise ConfigError("predistill.lr must be positive when any epochs > 0")
         try:
             self.task()
@@ -268,10 +247,12 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def from_dict(data: dict[str, Any]) -> ExperimentConfig:
+def from_dict(data: dict[str, Any], overrides: dict[str, Any] | None = None) -> ExperimentConfig:
+    """The validated config of ``DEFAULTS`` overridden by ``data``, then by
+    ``overrides`` (the command line's settings).  Neither is modified."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    raw = _merge(DEFAULTS, data, "")
+    raw = _resolve(DEFAULTS, [data, overrides or {}], "")
     for which in ("teacher", "student"):
         # a linear model has no hidden layer, so its width defaults to 0
         if raw[which]["kind"] == "linear" and "hidden" not in data.get(which, {}):
@@ -281,15 +262,17 @@ def from_dict(data: dict[str, Any]) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str | Path | None) -> ExperimentConfig:
+def load_config(
+    path: str | Path | None, overrides: dict[str, Any] | None = None
+) -> ExperimentConfig:
     if path is None:
-        return from_dict({})
+        return from_dict({}, overrides)
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return from_dict(data)
+    return from_dict(data, overrides)

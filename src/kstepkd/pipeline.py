@@ -33,7 +33,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import models, oracle, returns as ret, tasks, teacher as teacher_mod, trainer
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .models import LogitModel
 from .returns import ReturnConfig
 from .seqmdp import State, TrajectoryBatch, Vocabulary, decode, initial_state
@@ -71,13 +71,13 @@ class DataSplits:
 
 
 def build_corpus(cfg: ExperimentConfig) -> DataSplits:
-    params = cfg.corpus_params()
+    params = cfg.raw["corpus"]
     task = cfg.task()
-    rng = np.random.default_rng(int(params["seed"]))
-    corpus = tasks.gen_corpus(task, int(params["n_sequences"]), rng, max_len=cfg.horizon)
+    rng = np.random.default_rng(params["seed"])
+    corpus = tasks.gen_corpus(task, params["n_sequences"], rng, max_len=cfg.horizon)
     states = tasks.conditioning_states(task, corpus)
     # validate() keeps n_val + n_test below n_sequences, so train is non-empty
-    n_test, n_val = int(params["n_test"]), int(params["n_val"])
+    n_test, n_val = params["n_test"], params["n_val"]
     n_train = len(corpus) - n_val - n_test
     return DataSplits(
         corpus=corpus,
@@ -89,12 +89,12 @@ def build_corpus(cfg: ExperimentConfig) -> DataSplits:
 
 
 def fit_seed_teacher(cfg: ExperimentConfig, splits: DataSplits, seed: int) -> FrozenModelTeacher:
-    params = cfg.teacher_fit_params()
+    params = cfg.raw["teacher_fit"]
     rng = np.random.default_rng([seed, 101])
     try:
         fitted, _ = teacher_mod.fit_teacher(
-            splits.train_lines, cfg.vocab, cfg.arch("teacher"), epochs=int(params["epochs"]),
-            lr=float(params["lr"]), rng=rng, init_scale=float(params["init_scale"]),
+            splits.train_lines, cfg.vocab, cfg.arch("teacher"), epochs=params["epochs"],
+            lr=params["lr"], rng=rng, init_scale=params["init_scale"],
         )
     except Exception as exc:
         raise StageError("fit-teacher", seed, exc) from exc
@@ -118,7 +118,7 @@ def predistill_student(
     try:
         out, _ = trainer.predistill(
             student, teacher, splits.train_states, cfg.horizon,
-            int(spec["epochs"]) if epochs is None else epochs, float(spec["lr"]),
+            spec["epochs"] if epochs is None else epochs, spec["lr"],
         )
     except Exception as exc:
         raise StageError("predistill", seed, exc) from exc
@@ -333,7 +333,7 @@ def bias_variance_rows_for_student(
 
 
 def sweep_bias_variance(
-    cfg: ExperimentConfig, samples_per_input: int | None = None, out_path: str | Path | None = None
+    cfg: ExperimentConfig, out_path: str | Path | None = None
 ) -> list[BiasVarianceRow]:
     """Bias/variance of the K-step return across K and student quality.
 
@@ -342,15 +342,11 @@ def sweep_bias_variance(
     teacher.  iid mode: the Gaussian surrogate; the bucket column is "iid".
     """
     sweep = cfg.sweep_params()
-    spi = int(sweep["samples_per_input"]) if samples_per_input is None else samples_per_input
-    if spi < 2:
-        raise ConfigError("samples_per_input must be >= 2")
     rows: list[BiasVarianceRow] = []
 
     if sweep["iid_mode"]:
-        n = int(sweep["iid_samples"])
-        terms = int(sweep["iid_num_terms"])
-        var_sa, var_s = float(sweep["iid_var_sa"]), float(sweep["iid_var_s"])
+        n, terms = sweep["iid_samples"], sweep["iid_num_terms"]
+        var_sa, var_s = sweep["iid_var_sa"], sweep["iid_var_s"]
         for k in cfg.k_list:
             rng = np.random.default_rng([cfg.seeds[0], 404, k])
             g, gh = ret.iid_gaussian_samples(terms, k, var_sa, var_s, n, rng)
@@ -367,13 +363,13 @@ def sweep_bias_variance(
         splits = build_corpus(cfg)
         seed_teacher = fit_seed_teacher(cfg, splits, seed)
         student0 = init_seed_student(cfg, seed)
-        n_inputs = int(sweep["n_inputs"])
-        inputs = [splits.train_states[i % len(splits.train_states)] for i in range(n_inputs)]
+        n_train = len(splits.train_states)
+        inputs = [splits.train_states[i % n_train] for i in range(sweep["n_inputs"])]
         for epochs in sweep["kl_bucket_epochs"]:
-            student = predistill_student(cfg, student0, seed_teacher, splits, seed, int(epochs))
+            student = predistill_student(cfg, student0, seed_teacher, splits, seed, epochs)
             try:
                 per_k, kl = bias_variance_rows_for_student(
-                    cfg, student, seed_teacher, inputs, spi, seed
+                    cfg, student, seed_teacher, inputs, sweep["samples_per_input"], seed
                 )
             except Exception as exc:
                 raise StageError("bias-variance", seed, exc) from exc
@@ -467,7 +463,7 @@ def emit_plots(csv_paths: Sequence[str | Path], out_dir: str | Path) -> Path:
 
     Recognized schemas: the training log, the bias/variance sweep, and the
     pipeline summary.  Anything else is a SchemaError naming the first
-    unexpected column.
+    unexpected column, as is a plotted value that is not a number.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -480,6 +476,8 @@ def emit_plots(csv_paths: Sequence[str | Path], out_dir: str | Path) -> Path:
             with open(dat, "w") as fh:
                 fh.write("# iter mean_G mean_Ghat eval_return\n")
                 for r in rows:
+                    for text in (r[0], r[1], r[2], r[5]):
+                        _number(path, text)
                     fh.write(f"{r[0]} {r[1]} {r[2]} {r[5]}\n")
             panels.append(
                 {
@@ -496,6 +494,8 @@ def emit_plots(csv_paths: Sequence[str | Path], out_dir: str | Path) -> Path:
         elif header == list(BIAS_VARIANCE_HEADER):
             buckets: dict[str, list[list[str]]] = {}
             for r in rows:
+                for text in (r[2], r[3]):
+                    _number(path, text)
                 buckets.setdefault(r[1], []).append(r)
             var_dat = out / f"{stem}_variance.dat"
             bias_dat = out / f"{stem}_bias.dat"

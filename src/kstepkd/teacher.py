@@ -25,8 +25,15 @@ from .seqmdp import State, TerminalStateError, Vocabulary, initial_state, step
 
 
 def check_table_size(vocab_size: int, window: int) -> None:
-    if vocab_size ** (window + 1) > MAX_TABLE_FLOATS:
-        raise ValueError(f"teacher Q table of {vocab_size}^{window + 1} > {MAX_TABLE_FLOATS} floats")
+    # V^(w+1) one factor at a time, stopping past the limit: the power of a
+    # huge window would take seconds to compute
+    floats = 1
+    for _ in range(window + 1):
+        floats *= vocab_size
+        if floats > MAX_TABLE_FLOATS:
+            raise ValueError(
+                f"teacher Q table of {vocab_size}^{window + 1} > {MAX_TABLE_FLOATS} floats"
+            )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,21 @@ import pytest
 
 from kstepkd import pipeline
 from kstepkd.cli import EXIT_CONFIG, EXIT_OK, main
-from kstepkd.config import ConfigError, DEFAULTS, from_dict, load_config
+from kstepkd.config import MINIMUM, ConfigError, DEFAULTS, from_dict, load_config
+
+# a number no float can hold, for each float setting: each used to raise
+# OverflowError where the setting was first cast
+HUGE = 10**400
+TOO_LARGE_FOR_A_FLOAT = [
+    ("rl.lr", {"rl": {"lr": HUGE}}),
+    ("teacher_fit.lr", {"teacher_fit": {"lr": HUGE}}),
+    ("teacher_fit.init_scale", {"teacher_fit": {"init_scale": HUGE}}),
+    ("predistill.lr", {"predistill": {"lr": HUGE}}),
+    ("task.eos_prob", {"task": {"eos_prob": HUGE}}),
+    ("clip_range", {"clip_range": [-HUGE, 100.0]}),
+    ("sweep.iid_var_sa", {"sweep": {"iid_var_sa": HUGE}}),
+    ("sweep.iid_var_s", {"sweep": {"iid_var_s": HUGE}}),
+]
 
 
 def tiny_config(tmp_path, **overrides):
@@ -95,6 +109,7 @@ class TestConfig:
         {"predistill": {"lr": float("nan")}},
         {"sweep": {"iid_mode": True, "iid_var_sa": float("inf")}},
         {"clip_range": [-float("inf"), float("inf")]},
+        *(override for _, override in TOO_LARGE_FOR_A_FLOAT),
     ])
     def test_bad_stage_setting_rejected(self, override):
         with pytest.raises(ConfigError):
@@ -102,9 +117,45 @@ class TestConfig:
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        # json.loads refuses an integer of more than 4300 digits with a
+        # ValueError that is not a JSONDecodeError
+        for text in ("{not json", '{"rl": {"lr": 1%s}}' % ("0" * 5000)):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="not valid JSON"):
+                load_config(path)
+
+    def test_huge_integer_setting_stays_an_integer(self):
+        assert from_dict({"seeds": [HUGE]}).seeds == [HUGE]
+
+    def test_empty_kl_bucket_list_accepted(self):
+        """iid mode uses no bucket; the pre-distillation lr rule then reads
+        predistill.epochs alone."""
+        cfg = from_dict({"sweep": {"kl_bucket_epochs": []}})
+        assert cfg.sweep_params()["kl_bucket_epochs"] == []
+        with pytest.raises(ConfigError, match="predistill.lr must be positive"):
+            from_dict({"predistill": {"lr": 0.0}, "sweep": {"kl_bucket_epochs": []}})
+
+    @pytest.mark.parametrize("name", ["default", "tiny"])
+    def test_resolving_is_idempotent(self, tmp_path, name):
+        cfg = from_dict({} if name == "default" else tiny_config(tmp_path))
+        assert json.dumps(from_dict(cfg.raw).raw) == json.dumps(cfg.raw)
+
+    def test_resolving_ignores_spelling(self):
+        """An int setting given as an integral float and a float setting
+        given as an int resolve to their defaults' kinds."""
+        assert json.dumps(from_dict({"horizon": 20.0}).raw) == json.dumps(from_dict({}).raw)
+        lr = from_dict({"rl": {"lr": 1}}).raw["rl"]["lr"]
+        assert type(lr) is float and lr == 1.0
+
+    def test_minimum_bounds_numeric_defaults(self):
+        """Every MINIMUM key names a numeric setting (a misspelt key would
+        check nothing), and every default meets its bound."""
+        for name, bound in MINIMUM.items():
+            value = DEFAULTS
+            for part in name.split("."):
+                value = value[part]
+            for entry in value if isinstance(value, list) else [value]:
+                assert type(entry) in (int, float) and entry >= bound, name
 
     def test_all_task_kinds_constructible(self):
         for kind in ("markov_chain", "copy", "reverse"):
@@ -203,6 +254,36 @@ class TestCliBasics:
             assert main(["--config", cfg, "--out", str(tmp_path / out), "train", *flags]) == EXIT_OK
         for name in ("student_rl.json", "trainlog.csv"):
             assert (tmp_path / "llmr" / name).read_bytes() == (tmp_path / "k1" / name).read_bytes()
+
+    def test_flags_are_settings_in_sweep_bias_variance(self, tmp_path):
+        """``--seed N`` and ``--samples-per-input M`` write the bytes of a
+        config with ``seeds: [N]`` and ``sweep.samples_per_input: M``."""
+        data = tiny_config(tmp_path)
+        flags = self.write_config(tmp_path, data)
+        assert main(["--config", flags, "--seed", "1", "--out", str(tmp_path / "flags"),
+                     "sweep-bias-variance", "--samples-per-input", "3"]) == EXIT_OK
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps(
+            {**data, "seeds": [1], "sweep": {**data["sweep"], "samples_per_input": 3},
+             "out_dir": str(tmp_path / "settings")}
+        ))
+        assert main(["--config", str(settings), "sweep-bias-variance"]) == EXIT_OK
+        csvs = [tmp_path / d / "bias_variance.csv" for d in ("flags", "settings")]
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+    def test_seed_flag_runs_one_seed_in_sweep_k(self, tmp_path):
+        cfg = self.write_config(tmp_path, tiny_config(tmp_path))
+        assert main(["--config", cfg, "--seed", "1", "sweep-k"]) == EXIT_OK
+        out = tmp_path / "runs"
+        assert {p.name for p in (out / "runs").glob("*/*")} == {"seed1"}
+        assert json.loads((out / "config.json").read_text())["seeds"] == [1]
+
+    def test_samples_per_input_flag_below_two_exit_2(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, tiny_config(tmp_path))
+        argv = ["--config", cfg, "sweep-bias-variance", "--samples-per-input", "1"]
+        assert main(argv) == EXIT_CONFIG
+        assert "samples_per_input must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_oracle_check(self, tmp_path):
         cfg = self.write_config(tmp_path, tiny_config(tmp_path))
@@ -320,8 +401,11 @@ class TestCliErrors:
         ({"sweep": {"iid_mode": "no"}}, "'sweep.iid_mode' must be a bool"),
         ({"out_dir": 5}, "'out_dir' must be a str"),
         ({"vocab_size": 200, "window": 4}, "teacher Q table"),
+        *((override, f"'{key}' is too large for a float")
+          for key, override in TOO_LARGE_FOR_A_FLOAT),
     ], ids=["vocab_size-str", "n_sequences-str", "clip_range-one", "k_list-float",
-            "horizon-float", "seeds-float", "iid_mode-str", "out_dir-int", "table-too-large"])
+            "horizon-float", "seeds-float", "iid_mode-str", "out_dir-int", "table-too-large",
+            *(f"{key}-huge" for key, _ in TOO_LARGE_FOR_A_FLOAT)])
     def test_mistyped_or_oversized_setting_exit_2(self, tmp_path, capsys, override, message):
         data = tiny_config(tmp_path)
         for key, value in override.items():
@@ -562,7 +646,11 @@ class TestEmitPlots:
         "variant,k,seed,best_val_return,test_return\nllmr,1,0,1.0,oops\n",
         "variant,k,seed,best_val_return,test_return\nllmr,1,0,1.0\n",
         "K,student_kl_bucket,mean_bias,mean_variance\ntwo,iid,0.0,1.0\n",
-    ], ids=["summary-not-a-number", "summary-short-row", "bias-variance-bad-k"])
+        "iter,mean_G,mean_Ghat,grad_norm,entropy,eval_return\n0,abc,0.1,1.0,0.5,xyz\n",
+        "K,student_kl_bucket,mean_bias,mean_variance\n1,iid,oops,1.0\n",
+        "K,student_kl_bucket,mean_bias,mean_variance\n1,iid,0.0,oops\n",
+    ], ids=["summary-not-a-number", "summary-short-row", "bias-variance-bad-k",
+            "trainlog-not-a-number", "bias-variance-bad-bias", "bias-variance-bad-variance"])
     def test_cli_emit_plots_malformed_row_exit_2(self, tmp_path, body):
         bad = tmp_path / "bad.csv"
         bad.write_text(body)

@@ -2,6 +2,10 @@
 supervised teacher fitting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +122,19 @@ class TestQTable:
             check_table_size(4097, 1)
         with pytest.raises(ValueError, match="Q table of"):
             FrozenModelTeacher(zero_model(ModelArch("linear", window=3), 200))
+
+    def test_size_bound_of_huge_window_is_quick(self):
+        """A window of 10^9 is refused without computing 12^(10^9 + 1),
+        which alone would take minutes."""
+        env = {**os.environ}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "from kstepkd.teacher import check_table_size; check_table_size(12, 10**9)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert proc.returncode == 1
+        assert f"ValueError: teacher Q table of 12^{10**9 + 1} > {MAX_TABLE_FLOATS}" in proc.stderr
 
 
 class TestMaxQ:
