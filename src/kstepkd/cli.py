@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +135,7 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         raise pipeline.StageError(f"rl:{name}", seed, exc) from exc
     out = _out_dir(cfg)
     models.save_model(best, out / "student_rl.json")
-    log.to_csv(out / "trainlog.csv")
+    pipeline.write_table(out / "trainlog.csv", trainer.TRAINLOG_HEADER, map(astuple, log.records))
     final = trainer.evaluate_greedy(best, fitted, splits.test_states, cfg.horizon)
     print(f"final greedy test return: {final:.6f}")
     print(f"wrote trainlog to {out / 'trainlog.csv'}")

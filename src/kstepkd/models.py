@@ -578,12 +578,14 @@ def model_from_dict(data: dict) -> LogitModel:
     )
 
 
-def save_model(model: LogitModel, *paths: str | Path) -> None:
-    """Writes the checkpoint to every path, serialized once."""
+def model_text(model: LogitModel) -> str:
+    """The checkpoint's JSON text."""
     # json emits shortest round-trip float reprs, so reloads are bit-identical
-    text = json.dumps(model_to_dict(model)) + "\n"
-    for path in paths:
-        Path(path).write_text(text)
+    return json.dumps(model_to_dict(model)) + "\n"
+
+
+def save_model(model: LogitModel, path: str | Path) -> None:
+    Path(path).write_text(model_text(model))
 
 
 def load_model(path: str | Path) -> LogitModel:

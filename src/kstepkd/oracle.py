@@ -17,9 +17,7 @@ are renormalized.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -292,12 +290,13 @@ class ConvergenceReport:
     def any_flagged(self) -> bool:
         return any(e.flagged for e in self.entries)
 
-    def csv_rows(self) -> list[tuple[str, str, str, str]]:
+    def csv_rows(self) -> list[tuple[str, float, float, str]]:
+        """(metric, z, threshold, status) report rows; z is NaN where undefined."""
         return [
             (
                 f"z:{e.metric}",
-                "nan" if e.z_score is None else repr(e.z_score),
-                repr(self.z_threshold),
+                float("nan") if e.z_score is None else e.z_score,
+                self.z_threshold,
                 "fail" if e.flagged else "pass",
             )
             for e in self.entries
@@ -353,10 +352,3 @@ def montecarlo_convergence(
         for i in range(policy.num_params)
     ]
     return ConvergenceReport(n_samples, tuple(entries), z_threshold)
-
-
-def write_report_csv(path: str | Path, rows: Sequence[tuple[str, str, str, str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("metric", "value", "threshold", "status"))
-        writer.writerows(rows)

@@ -18,17 +18,23 @@ Artifact layout under the configured output directory:
 
 Variants are named ``llmr`` (the K-step estimator at K = 1, the one-step
 return), ``kstep_k<K>`` for K > 1, and the two batch-baseline competitors.
+
+Every CSV is written by ``write_table``.  A sweep's seeds return their files
+as text, and ``run_pipeline`` writes them seed by seed, in seed order, both
+in process and from a worker pool.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -56,6 +62,30 @@ class StageError(RuntimeError):
 
 SUMMARY_HEADER = ("variant", "k", "seed", "best_val_return", "test_return")
 BIAS_VARIANCE_HEADER = ("K", "student_kl_bucket", "mean_bias", "mean_variance")
+ORACLE_REPORT_HEADER = ("metric", "value", "threshold", "status")
+
+
+# -- tables ------------------------------------------------------------------
+
+
+def _spell(value: Any) -> Any:
+    """A float, Python or numpy, as its shortest round-trip repr; anything
+    else as it is."""
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else value
+
+
+def table_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """The CSV text of a table: the header, then each row, every float
+    spelled by ``_spell``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([_spell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    Path(path).write_text(table_text(header, rows), newline="")
 
 
 # -- data plumbing -----------------------------------------------------------
@@ -148,14 +178,19 @@ def variant_list(cfg: ExperimentConfig) -> list[tuple[str, str, int]]:
     return variants
 
 
-def run_seed(
-    raw_cfg: dict[str, Any], seed: int, out_dir: str, splits: DataSplits
-) -> list[dict[str, Any]]:
+# a seed's files as (path under the output directory, text), its summary
+# rows, and the error of its first failed RL variant, if any
+SeedResult = tuple[list[tuple[str, str]], list[tuple[Any, ...]], StageError | None]
+
+
+def run_seed(raw_cfg: dict[str, Any], seed: int, splits: DataSplits) -> SeedResult:
     """Full pipeline for one seed on the sweep's corpus splits: teacher,
     pre-distilled student, and the RL runs of every variant, trained as one
-    population.  Returns summary rows; writes all per-run artifacts.  A
-    failed RL run is the stage ``rl:<variant>`` of the first failed variant,
-    raised after the artifacts of the variants before it."""
+    population.  Writes nothing: returns the seed's files and summary rows.
+    A failed RL run is the stage ``rl:<variant>`` of the first failed
+    variant, returned with the files of the variants before it and the
+    shared checkpoints of its own directory; a stage before the RL runs
+    raises."""
     cfg = ExperimentConfig(raw_cfg)
     seed_teacher = fit_seed_teacher(cfg, splits, seed)
     student0 = init_seed_student(cfg, seed)
@@ -179,30 +214,24 @@ def run_seed(
     ) if bests else []
 
     # the first failed variant's directory holds the shared checkpoints too
-    run_dirs = [Path(out_dir) / "runs" / name / f"seed{seed}" for name, _, _ in specs[: done + 1]]
-    for run_dir in run_dirs:
-        run_dir.mkdir(parents=True, exist_ok=True)
-    teacher_mod.save_teacher(seed_teacher, *(d / "teacher.json" for d in run_dirs))
-    models.save_model(student_pd, *(d / "student_predistill.json" for d in run_dirs))
-
-    rows: list[dict[str, Any]] = []
-    for (name, _, k), out, run_dir in zip(specs, outcomes, run_dirs):
-        if isinstance(out, Exception):
-            raise StageError(f"rl:{name}", seed, out) from out
+    run_dirs = [f"runs/{name}/seed{seed}" for name, _, _ in specs[: done + 1]]
+    teacher_json, student_json = teacher_mod.teacher_text(seed_teacher), models.model_text(student_pd)
+    files = [(f"{d}/teacher.json", teacher_json) for d in run_dirs]
+    files += [(f"{d}/student_predistill.json", student_json) for d in run_dirs]
+    rows: list[tuple[Any, ...]] = []
+    for (name, _, k), out, run_dir, test_return in zip(specs, outcomes, run_dirs, test_returns):
         best, log, best_val = out
-        models.save_model(best, run_dir / "student_rl.json")
-        log.to_csv(run_dir / "trainlog.csv")
-        test_return = test_returns[len(rows)]
-        (run_dir / "eval.json").write_text(
-            json.dumps({"variant": name, "k": k, "seed": seed,
-                        "test_return": test_return, "best_val_return": best_val})
-            + "\n"
-        )
-        rows.append(
-            {"variant": name, "k": k, "seed": seed,
-             "best_val_return": best_val, "test_return": test_return}
-        )
-    return rows
+        files += [
+            (f"{run_dir}/student_rl.json", models.model_text(best)),
+            (f"{run_dir}/trainlog.csv",
+             table_text(trainer.TRAINLOG_HEADER, map(astuple, log.records))),
+            (f"{run_dir}/eval.json",
+             json.dumps({"variant": name, "k": k, "seed": seed,
+                         "test_return": test_return, "best_val_return": best_val}) + "\n"),
+        ]
+        rows.append((name, k, seed, best_val, test_return))
+    error = StageError(f"rl:{specs[done][0]}", seed, outcomes[done]) if done < len(specs) else None
+    return files, rows, error
 
 
 # the sweep's splits in a pool worker, set once per worker by ``_init_worker``
@@ -214,8 +243,28 @@ def _init_worker(splits: DataSplits) -> None:
     _worker_splits = splits
 
 
-def _run_seed_in_worker(raw_cfg: dict[str, Any], seed: int, out_dir: str) -> list[dict[str, Any]]:
-    return run_seed(raw_cfg, seed, out_dir, _worker_splits)
+def _run_seed_in_worker(raw_cfg: dict[str, Any], seed: int) -> SeedResult:
+    return run_seed(raw_cfg, seed, _worker_splits)
+
+
+def _write_seeds(out_dir: Path, results: Iterable[SeedResult]) -> list[tuple[Any, ...]]:
+    """Writes each seed's files as its result arrives and returns the
+    summary rows; a seed's error is raised after its files, so no later
+    seed is written."""
+    rows: list[tuple[Any, ...]] = []
+    for files, seed_rows, error in results:
+        # os.path, not pathlib: pathlib interns every path component, and
+        # these short-lived names resized the interpreter's table of
+        # interned strings (about 1 MB each time) every few sweeps
+        for rel, text in files:
+            path = os.path.join(out_dir, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        if error is not None:
+            raise error
+        rows += seed_rows
+    return rows
 
 
 def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
@@ -232,34 +281,23 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
     splits = build_corpus(cfg)
     tasks.write_corpus(out_dir / "corpus.txt", splits.corpus)
 
-    all_rows: list[dict[str, Any]] = []
-    if threads > 1:
+    # at most one worker per seed: a pool forks all its workers at once
+    workers = min(threads, len(cfg.seeds))
+    if workers > 1:
         # imported here: the pool module adds about 25 ms to every start
         from concurrent.futures import ProcessPoolExecutor
 
         # the splits reach each worker once, as its initializer's argument:
         # inherited under fork, pickled once per worker otherwise
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=(splits,)
+            max_workers=workers, initializer=_init_worker, initargs=(splits,)
         ) as pool:
-            futures = [
-                pool.submit(_run_seed_in_worker, cfg.raw, seed, str(out_dir)) for seed in cfg.seeds
-            ]
-            for fut in futures:
-                all_rows.extend(fut.result())
+            rows = _write_seeds(out_dir, pool.map(_run_seed_in_worker, repeat(cfg.raw), cfg.seeds))
     else:
-        for seed in cfg.seeds:
-            all_rows.extend(run_seed(cfg.raw, seed, str(out_dir), splits))
+        rows = _write_seeds(out_dir, (run_seed(cfg.raw, seed, splits) for seed in cfg.seeds))
 
-    all_rows.sort(key=lambda r: (r["variant"], r["seed"]))
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for r in all_rows:
-            writer.writerow(
-                (r["variant"], r["k"], r["seed"],
-                 repr(float(r["best_val_return"])), repr(float(r["test_return"])))
-            )
+    rows.sort(key=lambda r: (r[0], r[2]))
+    write_table(out_dir / "summary.csv", SUMMARY_HEADER, rows)
     meta["finished_unix"] = time.time()
     (out_dir / "metadata.json").write_text(json.dumps(meta) + "\n")
     return out_dir
@@ -379,11 +417,7 @@ def sweep_bias_variance(
                 )
 
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(BIAS_VARIANCE_HEADER)
-            for r in rows:
-                writer.writerow((r.k, r.bucket, repr(r.mean_bias), repr(r.mean_variance)))
+        write_table(out_path, BIAS_VARIANCE_HEADER, map(astuple, rows))
     return rows
 
 
@@ -398,7 +432,7 @@ def oracle_check(out_path: str | Path | None = None, seed: int = 0) -> bool:
     """
     rng = np.random.default_rng([seed, 505])
     vocab = Vocabulary(size=3, bos_id=0, eos_id=2)
-    rows: list[tuple[str, str, str, str]] = []
+    rows: list[tuple[str, float, float, str]] = []
     ok = True
 
     for i in range(3):
@@ -411,8 +445,8 @@ def oracle_check(out_path: str | Path | None = None, seed: int = 0) -> bool:
         rows.append(
             (
                 f"gradient_check[{i}].max_rel_error",
-                repr(report.max_rel_error),
-                repr(report.threshold),
+                report.max_rel_error,
+                report.threshold,
                 "pass" if report.passed else "fail",
             )
         )
@@ -428,7 +462,7 @@ def oracle_check(out_path: str | Path | None = None, seed: int = 0) -> bool:
     rows.extend(conv.csv_rows())
 
     if out_path is not None:
-        oracle.write_report_csv(out_path, rows)
+        write_table(out_path, ORACLE_REPORT_HEADER, rows)
     return bool(ok)
 
 
@@ -541,7 +575,7 @@ def emit_plots(csv_paths: Sequence[str | Path], out_dir: str | Path) -> Path:
                 fh.write("# variant mean_test_return n_seeds\n")
                 for variant in sorted(by_variant):
                     vals = by_variant[variant]
-                    fh.write(f"{variant} {np.mean(vals)!r} {len(vals)}\n")
+                    fh.write(f"{variant} {_spell(np.mean(vals))} {len(vals)}\n")
             panels.append(
                 {
                     "name": f"{stem}_final_returns",

@@ -136,13 +136,13 @@ def fit_teacher(
 # -- serialization ---------------------------------------------------------
 
 
-def save_teacher(teacher: FrozenModelTeacher, *paths: str | Path) -> None:
-    """Writes the frozen checkpoint to every path, serialized once."""
-    data = models.model_to_dict(teacher.model)
-    data["frozen"] = True
-    text = json.dumps(data) + "\n"
-    for path in paths:
-        Path(path).write_text(text)
+def teacher_text(teacher: FrozenModelTeacher) -> str:
+    """The frozen checkpoint's JSON text."""
+    return json.dumps({**models.model_to_dict(teacher.model), "frozen": True}) + "\n"
+
+
+def save_teacher(teacher: FrozenModelTeacher, path: str | Path) -> None:
+    Path(path).write_text(teacher_text(teacher))
 
 
 def load_teacher(path: str | Path) -> FrozenModelTeacher:

@@ -17,9 +17,7 @@ Estimators:
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +26,7 @@ from . import models as models_mod
 from . import returns as ret
 from .models import LogitModel, ModelStack
 from .returns import DEFAULT_CLIP_RANGE, ReturnConfig
-from .seqmdp import State, TrajectoryBatch, decode
+from .seqmdp import State, decode
 from .teacher import FrozenModelTeacher
 
 ESTIMATORS = ("kstep", "mean_baseline", "minvar_baseline")
@@ -80,19 +78,14 @@ class TrainRecord:
     eval_greedy_return: float
 
 
+# one column per TrainRecord field, in field order
 TRAINLOG_HEADER = ("iter", "mean_G", "mean_Ghat", "grad_norm", "entropy", "eval_return")
 
 
 def _check_finite(record: TrainRecord) -> None:
-    for name in (
-        "mean_return_actual",
-        "mean_return_khat",
-        "grad_norm",
-        "policy_entropy",
-        "eval_greedy_return",
-    ):
-        if not np.isfinite(getattr(record, name)):
-            raise NonFiniteGradientError(f"non-finite {name} at iteration {record.iteration}")
+    for f in fields(record):
+        if not np.isfinite(getattr(record, f.name)):
+            raise NonFiniteGradientError(f"non-finite {f.name} at iteration {record.iteration}")
 
 
 @dataclass
@@ -102,22 +95,6 @@ class TrainLog:
     def append(self, record: TrainRecord) -> None:
         _check_finite(record)
         self.records.append(record)
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRAINLOG_HEADER)
-            for r in self.records:
-                writer.writerow(
-                    (
-                        r.iteration,
-                        repr(r.mean_return_actual),
-                        repr(r.mean_return_khat),
-                        repr(r.grad_norm),
-                        repr(r.policy_entropy),
-                        repr(r.eval_greedy_return),
-                    )
-                )
 
 
 # -- pre-distillation --------------------------------------------------------
@@ -199,7 +176,7 @@ def _lockstep_step(
     batches: Sequence[Sequence[State]],
     cfgs: Sequence[TrainConfig],
     rngs: Sequence[np.random.Generator],
-) -> tuple[ModelStack, list[tuple[float, float, float, float]], TrajectoryBatch]:
+) -> tuple[ModelStack, list[tuple[float, float, float, float]]]:
     """One sampled-batch policy update of every run of the stack, run r on
     batches[r] under cfgs[r] with generator rngs[r].
 
@@ -210,8 +187,8 @@ def _lockstep_step(
     share.  Each distinct estimator's signals are computed on the whole
     stack, and each run takes its own estimator's: every reduction runs
     over one run's B rows, so a run's signals are bitwise those of the run
-    alone.  Returns the ascended stack, per run the record's (mean_G,
-    mean_Ghat, grad_norm, entropy), and the sampled batch.
+    alone.  Returns the ascended stack and, per run, the record's (mean_G,
+    mean_Ghat, grad_norm, entropy).
     """
     cfg, n_runs, b = cfgs[0], len(cfgs), len(batches[0])
     # each row's run, run-major; the decode takes it for one run too, so
@@ -226,16 +203,13 @@ def _lockstep_step(
         trajs.step_contexts(stack.window)[mask], trajs.actions[mask]
     )
     q, m = ret.batch_q_terms(trajs, teacher)
+    # G (K = 1) and Ghat (each row's K) as one recursion over the rows twice
     k = np.repeat([c.return_config.k for c in cfgs], b)
-    if np.all(k == 1):
-        g = g_hat = ret.kstep_from_batch_terms(q, m, trajs.lengths, 1)
-    else:
-        # G (K = 1) and Ghat (each row's K) as one recursion over the rows twice
-        both = ret.kstep_from_batch_terms(
-            np.concatenate([q, q]), np.concatenate([m, m]), np.concatenate([trajs.lengths] * 2),
-            np.concatenate([np.ones_like(k), k]),
-        )
-        g, g_hat = both[: len(q)], both[len(q) :]
+    both = ret.kstep_from_batch_terms(
+        np.concatenate([q, q]), np.concatenate([m, m]), np.concatenate([trajs.lengths] * 2),
+        np.concatenate([np.ones_like(k), k]),
+    )
+    g, g_hat = both[: len(q)], both[len(q) :]
 
     shape = (n_runs, b, g.shape[1])
     names = [c.estimator for c in cfgs]
@@ -278,7 +252,7 @@ def _lockstep_step(
          float(np.mean(entropy[lo:hi])))
         for r, (lo, hi) in enumerate(scores.layout.bounds)
     ]
-    return new_stack, stats, trajs
+    return new_stack, stats
 
 
 def reinforce_step(
@@ -287,22 +261,14 @@ def reinforce_step(
     batch: Sequence[State],
     cfg: TrainConfig,
     rng: np.random.Generator,
-    return_trajectories: bool = False,
-):
+) -> tuple[LogitModel, TrainRecord]:
     """One sampled-batch policy update: the one-run ``_lockstep_step``.
 
     Returns (student, record), with the record's iteration and greedy
-    return 0; the sampled ``TrajectoryBatch`` is appended when
-    ``return_trajectories`` is set.
+    return 0.
     """
-    stack, (stats,), trajs = _lockstep_step(
-        ModelStack.of([student]), teacher, [batch], [cfg], [rng]
-    )
-    new_student = stack.model(0) if cfg.lr > 0 else student
-    record = TrainRecord(0, *stats, 0.0)
-    if return_trajectories:
-        return new_student, record, trajs
-    return new_student, record
+    stack, (stats,) = _lockstep_step(ModelStack.of([student]), teacher, [batch], [cfg], [rng])
+    return (stack.model(0) if cfg.lr > 0 else student), TrainRecord(0, *stats, 0.0)
 
 
 def _left_to_right_mean(values: list[float]) -> float:
@@ -387,7 +353,7 @@ def _lockstep_iteration(
     any run but its generator, so that the iteration can be replayed run by
     run."""
     cfg = runs[0].cfg
-    new_stack, stats, _ = _lockstep_step(
+    new_stack, stats = _lockstep_step(
         stack, teacher, batches, [run.cfg for run in runs], [run.rng for run in runs]
     )
     if any(entropy == 0.0 for *_, entropy in stats):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ TOO_LARGE_FOR_A_FLOAT = [
     ("sweep.iid_var_sa", {"sweep": {"iid_var_sa": HUGE}}),
     ("sweep.iid_var_s", {"sweep": {"iid_var_s": HUGE}}),
 ]
+
+
+# pool workers inherit a test's monkeypatches only when they are forked
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="needs fork-started pool workers"
+)
 
 
 def tiny_config(tmp_path, **overrides):
@@ -433,11 +440,8 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "failed (seed 0)" in err and "entropy 0.0" in err
 
-    def test_first_failed_variant_is_the_stage(self, tmp_path, capsys, monkeypatch):
-        """The RL runs of a seed train as one population.  When two of them
-        fail (non-finite signals for both baselines), the first in variant
-        order is the failed stage; the variants before it keep their
-        artifacts, and nothing after it is written."""
+    @staticmethod
+    def _first_failed_variant(tmp_path, capsys, monkeypatch, threads, seeds):
         from kstepkd import cli, trainer
 
         signals = trainer.estimator_signals
@@ -447,11 +451,11 @@ class TestCliErrors:
             return out * np.nan if cfg.estimator.endswith("_baseline") else out
 
         monkeypatch.setattr(trainer, "estimator_signals", spoiled)
-        data = tiny_config(tmp_path, include_baselines=True, seeds=[0])
+        data = tiny_config(tmp_path, include_baselines=True, seeds=seeds)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(data))
         with np.errstate(all="ignore"):
-            code = main(["--config", str(path), "sweep-k"])
+            code = main(["--config", str(path), "--threads", threads, "sweep-k"])
         assert code == cli.EXIT_STAGE
         err = capsys.readouterr().err
         assert "stage 'rl:mean_baseline' failed (seed 0)" in err
@@ -463,6 +467,21 @@ class TestCliErrors:
             "student_predistill.json", "teacher.json"
         ]
         assert not (runs / "minvar_baseline").exists()
+        # the seeds after the failed one are never written
+        assert sorted(p.name for p in runs.glob("*/*")) == ["seed0"] * 3
+
+    def test_first_failed_variant_is_the_stage(self, tmp_path, capsys, monkeypatch):
+        """The RL runs of a seed train as one population.  When two of them
+        fail (non-finite signals for both baselines), the first in variant
+        order is the failed stage; the variants before it keep their
+        artifacts, and nothing after it is written."""
+        self._first_failed_variant(tmp_path, capsys, monkeypatch, "1", [0])
+
+    @needs_fork
+    def test_first_failed_variant_is_the_stage_in_workers(self, tmp_path, capsys, monkeypatch):
+        """The same from a pool of two workers over two seeds: seed 1, which
+        also fails, is computed but never written."""
+        self._first_failed_variant(tmp_path, capsys, monkeypatch, "2", [0, 1])
 
     def test_empty_test_split_exit_2(self, tmp_path):
         data = tiny_config(tmp_path)
@@ -586,6 +605,64 @@ class TestPipeline:
             elif rel.name != "metadata.json":
                 assert (seq / rel).read_bytes() == (par / rel).read_bytes(), rel
 
+    def test_table_spells_each_float_once(self):
+        """Python and numpy floats are written as the shortest repr of the
+        float; every other value as csv writes it."""
+        rows = [(1, "iid", 0.1, np.float64(0.1)), (np.int64(2), "x", np.float32(0.5), float("nan"))]
+        assert pipeline.table_text(("a", "b", "c", "d"), rows) == (
+            "a,b,c,d\r\n1,iid,0.1,0.1\r\n2,x,0.5,nan\r\n"
+        )
+
+    @needs_fork
+    def test_failed_seed_leaves_the_sequential_files_in_workers(self, tmp_path, monkeypatch):
+        """When seed 0 fails, a pool sweep writes no file of seed 1 either:
+        both modes leave config.json, metadata.json and corpus.txt."""
+        fit = pipeline.fit_seed_teacher
+
+        def failing(cfg, splits, seed):
+            if seed == 0:
+                raise pipeline.StageError("fit-teacher", seed, "injected")
+            return fit(cfg, splits, seed)
+
+        monkeypatch.setattr(pipeline, "fit_seed_teacher", failing)
+        trees = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            with pytest.raises(pipeline.StageError, match=r"\(seed 0\): injected"):
+                pipeline.run_pipeline(from_dict(tiny_config(tmp_path, out_dir=str(out))), threads)
+            trees.append(sorted(p.relative_to(out) for p in out.rglob("*")))
+        assert trees[0] == trees[1]
+        assert [str(p) for p in trees[0]] == ["config.json", "corpus.txt", "metadata.json"]
+
+    @pytest.mark.parametrize("seeds, workers", [([0, 1], [2]), ([0], [])],
+                             ids=["two-seeds", "one-seed"])
+    def test_at_most_one_worker_per_seed(self, tmp_path, monkeypatch, seeds, workers):
+        """--threads 64 starts a worker per seed, and one seed runs in
+        process; checked with an in-process stand-in for the pool."""
+        import concurrent.futures
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(pipeline, "_worker_splits", None)
+        out = pipeline.run_pipeline(from_dict(tiny_config(tmp_path, seeds=seeds)), threads=64)
+        assert started == workers
+        assert len((out / "summary.csv").read_text().splitlines()) == 1 + 2 * len(seeds)
+
     def test_corpus_built_once_per_sweep(self, tmp_path, monkeypatch):
         from kstepkd import tasks
 
@@ -624,6 +701,20 @@ class TestEmitPlots:
         for panel in manifest["panels"]:
             for series in panel["series"]:
                 assert (plots / series["file"]).exists()
+
+    def test_summary_means_parse_as_floats(self, tmp_path):
+        """Each variant's line of the summary's .dat holds the mean of its
+        test returns, spelled as a float."""
+        out = pipeline.run_pipeline(from_dict(tiny_config(tmp_path)))
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        plots = pipeline.emit_plots([out / "summary.csv"], tmp_path / "plots")
+        lines = (plots / "summary_final_returns.dat").read_text().splitlines()
+        assert lines[0].startswith("#") and len(lines) == 3
+        for line in lines[1:]:
+            name, mean, n = line.split()
+            returns = [float(r["test_return"]) for r in rows if r["variant"] == name]
+            assert float(mean) == np.mean(returns) and int(n) == len(returns) == 2
 
     def test_empty_csv_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstepkd import oracle
+from kstepkd import oracle, pipeline
 from kstepkd import returns as ret
 from kstepkd.models import ModelArch, init_model, zero_model
 from kstepkd.oracle import EnumerationSpec, SizeBoundError
@@ -464,9 +464,15 @@ class TestMonteCarloConvergence:
             policy, spec, teacher, ReturnConfig(k=2), 200, np.random.default_rng(3)
         )
         path = tmp_path / "report.csv"
-        oracle.write_report_csv(path, report.csv_rows())
+        pipeline.write_table(path, pipeline.ORACLE_REPORT_HEADER, report.csv_rows())
         first = path.read_text().splitlines()[0]
         assert first == "metric,value,threshold,status"
+
+    def test_report_csv_spells_missing_z_as_nan(self):
+        entry = oracle.ConvergenceEntry("g_hat_0", 1.0, 1.0, float("inf"), None, False)
+        report = oracle.ConvergenceReport(1, (entry,), 4.0)
+        text = pipeline.table_text(pipeline.ORACLE_REPORT_HEADER, report.csv_rows())
+        assert text.splitlines()[1] == "z:g_hat_0,nan,4.0,pass"
 
     @pytest.mark.slow
     def test_root_n_convergence_rate(self):

@@ -20,3 +20,13 @@ def test_readme_src_line_count():
     figures = re.findall(r"`src/`\s+holds\s+(\d+)\s+lines", (ROOT / "README.md").read_text())
     total = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "kstepkd").glob("*.py"))
     assert figures and all(int(n) == total for n in figures), (figures, total)
+
+
+def test_only_pipeline_writes_csv():
+    """Every table goes through ``pipeline.write_table``: no other module
+    imports csv."""
+    importers = sorted(
+        p.stem for p in (ROOT / "src" / "kstepkd").glob("*.py")
+        if re.search(r"^\s*(import csv\b|from csv import)", p.read_text(), re.MULTILINE)
+    )
+    assert importers == ["pipeline"]

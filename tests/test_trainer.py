@@ -1,6 +1,6 @@
 """Pre-distillation, REINFORCE stepping, and the training loop."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -130,22 +130,19 @@ class TestReinforceStep:
         assert np.isfinite(record.mean_return_actual)
         assert np.isfinite(record.grad_norm)
 
-    def test_estimator_plug_compatibility(self):
+    def test_estimator_plug_compatibility(self, monkeypatch):
         # identical seeds must sample identical trajectories under every
         # estimator; only the per-step signals differ
         teacher = make_teacher(seed=9)
         student = make_student(seed=10)
         batch = [initial_state(VOCAB)] * 4
-        seen = []
+        seen = sampled_batches(monkeypatch)
         for estimator, k in (
             ("kstep", 4), ("kstep", 1), ("mean_baseline", 1), ("minvar_baseline", 1),
         ):
             cfg = rl_cfg(estimator=estimator, k=k)
-            _, _, trajs = reinforce_step(
-                student, teacher, batch, cfg, np.random.default_rng(33),
-                return_trajectories=True,
-            )
-            seen.append((trajs.tokens.tolist(), trajs.lengths.tolist()))
+            reinforce_step(student, teacher, batch, cfg, np.random.default_rng(33))
+        assert len(seen) == 4
         assert all(s == seen[0] for s in seen[1:])
 
     @pytest.mark.slow
@@ -276,8 +273,8 @@ class TestTrainLoop:
         out2, log2 = train(student, teacher, inputs, cfg)
         assert log1.records == log2.records
         np.testing.assert_array_equal(out1.params, out2.params)
-        log1.to_csv(tmp_path / "a.csv")
-        log2.to_csv(tmp_path / "b.csv")
+        for log, name in ((log1, "a.csv"), (log2, "b.csv")):
+            pipeline.write_table(tmp_path / name, trainer.TRAINLOG_HEADER, map(astuple, log.records))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_log_always_finite(self):
