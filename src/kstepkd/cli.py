@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +36,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="JSON experiment config")
     parser.add_argument("--out", type=str, default=None, help="sets out_dir")
     parser.add_argument("--seed", type=int, default=None, help="sets seeds to [SEED]")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="sweep-k worker processes, one seed per task (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic corpus file")
@@ -135,7 +132,7 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         raise pipeline.StageError(f"rl:{name}", seed, exc) from exc
     out = _out_dir(cfg)
     models.save_model(best, out / "student_rl.json")
-    pipeline.write_table(out / "trainlog.csv", trainer.TRAINLOG_HEADER, map(astuple, log.records))
+    pipeline.write_table(out / "trainlog.csv", trainer.TRAINLOG_HEADER, log.records)
     final = trainer.evaluate_greedy(best, fitted, splits.test_states, cfg.horizon)
     print(f"final greedy test return: {final:.6f}")
     print(f"wrote trainlog to {out / 'trainlog.csv'}")
@@ -143,7 +140,7 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_k(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    out = pipeline.run_pipeline(cfg, threads=args.threads)
+    out = pipeline.run_pipeline(cfg)
     print(f"pipeline artifacts in {out}")
     return EXIT_OK
 
@@ -183,8 +180,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed must be >= 0")
         cfg = load_config(args.config, _overrides(args))

@@ -19,9 +19,10 @@ Artifact layout under the configured output directory:
 Variants are named ``llmr`` (the K-step estimator at K = 1, the one-step
 return), ``kstep_k<K>`` for K > 1, and the two batch-baseline competitors.
 
-Every CSV is written by ``write_table``.  A sweep's seeds return their files
-as text, and ``run_pipeline`` writes them seed by seed, in seed order, both
-in process and from a worker pool.
+Every CSV is written by ``write_table``.  A sweep runs in one process: it
+fits each seed's teacher and pre-distilled student in seed order, trains
+every variant of every seed as one population (``train_seeds``), and writes
+each seed's files in seed order.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ import io
 import json
 import os
 import time
-from dataclasses import astuple, dataclass
-from itertools import repeat
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .config import ExperimentConfig
 from .models import LogitModel
 from .returns import ReturnConfig
 from .seqmdp import State, TrajectoryBatch, Vocabulary, decode, initial_state
-from .teacher import FrozenModelTeacher
+from .teacher import FrozenModelTeacher, TeacherStack
 
 
 class StageError(RuntimeError):
@@ -52,12 +52,6 @@ class StageError(RuntimeError):
         super().__init__(f"{detail}: {cause}")
         self.stage = stage
         self.seed = seed
-        self.cause = str(cause)
-
-    def __reduce__(self):
-        # pool workers send exceptions back pickled; the default reduction
-        # would call __init__ with the message alone
-        return (type(self), (self.stage, self.seed, self.cause))
 
 
 SUMMARY_HEADER = ("variant", "k", "seed", "best_val_return", "test_return")
@@ -155,7 +149,7 @@ def predistill_student(
     return out
 
 
-# -- single-seed pipeline ------------------------------------------------------
+# -- sweep pipeline ------------------------------------------------------------
 
 
 def variant(estimator: str, k: int) -> tuple[str, str, int]:
@@ -178,96 +172,85 @@ def variant_list(cfg: ExperimentConfig) -> list[tuple[str, str, int]]:
     return variants
 
 
-# a seed's files as (path under the output directory, text), its summary
-# rows, and the error of its first failed RL variant, if any
-SeedResult = tuple[list[tuple[str, str]], list[tuple[Any, ...]], StageError | None]
+# an RL run's (best student, log, best validation return), or its error
+Outcome = tuple[LogitModel, trainer.TrainLog, float] | Exception
+# each seed's frozen teacher and pre-distilled student
+Fitted = dict[int, tuple[FrozenModelTeacher, LogitModel]]
 
 
-def run_seed(raw_cfg: dict[str, Any], seed: int, splits: DataSplits) -> SeedResult:
-    """Full pipeline for one seed on the sweep's corpus splits: teacher,
-    pre-distilled student, and the RL runs of every variant, trained as one
-    population.  Writes nothing: returns the seed's files and summary rows.
-    A failed RL run is the stage ``rl:<variant>`` of the first failed
-    variant, returned with the files of the variants before it and the
-    shared checkpoints of its own directory; a stage before the RL runs
-    raises."""
-    cfg = ExperimentConfig(raw_cfg)
-    seed_teacher = fit_seed_teacher(cfg, splits, seed)
-    student0 = init_seed_student(cfg, seed)
-    student_pd = predistill_student(cfg, student0, seed_teacher, splits, seed)
-
+def train_seeds(
+    cfg: ExperimentConfig, splits: DataSplits, fitted: Fitted
+) -> dict[int, tuple[list[Outcome], list[float]]]:
+    """The RL runs of every variant of every seed of ``fitted`` (seed ->
+    (teacher, pre-distilled student)), trained as one population: each
+    seed's runs start from its student and are scored by its teacher.  Then
+    one greedy evaluation on the test split of every seed's best students
+    up to its first failed variant.  Returns, per seed, its variants'
+    outcomes and those test returns."""
     specs = variant_list(cfg)
-    try:
-        outcomes = trainer.train_population(
-            student_pd, seed_teacher, splits.train_states,
-            [cfg.rl_config(estimator, k, seed) for _, estimator, k in specs],
-            val_inputs=splits.val_states,
-        )
-    except Exception as exc:
-        # the shared first evaluation: in series, the first variant fails
-        raise StageError(f"rl:{specs[0][0]}", seed, exc) from exc
-    # the variants before the first failed one, whose artifacts are written
-    done = next((i for i, out in enumerate(outcomes) if isinstance(out, Exception)), len(specs))
-    bests = [best for best, _, _ in outcomes[:done]]
+    seeds = list(fitted)
+    outcomes = trainer.train_population(
+        [student for _, student in fitted.values()], [teacher for teacher, _ in fitted.values()],
+        splits.train_states,
+        [cfg.rl_config(estimator, k, seed) for seed in seeds for _, estimator, k in specs],
+        val_inputs=splits.val_states,
+    )
+    per_seed = [outcomes[i * len(specs) : (i + 1) * len(specs)] for i in range(len(seeds))]
+    # each seed's variants before its first failed one, whose artifacts are written
+    done = [next((i for i, out in enumerate(runs) if isinstance(out, Exception)), len(specs))
+            for runs in per_seed]
+    bests = [best for runs, n in zip(per_seed, done) for best, _, _ in runs[:n]]
     test_returns = trainer.evaluate_population(
-        models.ModelStack.of(bests), seed_teacher, splits.test_states, cfg.horizon
+        models.ModelStack.of(bests), TeacherStack.of([t for t, _ in fitted.values()]),
+        splits.test_states, cfg.horizon, np.repeat(np.arange(len(seeds)), done),
     ) if bests else []
+    edges = np.cumsum([0, *done]).tolist()
+    return {seed: (runs, test_returns[lo:hi])
+            for seed, runs, lo, hi in zip(seeds, per_seed, edges, edges[1:])}
 
-    # the first failed variant's directory holds the shared checkpoints too
-    run_dirs = [f"runs/{name}/seed{seed}" for name, _, _ in specs[: done + 1]]
-    teacher_json, student_json = teacher_mod.teacher_text(seed_teacher), models.model_text(student_pd)
-    files = [(f"{d}/teacher.json", teacher_json) for d in run_dirs]
-    files += [(f"{d}/student_predistill.json", student_json) for d in run_dirs]
+
+def _write_seed(
+    out_dir: Path, cfg: ExperimentConfig, seed: int, teacher: FrozenModelTeacher,
+    student: LogitModel, outcomes: list[Outcome], test_returns: list[float],
+) -> list[tuple[Any, ...]]:
+    """Writes a seed's run directories, each made once, and returns its
+    summary rows.  A failed RL run is raised as the stage ``rl:<variant>``
+    of the first failed variant, after the files of the variants before it
+    and the shared checkpoints of its own directory."""
+    specs = variant_list(cfg)
+    done = len(test_returns)
+    shared = {"teacher.json": teacher_mod.teacher_text(teacher),
+              "student_predistill.json": models.model_text(student)}
     rows: list[tuple[Any, ...]] = []
-    for (name, _, k), out, run_dir, test_return in zip(specs, outcomes, run_dirs, test_returns):
-        best, log, best_val = out
-        files += [
-            (f"{run_dir}/student_rl.json", models.model_text(best)),
-            (f"{run_dir}/trainlog.csv",
-             table_text(trainer.TRAINLOG_HEADER, map(astuple, log.records))),
-            (f"{run_dir}/eval.json",
-             json.dumps({"variant": name, "k": k, "seed": seed,
-                         "test_return": test_return, "best_val_return": best_val}) + "\n"),
-        ]
-        rows.append((name, k, seed, best_val, test_return))
-    error = StageError(f"rl:{specs[done][0]}", seed, outcomes[done]) if done < len(specs) else None
-    return files, rows, error
-
-
-# the sweep's splits in a pool worker, set once per worker by ``_init_worker``
-_worker_splits: DataSplits | None = None
-
-
-def _init_worker(splits: DataSplits) -> None:
-    global _worker_splits
-    _worker_splits = splits
-
-
-def _run_seed_in_worker(raw_cfg: dict[str, Any], seed: int) -> SeedResult:
-    return run_seed(raw_cfg, seed, _worker_splits)
-
-
-def _write_seeds(out_dir: Path, results: Iterable[SeedResult]) -> list[tuple[Any, ...]]:
-    """Writes each seed's files as its result arrives and returns the
-    summary rows; a seed's error is raised after its files, so no later
-    seed is written."""
-    rows: list[tuple[Any, ...]] = []
-    for files, seed_rows, error in results:
+    for i, (name, _, k) in enumerate(specs[: done + 1]):
+        files = dict(shared)
+        if i < done:
+            best, log, best_val = outcomes[i]
+            files["student_rl.json"] = models.model_text(best)
+            files["trainlog.csv"] = table_text(trainer.TRAINLOG_HEADER, log.records)
+            files["eval.json"] = json.dumps({"variant": name, "k": k, "seed": seed,
+                                             "test_return": test_returns[i],
+                                             "best_val_return": best_val}) + "\n"
+            rows.append((name, k, seed, best_val, test_returns[i]))
         # os.path, not pathlib: pathlib interns every path component, and
         # these short-lived names resized the interpreter's table of
         # interned strings (about 1 MB each time) every few sweeps
-        for rel, text in files:
-            path = os.path.join(out_dir, rel)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "w", newline="") as fh:
+        run_dir = os.path.join(out_dir, "runs", name, f"seed{seed}")
+        os.makedirs(run_dir, exist_ok=True)
+        for file_name, text in files.items():
+            with open(os.path.join(run_dir, file_name), "w", newline="") as fh:
                 fh.write(text)
-        if error is not None:
-            raise error
-        rows += seed_rows
+    if done < len(specs):
+        raise StageError(f"rl:{specs[done][0]}", seed, outcomes[done])
     return rows
 
 
 def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
+    """The full sweep, in this process: ``threads`` is accepted, as
+    ``bench/workloads.py`` passes it, and starts nothing.  Seeds are fitted
+    in seed order up to the first failed fit; those before it are trained
+    and written before its error is raised.  A seed's first failed RL
+    variant is raised after that seed's files; no later seed is written."""
     out_dir = cfg.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n")
@@ -281,20 +264,22 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
     splits = build_corpus(cfg)
     tasks.write_corpus(out_dir / "corpus.txt", splits.corpus)
 
-    # at most one worker per seed: a pool forks all its workers at once
-    workers = min(threads, len(cfg.seeds))
-    if workers > 1:
-        # imported here: the pool module adds about 25 ms to every start
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the splits reach each worker once, as its initializer's argument:
-        # inherited under fork, pickled once per worker otherwise
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(splits,)
-        ) as pool:
-            rows = _write_seeds(out_dir, pool.map(_run_seed_in_worker, repeat(cfg.raw), cfg.seeds))
-    else:
-        rows = _write_seeds(out_dir, (run_seed(cfg.raw, seed, splits) for seed in cfg.seeds))
+    fitted: Fitted = {}
+    fit_error = None
+    for seed in cfg.seeds:
+        try:
+            seed_teacher = fit_seed_teacher(cfg, splits, seed)
+            student = init_seed_student(cfg, seed)
+            student = predistill_student(cfg, student, seed_teacher, splits, seed)
+        except StageError as exc:
+            fit_error = exc
+            break
+        fitted[seed] = (seed_teacher, student)
+    rows = []
+    for seed, results in (train_seeds(cfg, splits, fitted) if fitted else {}).items():
+        rows += _write_seed(out_dir, cfg, seed, *fitted[seed], *results)
+    if fit_error is not None:
+        raise fit_error
 
     rows.sort(key=lambda r: (r[0], r[2]))
     write_table(out_dir / "summary.csv", SUMMARY_HEADER, rows)
@@ -316,8 +301,7 @@ def mean_kl_to_teacher(
     return float(np.mean((np.exp(s_lp) * (s_lp - t_lp)).sum(axis=1)))
 
 
-@dataclass(frozen=True)
-class BiasVarianceRow:
+class BiasVarianceRow(NamedTuple):
     k: int
     bucket: str  # measured KL (repr) or "iid"
     mean_bias: float
@@ -388,14 +372,8 @@ def sweep_bias_variance(
         for k in cfg.k_list:
             rng = np.random.default_rng([cfg.seeds[0], 404, k])
             g, gh = ret.iid_gaussian_samples(terms, k, var_sa, var_s, n, rng)
-            rows.append(
-                BiasVarianceRow(
-                    k=k,
-                    bucket="iid",
-                    mean_bias=float(gh.mean() - g.mean()),
-                    mean_variance=float(gh.var(ddof=1)),
-                )
-            )
+            bias, var = float(gh.mean() - g.mean()), float(gh.var(ddof=1))
+            rows.append(BiasVarianceRow(k, "iid", bias, var))
     else:
         seed = cfg.seeds[0]
         splits = build_corpus(cfg)
@@ -411,13 +389,10 @@ def sweep_bias_variance(
                 )
             except Exception as exc:
                 raise StageError("bias-variance", seed, exc) from exc
-            for k, bias, var in per_k:
-                rows.append(
-                    BiasVarianceRow(k=k, bucket=repr(kl), mean_bias=bias, mean_variance=var)
-                )
+            rows += [BiasVarianceRow(k, repr(kl), bias, var) for k, bias, var in per_k]
 
     if out_path is not None:
-        write_table(out_path, BIAS_VARIANCE_HEADER, map(astuple, rows))
+        write_table(out_path, BIAS_VARIANCE_HEADER, rows)
     return rows
 
 
@@ -531,41 +506,21 @@ def emit_plots(csv_paths: Sequence[str | Path], out_dir: str | Path) -> Path:
                 for text in (r[2], r[3]):
                     _number(path, text)
                 buckets.setdefault(r[1], []).append(r)
-            var_dat = out / f"{stem}_variance.dat"
-            bias_dat = out / f"{stem}_bias.dat"
-            with open(var_dat, "w") as vfh, open(bias_dat, "w") as bfh:
-                vfh.write("# K variance (one block per bucket)\n")
-                bfh.write("# K bias (one block per bucket)\n")
-                for bucket in sorted(buckets):
-                    vfh.write(f"# bucket {bucket}\n")
-                    bfh.write(f"# bucket {bucket}\n")
-                    for r in sorted(buckets[bucket], key=lambda r: _number(path, r[0], int)):
-                        vfh.write(f"{r[0]} {r[3]}\n")
-                        bfh.write(f"{r[0]} {r[2]}\n")
-                    vfh.write("\n")
-                    bfh.write("\n")
-            panels.append(
-                {
-                    "name": f"{stem}_variance",
-                    "x": "K",
-                    "y": "variance of k-step return",
-                    "series": [
-                        {"label": f"kl bucket {b}", "file": var_dat.name, "block": i}
-                        for i, b in enumerate(sorted(buckets))
-                    ],
-                }
-            )
-            panels.append(
-                {
-                    "name": f"{stem}_bias",
-                    "x": "K",
-                    "y": "mean bias of k-step return",
-                    "series": [
-                        {"label": f"kl bucket {b}", "file": bias_dat.name, "block": i}
-                        for i, b in enumerate(sorted(buckets))
-                    ],
-                }
-            )
+            # one file and panel of the variance column, then one of the bias
+            for what, col, label in (("variance", 3, "variance of k-step return"),
+                                     ("bias", 2, "mean bias of k-step return")):
+                dat = out / f"{stem}_{what}.dat"
+                with open(dat, "w") as fh:
+                    fh.write(f"# K {what} (one block per bucket)\n")
+                    for bucket in sorted(buckets):
+                        fh.write(f"# bucket {bucket}\n")
+                        for r in sorted(buckets[bucket], key=lambda r: _number(path, r[0], int)):
+                            fh.write(f"{r[0]} {r[col]}\n")
+                        fh.write("\n")
+                panels.append({"name": f"{stem}_{what}", "x": "K", "y": label, "series": [
+                    {"label": f"kl bucket {b}", "file": dat.name, "block": i}
+                    for i, b in enumerate(sorted(buckets))
+                ]})
         elif header == list(SUMMARY_HEADER):
             dat = out / f"{stem}_final_returns.dat"
             by_variant: dict[str, list[float]] = {}

@@ -33,7 +33,7 @@ import numpy as np
 
 from .models import context_code
 from .seqmdp import Trajectory, TrajectoryBatch
-from .teacher import FrozenModelTeacher
+from .teacher import FrozenModelTeacher, TeacherStack
 
 DEFAULT_CLIP_RANGE = (-100.0, 100.0)
 
@@ -57,11 +57,15 @@ def clip_returns(values: np.ndarray, cfg: ReturnConfig) -> np.ndarray:
 
 
 def q_terms(
-    teacher: FrozenModelTeacher, contexts: np.ndarray, actions: np.ndarray
+    teacher: FrozenModelTeacher | TeacherStack, contexts: np.ndarray, actions: np.ndarray,
+    member: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(q_taken, max_q) for int contexts [N, teacher.window] and actions [N]:
-    two gathers from the teacher's Q table, the same bits in any call."""
+    two gathers from the teacher's Q table, the same bits in any call; with
+    ``member`` [N], from the rows of each row's teacher in a ``TeacherStack``."""
     idx = context_code(contexts, teacher.vocab_size)
+    if member is not None:
+        idx += member * teacher.vocab_size**teacher.window
     return teacher.q[idx, actions], teacher.max_q[idx]
 
 
@@ -77,13 +81,17 @@ def trajectory_q_terms(
 
 
 def batch_q_terms(
-    batch: TrajectoryBatch, teacher: FrozenModelTeacher
+    batch: TrajectoryBatch, teacher: FrozenModelTeacher | TeacherStack,
+    member: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(q_taken, max_q) as [B, H] arrays, zero past each row's length."""
+    """(q_taken, max_q) as [B, H] arrays, zero past each row's length; with
+    ``member`` [B], each trajectory's teacher in a ``TeacherStack``."""
     mask = batch.step_mask
     q, m = np.zeros((2, *mask.shape))
-    q[mask], m[mask] = q_terms(teacher, batch.step_contexts(teacher.window)[mask],
-                               batch.actions[mask])
+    q[mask], m[mask] = q_terms(
+        teacher, batch.step_contexts(teacher.window)[mask], batch.actions[mask],
+        None if member is None else np.repeat(member, batch.lengths),
+    )
     return q, m
 
 

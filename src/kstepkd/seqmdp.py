@@ -259,6 +259,10 @@ def decode(
     # each prefix right-aligned in the first p columns, BOS-padded
     padded = chain.from_iterable([bos * (p - len(x)) + x for x in prefixes])
     tokens[:, :p] = np.fromiter(padded, np.int64, b * p).reshape(b, p)
+    # a scorer's table would wrap -1 into another row, and fail on V
+    outside = tokens[:, :p][(tokens[:, :p] < 0) | (tokens[:, :p] >= vocab.size)]
+    if len(outside):
+        raise ValueError(f"initial prefix token {int(outside[0])} outside [0, {vocab.size})")
     # a row's length is written when it ends; the rest run the horizon
     lengths = np.full(b, horizon, dtype=np.int64)
     alive = np.arange(b)

@@ -5,7 +5,8 @@ Q-values of every action there.  They depend only on the last ``window``
 tokens, so the teacher tabulates them once, read-only: ``q`` [V^window, V]
 at row ``context_code(context)``, the context read as a base-V number, and
 each row's maximum ``max_q``.  Batched scoring is a gather from them;
-``q_values(state)`` stays the per-state model call.
+``q_values(state)`` stays the per-state model call.  A ``TeacherStack``
+holds the tables of several teachers as one, in the same layout.
 ``returns`` turns Q-values into induced step rewards and returns.
 """
 
@@ -15,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -75,6 +77,24 @@ class FrozenModelTeacher:
         q = self.q_values(state)
         lp = models.log_softmax(q)
         return PolicyDistribution(logits=q, probs=np.exp(lp), log_probs=lp)
+
+
+class TeacherStack(NamedTuple):
+    """S teachers' Q tables as one, for teachers of one window and
+    vocabulary: ``q`` [S * V^window, V] holds teacher s's row for context
+    code c at s * V^window + c, and ``max_q`` each row's maximum."""
+
+    q: np.ndarray
+    max_q: np.ndarray
+    vocab_size: int
+    window: int
+
+    @classmethod
+    def of(cls, teachers: Sequence[FrozenModelTeacher]) -> TeacherStack:
+        if len({(t.window, t.vocab_size) for t in teachers}) > 1:
+            raise ValueError("stacked teachers must share window and vocabulary")
+        q, max_q = (np.concatenate([getattr(t, name) for t in teachers]) for name in ("q", "max_q"))
+        return cls(q, max_q, teachers[0].vocab_size, teachers[0].window)
 
 
 # -- teacher fitting -------------------------------------------------------

@@ -17,8 +17,8 @@ Estimators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import returns as ret
 from .models import LogitModel, ModelStack
 from .returns import DEFAULT_CLIP_RANGE, ReturnConfig
 from .seqmdp import State, decode
-from .teacher import FrozenModelTeacher
+from .teacher import FrozenModelTeacher, TeacherStack
 
 ESTIMATORS = ("kstep", "mean_baseline", "minvar_baseline")
 
@@ -68,8 +68,7 @@ class TrainConfig:
         return ReturnConfig(k=self.k, clip_range=self.clip_range)
 
 
-@dataclass(frozen=True)
-class TrainRecord:
+class TrainRecord(NamedTuple):
     iteration: int
     mean_return_actual: float
     mean_return_khat: float
@@ -78,23 +77,22 @@ class TrainRecord:
     eval_greedy_return: float
 
 
-# one column per TrainRecord field, in field order
+# one column per TrainRecord field, in field order: a record is its trainlog row
 TRAINLOG_HEADER = ("iter", "mean_G", "mean_Ghat", "grad_norm", "entropy", "eval_return")
 
 
-def _check_finite(record: TrainRecord) -> None:
-    for f in fields(record):
-        if not np.isfinite(getattr(record, f.name)):
-            raise NonFiniteGradientError(f"non-finite {f.name} at iteration {record.iteration}")
+def _check_finite(iteration: int, values: np.ndarray) -> None:
+    """Names the first non-finite field, in run order, of an iteration's
+    log values [R, 5] (each run's record after ``iteration``)."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        name = TrainRecord._fields[1 + int(np.argwhere(bad)[0, 1])]
+        raise NonFiniteGradientError(f"non-finite {name} at iteration {iteration}")
 
 
 @dataclass
 class TrainLog:
     records: list[TrainRecord] = field(default_factory=list)
-
-    def append(self, record: TrainRecord) -> None:
-        _check_finite(record)
-        self.records.append(record)
 
 
 # -- pre-distillation --------------------------------------------------------
@@ -172,13 +170,15 @@ def estimator_signals(
 
 def _lockstep_step(
     stack: ModelStack,
-    teacher: FrozenModelTeacher,
+    teacher: FrozenModelTeacher | TeacherStack,
     batches: Sequence[Sequence[State]],
     cfgs: Sequence[TrainConfig],
     rngs: Sequence[np.random.Generator],
-) -> tuple[ModelStack, list[tuple[float, float, float, float]]]:
+    member: np.ndarray | None = None,
+) -> tuple[ModelStack, np.ndarray]:
     """One sampled-batch policy update of every run of the stack, run r on
-    batches[r] under cfgs[r] with generator rngs[r].
+    batches[r] under cfgs[r] with generator rngs[r], scored by teacher
+    member[r] of a ``TeacherStack`` (or by the one teacher).
 
     One population decode samples one trajectory per input, then one
     teacher scoring and one recursion for G and each row's K-step Ghat, the
@@ -188,7 +188,7 @@ def _lockstep_step(
     stack, and each run takes its own estimator's: every reduction runs
     over one run's B rows, so a run's signals are bitwise those of the run
     alone.  Returns the ascended stack and, per run, the record's (mean_G,
-    mean_Ghat, grad_norm, entropy).
+    mean_Ghat, grad_norm, entropy) as [R, 4].
     """
     cfg, n_runs, b = cfgs[0], len(cfgs), len(batches[0])
     # each row's run, run-major; the decode takes it for one run too, so
@@ -202,7 +202,7 @@ def _lockstep_step(
     scores = stack.layout(np.repeat(run, trajs.lengths)).scores(
         trajs.step_contexts(stack.window)[mask], trajs.actions[mask]
     )
-    q, m = ret.batch_q_terms(trajs, teacher)
+    q, m = ret.batch_q_terms(trajs, teacher, None if member is None else np.repeat(member, b))
     # G (K = 1) and Ghat (each row's K) as one recursion over the rows twice
     k = np.repeat([c.return_config.k for c in cfgs], b)
     both = ret.kstep_from_batch_terms(
@@ -247,12 +247,9 @@ def _lockstep_step(
     entropy = -(np.exp(scores.log_probs) * scores.log_probs).sum(axis=1)
     mean_g = g[:, 0].reshape(shape[:2]).mean(axis=1)
     mean_g_hat = ret.clip_returns(g_hat[:, 0], cfg.return_config).reshape(shape[:2]).mean(axis=1)
-    stats = [
-        (float(mean_g[r]), float(mean_g_hat[r]), float(np.linalg.norm(accum[r])),
-         float(np.mean(entropy[lo:hi])))
-        for r, (lo, hi) in enumerate(scores.layout.bounds)
-    ]
-    return new_stack, stats
+    grad_norm = [np.linalg.norm(grad) for grad in accum]
+    mean_entropy = [np.mean(entropy[lo:hi]) for lo, hi in scores.layout.bounds]
+    return new_stack, np.column_stack([mean_g, mean_g_hat, grad_norm, mean_entropy])
 
 
 def reinforce_step(
@@ -267,8 +264,8 @@ def reinforce_step(
     Returns (student, record), with the record's iteration and greedy
     return 0.
     """
-    stack, (stats,) = _lockstep_step(ModelStack.of([student]), teacher, [batch], [cfg], [rng])
-    return (stack.model(0) if cfg.lr > 0 else student), TrainRecord(0, *stats, 0.0)
+    stack, stats = _lockstep_step(ModelStack.of([student]), teacher, [batch], [cfg], [rng])
+    return (stack.model(0) if cfg.lr > 0 else student), TrainRecord(0, *stats[0].tolist(), 0.0)
 
 
 def _left_to_right_mean(values: list[float]) -> float:
@@ -281,16 +278,18 @@ def _left_to_right_mean(values: list[float]) -> float:
 
 
 def evaluate_population(
-    stack: ModelStack, teacher: FrozenModelTeacher, inputs: Sequence[State], horizon: int
+    stack: ModelStack, teacher: FrozenModelTeacher | TeacherStack, inputs: Sequence[State],
+    horizon: int, member: np.ndarray | None = None,
 ) -> list[float]:
     """Mean actual return of greedy rollouts over a fixed input set, for
     every model of the stack, from one greedy decode over R x len(inputs)
-    rows."""
+    rows; model r is scored by teacher member[r] of a ``TeacherStack`` (or
+    by the one teacher)."""
     n = len(inputs)
     run = np.repeat(np.arange(len(stack.params)), n)
     batch = decode(stack.layout(run).batch_logits, stack.window, list(inputs) * len(stack.params),
                    horizon, run=run)
-    q, m = ret.batch_q_terms(batch, teacher)
+    q, m = ret.batch_q_terms(batch, teacher, None if member is None else np.repeat(member, n))
     g0 = ret.kstep_from_batch_terms(q, m, batch.lengths, 1)[:, 0].tolist()
     return [_left_to_right_mean(g0[lo : lo + n]) for lo in range(0, len(g0), n)]
 
@@ -316,11 +315,12 @@ def _collapse(iteration: int) -> FloatingPointError:
 @dataclass
 class _Run:
     """The state one training run carries between iterations, apart from
-    its current student: generator, input order, log, the best student by
-    greedy validation return and the latest such return, and, once it has
-    failed, the error that stopped it."""
+    its current student: its teacher's index (``member``), generator, input
+    order, log, the best student by greedy validation return and the latest
+    such return, and, once it has failed, the error that stopped it."""
 
     cfg: TrainConfig
+    member: int
     rng: np.random.Generator
     best: LogitModel
     best_eval: float
@@ -341,59 +341,61 @@ class _Run:
 
 def _lockstep_iteration(
     stack: ModelStack,
-    teacher: FrozenModelTeacher,
+    teachers: TeacherStack,
     batches: Sequence[Sequence[State]],
     runs: Sequence[_Run],
     val: Sequence[State],
     iteration: int,
 ) -> ModelStack:
     """One iteration of every run: the update, the collapse check, the
-    greedy evaluation with keep-best when due, and the log row.  Unless
-    every run completes the iteration, this raises and changes nothing of
-    any run but its generator, so that the iteration can be replayed run by
-    run."""
+    greedy evaluation with keep-best when due, one finiteness check of
+    every run's log row, and the rows.  Unless every run completes the
+    iteration, this raises and changes nothing of any run but its
+    generator, so that the iteration can be replayed run by run."""
     cfg = runs[0].cfg
+    member = np.array([run.member for run in runs])
     new_stack, stats = _lockstep_step(
-        stack, teacher, batches, [run.cfg for run in runs], [run.rng for run in runs]
+        stack, teachers, batches, [run.cfg for run in runs], [run.rng for run in runs], member
     )
-    if any(entropy == 0.0 for *_, entropy in stats):
+    if (stats[:, 3] == 0.0).any():
         raise _collapse(iteration)
     due = (iteration + 1) % cfg.eval_every == 0 or iteration + 1 == cfg.iterations
     if due:
-        evals = evaluate_population(new_stack, teacher, val, cfg.horizon)
+        evals = evaluate_population(new_stack, teachers, val, cfg.horizon, member)
     else:
         evals = [run.eval_return for run in runs]
-    records = [TrainRecord(iteration, *st, ev) for st, ev in zip(stats, evals)]
-    for record in records:
-        _check_finite(record)
-    for r, (run, record) in enumerate(zip(runs, records)):
-        run.eval_return = record.eval_greedy_return
+    values = np.column_stack([stats, evals])
+    _check_finite(iteration, values)
+    for r, (run, row) in enumerate(zip(runs, values.tolist())):
+        run.eval_return = row[4]
         if due and run.eval_return > run.best_eval:
             run.best, run.best_eval = new_stack.model(r), run.eval_return
-        run.log.append(record)
+        run.log.records.append(TrainRecord(iteration, *row))
     return new_stack
 
 
 def train_population(
-    student: LogitModel,
-    teacher: FrozenModelTeacher,
+    students: LogitModel | Sequence[LogitModel],
+    teachers: FrozenModelTeacher | Sequence[FrozenModelTeacher],
     inputs: Sequence[State],
     cfgs: Sequence[TrainConfig],
     val_inputs: Sequence[State] | None = None,
 ) -> list[tuple[LogitModel, TrainLog, float] | Exception]:
     """cfg.iterations REINFORCE updates over shuffled input batches for
-    every config at once, from one student: R runs in one loop over a
-    ``ModelStack``.
+    every config at once: R runs in one loop over a ``ModelStack``.
 
-    The configs may differ only in (estimator, k).  Each run keeps its own
-    generator and input order, so it samples, updates, evaluates and keeps
-    its best student by greedy validation return bitwise as it would alone.
-    An iteration whose policy entropy is exactly 0.0 fails the run with
-    FloatingPointError: every sampled softmax is then one-hot, so every
-    score and every further update is exactly 0 (a diverged step).  An
-    iteration in which any run fails is replayed run by run from the same
-    draws, so that each failing run raises exactly its error alone; a
-    failed run is dropped and the others go on.
+    The configs may differ in (estimator, k) and in seed: the runs of the
+    j-th distinct seed, in config order, start from students[j] and are
+    scored by teachers[j] (or by the one student and teacher given).  Each
+    run keeps its own generator and input order, so it samples, updates,
+    evaluates and keeps its best student by greedy validation return
+    bitwise as it would alone.  An iteration whose policy entropy is
+    exactly 0.0 fails the run with FloatingPointError: every sampled
+    softmax is then one-hot, so every score and every further update is
+    exactly 0 (a diverged step).  An iteration in which any run fails is
+    replayed run by run from the same draws, so that each failing run
+    raises exactly its error alone; a failed run is dropped and the others
+    go on.  A student whose first evaluation fails fails all its runs.
 
     Returns, per config, (best student, log, greedy validation return of
     the best student), or the exception that stopped the run.  The
@@ -402,38 +404,54 @@ def train_population(
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("train_population requires at least one config")
-    if len({replace(c, estimator="kstep", k=1) for c in cfgs}) > 1:
-        raise ValueError("population runs may differ only in estimator and k")
+    students = [students] if isinstance(students, LogitModel) else list(students)
+    teachers = [teachers] if isinstance(teachers, FrozenModelTeacher) else list(teachers)
+    seeds = list(dict.fromkeys(c.seed for c in cfgs))
+    if (len({replace(c, estimator="kstep", k=1, seed=0) for c in cfgs}) > 1
+            or not len(seeds) == len(students) == len(teachers)):
+        raise ValueError("population runs may differ only in estimator and k, and in seed "
+                         "given one student and one teacher per seed")
     cfg = cfgs[0]
     if not inputs:
         raise ValueError("train_population requires a non-empty input set")
 
     val = list(val_inputs) if val_inputs else list(inputs)
-    # every run starts from the same student, so one evaluation serves all
-    eval_return = evaluate_greedy(student, teacher, val, cfg.horizon)
-    runs = [_Run(c, np.random.default_rng(c.seed), student, eval_return, eval_return)
-            for c in cfgs]
-    live, stack = runs, ModelStack.of([student] * len(runs))
-    for iteration in range(cfg.iterations):
+    # each student's runs share its one first evaluation, or its error
+    evals = []
+    for student, teacher in zip(students, teachers):
+        try:
+            evals.append(evaluate_greedy(student, teacher, val, cfg.horizon))
+        except Exception as exc:  # this student's runs fail; the others go on
+            evals.append(exc)
+    runs = []
+    for c in cfgs:
+        j = seeds.index(c.seed)
+        runs.append(_Run(c, j, np.random.default_rng(c.seed), students[j], evals[j], evals[j]))
+        if isinstance(evals[j], Exception):
+            runs[-1].error = evals[j]
+    table = TeacherStack.of(teachers)
+    live = [run for run in runs if run.error is None]
+    stack = ModelStack.of([run.best for run in live]) if live else None
+    for iteration in range(cfg.iterations if live else 0):
         batches = [run.next_batch(inputs) for run in live]
         states = [run.rng.bit_generator.state for run in live]
         try:
-            stack = _lockstep_iteration(stack, teacher, batches, live, val, iteration)
+            stack = _lockstep_iteration(stack, table, batches, live, val, iteration)
         except (ValueError, FloatingPointError, NonFiniteGradientError):
             # replay the iteration run by run from the same draws
-            students = []
+            updated = []
             for r, run in enumerate(live):
                 run.rng.bit_generator.state = states[r]
                 try:
-                    one = _lockstep_iteration(ModelStack.of([stack.model(r)]), teacher,
+                    one = _lockstep_iteration(ModelStack.of([stack.model(r)]), table,
                                               [batches[r]], [run], val, iteration)
-                    students.append(one.model(0))
+                    updated.append(one.model(0))
                 except Exception as exc:  # this run's stage failure; the others go on
                     run.error = exc
             live = [run for run in live if run.error is None]
             if not live:
                 break
-            stack = ModelStack.of(students)
+            stack = ModelStack.of(updated)
     return [(run.best, run.log, run.best_eval) if run.error is None else run.error
             for run in runs]
 

@@ -8,9 +8,9 @@ estimator sweep is minutes of work, so both are computed once per session.
 import numpy as np
 import pytest
 
-from kstepkd import pipeline, trainer
+from kstepkd import pipeline
 from kstepkd.config import from_dict
-from kstepkd.models import LogitModel, ModelStack
+from kstepkd.models import LogitModel
 from kstepkd.teacher import FrozenModelTeacher
 
 # C11's two-seed pipeline: every stage of ``sweep-k`` in about a second
@@ -80,24 +80,17 @@ def desk_models(desk_cfg, desk_splits):
 @pytest.fixture(scope="session")
 def k_sweep_results(desk_cfg, desk_splits, desk_models):
     """Final greedy test returns per (variant, seed) for the default sweep,
-    each seed's variants trained as one population (bitwise their solo
-    runs), plus the wall-clock seconds the sweep took."""
+    every seed's variants trained as one population by the sweep's own
+    ``pipeline.train_seeds`` (bitwise each run alone), plus the wall-clock
+    seconds the sweep took."""
     import time
 
     start = time.time()
-    rows = {}
     variants = pipeline.variant_list(desk_cfg)
-    for seed in desk_cfg.seeds:
-        teacher, student = desk_models[seed]
-        outcomes = trainer.train_population(
-            student, teacher, desk_splits.train_states,
-            [desk_cfg.rl_config(estimator, k, seed) for _, estimator, k in variants],
-            val_inputs=desk_splits.val_states,
-        )
-        bests = ModelStack.of([best for best, _, _ in outcomes])
-        test_returns = trainer.evaluate_population(
-            bests, teacher, desk_splits.test_states, desk_cfg.horizon
-        )
-        for (name, _, _), test_return in zip(variants, test_returns):
-            rows[(name, seed)] = test_return
+    trained = pipeline.train_seeds(desk_cfg, desk_splits, desk_models)
+    rows = {
+        (name, seed): test_return
+        for seed, (_, test_returns) in trained.items()
+        for (name, _, _), test_return in zip(variants, test_returns, strict=True)
+    }
     return rows, time.time() - start

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -24,12 +23,6 @@ TOO_LARGE_FOR_A_FLOAT = [
     ("sweep.iid_var_sa", {"sweep": {"iid_var_sa": HUGE}}),
     ("sweep.iid_var_s", {"sweep": {"iid_var_s": HUGE}}),
 ]
-
-
-# pool workers inherit a test's monkeypatches only when they are forked
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="needs fork-started pool workers"
-)
 
 
 def tiny_config(tmp_path, **overrides):
@@ -207,11 +200,13 @@ class TestCliBasics:
         assert main(["--config", cfg, command]) == EXIT_CONFIG
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+    def test_threads_flag_is_gone(self, tmp_path):
+        """sweep-k runs in one process: the old pool's --threads is an
+        unknown argument, refused with exit 2 before any stage."""
         cfg = self.write_config(tmp_path, tiny_config(tmp_path))
-        assert main(["--config", cfg, "--threads", threads, "sweep-k"]) == EXIT_CONFIG
-        assert "config error: --threads must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as refused:
+            main(["--config", cfg, "--threads", "2", "sweep-k"])
+        assert refused.value.code == EXIT_CONFIG
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("argv,override,message", [
@@ -441,7 +436,7 @@ class TestCliErrors:
         assert "failed (seed 0)" in err and "entropy 0.0" in err
 
     @staticmethod
-    def _first_failed_variant(tmp_path, capsys, monkeypatch, threads, seeds):
+    def _first_failed_variant(tmp_path, capsys, monkeypatch, seeds):
         from kstepkd import cli, trainer
 
         signals = trainer.estimator_signals
@@ -455,7 +450,7 @@ class TestCliErrors:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(data))
         with np.errstate(all="ignore"):
-            code = main(["--config", str(path), "--threads", threads, "sweep-k"])
+            code = main(["--config", str(path), "sweep-k"])
         assert code == cli.EXIT_STAGE
         err = capsys.readouterr().err
         assert "stage 'rl:mean_baseline' failed (seed 0)" in err
@@ -475,13 +470,12 @@ class TestCliErrors:
         fail (non-finite signals for both baselines), the first in variant
         order is the failed stage; the variants before it keep their
         artifacts, and nothing after it is written."""
-        self._first_failed_variant(tmp_path, capsys, monkeypatch, "1", [0])
+        self._first_failed_variant(tmp_path, capsys, monkeypatch, [0])
 
-    @needs_fork
-    def test_first_failed_variant_is_the_stage_in_workers(self, tmp_path, capsys, monkeypatch):
-        """The same from a pool of two workers over two seeds: seed 1, which
-        also fails, is computed but never written."""
-        self._first_failed_variant(tmp_path, capsys, monkeypatch, "2", [0, 1])
+    def test_first_failed_variant_is_the_stage_of_two_seeds(self, tmp_path, capsys, monkeypatch):
+        """The same over two seeds, whose runs train as one population: seed
+        1, which also fails, is trained but never written."""
+        self._first_failed_variant(tmp_path, capsys, monkeypatch, [0, 1])
 
     def test_empty_test_split_exit_2(self, tmp_path):
         data = tiny_config(tmp_path)
@@ -490,19 +484,37 @@ class TestCliErrors:
         path.write_text(json.dumps(data))
         assert main(["--config", str(path), "sweep-k"]) == EXIT_CONFIG
 
-    def test_worker_stage_failure_exit_3(self, tmp_path, capsys):
-        """A divergent teacher fit fails inside a pool worker; its StageError
-        must cross the process boundary intact."""
+    def test_later_seed_fit_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        """When seed 1's teacher fit fails, seed 0 is still trained and its
+        files written, as in a seed-by-seed run; then the sweep exits 3
+        naming seed 1's stage, with no summary.  The fit diverges as at lr
+        1e308, whose parameters overflow within 10 epochs."""
         from kstepkd import cli
 
-        # at lr 1e308 the parameters overflow within 10 epochs
-        data = tiny_config(tmp_path, teacher_fit={"epochs": 10, "lr": 1e308})
+        fit = pipeline.fit_seed_teacher
+
+        def diverging_for_seed_1(cfg, splits, seed):
+            if seed == 1:
+                cfg = from_dict({**cfg.raw, "teacher_fit": {"epochs": 10, "lr": 1e308}})
+            return fit(cfg, splits, seed)
+
+        monkeypatch.setattr(pipeline, "fit_seed_teacher", diverging_for_seed_1)
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(tiny_config(tmp_path)))
         with np.errstate(all="ignore"):
-            code = main(["--config", str(path), "--threads", "2", "sweep-k"])
+            code = main(["--config", str(path), "sweep-k"])
         assert code == cli.EXIT_STAGE
-        assert "stage 'fit-teacher' failed (seed 0)" in capsys.readouterr().err
+        assert "stage 'fit-teacher' failed (seed 1)" in capsys.readouterr().err
+        out = tmp_path / "runs"
+        assert not (out / "summary.csv").exists()
+        assert sorted(str(p.relative_to(out)) for p in out.glob("runs/*/*")) == [
+            "runs/kstep_k2/seed0", "runs/llmr/seed0"
+        ]
+        for run_dir in out.glob("runs/*/seed0"):
+            assert sorted(p.name for p in run_dir.iterdir()) == [
+                "eval.json", "student_predistill.json", "student_rl.json", "teacher.json",
+                "trainlog.csv",
+            ]
 
     @pytest.mark.parametrize("command", ["sweep-k", "fit-teacher", "sweep-bias-variance"])
     def test_divergent_teacher_fit_exit_3(self, tmp_path, capsys, command):
@@ -518,15 +530,6 @@ class TestCliErrors:
         assert code == cli.EXIT_STAGE
         err = capsys.readouterr().err
         assert "stage 'fit-teacher' failed (seed 0)" in err and "diverged" in err
-
-    def test_stage_error_pickles(self):
-        import pickle
-
-        err = pipeline.StageError("rl:llmr", 4, ValueError("diverged"))
-        back = pickle.loads(pickle.dumps(err))
-        assert (type(back), str(back), back.stage, back.seed) == (
-            pipeline.StageError, str(err), "rl:llmr", 4
-        )
 
 
 class TestPipeline:
@@ -588,9 +591,9 @@ class TestPipeline:
         assert len(rows) == 1 + 2 * 2  # two variants x two seeds
 
     def test_threaded_sweep_matches_sequential(self, tmp_path):
-        """Every artifact of a pool sweep, whose workers get the splits from
-        their initializer, is byte-identical to the one-process sweep's,
-        but metadata.json and config.json's out_dir."""
+        """``threads`` starts nothing: every artifact of a sweep given
+        threads=2 is byte-identical to the default sweep's, but
+        metadata.json and config.json's out_dir."""
         data = tiny_config(tmp_path)
         seq = pipeline.run_pipeline(from_dict(data))
         data2 = tiny_config(tmp_path, out_dir=str(tmp_path / "runs_mt"))
@@ -613,55 +616,27 @@ class TestPipeline:
             "a,b,c,d\r\n1,iid,0.1,0.1\r\n2,x,0.5,nan\r\n"
         )
 
-    @needs_fork
-    def test_failed_seed_leaves_the_sequential_files_in_workers(self, tmp_path, monkeypatch):
-        """When seed 0 fails, a pool sweep writes no file of seed 1 either:
-        both modes leave config.json, metadata.json and corpus.txt."""
+    def test_failed_first_seed_leaves_no_seed_files(self, tmp_path, monkeypatch):
+        """When seed 0's fit fails, no later seed is fitted or trained, and
+        no file of any seed is written: config.json, metadata.json and
+        corpus.txt are left."""
         fit = pipeline.fit_seed_teacher
+        fitted = []
 
         def failing(cfg, splits, seed):
+            fitted.append(seed)
             if seed == 0:
                 raise pipeline.StageError("fit-teacher", seed, "injected")
             return fit(cfg, splits, seed)
 
         monkeypatch.setattr(pipeline, "fit_seed_teacher", failing)
-        trees = []
-        for threads in (1, 2):
-            out = tmp_path / f"threads{threads}"
-            with pytest.raises(pipeline.StageError, match=r"\(seed 0\): injected"):
-                pipeline.run_pipeline(from_dict(tiny_config(tmp_path, out_dir=str(out))), threads)
-            trees.append(sorted(p.relative_to(out) for p in out.rglob("*")))
-        assert trees[0] == trees[1]
-        assert [str(p) for p in trees[0]] == ["config.json", "corpus.txt", "metadata.json"]
-
-    @pytest.mark.parametrize("seeds, workers", [([0, 1], [2]), ([0], [])],
-                             ids=["two-seeds", "one-seed"])
-    def test_at_most_one_worker_per_seed(self, tmp_path, monkeypatch, seeds, workers):
-        """--threads 64 starts a worker per seed, and one seed runs in
-        process; checked with an in-process stand-in for the pool."""
-        import concurrent.futures
-
-        started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(pipeline, "_worker_splits", None)
-        out = pipeline.run_pipeline(from_dict(tiny_config(tmp_path, seeds=seeds)), threads=64)
-        assert started == workers
-        assert len((out / "summary.csv").read_text().splitlines()) == 1 + 2 * len(seeds)
+        out = tmp_path / "runs"
+        with pytest.raises(pipeline.StageError, match=r"\(seed 0\): injected"):
+            pipeline.run_pipeline(from_dict(tiny_config(tmp_path)))
+        assert fitted == [0]
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
+            "config.json", "corpus.txt", "metadata.json"
+        ]
 
     def test_corpus_built_once_per_sweep(self, tmp_path, monkeypatch):
         from kstepkd import tasks

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from kstepkd import oracle, pipeline, returns as ret
 from kstepkd.config import from_dict
 from kstepkd.models import ModelArch, ModelStack, init_model, target_counts, zero_model
-from kstepkd.seqmdp import TerminalStateError, Vocabulary, decode, initial_state, rollout, step
-from kstepkd.teacher import FrozenModelTeacher
+from kstepkd.seqmdp import (
+    State, TerminalStateError, Vocabulary, decode, initial_state, rollout, step,
+)
+from kstepkd.teacher import FrozenModelTeacher, TeacherStack
 from kstepkd.trainer import evaluate_greedy, teacher_greedy_targets
 
 from conftest import table_teacher
@@ -423,6 +425,43 @@ def test_decoder_error_paths():
     assert calls == [2, 2, 2]
     replay.random(3 * 2)
     assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("token", [-1, 5, 7], ids=["minus-one", "V", "V+2"])
+def test_decoder_refuses_prefix_tokens_outside_the_vocabulary(token):
+    """A prefix token outside [0, V) raises ValueError before any scoring:
+    an mlp1 student's table would wrap -1 into another row, and fail on V
+    or more with a bare IndexError."""
+    vocab = Vocabulary(size=5, bos_id=0, eos_id=4)
+    model = init_model(_arch("mlp1", 2, 3), vocab.size, np.random.default_rng(2))
+    calls = []
+
+    def score(contexts):
+        calls.append(len(contexts))
+        return model.batch_logits(contexts)
+
+    bad = [initial_state(vocab, (1,)), State(vocab, (1, token))]
+    with pytest.raises(ValueError, match=rf"initial prefix token {token} outside \[0, 5\)"):
+        decode(score, 2, bad, 3)
+    assert calls == []
+
+
+def test_stacked_teachers_score_each_row_by_its_own_teacher():
+    """Gathers from a ``TeacherStack`` by each row's teacher are bitwise
+    that teacher's own gathers."""
+    rng = np.random.default_rng(3)
+    teachers = [FrozenModelTeacher(init_model(_arch(kind, 2, 4), 5, rng, scale=1.0))
+                for kind in ("mlp1", "linear", "mlp1")]
+    contexts, actions = rng.integers(0, 5, size=(40, 2)), rng.integers(0, 5, size=40)
+    member = rng.integers(0, 3, size=40)
+    q, m = ret.q_terms(TeacherStack.of(teachers), contexts, actions, member)
+    for j, teacher in enumerate(teachers):
+        rows = member == j
+        qt, mt = ret.q_terms(teacher, contexts[rows], actions[rows])
+        assert q[rows].tobytes() == qt.tobytes() and m[rows].tobytes() == mt.tobytes()
+    narrow = FrozenModelTeacher(init_model(_arch("linear", 1, 0), 5, rng))
+    with pytest.raises(ValueError, match="share window and vocabulary"):
+        TeacherStack.of([teachers[0], narrow])
 
 
 def test_tabular_batch_lookups():

@@ -1,6 +1,6 @@
 """Pre-distillation, REINFORCE stepping, and the training loop."""
 
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +16,6 @@ from kstepkd.teacher import FrozenModelTeacher
 from kstepkd.trainer import (
     NonFiniteGradientError,
     TrainConfig,
-    TrainLog,
-    TrainRecord,
     estimator_signals,
     evaluate_greedy,
     predistill,
@@ -251,9 +249,14 @@ class TestReinforceStep:
             assert not got[i, n:].any()
 
     def test_non_finite_record_rejected(self):
-        log = TrainLog()
-        with pytest.raises(NonFiniteGradientError):
-            log.append(TrainRecord(0, float("nan"), 0.0, 0.0, 0.0, 0.0))
+        """One check per iteration covers every run's log row and names the
+        first non-finite field, in run order, and the iteration."""
+        values = np.zeros((3, 5))
+        values[2, 0] = values[1, 3] = np.inf
+        values[1, 4] = np.nan
+        with pytest.raises(NonFiniteGradientError, match="non-finite policy_entropy at iteration 7"):
+            trainer._check_finite(7, values)
+        trainer._check_finite(7, np.zeros((3, 5)))
 
 
 class TestTrainLoop:
@@ -274,7 +277,7 @@ class TestTrainLoop:
         assert log1.records == log2.records
         np.testing.assert_array_equal(out1.params, out2.params)
         for log, name in ((log1, "a.csv"), (log2, "b.csv")):
-            pipeline.write_table(tmp_path / name, trainer.TRAINLOG_HEADER, map(astuple, log.records))
+            pipeline.write_table(tmp_path / name, trainer.TRAINLOG_HEADER, log.records)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_log_always_finite(self):
@@ -392,6 +395,46 @@ class TestTrainPopulation:
             best, log = train(student, teacher, splits.train_states, c, splits.val_states)
             assert np.array_equal(out[0].params, best.params)
             assert out[1].records == log.records
+
+    def test_two_seeds_stacked_match_each_seed_alone(self):
+        """Two seeds' runs, each from its own student and scored by its own
+        teacher, trained as one population and evaluated in one call, give
+        bitwise what each seed's own population gives: best students, logs,
+        best validation returns and test returns."""
+        cfg, splits, teacher0, student0 = tiny_population("mlp1")
+        teacher1 = pipeline.fit_seed_teacher(cfg, splits, 1)
+        student1 = pipeline.predistill_student(
+            cfg, pipeline.init_seed_student(cfg, 1), teacher1, splits, 1
+        )
+        assert not np.array_equal(teacher0.q, teacher1.q)
+        fitted = {0: (teacher0, student0), 1: (teacher1, student1)}
+        both = pipeline.train_seeds(cfg, splits, fitted)
+        assert list(both) == [0, 1]
+        for seed, pair in fitted.items():
+            (alone, alone_tests), = pipeline.train_seeds(cfg, splits, {seed: pair}).values()
+            outcomes, tests = both[seed]
+            assert len(tests) == 7 and tests == alone_tests
+            for (best, log, val), (a_best, a_log, a_val) in zip(outcomes, alone, strict=True):
+                assert np.array_equal(best.params, a_best.params)
+                assert log.records == a_log.records and val == a_val
+
+    def test_failed_first_evaluation_fails_only_its_seed(self):
+        """A student whose logits overflow fails its first evaluation: each
+        of its runs fails with that evaluation's solo error, and the other
+        seed's run matches its solo run."""
+        cfg, splits, teacher, student = tiny_population("linear")
+        broken = student.with_params(np.full(student.num_params, 1e308))
+        cfgs = [cfg.rl_config("kstep", 2, 0), cfg.rl_config("kstep", 2, 1),
+                cfg.rl_config("mean_baseline", 1, 1)]
+        with np.errstate(all="ignore"):
+            out = train_population([student, broken], [teacher, teacher], splits.train_states,
+                                   cfgs, splits.val_states)
+            with pytest.raises(ValueError, match="non-finite log-probability") as solo:
+                train(broken, teacher, splits.train_states, cfgs[1], splits.val_states)
+        best, log = train(student, teacher, splits.train_states, cfgs[0], splits.val_states)
+        assert np.array_equal(out[0][0].params, best.params) and out[0][1].records == log.records
+        for failed in out[1:]:
+            assert type(failed) is ValueError and str(failed) == str(solo.value)
 
     def test_zero_iterations_evaluates_once(self):
         cfg, splits, teacher, student = tiny_population("linear")
