@@ -7,34 +7,24 @@ so that exhaustive enumeration oracles can verify the estimators' bias and
 variance exactly.
 """
 
-from .models import LogitModel, ModelArch, PolicyDistribution
-from .returns import ReturnConfig, ReturnEstimate, actual_return, implied_baseline, kstep_return
-from .seqmdp import State, Trajectory, Vocabulary, initial_state, rollout, step
+from .models import LogitModel, ModelArch
+from .returns import ReturnConfig
+from .seqmdp import State, Vocabulary, initial_state
 from .teacher import FrozenModelTeacher, fit_teacher
-from .trainer import TrainConfig, TrainLog, predistill, reinforce_step, train
+from .trainer import TrainConfig, predistill, train_population
 
 __all__ = [
     "LogitModel",
     "ModelArch",
-    "PolicyDistribution",
     "ReturnConfig",
-    "ReturnEstimate",
     "State",
-    "Trajectory",
     "Vocabulary",
     "FrozenModelTeacher",
     "TrainConfig",
-    "TrainLog",
-    "actual_return",
-    "kstep_return",
-    "implied_baseline",
     "initial_state",
-    "rollout",
-    "step",
     "fit_teacher",
     "predistill",
-    "reinforce_step",
-    "train",
+    "train_population",
 ]
 
 __version__ = "0.1.0"

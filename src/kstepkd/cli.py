@@ -4,7 +4,7 @@ Subcommands:
   gen-corpus            write a synthetic corpus for the configured task
   fit-teacher           train and freeze a teacher on the corpus
   predistill            supervised warm-start of the student
-  train                 one RL run (estimator/K from flags)
+  train                 one RL run of sweep-k (estimator/K from flags)
   sweep-k               full pipeline over every (variant, seed)
   sweep-bias-variance   bias/variance of the K-step return across K
   oracle-check          enumeration-oracle self-checks
@@ -119,22 +119,24 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     seed = cfg.seeds[0]
     name, estimator, k = pipeline.variant(args.estimator, args.k)
     try:
-        rl_cfg = cfg.rl_config(estimator, k, seed)
+        cfg.rl_config(estimator, k, seed)
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from exc
     splits = pipeline.build_corpus(cfg)
     fitted = pipeline.fit_seed_teacher(cfg, splits, seed)
     student0 = pipeline.init_seed_student(cfg, seed)
     student = pipeline.predistill_student(cfg, student0, fitted, splits, seed)
-    try:
-        best, log = trainer.train(student, fitted, splits.train_states, rl_cfg, splits.val_states)
-    except Exception as exc:
-        raise pipeline.StageError(f"rl:{name}", seed, exc) from exc
+    # the sweep's own training and test evaluation, for one (variant, seed)
+    (outcome,), test_returns = pipeline.train_seeds(
+        cfg, splits, {seed: (fitted, student)}, [(name, estimator, k)]
+    )[seed]
+    if isinstance(outcome, Exception):
+        raise pipeline.StageError(f"rl:{name}", seed, outcome) from outcome
+    best, log, _ = outcome
     out = _out_dir(cfg)
     models.save_model(best, out / "student_rl.json")
-    pipeline.write_table(out / "trainlog.csv", trainer.TRAINLOG_HEADER, log.records)
-    final = trainer.evaluate_greedy(best, fitted, splits.test_states, cfg.horizon)
-    print(f"final greedy test return: {final:.6f}")
+    pipeline.write_table(out / "trainlog.csv", trainer.TRAINLOG_HEADER, log)
+    print(f"final greedy test return: {test_returns[0]:.6f}")
     print(f"wrote trainlog to {out / 'trainlog.csv'}")
     return EXIT_OK
 

@@ -90,24 +90,17 @@ def _expand(
 
 
 def enumerate_batch(
-    spec: EnumerationSpec, policy: LogitModel
+    spec: EnumerationSpec, model: LogitModel | ModelStack
 ) -> tuple[TrajectoryBatch, np.ndarray]:
-    """Every maximal trajectory as one ``TrajectoryBatch``, with the exact
-    path probabilities [N]: the one-run case of ``_enumerate``."""
-    batch, probs = _enumerate(spec, policy, 1)
-    return batch, probs[0]
-
-
-def _enumerate(
-    spec: EnumerationSpec, model: LogitModel | ModelStack, runs: int
-) -> tuple[TrajectoryBatch, np.ndarray]:
-    """Every maximal trajectory, and its exact path probability under each
-    of the model's ``runs`` runs [runs, N].  The token tree does not depend
-    on the policy, so it is built once, depth by depth: one forward pass
-    scores the paths still running, each repeats once per action, and the
-    path log-probs accumulate left to right as in ``enumerate_trajectories``.
-    The forward pass takes the contexts repeated run by run, laid out with
-    their run index, so each run's rows are the one-run call's rows."""
+    """Every maximal trajectory as one ``TrajectoryBatch``, and its exact
+    path probability under each of the model's R runs [R, N] (R = 1 for a
+    ``LogitModel``).  The token tree does not depend on the policy, so it
+    is built once, depth by depth: one forward pass scores the paths still
+    running, each repeats once per action, and the path log-probs
+    accumulate left to right as in ``enumerate_trajectories``.  The forward
+    pass takes the contexts repeated run by run, laid out with their run
+    index, so each run's rows are the one-run call's rows."""
+    runs = len(np.atleast_2d(model.params))
     vocab, prefix, window = spec.vocab, spec.initial.prefix, model.window
     p = max(window, len(prefix))
     running = np.full((1, p + spec.horizon), vocab.bos_id, dtype=np.int64)
@@ -150,7 +143,7 @@ def _enumerated_returns(
 ) -> tuple[TrajectoryBatch, np.ndarray, list[np.ndarray]]:
     """The enumeration, its path probabilities and the unclipped K-step
     returns [N, H] for each K in ``ks`` (K = 1 is the actual return G)."""
-    batch, probs = enumerate_batch(spec, policy)
+    batch, (probs,) = enumerate_batch(spec, policy)
     q, m = ret.batch_q_terms(batch, teacher)
     return batch, probs, [ret.kstep_from_batch_terms(q, m, batch.lengths, k) for k in ks]
 
@@ -250,7 +243,7 @@ def check_gradient(
     parts = []
     for lo in range(0, len(params), block):
         stack = ModelStack(*arch, params[lo : lo + block])
-        batch, probs = _enumerate(spec, stack, len(stack.params))
+        batch, probs = enumerate_batch(spec, stack)
         parts.append(probs)
     probs = np.concatenate(parts)
     q, m = ret.batch_q_terms(batch, teacher)

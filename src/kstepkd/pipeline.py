@@ -173,21 +173,22 @@ def variant_list(cfg: ExperimentConfig) -> list[tuple[str, str, int]]:
 
 
 # an RL run's (best student, log, best validation return), or its error
-Outcome = tuple[LogitModel, trainer.TrainLog, float] | Exception
+Outcome = tuple[LogitModel, list[trainer.TrainRecord], float] | Exception
 # each seed's frozen teacher and pre-distilled student
 Fitted = dict[int, tuple[FrozenModelTeacher, LogitModel]]
 
 
 def train_seeds(
-    cfg: ExperimentConfig, splits: DataSplits, fitted: Fitted
+    cfg: ExperimentConfig, splits: DataSplits, fitted: Fitted,
+    specs: Sequence[tuple[str, str, int]],
 ) -> dict[int, tuple[list[Outcome], list[float]]]:
-    """The RL runs of every variant of every seed of ``fitted`` (seed ->
-    (teacher, pre-distilled student)), trained as one population: each
-    seed's runs start from its student and are scored by its teacher.  Then
-    one greedy evaluation on the test split of every seed's best students
-    up to its first failed variant.  Returns, per seed, its variants'
-    outcomes and those test returns."""
-    specs = variant_list(cfg)
+    """The RL runs of every variant of ``specs`` ((name, estimator, k)
+    triples) of every seed of ``fitted`` (seed -> (teacher, pre-distilled
+    student)), trained as one population: each seed's runs start from its
+    student and are scored by its teacher.  Then one greedy evaluation on
+    the test split of every seed's best students up to its first failed
+    variant.  Returns, per seed, its variants' outcomes and those test
+    returns."""
     seeds = list(fitted)
     outcomes = trainer.train_population(
         [student for _, student in fitted.values()], [teacher for teacher, _ in fitted.values()],
@@ -227,7 +228,7 @@ def _write_seed(
         if i < done:
             best, log, best_val = outcomes[i]
             files["student_rl.json"] = models.model_text(best)
-            files["trainlog.csv"] = table_text(trainer.TRAINLOG_HEADER, log.records)
+            files["trainlog.csv"] = table_text(trainer.TRAINLOG_HEADER, log)
             files["eval.json"] = json.dumps({"variant": name, "k": k, "seed": seed,
                                              "test_return": test_returns[i],
                                              "best_val_return": best_val}) + "\n"
@@ -276,7 +277,8 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
             break
         fitted[seed] = (seed_teacher, student)
     rows = []
-    for seed, results in (train_seeds(cfg, splits, fitted) if fitted else {}).items():
+    trained = train_seeds(cfg, splits, fitted, variant_list(cfg)) if fitted else {}
+    for seed, results in trained.items():
         rows += _write_seed(out_dir, cfg, seed, *fitted[seed], *results)
     if fit_error is not None:
         raise fit_error
@@ -336,14 +338,20 @@ def bias_variance_rows_for_student(
     kl_rows = TrajectoryBatch(
         batch.vocab, batch.tokens[:n_kl], batch.prefix_width, batch.lengths[:n_kl]
     )
-    kl = mean_kl_to_teacher(student, teacher, kl_rows)
 
     def returns_at_0(k: int) -> np.ndarray:
-        # the clipped K-step return at t=0, one row of samples per input
+        # the clipped K-step return at t=0, one row of samples per input;
+        # clipping would hide an overflowed return, so it is checked first
         g0 = ret.kstep_from_batch_terms(q, m, batch.lengths, k)[:, 0]
+        if not np.isfinite(g0).all():
+            name = "G" if k == 1 else f"Ghat (K={k})"
+            raise FloatingPointError(f"non-finite unclipped {name} at t=0")
         return ret.clip_returns(g0, rc).reshape(len(inputs), samples_per_input)
 
     g = returns_at_0(1)
+    kl = mean_kl_to_teacher(student, teacher, kl_rows)
+    if not np.isfinite(kl):
+        raise FloatingPointError(f"non-finite mean KL to the teacher ({kl})")
     rows = []
     for k in (cfg.k_list if k_list is None else k_list):
         g_hat = returns_at_0(k)

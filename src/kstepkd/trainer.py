@@ -90,11 +90,6 @@ def _check_finite(iteration: int, values: np.ndarray) -> None:
         raise NonFiniteGradientError(f"non-finite {name} at iteration {iteration}")
 
 
-@dataclass
-class TrainLog:
-    records: list[TrainRecord] = field(default_factory=list)
-
-
 # -- pre-distillation --------------------------------------------------------
 
 
@@ -170,15 +165,15 @@ def estimator_signals(
 
 def _lockstep_step(
     stack: ModelStack,
-    teacher: FrozenModelTeacher | TeacherStack,
+    teachers: TeacherStack,
     batches: Sequence[Sequence[State]],
     cfgs: Sequence[TrainConfig],
     rngs: Sequence[np.random.Generator],
-    member: np.ndarray | None = None,
+    member: np.ndarray,
 ) -> tuple[ModelStack, np.ndarray]:
     """One sampled-batch policy update of every run of the stack, run r on
     batches[r] under cfgs[r] with generator rngs[r], scored by teacher
-    member[r] of a ``TeacherStack`` (or by the one teacher).
+    member[r] of the stack of teachers.
 
     One population decode samples one trajectory per input, then one
     teacher scoring and one recursion for G and each row's K-step Ghat, the
@@ -202,7 +197,7 @@ def _lockstep_step(
     scores = stack.layout(np.repeat(run, trajs.lengths)).scores(
         trajs.step_contexts(stack.window)[mask], trajs.actions[mask]
     )
-    q, m = ret.batch_q_terms(trajs, teacher, None if member is None else np.repeat(member, b))
+    q, m = ret.batch_q_terms(trajs, teachers, np.repeat(member, b))
     # G (K = 1) and Ghat (each row's K) as one recursion over the rows twice
     k = np.repeat([c.return_config.k for c in cfgs], b)
     both = ret.kstep_from_batch_terms(
@@ -252,22 +247,6 @@ def _lockstep_step(
     return new_stack, np.column_stack([mean_g, mean_g_hat, grad_norm, mean_entropy])
 
 
-def reinforce_step(
-    student: LogitModel,
-    teacher: FrozenModelTeacher,
-    batch: Sequence[State],
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-) -> tuple[LogitModel, TrainRecord]:
-    """One sampled-batch policy update: the one-run ``_lockstep_step``.
-
-    Returns (student, record), with the record's iteration and greedy
-    return 0.
-    """
-    stack, stats = _lockstep_step(ModelStack.of([student]), teacher, [batch], [cfg], [rng])
-    return (stack.model(0) if cfg.lr > 0 else student), TrainRecord(0, *stats[0].tolist(), 0.0)
-
-
 def _left_to_right_mean(values: list[float]) -> float:
     # in input order: the mean must not depend on numpy's pairwise
     # summation, which groups terms by the batch size
@@ -278,28 +257,19 @@ def _left_to_right_mean(values: list[float]) -> float:
 
 
 def evaluate_population(
-    stack: ModelStack, teacher: FrozenModelTeacher | TeacherStack, inputs: Sequence[State],
-    horizon: int, member: np.ndarray | None = None,
+    stack: ModelStack, teachers: TeacherStack, inputs: Sequence[State], horizon: int,
+    member: np.ndarray,
 ) -> list[float]:
     """Mean actual return of greedy rollouts over a fixed input set, for
     every model of the stack, from one greedy decode over R x len(inputs)
-    rows; model r is scored by teacher member[r] of a ``TeacherStack`` (or
-    by the one teacher)."""
+    rows; model r is scored by teacher member[r] of the stack of teachers."""
     n = len(inputs)
     run = np.repeat(np.arange(len(stack.params)), n)
     batch = decode(stack.layout(run).batch_logits, stack.window, list(inputs) * len(stack.params),
                    horizon, run=run)
-    q, m = ret.batch_q_terms(batch, teacher, None if member is None else np.repeat(member, n))
+    q, m = ret.batch_q_terms(batch, teachers, np.repeat(member, n))
     g0 = ret.kstep_from_batch_terms(q, m, batch.lengths, 1)[:, 0].tolist()
     return [_left_to_right_mean(g0[lo : lo + n]) for lo in range(0, len(g0), n)]
-
-
-def evaluate_greedy(
-    student: LogitModel, teacher: FrozenModelTeacher, inputs: Sequence[State], horizon: int
-) -> float:
-    """Mean actual return of greedy rollouts over a fixed input set: the
-    one-model ``evaluate_population``."""
-    return evaluate_population(ModelStack.of([student]), teacher, inputs, horizon)[0]
 
 
 # -- training loop --------------------------------------------------------------
@@ -325,7 +295,7 @@ class _Run:
     best: LogitModel
     best_eval: float
     eval_return: float
-    log: TrainLog = field(default_factory=TrainLog)
+    log: list[TrainRecord] = field(default_factory=list)
     order: list[int] = field(default_factory=list)
     error: Exception | None = None
 
@@ -370,32 +340,33 @@ def _lockstep_iteration(
         run.eval_return = row[4]
         if due and run.eval_return > run.best_eval:
             run.best, run.best_eval = new_stack.model(r), run.eval_return
-        run.log.records.append(TrainRecord(iteration, *row))
+        run.log.append(TrainRecord(iteration, *row))
     return new_stack
 
 
 def train_population(
-    students: LogitModel | Sequence[LogitModel],
-    teachers: FrozenModelTeacher | Sequence[FrozenModelTeacher],
+    students: Sequence[LogitModel],
+    teachers: Sequence[FrozenModelTeacher],
     inputs: Sequence[State],
     cfgs: Sequence[TrainConfig],
     val_inputs: Sequence[State] | None = None,
-) -> list[tuple[LogitModel, TrainLog, float] | Exception]:
+) -> list[tuple[LogitModel, list[TrainRecord], float] | Exception]:
     """cfg.iterations REINFORCE updates over shuffled input batches for
     every config at once: R runs in one loop over a ``ModelStack``.
 
     The configs may differ in (estimator, k) and in seed: the runs of the
     j-th distinct seed, in config order, start from students[j] and are
-    scored by teachers[j] (or by the one student and teacher given).  Each
-    run keeps its own generator and input order, so it samples, updates,
-    evaluates and keeps its best student by greedy validation return
-    bitwise as it would alone.  An iteration whose policy entropy is
-    exactly 0.0 fails the run with FloatingPointError: every sampled
-    softmax is then one-hot, so every score and every further update is
-    exactly 0 (a diverged step).  An iteration in which any run fails is
-    replayed run by run from the same draws, so that each failing run
-    raises exactly its error alone; a failed run is dropped and the others
-    go on.  A student whose first evaluation fails fails all its runs.
+    scored by teachers[j].  Each run keeps its own generator and input
+    order, so it samples, updates, evaluates and keeps its best student by
+    greedy validation return bitwise as it would alone.  Validation runs
+    on ``val_inputs``, or on the training inputs when it is None.  An
+    iteration whose policy entropy is exactly 0.0 fails the run with
+    FloatingPointError: every sampled softmax is then one-hot, so every
+    score and every further update is exactly 0 (a diverged step).  An
+    iteration in which any run fails is replayed run by run from the same
+    draws, so that each failing run raises exactly its error alone; a
+    failed run is dropped and the others go on.  A student whose first
+    evaluation fails fails all its runs.
 
     Returns, per config, (best student, log, greedy validation return of
     the best student), or the exception that stopped the run.  The
@@ -404,8 +375,6 @@ def train_population(
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("train_population requires at least one config")
-    students = [students] if isinstance(students, LogitModel) else list(students)
-    teachers = [teachers] if isinstance(teachers, FrozenModelTeacher) else list(teachers)
     seeds = list(dict.fromkeys(c.seed for c in cfgs))
     if (len({replace(c, estimator="kstep", k=1, seed=0) for c in cfgs}) > 1
             or not len(seeds) == len(students) == len(teachers)):
@@ -414,13 +383,17 @@ def train_population(
     cfg = cfgs[0]
     if not inputs:
         raise ValueError("train_population requires a non-empty input set")
+    val = list(inputs if val_inputs is None else val_inputs)
+    if not val:
+        raise ValueError("train_population requires a non-empty validation set")
 
-    val = list(val_inputs) if val_inputs else list(inputs)
+    table = TeacherStack.of(teachers)
     # each student's runs share its one first evaluation, or its error
     evals = []
-    for student, teacher in zip(students, teachers):
+    for j, student in enumerate(students):
         try:
-            evals.append(evaluate_greedy(student, teacher, val, cfg.horizon))
+            evals.append(evaluate_population(
+                ModelStack.of([student]), table, val, cfg.horizon, np.array([j]))[0])
         except Exception as exc:  # this student's runs fail; the others go on
             evals.append(exc)
     runs = []
@@ -429,7 +402,6 @@ def train_population(
         runs.append(_Run(c, j, np.random.default_rng(c.seed), students[j], evals[j], evals[j]))
         if isinstance(evals[j], Exception):
             runs[-1].error = evals[j]
-    table = TeacherStack.of(teachers)
     live = [run for run in runs if run.error is None]
     stack = ModelStack.of([run.best for run in live]) if live else None
     for iteration in range(cfg.iterations if live else 0):
@@ -454,18 +426,3 @@ def train_population(
             stack = ModelStack.of(updated)
     return [(run.best, run.log, run.best_eval) if run.error is None else run.error
             for run in runs]
-
-
-def train(
-    student: LogitModel,
-    teacher: FrozenModelTeacher,
-    inputs: Sequence[State],
-    cfg: TrainConfig,
-    val_inputs: Sequence[State] | None = None,
-) -> tuple[LogitModel, TrainLog]:
-    """The one-config ``train_population``: (best student, log).  Raises
-    the exception that stopped the run."""
-    outcome = train_population(student, teacher, inputs, [cfg], val_inputs)[0]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome[:2]

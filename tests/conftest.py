@@ -1,5 +1,6 @@
 """Session-scoped desk-scale fixtures shared by the trainer and acceptance
-tests, and the hand-table teacher helper.
+tests, the hand-table teacher helper, and the one-run policy update and
+greedy evaluation.
 
 Building ten (teacher, pre-distilled student) pairs and running the full
 estimator sweep is minutes of work, so both are computed once per session.
@@ -8,10 +9,10 @@ estimator sweep is minutes of work, so both are computed once per session.
 import numpy as np
 import pytest
 
-from kstepkd import pipeline
+from kstepkd import pipeline, trainer
 from kstepkd.config import from_dict
-from kstepkd.models import LogitModel
-from kstepkd.teacher import FrozenModelTeacher
+from kstepkd.models import LogitModel, ModelStack
+from kstepkd.teacher import FrozenModelTeacher, TeacherStack
 
 # C11's two-seed pipeline: every stage of ``sweep-k`` in about a second
 TINY_CONFIG = {
@@ -55,6 +56,25 @@ def table_teacher(rows, vocab_size, window=1):
     return FrozenModelTeacher(LogitModel("linear", v, window, 0, params))
 
 
+def update_one(student, teacher, batch, cfg, rng):
+    """One sampled-batch policy update of one run: ``trainer._lockstep_step``
+    on a population of one.  Returns (student, record), with the record's
+    iteration and greedy return 0."""
+    stack, stats = trainer._lockstep_step(
+        ModelStack.of([student]), TeacherStack.of([teacher]), [batch], [cfg], [rng],
+        np.zeros(1, int),
+    )
+    return stack.model(0), trainer.TrainRecord(0, *stats[0].tolist(), 0.0)
+
+
+def greedy_return(student, teacher, inputs, horizon):
+    """Mean actual return of one student's greedy rollouts over the inputs:
+    ``trainer.evaluate_population`` on a population of one."""
+    return trainer.evaluate_population(
+        ModelStack.of([student]), TeacherStack.of([teacher]), inputs, horizon, np.zeros(1, int)
+    )[0]
+
+
 @pytest.fixture(scope="session")
 def desk_cfg():
     return from_dict({})
@@ -87,7 +107,7 @@ def k_sweep_results(desk_cfg, desk_splits, desk_models):
 
     start = time.time()
     variants = pipeline.variant_list(desk_cfg)
-    trained = pipeline.train_seeds(desk_cfg, desk_splits, desk_models)
+    trained = pipeline.train_seeds(desk_cfg, desk_splits, desk_models, variants)
     rows = {
         (name, seed): test_return
         for seed, (_, test_returns) in trained.items()

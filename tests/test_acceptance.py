@@ -20,7 +20,7 @@ from kstepkd.returns import ReturnConfig
 from kstepkd.seqmdp import Vocabulary, initial_state, rollout, step
 from kstepkd.teacher import FrozenModelTeacher
 
-from conftest import TINY_CONFIG
+from conftest import TINY_CONFIG, update_one
 
 K_GRID = (1, 2, 4, 8, 16)
 VOCAB5 = Vocabulary(size=5, eos_id=4, bos_id=0)
@@ -175,7 +175,7 @@ def test_c06_unbiasedness():
     sums = np.zeros((n_calls, policy.num_params))
     rng3 = np.random.default_rng(608)
     for i in range(n_calls):
-        out, _ = trainer.reinforce_step(policy, teacher, [spec.initial] * 5, cfg, rng3)
+        out, _ = update_one(policy, teacher, [spec.initial] * 5, cfg, rng3)
         sums[i] = out.params - policy.params
     mean = sums.mean(axis=0)
     se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from kstepkd import pipeline
-from kstepkd.cli import EXIT_CONFIG, EXIT_OK, main
+from kstepkd.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from kstepkd.config import MINIMUM, ConfigError, DEFAULTS, from_dict, load_config
+
+from conftest import TINY_CONFIG
 
 # a number no float can hold, for each float setting: each used to raise
 # OverflowError where the setting was first cast
@@ -256,6 +258,26 @@ class TestCliBasics:
             assert main(["--config", cfg, "--out", str(tmp_path / out), "train", *flags]) == EXIT_OK
         for name in ("student_rl.json", "trainlog.csv"):
             assert (tmp_path / "llmr" / name).read_bytes() == (tmp_path / "k1" / name).read_bytes()
+
+    def test_train_is_the_sweep_run_of_its_variant(self, tmp_path, capsys):
+        """``train`` trains and test-evaluates one (variant, seed) through
+        the sweep's own code: its checkpoint and trainlog are the bytes of
+        ``sweep-k``'s run directory, and it prints that run's test return."""
+        data = {**TINY_CONFIG, "include_baselines": True, "out_dir": str(tmp_path / "sweep")}
+        cfg = self.write_config(tmp_path, data)
+        assert main(["--config", cfg, "sweep-k"]) == EXIT_OK
+        capsys.readouterr()
+        for variant, flags in (("llmr", ["--estimator", "llmr"]),
+                               ("kstep_k2", ["--estimator", "kstep", "--k", "2"]),
+                               ("mean_baseline", ["--estimator", "mean_baseline"]),
+                               ("minvar_baseline", ["--estimator", "minvar_baseline"])):
+            out = tmp_path / variant
+            assert main(["--config", cfg, "--out", str(out), "train", *flags]) == EXIT_OK
+            run_dir = tmp_path / "sweep" / "runs" / variant / "seed0"
+            for name in ("student_rl.json", "trainlog.csv"):
+                assert (out / name).read_bytes() == (run_dir / name).read_bytes(), (variant, name)
+            test_return = json.loads((run_dir / "eval.json").read_text())["test_return"]
+            assert f"final greedy test return: {test_return:.6f}\n" in capsys.readouterr().out
 
     def test_flags_are_settings_in_sweep_bias_variance(self, tmp_path):
         """``--seed N`` and ``--samples-per-input M`` write the bytes of a
@@ -516,6 +538,24 @@ class TestCliErrors:
                 "trainlog.csv",
             ]
 
+    def test_overflowing_bias_variance_returns_exit_3(self, tmp_path, capsys):
+        """A teacher whose Q table is finite but whose q - m overflows: 30
+        to 41% of the unclipped G at t=0 are -inf in each KL bucket, and the
+        KL to the teacher is inf.  Clipping would hide both and write an
+        ``inf`` bucket; the stage fails instead, as sweep-k does on the same
+        config."""
+        data = {**TINY_CONFIG, "teacher": {"kind": "linear", "hidden": 0},
+                "teacher_fit": {"epochs": 0, "init_scale": 3e307},
+                "out_dir": str(tmp_path / "runs")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with np.errstate(all="ignore"):
+            code = main(["--config", str(path), "sweep-bias-variance"])
+        assert code == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "stage 'bias-variance' failed (seed 0): non-finite unclipped G at t=0" in err
+        assert not (tmp_path / "runs" / "bias_variance.csv").exists()
+
     @pytest.mark.parametrize("command", ["sweep-k", "fit-teacher", "sweep-bias-variance"])
     def test_divergent_teacher_fit_exit_3(self, tmp_path, capsys, command):
         """At lr 1e300 the loss climbs to ~1e301 while every parameter stays
@@ -648,6 +688,13 @@ class TestPipeline:
         )
         pipeline.run_pipeline(from_dict(tiny_config(tmp_path)))
         assert len(builds) == 1
+
+    def test_non_finite_kl_fails_the_bias_variance_rows(self, tmp_path, monkeypatch):
+        """A non-finite KL to the teacher is raised, not written as a bucket."""
+        cfg = from_dict(tiny_config(tmp_path))
+        monkeypatch.setattr(pipeline, "mean_kl_to_teacher", lambda *args: float("inf"))
+        with pytest.raises(pipeline.StageError, match=r"non-finite mean KL to the teacher \(inf\)"):
+            pipeline.sweep_bias_variance(cfg)
 
     def test_bias_variance_mdp_rows(self, tmp_path):
         cfg = from_dict(tiny_config(tmp_path))

@@ -17,9 +17,9 @@ from kstepkd.seqmdp import (
     State, TerminalStateError, Vocabulary, decode, initial_state, rollout, step,
 )
 from kstepkd.teacher import FrozenModelTeacher, TeacherStack
-from kstepkd.trainer import evaluate_greedy, teacher_greedy_targets
+from kstepkd.trainer import teacher_greedy_targets
 
-from conftest import table_teacher
+from conftest import greedy_return, table_teacher
 
 TOL = 1e-12
 
@@ -306,7 +306,7 @@ def test_trainer_greedy_paths_match_per_state(inst):
     total = 0.0
     for s0 in inputs:
         total += float(ret.actual_return(rollout(student, s0, horizon, mode="greedy"), teacher)[0])
-    assert abs(evaluate_greedy(student, teacher, inputs, horizon) - total / len(inputs)) <= TOL
+    assert abs(greedy_return(student, teacher, inputs, horizon) - total / len(inputs)) <= TOL
 
 
 @settings(max_examples=80, deadline=None)

@@ -123,7 +123,7 @@ class TestEnumerateBatch:
     @given(enumeration_instances())
     def test_matches_per_state_enumeration(self, inst):
         spec, policy = inst
-        batch, probs = oracle.enumerate_batch(spec, policy)
+        batch, (probs,) = oracle.enumerate_batch(spec, policy)
         reference = {t.actions: (t, p) for t, p in oracle.enumerate_trajectories(spec, policy)}
         paths = [tuple(row[:n]) for row, n in zip(batch.actions.tolist(), batch.lengths.tolist())]
         assert len(paths) == len(set(paths)) and set(paths) == set(reference)
@@ -327,7 +327,9 @@ class TestCheckGradient:
         # V = 5 at window 10: 5^11 (context, action) codes, above 2^24
         vocab = Vocabulary(size=5, eos_id=4, bos_id=0)
         policy = uniform_policy(vocab.size, window=10)
-        batch, probs = oracle.enumerate_batch(EnumerationSpec(vocab, 2, initial_state(vocab)), policy)
+        batch, (probs,) = oracle.enumerate_batch(
+            EnumerationSpec(vocab, 2, initial_state(vocab)), policy
+        )
 
         def no_count(*args, **kwargs):
             raise AssertionError("bincount ran past the code-space bound")
@@ -381,7 +383,7 @@ class TestCheckGradient:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(oracle, "_enumerate", counted("enumerate", oracle._enumerate))
+        monkeypatch.setattr(oracle, "enumerate_batch", counted("enumerate", oracle.enumerate_batch))
         monkeypatch.setattr(ret, "batch_q_terms", counted("score", ret.batch_q_terms))
         rng = np.random.default_rng(16)
         policy = init_model(ModelArch("mlp1", window=2, hidden=4), VOCAB3.size, rng, scale=0.6)

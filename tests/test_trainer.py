@@ -12,19 +12,16 @@ from kstepkd import returns as ret
 from kstepkd.config import from_dict
 from kstepkd.models import LogitModel, ModelArch, ModelStack, init_model, param_count
 from kstepkd.seqmdp import Vocabulary, decode, initial_state, rollout
-from kstepkd.teacher import FrozenModelTeacher
+from kstepkd.teacher import FrozenModelTeacher, TeacherStack
 from kstepkd.trainer import (
     NonFiniteGradientError,
     TrainConfig,
     estimator_signals,
-    evaluate_greedy,
     predistill,
-    reinforce_step,
-    train,
     train_population,
 )
 
-from conftest import table_teacher
+from conftest import greedy_return, table_teacher, update_one
 
 VOCAB = Vocabulary(size=5, eos_id=4, bos_id=0)
 
@@ -40,11 +37,20 @@ def make_student(seed=1):
 
 
 def first_sampled_actions(student, batch, horizon=8, seed=0):
-    """The actions of the first trajectory ``reinforce_step`` samples from
+    """The actions of the first trajectory ``update_one`` samples from
     ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
     trajs = decode(student.batch_logits, student.window, batch, horizon, rng=rng)
     return tuple(trajs.actions[0, : trajs.lengths[0]].tolist())
+
+
+def train_one(student, teacher, inputs, cfg, val_inputs=None):
+    """One run of ``train_population``: (best student, log), or its error
+    raised."""
+    outcome = train_population([student], [teacher], inputs, [cfg], val_inputs)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[:2]
 
 
 def rl_cfg(**kw):
@@ -110,7 +116,7 @@ class TestReinforceStep:
         outs = {}
         for estimator, k in (("kstep", 4), ("kstep", 8), ("kstep", 1)):
             cfg = rl_cfg(estimator=estimator, k=k, lr=0.1)
-            student, _ = reinforce_step(
+            student, _ = update_one(
                 sharp, teacher, batch, cfg, np.random.default_rng(11)
             )
             outs[(estimator, k)] = student.params
@@ -120,7 +126,7 @@ class TestReinforceStep:
     def test_lr_zero_keeps_params_and_logs(self):
         teacher = make_teacher()
         student = make_student()
-        out, record = reinforce_step(
+        out, record = update_one(
             student, teacher, [initial_state(VOCAB)] * 3, rl_cfg(lr=0.0),
             np.random.default_rng(2),
         )
@@ -139,7 +145,7 @@ class TestReinforceStep:
             ("kstep", 4), ("kstep", 1), ("mean_baseline", 1), ("minvar_baseline", 1),
         ):
             cfg = rl_cfg(estimator=estimator, k=k)
-            reinforce_step(student, teacher, batch, cfg, np.random.default_rng(33))
+            update_one(student, teacher, batch, cfg, np.random.default_rng(33))
         assert len(seen) == 4
         assert all(s == seen[0] for s in seen[1:])
 
@@ -160,7 +166,7 @@ class TestReinforceStep:
         n_calls = 10_000  # 1e5 sampled one-step trajectories in total
         sums = np.zeros((n_calls, student.num_params))
         for i in range(n_calls):
-            out, _ = reinforce_step(student, teacher, [s0] * 10, cfg, rng)
+            out, _ = update_one(student, teacher, [s0] * 10, cfg, rng)
             sums[i] = out.params - student.params  # lr = 1.0: direction itself
         mean = sums.mean(axis=0)
         se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)
@@ -182,7 +188,7 @@ class TestReinforceStep:
             # the teacher's Q table overflows as it is built
             teacher = FrozenModelTeacher(LogitModel("linear", VOCAB.size, 2, 0, huge))
             with pytest.raises(NonFiniteGradientError) as info:
-                reinforce_step(
+                update_one(
                     student, teacher, batch, rl_cfg(estimator=estimator, k=k),
                     np.random.default_rng(0),
                 )
@@ -201,7 +207,7 @@ class TestReinforceStep:
         batch = [initial_state(VOCAB)] * 4
         first = first_sampled_actions(student, batch)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteGradientError) as info:
-            reinforce_step(
+            update_one(
                 student, make_teacher(scale=50.0), batch, rl_cfg(), np.random.default_rng(0)
             )
         assert str(info.value) == f"non-finite gradient from trajectory 0 (actions {first})"
@@ -263,31 +269,31 @@ class TestTrainLoop:
     def test_zero_iterations_returns_input(self):
         teacher = make_teacher()
         student = make_student()
-        out, log = train(student, teacher, [initial_state(VOCAB)], rl_cfg(iterations=0))
+        out, log = train_one(student, teacher, [initial_state(VOCAB)], rl_cfg(iterations=0))
         assert out is student
-        assert log.records == []
+        assert log == []
 
     def test_deterministic_given_seed(self, tmp_path):
         teacher = make_teacher(seed=21)
         student = make_student(seed=22)
         inputs = [initial_state(VOCAB)] * 6
         cfg = rl_cfg(iterations=12, seed=77, eval_every=5)
-        out1, log1 = train(student, teacher, inputs, cfg)
-        out2, log2 = train(student, teacher, inputs, cfg)
-        assert log1.records == log2.records
+        out1, log1 = train_one(student, teacher, inputs, cfg)
+        out2, log2 = train_one(student, teacher, inputs, cfg)
+        assert log1 == log2
         np.testing.assert_array_equal(out1.params, out2.params)
         for log, name in ((log1, "a.csv"), (log2, "b.csv")):
-            pipeline.write_table(tmp_path / name, trainer.TRAINLOG_HEADER, log.records)
+            pipeline.write_table(tmp_path / name, trainer.TRAINLOG_HEADER, log)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_log_always_finite(self):
         teacher = make_teacher(seed=31)
         student = make_student(seed=32)
-        _, log = train(
+        _, log = train_one(
             student, teacher, [initial_state(VOCAB)] * 4, rl_cfg(iterations=20, eval_every=7)
         )
-        assert len(log.records) == 20
-        for r in log.records:
+        assert len(log) == 20
+        for r in log:
             for v in (r.mean_return_actual, r.mean_return_khat, r.grad_norm,
                       r.policy_entropy, r.eval_greedy_return):
                 assert np.isfinite(v)
@@ -350,22 +356,26 @@ class TestTrainPopulation:
         assert len(variants) == 7
         cfgs = [cfg.rl_config(estimator, k, 0) for _, estimator, k in variants]
         seen = sampled_batches(monkeypatch)
-        solo = [train(student, teacher, splits.train_states, c, splits.val_states) for c in cfgs]
+        solo = [train_one(student, teacher, splits.train_states, c, splits.val_states)
+                for c in cfgs]
         solo_draws, seen[:] = list(seen), []
-        population = train_population(student, teacher, splits.train_states, cfgs, splits.val_states)
+        population = train_population(
+            [student], [teacher], splits.train_states, cfgs, splits.val_states
+        )
         b, iters = cfgs[0].batch_size, cfgs[0].iterations
         assert len(solo_draws) == len(cfgs) * iters and len(seen) == iters
         for r, ((best, log), (p_best, p_log, p_val)) in enumerate(zip(solo, population)):
             for it in range(iters):
                 assert seen[it][r * b : (r + 1) * b] == solo_draws[r * iters + it], (r, it)
             assert np.array_equal(p_best.params, best.params)
-            assert p_log.records == log.records
-            assert p_val == evaluate_greedy(best, teacher, splits.val_states, cfg.horizon)
+            assert p_log == log
+            assert p_val == greedy_return(best, teacher, splits.val_states, cfg.horizon)
         tests = trainer.evaluate_population(
-            ModelStack.of([out[0] for out in population]), teacher, splits.test_states, cfg.horizon
+            ModelStack.of([out[0] for out in population]), TeacherStack.of([teacher]),
+            splits.test_states, cfg.horizon, np.zeros(len(population), int),
         )
         assert tests == [
-            evaluate_greedy(best, teacher, splits.test_states, cfg.horizon) for best, _ in solo
+            greedy_return(best, teacher, splits.test_states, cfg.horizon) for best, _ in solo
         ]
 
     @pytest.mark.parametrize("factor,message", [
@@ -383,18 +393,18 @@ class TestTrainPopulation:
         spoil_signals(monkeypatch, "mean_baseline", factor)
         with np.errstate(all="ignore"):
             population = train_population(
-                student, teacher, splits.train_states, cfgs, splits.val_states
+                [student], [teacher], splits.train_states, cfgs, splits.val_states
             )
         for c, out in zip(cfgs, population):
             if c.estimator == "mean_baseline":
                 with np.errstate(all="ignore"), pytest.raises(Exception) as solo_error:
-                    train(student, teacher, splits.train_states, c, splits.val_states)
+                    train_one(student, teacher, splits.train_states, c, splits.val_states)
                 assert type(out) is solo_error.type and str(out) == str(solo_error.value)
                 assert message in str(out)
                 continue
-            best, log = train(student, teacher, splits.train_states, c, splits.val_states)
+            best, log = train_one(student, teacher, splits.train_states, c, splits.val_states)
             assert np.array_equal(out[0].params, best.params)
-            assert out[1].records == log.records
+            assert out[1] == log
 
     def test_two_seeds_stacked_match_each_seed_alone(self):
         """Two seeds' runs, each from its own student and scored by its own
@@ -408,15 +418,18 @@ class TestTrainPopulation:
         )
         assert not np.array_equal(teacher0.q, teacher1.q)
         fitted = {0: (teacher0, student0), 1: (teacher1, student1)}
-        both = pipeline.train_seeds(cfg, splits, fitted)
+        variants = pipeline.variant_list(cfg)
+        both = pipeline.train_seeds(cfg, splits, fitted, variants)
         assert list(both) == [0, 1]
         for seed, pair in fitted.items():
-            (alone, alone_tests), = pipeline.train_seeds(cfg, splits, {seed: pair}).values()
+            (alone, alone_tests), = pipeline.train_seeds(
+                cfg, splits, {seed: pair}, variants
+            ).values()
             outcomes, tests = both[seed]
             assert len(tests) == 7 and tests == alone_tests
             for (best, log, val), (a_best, a_log, a_val) in zip(outcomes, alone, strict=True):
                 assert np.array_equal(best.params, a_best.params)
-                assert log.records == a_log.records and val == a_val
+                assert log == a_log and val == a_val
 
     def test_failed_first_evaluation_fails_only_its_seed(self):
         """A student whose logits overflow fails its first evaluation: each
@@ -430,9 +443,9 @@ class TestTrainPopulation:
             out = train_population([student, broken], [teacher, teacher], splits.train_states,
                                    cfgs, splits.val_states)
             with pytest.raises(ValueError, match="non-finite log-probability") as solo:
-                train(broken, teacher, splits.train_states, cfgs[1], splits.val_states)
-        best, log = train(student, teacher, splits.train_states, cfgs[0], splits.val_states)
-        assert np.array_equal(out[0][0].params, best.params) and out[0][1].records == log.records
+                train_one(broken, teacher, splits.train_states, cfgs[1], splits.val_states)
+        best, log = train_one(student, teacher, splits.train_states, cfgs[0], splits.val_states)
+        assert np.array_equal(out[0][0].params, best.params) and out[0][1] == log
         for failed in out[1:]:
             assert type(failed) is ValueError and str(failed) == str(solo.value)
 
@@ -440,18 +453,32 @@ class TestTrainPopulation:
         cfg, splits, teacher, student = tiny_population("linear")
         cfgs = [replace(cfg.rl_config(e, k, 0), iterations=0)
                 for _, e, k in pipeline.variant_list(cfg)[:2]]
-        val = evaluate_greedy(student, teacher, splits.val_states, cfg.horizon)
+        val = greedy_return(student, teacher, splits.val_states, cfg.horizon)
         for best, log, best_val in train_population(
-            student, teacher, splits.train_states, cfgs, splits.val_states
+            [student], [teacher], splits.train_states, cfgs, splits.val_states
         ):
-            assert best is student and log.records == [] and best_val == val
+            assert best is student and log == [] and best_val == val
+
+    def test_empty_validation_set_raises_before_any_evaluation(self, monkeypatch):
+        """No validation input is an error; only None means the training
+        inputs."""
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("an evaluation ran")
+
+        monkeypatch.setattr(trainer, "evaluate_population", evaluated)
+        with pytest.raises(ValueError, match="non-empty validation set"):
+            train_population([make_student()], [make_teacher()], [initial_state(VOCAB)],
+                             [rl_cfg()], val_inputs=[])
 
     @pytest.mark.parametrize("field,value", [("lr", 0.1), ("seed", 1), ("batch_size", 2),
                                              ("iterations", 3), ("clip_range", (-1.0, 1.0))])
     def test_configs_may_differ_only_in_estimator_and_k(self, field, value):
         cfgs = [rl_cfg(estimator="kstep", k=2), replace(rl_cfg(estimator="kstep"), **{field: value})]
         with pytest.raises(ValueError, match="only in estimator and k"):
-            train_population(make_student(), make_teacher(), [initial_state(VOCAB)], cfgs)
+            train_population(
+                [make_student()], [make_teacher()], [initial_state(VOCAB)], cfgs
+            )
 
 
 @pytest.mark.slow
@@ -489,7 +516,7 @@ class TestMeanBaselineUnbiasedness:
         n_calls = 6000
         sums = np.zeros((n_calls, policy.num_params))
         for i in range(n_calls):
-            out, _ = reinforce_step(policy, teacher, [spec.initial] * 5, cfg, rng)
+            out, _ = update_one(policy, teacher, [spec.initial] * 5, cfg, rng)
             sums[i] = out.params - policy.params
         mean = sums.mean(axis=0)
         se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)
