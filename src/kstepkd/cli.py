@@ -104,12 +104,9 @@ def _cmd_fit_teacher(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _cmd_predistill(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     splits = pipeline.build_corpus(cfg)
-    seed = cfg.seeds[0]
-    fitted = pipeline.fit_seed_teacher(cfg, splits, seed)
-    student0 = pipeline.init_seed_student(cfg, seed)
-    student = pipeline.predistill_student(cfg, student0, fitted, splits, seed)
+    teacher, student = pipeline.fit_seed(cfg, splits, cfg.seeds[0])
     out = _out_dir(cfg)
-    teacher_mod.save_teacher(fitted, out / "teacher.json")
+    teacher_mod.save_teacher(teacher, out / "teacher.json")
     models.save_model(student, out / "student_predistill.json")
     print(f"wrote pre-distilled student to {out / 'student_predistill.json'}")
     return EXIT_OK
@@ -119,16 +116,13 @@ def _cmd_train(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     seed = cfg.seeds[0]
     name, estimator, k = pipeline.variant(args.estimator, args.k)
     try:
-        cfg.rl_config(estimator, k, seed)
+        trainer.check_variant(estimator, args.k)  # the flag's K, whatever the estimator
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from exc
     splits = pipeline.build_corpus(cfg)
-    fitted = pipeline.fit_seed_teacher(cfg, splits, seed)
-    student0 = pipeline.init_seed_student(cfg, seed)
-    student = pipeline.predistill_student(cfg, student0, fitted, splits, seed)
     # the sweep's own training and test evaluation, for one (variant, seed)
     (outcome,), test_returns = pipeline.train_seeds(
-        cfg, splits, {seed: (fitted, student)}, [(name, estimator, k)]
+        cfg, splits, {seed: pipeline.fit_seed(cfg, splits, seed)}, [(name, estimator, k)]
     )[seed]
     if isinstance(outcome, Exception):
         raise pipeline.StageError(f"rl:{name}", seed, outcome) from outcome

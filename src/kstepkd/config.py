@@ -194,18 +194,11 @@ class ExperimentConfig:
         spec = self.raw[which]
         return ModelArch(kind=spec["kind"], window=self.window, hidden=spec["hidden"])
 
-    def rl_config(self, estimator: str, k: int, seed: int) -> TrainConfig:
+    def rl_config(self) -> TrainConfig:
         spec = self.raw["rl"]
         return TrainConfig(
-            lr=spec["lr"],
-            batch_size=spec["batch_size"],
-            iterations=spec["iterations"],
-            horizon=self.horizon,
-            seed=seed,
-            estimator=estimator,
-            k=k,
-            clip_range=self.clip_range,
-            eval_every=spec["eval_every"],
+            lr=spec["lr"], batch_size=spec["batch_size"], iterations=spec["iterations"],
+            horizon=self.horizon, clip_range=self.clip_range, eval_every=spec["eval_every"],
         )
 
     def sweep_params(self) -> dict[str, Any]:
@@ -242,7 +235,7 @@ class ExperimentConfig:
             self.arch("teacher")
             self.arch("student")
             check_table_size(self.vocab.size, self.window)
-            self.rl_config("kstep", 1, 0)
+            self.rl_config()
         except (ValueError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -149,6 +149,16 @@ def predistill_student(
     return out
 
 
+def fit_seed(
+    cfg: ExperimentConfig, splits: DataSplits, seed: int
+) -> tuple[FrozenModelTeacher, LogitModel]:
+    """A seed's frozen teacher and pre-distilled student: ``fit-teacher``, ``predistill``."""
+    seed_teacher = fit_seed_teacher(cfg, splits, seed)
+    return seed_teacher, predistill_student(
+        cfg, init_seed_student(cfg, seed), seed_teacher, splits, seed
+    )
+
+
 # -- sweep pipeline ------------------------------------------------------------
 
 
@@ -172,47 +182,44 @@ def variant_list(cfg: ExperimentConfig) -> list[tuple[str, str, int]]:
     return variants
 
 
-# an RL run's (best student, log, best validation return), or its error
-Outcome = tuple[LogitModel, list[trainer.TrainRecord], float] | Exception
-# each seed's frozen teacher and pre-distilled student
-Fitted = dict[int, tuple[FrozenModelTeacher, LogitModel]]
-
-
 def train_seeds(
-    cfg: ExperimentConfig, splits: DataSplits, fitted: Fitted,
+    cfg: ExperimentConfig, splits: DataSplits, fitted: trainer.Fitted,
     specs: Sequence[tuple[str, str, int]],
-) -> dict[int, tuple[list[Outcome], list[float]]]:
+) -> dict[int, tuple[list[trainer.Outcome], list[float]]]:
     """The RL runs of every variant of ``specs`` ((name, estimator, k)
     triples) of every seed of ``fitted`` (seed -> (teacher, pre-distilled
     student)), trained as one population: each seed's runs start from its
     student and are scored by its teacher.  Then one greedy evaluation on
     the test split of every seed's best students up to its first failed
-    variant.  Returns, per seed, its variants' outcomes and those test
-    returns."""
-    seeds = list(fitted)
-    outcomes = trainer.train_population(
-        [student for _, student in fitted.values()], [teacher for teacher, _ in fitted.values()],
-        splits.train_states,
-        [cfg.rl_config(estimator, k, seed) for seed in seeds for _, estimator, k in specs],
+    variant; a non-finite test return fails its run.  Returns, per seed,
+    its variants' outcomes and the test returns before its first failed
+    variant."""
+    trained = trainer.train_population(
+        fitted, splits.train_states, cfg.rl_config(), [(e, k) for _, e, k in specs],
         val_inputs=splits.val_states,
     )
-    per_seed = [outcomes[i * len(specs) : (i + 1) * len(specs)] for i in range(len(seeds))]
     # each seed's variants before its first failed one, whose artifacts are written
     done = [next((i for i, out in enumerate(runs) if isinstance(out, Exception)), len(specs))
-            for runs in per_seed]
-    bests = [best for runs, n in zip(per_seed, done) for best, _, _ in runs[:n]]
+            for runs in trained.values()]
+    bests = [best for runs, n in zip(trained.values(), done) for best, _, _ in runs[:n]]
     test_returns = trainer.evaluate_population(
         models.ModelStack.of(bests), TeacherStack.of([t for t, _ in fitted.values()]),
-        splits.test_states, cfg.horizon, np.repeat(np.arange(len(seeds)), done),
+        splits.test_states, cfg.horizon, np.repeat(np.arange(len(fitted)), done),
     ) if bests else []
     edges = np.cumsum([0, *done]).tolist()
-    return {seed: (runs, test_returns[lo:hi])
-            for seed, runs, lo, hi in zip(seeds, per_seed, edges, edges[1:])}
+    out = {}
+    for (seed, runs), lo, hi in zip(trained.items(), edges, edges[1:]):
+        tests = test_returns[lo:hi]
+        bad = next((i for i, value in enumerate(tests) if not np.isfinite(value)), len(tests))
+        if bad < len(tests):
+            runs[bad] = FloatingPointError(f"non-finite test_return ({tests[bad]})")
+        out[seed] = (runs, tests[:bad])
+    return out
 
 
 def _write_seed(
     out_dir: Path, cfg: ExperimentConfig, seed: int, teacher: FrozenModelTeacher,
-    student: LogitModel, outcomes: list[Outcome], test_returns: list[float],
+    student: LogitModel, outcomes: list[trainer.Outcome], test_returns: list[float],
 ) -> list[tuple[Any, ...]]:
     """Writes a seed's run directories, each made once, and returns its
     summary rows.  A failed RL run is raised as the stage ``rl:<variant>``
@@ -265,17 +272,14 @@ def run_pipeline(cfg: ExperimentConfig, threads: int = 1) -> Path:
     splits = build_corpus(cfg)
     tasks.write_corpus(out_dir / "corpus.txt", splits.corpus)
 
-    fitted: Fitted = {}
+    fitted = {}
     fit_error = None
     for seed in cfg.seeds:
         try:
-            seed_teacher = fit_seed_teacher(cfg, splits, seed)
-            student = init_seed_student(cfg, seed)
-            student = predistill_student(cfg, student, seed_teacher, splits, seed)
+            fitted[seed] = fit_seed(cfg, splits, seed)
         except StageError as exc:
             fit_error = exc
             break
-        fitted[seed] = (seed_teacher, student)
     rows = []
     trained = train_seeds(cfg, splits, fitted, variant_list(cfg)) if fitted else {}
     for seed, results in trained.items():

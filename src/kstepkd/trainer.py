@@ -17,8 +17,8 @@ Estimators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,15 +38,12 @@ class NonFiniteGradientError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The settings of one RL run."""
+    """The RL settings that every run of a population shares."""
 
     lr: float
     batch_size: int = 8
     iterations: int = 0
     horizon: int = 20
-    seed: int = 0
-    estimator: str = "kstep"
-    k: int = 1
     clip_range: tuple[float, float] = DEFAULT_CLIP_RANGE
     eval_every: int = 50
 
@@ -57,15 +54,20 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.iterations < 0:
             raise ValueError("rl iterations must be >= 0")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        ReturnConfig(self.k, self.clip_range)  # raises on a bad k or clip range
+        ReturnConfig(clip_range=self.clip_range)  # raises on a bad clip range
 
-    @property
-    def return_config(self) -> ReturnConfig:
-        return ReturnConfig(k=self.k, clip_range=self.clip_range)
+
+def check_variant(estimator: str, k: int) -> None:
+    """Raises ValueError unless (estimator, k) is a run's variant: one of
+    ``ESTIMATORS`` at a K of at least 1."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 class TrainRecord(NamedTuple):
@@ -75,6 +77,12 @@ class TrainRecord(NamedTuple):
     grad_norm: float
     policy_entropy: float
     eval_greedy_return: float
+
+
+# an RL run's (best student, log, best validation return), or its error
+Outcome = tuple[LogitModel, list[TrainRecord], float] | Exception
+# each seed's frozen teacher and pre-distilled student
+Fitted = Mapping[int, tuple[FrozenModelTeacher, LogitModel]]
 
 
 # one column per TrainRecord field, in field order: a record is its trainlog row
@@ -131,22 +139,23 @@ def estimator_signals(
     g_hat: np.ndarray,
     lengths: np.ndarray,
     sq_norms: np.ndarray | None,
-    cfg: TrainConfig,
+    estimator: str,
+    clip_range: tuple[float, float],
 ) -> np.ndarray:
-    """The configured estimator's learning signal at every step, zero past
+    """The estimator's learning signal at every step, zero past
     each row's length, from the unclipped actual and K-step returns [B, H]
     of the same rows (``kstep_from_batch_terms``).  The kstep estimators
     clip Ghat; both baselines are subtracted from clipped G and pool the
     rows still running at each step, and ``sq_norms`` [B, H] (||d log pi||^2
     per step) weights the min-variance one.  Stacks [R, B, H] of R runs
     (with lengths [R, B]) pool each run's baselines over its own rows."""
-    rc = cfg.return_config
+    lo, hi = clip_range
     mask = np.arange(g.shape[-1]) < lengths[..., None]
-    if cfg.estimator == "kstep":
-        return np.where(mask, ret.clip_returns(g_hat, rc), 0.0)
-    g = np.where(mask, ret.clip_returns(g, rc), 0.0)
+    if estimator == "kstep":
+        return np.where(mask, np.clip(g_hat, lo, hi), 0.0)
+    g = np.where(mask, np.clip(g, lo, hi), 0.0)
     alive = mask.sum(axis=-2, keepdims=True)
-    if cfg.estimator == "mean_baseline":
+    if estimator == "mean_baseline":
         # leave-one-out mean of the other running rows; none for a lone row
         others = np.maximum(alive - 1, 1)
         baseline = np.where(alive > 1, (g.sum(axis=-2, keepdims=True) - g) / others, 0.0)
@@ -167,13 +176,14 @@ def _lockstep_step(
     stack: ModelStack,
     teachers: TeacherStack,
     batches: Sequence[Sequence[State]],
-    cfgs: Sequence[TrainConfig],
+    cfg: TrainConfig,
+    variants: Sequence[tuple[str, int]],
     rngs: Sequence[np.random.Generator],
     member: np.ndarray,
 ) -> tuple[ModelStack, np.ndarray]:
     """One sampled-batch policy update of every run of the stack, run r on
-    batches[r] under cfgs[r] with generator rngs[r], scored by teacher
-    member[r] of the stack of teachers.
+    batches[r] with its (estimator, k) variants[r] and generator rngs[r],
+    scored by teacher member[r] of the stack of teachers.
 
     One population decode samples one trajectory per input, then one
     teacher scoring and one recursion for G and each row's K-step Ghat, the
@@ -185,7 +195,7 @@ def _lockstep_step(
     alone.  Returns the ascended stack and, per run, the record's (mean_G,
     mean_Ghat, grad_norm, entropy) as [R, 4].
     """
-    cfg, n_runs, b = cfgs[0], len(cfgs), len(batches[0])
+    n_runs, b = len(variants), len(batches[0])
     # each row's run, run-major; the decode takes it for one run too, so
     # that a run alone scores the rows it scores in a population
     run = np.repeat(np.arange(n_runs), b)
@@ -199,7 +209,7 @@ def _lockstep_step(
     )
     q, m = ret.batch_q_terms(trajs, teachers, np.repeat(member, b))
     # G (K = 1) and Ghat (each row's K) as one recursion over the rows twice
-    k = np.repeat([c.return_config.k for c in cfgs], b)
+    k = np.repeat([k for _, k in variants], b)
     both = ret.kstep_from_batch_terms(
         np.concatenate([q, q]), np.concatenate([m, m]), np.concatenate([trajs.lengths] * 2),
         np.concatenate([np.ones_like(k), k]),
@@ -207,7 +217,7 @@ def _lockstep_step(
     g, g_hat = both[: len(q)], both[len(q) :]
 
     shape = (n_runs, b, g.shape[1])
-    names = [c.estimator for c in cfgs]
+    names = [estimator for estimator, _ in variants]
     estimators = np.array(names)[:, None, None]
     sq_norms = None
     if "minvar_baseline" in names:
@@ -217,7 +227,7 @@ def _lockstep_step(
     g3, g_hat3, lengths = g.reshape(shape), g_hat.reshape(shape), trajs.lengths.reshape(shape[:2])
     signals = np.zeros(shape)
     for name in dict.fromkeys(names):
-        picked = estimator_signals(g3, g_hat3, lengths, sq_norms, cfgs[names.index(name)])
+        picked = estimator_signals(g3, g_hat3, lengths, sq_norms, name, cfg.clip_range)
         signals = np.where(estimators == name, picked, signals)
     signals = signals.reshape(g.shape) / b
 
@@ -241,7 +251,7 @@ def _lockstep_step(
 
     entropy = -(np.exp(scores.log_probs) * scores.log_probs).sum(axis=1)
     mean_g = g[:, 0].reshape(shape[:2]).mean(axis=1)
-    mean_g_hat = ret.clip_returns(g_hat[:, 0], cfg.return_config).reshape(shape[:2]).mean(axis=1)
+    mean_g_hat = np.clip(g_hat[:, 0], *cfg.clip_range).reshape(shape[:2]).mean(axis=1)
     grad_norm = [np.linalg.norm(grad) for grad in accum]
     mean_entropy = [np.mean(entropy[lo:hi]) for lo, hi in scores.layout.bounds]
     return new_stack, np.column_stack([mean_g, mean_g_hat, grad_norm, mean_entropy])
@@ -285,11 +295,11 @@ def _collapse(iteration: int) -> FloatingPointError:
 @dataclass
 class _Run:
     """The state one training run carries between iterations, apart from
-    its current student: its teacher's index (``member``), generator, input
-    order, log, the best student by greedy validation return and the latest
-    such return, and, once it has failed, the error that stopped it."""
+    its current student: its (estimator, k), teacher index (``member``),
+    generator, input order, log, the best student by greedy validation
+    return and the latest such return, and once failed, its error."""
 
-    cfg: TrainConfig
+    variant: tuple[str, int]
     member: int
     rng: np.random.Generator
     best: LogitModel
@@ -299,9 +309,8 @@ class _Run:
     order: list[int] = field(default_factory=list)
     error: Exception | None = None
 
-    def next_batch(self, inputs: Sequence[State]) -> list[State]:
-        """The next batch_size inputs of reshuffled passes over the inputs."""
-        size = self.cfg.batch_size
+    def next_batch(self, inputs: Sequence[State], size: int) -> list[State]:
+        """The next ``size`` inputs of reshuffled passes over the inputs."""
         while len(self.order) < size:
             self.order.extend(self.rng.permutation(len(inputs)).tolist())
         batch = [inputs[i] for i in self.order[:size]]
@@ -315,6 +324,7 @@ def _lockstep_iteration(
     batches: Sequence[Sequence[State]],
     runs: Sequence[_Run],
     val: Sequence[State],
+    cfg: TrainConfig,
     iteration: int,
 ) -> ModelStack:
     """One iteration of every run: the update, the collapse check, the
@@ -322,11 +332,9 @@ def _lockstep_iteration(
     every run's log row, and the rows.  Unless every run completes the
     iteration, this raises and changes nothing of any run but its
     generator, so that the iteration can be replayed run by run."""
-    cfg = runs[0].cfg
     member = np.array([run.member for run in runs])
-    new_stack, stats = _lockstep_step(
-        stack, teachers, batches, [run.cfg for run in runs], [run.rng for run in runs], member
-    )
+    new_stack, stats = _lockstep_step(stack, teachers, batches, cfg, [run.variant for run in runs],
+                                      [run.rng for run in runs], member)
     if (stats[:, 3] == 0.0).any():
         raise _collapse(iteration)
     due = (iteration + 1) % cfg.eval_every == 0 or iteration + 1 == cfg.iterations
@@ -345,70 +353,66 @@ def _lockstep_iteration(
 
 
 def train_population(
-    students: Sequence[LogitModel],
-    teachers: Sequence[FrozenModelTeacher],
+    fitted: Fitted,
     inputs: Sequence[State],
-    cfgs: Sequence[TrainConfig],
+    cfg: TrainConfig,
+    variants: Sequence[tuple[str, int]],
     val_inputs: Sequence[State] | None = None,
-) -> list[tuple[LogitModel, list[TrainRecord], float] | Exception]:
+) -> dict[int, list[Outcome]]:
     """cfg.iterations REINFORCE updates over shuffled input batches for
-    every config at once: R runs in one loop over a ``ModelStack``.
+    every seed of ``fitted`` (seed -> (teacher, student)) under every
+    (estimator, k) of ``variants``: R runs in one loop over a ``ModelStack``.
 
-    The configs may differ in (estimator, k) and in seed: the runs of the
-    j-th distinct seed, in config order, start from students[j] and are
-    scored by teachers[j].  Each run keeps its own generator and input
-    order, so it samples, updates, evaluates and keeps its best student by
-    greedy validation return bitwise as it would alone.  Validation runs
-    on ``val_inputs``, or on the training inputs when it is None.  An
-    iteration whose policy entropy is exactly 0.0 fails the run with
-    FloatingPointError: every sampled softmax is then one-hot, so every
+    Run (seed, variant) starts from the seed's student, is scored by its
+    teacher and draws from ``default_rng(seed)``.  Each run keeps its own
+    generator and input order, so it samples, updates, evaluates and keeps
+    its best student by greedy validation return bitwise as it would alone.
+    Validation runs on ``val_inputs``, or on the training inputs when it is
+    None.  An iteration whose policy entropy is exactly 0.0 fails the run
+    with FloatingPointError: every sampled softmax is then one-hot, so every
     score and every further update is exactly 0 (a diverged step).  An
     iteration in which any run fails is replayed run by run from the same
     draws, so that each failing run raises exactly its error alone; a
     failed run is dropped and the others go on.  A student whose first
-    evaluation fails fails all its runs.
+    evaluation fails, or is not finite, fails all its runs.
 
-    Returns, per config, (best student, log, greedy validation return of
-    the best student), or the exception that stopped the run.  The
-    validation return is computed even at zero iterations.
+    Returns, per seed and in variant order, each run's (best student, log,
+    greedy validation return of the best student), or the exception that
+    stopped the run.  The validation return is computed even at zero
+    iterations.
     """
-    cfgs = list(cfgs)
-    if not cfgs:
-        raise ValueError("train_population requires at least one config")
-    seeds = list(dict.fromkeys(c.seed for c in cfgs))
-    if (len({replace(c, estimator="kstep", k=1, seed=0) for c in cfgs}) > 1
-            or not len(seeds) == len(students) == len(teachers)):
-        raise ValueError("population runs may differ only in estimator and k, and in seed "
-                         "given one student and one teacher per seed")
-    cfg = cfgs[0]
+    if not fitted or not variants:
+        raise ValueError("train_population requires at least one seed and one variant")
+    for estimator, k in variants:
+        check_variant(estimator, k)
     if not inputs:
         raise ValueError("train_population requires a non-empty input set")
     val = list(inputs if val_inputs is None else val_inputs)
     if not val:
         raise ValueError("train_population requires a non-empty validation set")
 
-    table = TeacherStack.of(teachers)
-    # each student's runs share its one first evaluation, or its error
-    evals = []
-    for j, student in enumerate(students):
+    table = TeacherStack.of([teacher for teacher, _ in fitted.values()])
+    runs: dict[int, list[_Run]] = {}
+    for j, (seed, (_, student)) in enumerate(fitted.items()):
+        # a student's runs share its one first evaluation, or its error
         try:
-            evals.append(evaluate_population(
-                ModelStack.of([student]), table, val, cfg.horizon, np.array([j]))[0])
+            first = evaluate_population(
+                ModelStack.of([student]), table, val, cfg.horizon, np.array([j]))[0]
+            if not np.isfinite(first):
+                raise FloatingPointError(f"non-finite eval_greedy_return ({first}) "
+                                         "before the first iteration")
         except Exception as exc:  # this student's runs fail; the others go on
-            evals.append(exc)
-    runs = []
-    for c in cfgs:
-        j = seeds.index(c.seed)
-        runs.append(_Run(c, j, np.random.default_rng(c.seed), students[j], evals[j], evals[j]))
-        if isinstance(evals[j], Exception):
-            runs[-1].error = evals[j]
-    live = [run for run in runs if run.error is None]
+            first = exc
+        error = first if isinstance(first, Exception) else None
+        runs[seed] = [_Run(v, j, np.random.default_rng(seed), student, first, first, error=error)
+                      for v in variants]
+    live = [run for seed_runs in runs.values() for run in seed_runs if run.error is None]
     stack = ModelStack.of([run.best for run in live]) if live else None
     for iteration in range(cfg.iterations if live else 0):
-        batches = [run.next_batch(inputs) for run in live]
+        batches = [run.next_batch(inputs, cfg.batch_size) for run in live]
         states = [run.rng.bit_generator.state for run in live]
         try:
-            stack = _lockstep_iteration(stack, table, batches, live, val, iteration)
+            stack = _lockstep_iteration(stack, table, batches, live, val, cfg, iteration)
         except (ValueError, FloatingPointError, NonFiniteGradientError):
             # replay the iteration run by run from the same draws
             updated = []
@@ -416,7 +420,7 @@ def train_population(
                 run.rng.bit_generator.state = states[r]
                 try:
                     one = _lockstep_iteration(ModelStack.of([stack.model(r)]), table,
-                                              [batches[r]], [run], val, iteration)
+                                              [batches[r]], [run], val, cfg, iteration)
                     updated.append(one.model(0))
                 except Exception as exc:  # this run's stage failure; the others go on
                     run.error = exc
@@ -424,5 +428,6 @@ def train_population(
             if not live:
                 break
             stack = ModelStack.of(updated)
-    return [(run.best, run.log, run.best_eval) if run.error is None else run.error
-            for run in runs]
+    return {seed: [(run.best, run.log, run.best_eval) if run.error is None else run.error
+                   for run in seed_runs]
+            for seed, seed_runs in runs.items()}

@@ -31,6 +31,18 @@ TINY_CONFIG = {
     "corpus": {"n_sequences": 24, "seed": 5, "n_val": 4, "n_test": 4},
 }
 
+# C11's config with a linear teacher whose Q table is finite but whose q - m
+# overflows, trained for no epoch and no iteration, over five seeds: seeds 1,
+# 3 and 4 have a greedy validation return of -inf
+OVERFLOW_CONFIG = {
+    **TINY_CONFIG,
+    "teacher": {"kind": "linear", "hidden": 0},
+    "teacher_fit": {"epochs": 0, "init_scale": 3e307},
+    "predistill": {"epochs": 0, "lr": 0.5},
+    "rl": {**TINY_CONFIG["rl"], "iterations": 0},
+    "seeds": [0, 1, 2, 3, 4],
+}
+
 
 def table_teacher(rows, vocab_size, window=1):
     """A frozen linear teacher whose Q-vector at each context of ``rows``
@@ -56,12 +68,12 @@ def table_teacher(rows, vocab_size, window=1):
     return FrozenModelTeacher(LogitModel("linear", v, window, 0, params))
 
 
-def update_one(student, teacher, batch, cfg, rng):
-    """One sampled-batch policy update of one run: ``trainer._lockstep_step``
-    on a population of one.  Returns (student, record), with the record's
-    iteration and greedy return 0."""
+def update_one(student, teacher, batch, cfg, variant, rng):
+    """One sampled-batch policy update of one run, with its (estimator, k)
+    ``variant``: ``trainer._lockstep_step`` on a population of one.  Returns
+    (student, record), with the record's iteration and greedy return 0."""
     stack, stats = trainer._lockstep_step(
-        ModelStack.of([student]), TeacherStack.of([teacher]), [batch], [cfg], [rng],
+        ModelStack.of([student]), TeacherStack.of([teacher]), [batch], cfg, [variant], [rng],
         np.zeros(1, int),
     )
     return stack.model(0), trainer.TrainRecord(0, *stats[0].tolist(), 0.0)
@@ -88,13 +100,7 @@ def desk_splits(desk_cfg):
 @pytest.fixture(scope="session")
 def desk_models(desk_cfg, desk_splits):
     """Per-seed frozen teacher and default pre-distilled student."""
-    out = {}
-    for seed in desk_cfg.seeds:
-        teacher = pipeline.fit_seed_teacher(desk_cfg, desk_splits, seed)
-        student0 = pipeline.init_seed_student(desk_cfg, seed)
-        student = pipeline.predistill_student(desk_cfg, student0, teacher, desk_splits, seed)
-        out[seed] = (teacher, student)
-    return out
+    return {seed: pipeline.fit_seed(desk_cfg, desk_splits, seed) for seed in desk_cfg.seeds}
 
 
 @pytest.fixture(scope="session")

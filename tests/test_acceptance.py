@@ -170,12 +170,12 @@ def test_c06_unbiasedness():
     teacher = FrozenModelTeacher(init_model(ModelArch("linear", window=1), 2, rng2))
     spec = EnumerationSpec(vocab, 3, initial_state(vocab))
     exact_grad = oracle._exact_policy_gradient(spec, policy, teacher)
-    cfg = trainer.TrainConfig(lr=1.0, batch_size=5, horizon=3, estimator="mean_baseline")
+    cfg = trainer.TrainConfig(lr=1.0, batch_size=5, horizon=3)
     n_calls = 20_000  # 1e5 sampled trajectories in batches of 5
     sums = np.zeros((n_calls, policy.num_params))
     rng3 = np.random.default_rng(608)
     for i in range(n_calls):
-        out, _ = update_one(policy, teacher, [spec.initial] * 5, cfg, rng3)
+        out, _ = update_one(policy, teacher, [spec.initial] * 5, cfg, ("mean_baseline", 1), rng3)
         sums[i] = out.params - policy.params
     mean = sums.mean(axis=0)
     se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)

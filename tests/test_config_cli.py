@@ -10,7 +10,7 @@ from kstepkd import pipeline
 from kstepkd.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from kstepkd.config import MINIMUM, ConfigError, DEFAULTS, from_dict, load_config
 
-from conftest import TINY_CONFIG
+from conftest import OVERFLOW_CONFIG, TINY_CONFIG
 
 # a number no float can hold, for each float setting: each used to raise
 # OverflowError where the setting was first cast
@@ -355,8 +355,10 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_train_bad_k_exits_2_before_any_stage(self, tmp_path, monkeypatch, capsys, k):
-        """A K below 1 is a bad setting: exit 2 before the corpus or the
-        teacher fit, with no run directory written."""
+        """A K below 1 is a bad setting under every estimator, even those
+        that run at K = 1: exit 2 before the corpus or the teacher fit, with
+        no run directory written."""
+        from kstepkd import trainer
 
         def stage_ran(*args, **kwargs):
             raise AssertionError("a stage ran before the RL setting was checked")
@@ -364,9 +366,11 @@ class TestCliErrors:
         monkeypatch.setattr(pipeline, "build_corpus", stage_ran)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(tiny_config(tmp_path)))
-        assert main(["--config", str(path), "train", "--estimator", "kstep", "--k", k]) == EXIT_CONFIG
-        assert f"k must be >= 1, got {k}" in capsys.readouterr().err
-        assert not (tmp_path / "runs").exists()
+        for estimator in ("llmr", *trainer.ESTIMATORS):
+            argv = ["--config", str(path), "train", "--estimator", estimator, "--k", k]
+            assert main(argv) == EXIT_CONFIG, estimator
+            assert f"k must be >= 1, got {k}" in capsys.readouterr().err
+            assert not (tmp_path / "runs").exists()
 
     def test_stage_failure_exit_3(self, tmp_path, monkeypatch):
         from kstepkd import cli
@@ -463,9 +467,9 @@ class TestCliErrors:
 
         signals = trainer.estimator_signals
 
-        def spoiled(g, g_hat, lengths, sq_norms, cfg):
-            out = signals(g, g_hat, lengths, sq_norms, cfg)
-            return out * np.nan if cfg.estimator.endswith("_baseline") else out
+        def spoiled(g, g_hat, lengths, sq_norms, estimator, clip_range):
+            out = signals(g, g_hat, lengths, sq_norms, estimator, clip_range)
+            return out * np.nan if estimator.endswith("_baseline") else out
 
         monkeypatch.setattr(trainer, "estimator_signals", spoiled)
         data = tiny_config(tmp_path, include_baselines=True, seeds=seeds)
@@ -556,6 +560,26 @@ class TestCliErrors:
         assert "stage 'bias-variance' failed (seed 0): non-finite unclipped G at t=0" in err
         assert not (tmp_path / "runs" / "bias_variance.csv").exists()
 
+    def test_non_finite_greedy_return_exit_3(self, tmp_path, capsys):
+        """Seed 1's greedy validation return is -inf before any training:
+        its first variant fails, after seed 0's files, and no written file
+        holds a non-finite number."""
+        data = {**OVERFLOW_CONFIG, "out_dir": str(tmp_path / "runs")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        with np.errstate(all="ignore"):
+            code = main(["--config", str(path), "sweep-k"])
+        assert code == EXIT_STAGE
+        assert ("stage 'rl:llmr' failed (seed 1): non-finite eval_greedy_return (-inf)"
+                in capsys.readouterr().err)
+        out = tmp_path / "runs"
+        assert not (out / "summary.csv").exists()
+        evals = sorted(out.glob("runs/*/*/eval.json"))
+        assert {p.parent.name for p in evals} == {"seed0"} and len(evals) == 4
+        for p in evals:
+            record = json.loads(p.read_text(), parse_constant=lambda name: pytest.fail(name))
+            assert np.isfinite([record["test_return"], record["best_val_return"]]).all()
+
     @pytest.mark.parametrize("command", ["sweep-k", "fit-teacher", "sweep-bias-variance"])
     def test_divergent_teacher_fit_exit_3(self, tmp_path, capsys, command):
         """At lr 1e300 the loss climbs to ~1e301 while every parameter stays
@@ -605,10 +629,7 @@ class TestPipeline:
         out = pipeline.run_pipeline(cfg)
         splits = pipeline.build_corpus(cfg)
         for seed in cfg.seeds:
-            teacher = pipeline.fit_seed_teacher(cfg, splits, seed)
-            student = pipeline.predistill_student(
-                cfg, pipeline.init_seed_student(cfg, seed), teacher, splits, seed
-            )
+            teacher, student = pipeline.fit_seed(cfg, splits, seed)
             teacher_mod.save_teacher(teacher, tmp_path / "teacher.json")
             models.save_model(student, tmp_path / "student.json")
             for name, _, _ in pipeline.variant_list(cfg):

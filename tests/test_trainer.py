@@ -21,7 +21,7 @@ from kstepkd.trainer import (
     train_population,
 )
 
-from conftest import greedy_return, table_teacher, update_one
+from conftest import OVERFLOW_CONFIG, greedy_return, table_teacher, update_one
 
 VOCAB = Vocabulary(size=5, eos_id=4, bos_id=0)
 
@@ -44,31 +44,34 @@ def first_sampled_actions(student, batch, horizon=8, seed=0):
     return tuple(trajs.actions[0, : trajs.lengths[0]].tolist())
 
 
-def train_one(student, teacher, inputs, cfg, val_inputs=None):
-    """One run of ``train_population``: (best student, log), or its error
-    raised."""
-    outcome = train_population([student], [teacher], inputs, [cfg], val_inputs)[0]
+def train_one(student, teacher, inputs, cfg, variant=("kstep", 1), val_inputs=None, seed=0):
+    """One run of ``train_population``, the (seed, variant) of a population
+    of one: (best student, log), or its error raised."""
+    outcome, = train_population({seed: (teacher, student)}, inputs, cfg, [variant],
+                                val_inputs)[seed]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome[:2]
 
 
 def rl_cfg(**kw):
-    defaults = dict(lr=0.05, batch_size=4, iterations=5, horizon=8, seed=0)
+    defaults = dict(lr=0.05, batch_size=4, iterations=5, horizon=8)
     defaults.update(kw)
     return TrainConfig(**defaults)
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("setting", [
-        {"lr": float("nan")}, {"clip_range": (1.0, -1.0)}, {"clip_range": (1.0, 1.0)},
-        {"estimator": "llmr"},
-    ], ids=["nan-lr", "reversed-clip", "empty-clip", "llmr"])
-    def test_bad_setting_raises_at_construction(self, setting):
-        """A bad RL setting raises when the config is built, not in the
-        first step; ``llmr`` is a variant name, not an estimator."""
+    @pytest.mark.parametrize("build", [
+        lambda: rl_cfg(lr=float("nan")), lambda: rl_cfg(clip_range=(1.0, -1.0)),
+        lambda: rl_cfg(clip_range=(1.0, 1.0)), lambda: trainer.check_variant("llmr", 1),
+        lambda: rl_cfg(horizon=0),
+    ], ids=["nan-lr", "reversed-clip", "empty-clip", "llmr", "zero-horizon"])
+    def test_bad_setting_raises_at_construction(self, build):
+        """A bad RL setting raises when the config or the variant is
+        checked, not in the first step; ``llmr`` is a variant name, not an
+        estimator."""
         with pytest.raises(ValueError):
-            rl_cfg(**setting)
+            build()
 
 
 class TestPredistill:
@@ -115,9 +118,8 @@ class TestReinforceStep:
         batch = [initial_state(VOCAB)] * 4
         outs = {}
         for estimator, k in (("kstep", 4), ("kstep", 8), ("kstep", 1)):
-            cfg = rl_cfg(estimator=estimator, k=k, lr=0.1)
             student, _ = update_one(
-                sharp, teacher, batch, cfg, np.random.default_rng(11)
+                sharp, teacher, batch, rl_cfg(lr=0.1), (estimator, k), np.random.default_rng(11)
             )
             outs[(estimator, k)] = student.params
         np.testing.assert_allclose(outs[("kstep", 4)], outs[("kstep", 1)], rtol=0, atol=1e-12)
@@ -127,7 +129,7 @@ class TestReinforceStep:
         teacher = make_teacher()
         student = make_student()
         out, record = update_one(
-            student, teacher, [initial_state(VOCAB)] * 3, rl_cfg(lr=0.0),
+            student, teacher, [initial_state(VOCAB)] * 3, rl_cfg(lr=0.0), ("kstep", 1),
             np.random.default_rng(2),
         )
         np.testing.assert_array_equal(out.params, student.params)
@@ -141,11 +143,10 @@ class TestReinforceStep:
         student = make_student(seed=10)
         batch = [initial_state(VOCAB)] * 4
         seen = sampled_batches(monkeypatch)
-        for estimator, k in (
+        for variant in (
             ("kstep", 4), ("kstep", 1), ("mean_baseline", 1), ("minvar_baseline", 1),
         ):
-            cfg = rl_cfg(estimator=estimator, k=k)
-            update_one(student, teacher, batch, cfg, np.random.default_rng(33))
+            update_one(student, teacher, batch, rl_cfg(), variant, np.random.default_rng(33))
         assert len(seen) == 4
         assert all(s == seen[0] for s in seen[1:])
 
@@ -161,12 +162,12 @@ class TestReinforceStep:
             probs[a] * teacher.q_values(s0)[a] * student.grad_log_prob(s0, a) for a in range(2)
         )
 
-        cfg = rl_cfg(estimator="kstep", k=1, lr=1.0, batch_size=10, horizon=1)
+        cfg = rl_cfg(lr=1.0, batch_size=10, horizon=1)
         rng = np.random.default_rng(123)
         n_calls = 10_000  # 1e5 sampled one-step trajectories in total
         sums = np.zeros((n_calls, student.num_params))
         for i in range(n_calls):
-            out, _ = update_one(student, teacher, [s0] * 10, cfg, rng)
+            out, _ = update_one(student, teacher, [s0] * 10, cfg, ("kstep", 1), rng)
             sums[i] = out.params - student.params  # lr = 1.0: direction itself
         mean = sums.mean(axis=0)
         se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)
@@ -189,8 +190,7 @@ class TestReinforceStep:
             teacher = FrozenModelTeacher(LogitModel("linear", VOCAB.size, 2, 0, huge))
             with pytest.raises(NonFiniteGradientError) as info:
                 update_one(
-                    student, teacher, batch, rl_cfg(estimator=estimator, k=k),
-                    np.random.default_rng(0),
+                    student, teacher, batch, rl_cfg(), (estimator, k), np.random.default_rng(0),
                 )
         assert str(info.value) == message
 
@@ -208,7 +208,8 @@ class TestReinforceStep:
         first = first_sampled_actions(student, batch)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteGradientError) as info:
             update_one(
-                student, make_teacher(scale=50.0), batch, rl_cfg(), np.random.default_rng(0)
+                student, make_teacher(scale=50.0), batch, rl_cfg(), ("kstep", 1),
+                np.random.default_rng(0),
             )
         assert str(info.value) == f"non-finite gradient from trajectory 0 (actions {first})"
 
@@ -226,13 +227,13 @@ class TestReinforceStep:
         m = np.array(data.draw(st.lists(term, min_size=b * h, max_size=b * h))).reshape(b, h)
         w = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
         sq = np.array(data.draw(st.lists(w, min_size=b * h, max_size=b * h))).reshape(b, h)
-        k = 2 if estimator == "kstep" else 1
-        cfg = rl_cfg(estimator=estimator, k=k, clip_range=(0.5, 4.0))
+        rc = ret.ReturnConfig(clip_range=(0.5, 4.0))
         n = np.array(lengths)
         g_batch = ret.kstep_from_batch_terms(q, m, n, 1)
-        got = estimator_signals(g_batch, ret.kstep_from_batch_terms(q, m, n, 2), n, sq, cfg)
+        got = estimator_signals(
+            g_batch, ret.kstep_from_batch_terms(q, m, n, 2), n, sq, estimator, rc.clip_range
+        )
 
-        rc = cfg.return_config
         rows = [(q[i, :n], m[i, :n]) for i, n in enumerate(lengths)]
         if estimator == "kstep":
             want = [ret.clip_returns(ret.kstep_from_terms(qi, mi, 2), rc) for qi, mi in rows]
@@ -277,9 +278,9 @@ class TestTrainLoop:
         teacher = make_teacher(seed=21)
         student = make_student(seed=22)
         inputs = [initial_state(VOCAB)] * 6
-        cfg = rl_cfg(iterations=12, seed=77, eval_every=5)
-        out1, log1 = train_one(student, teacher, inputs, cfg)
-        out2, log2 = train_one(student, teacher, inputs, cfg)
+        cfg = rl_cfg(iterations=12, eval_every=5)
+        out1, log1 = train_one(student, teacher, inputs, cfg, seed=77)
+        out2, log2 = train_one(student, teacher, inputs, cfg, seed=77)
         assert log1 == log2
         np.testing.assert_array_equal(out1.params, out2.params)
         for log, name in ((log1, "a.csv"), (log2, "b.csv")):
@@ -314,11 +315,7 @@ def tiny_population(student_kind):
         "seeds": [0], "corpus": {"n_sequences": 24, "seed": 5, "n_val": 4, "n_test": 4},
     })
     splits = pipeline.build_corpus(cfg)
-    teacher = pipeline.fit_seed_teacher(cfg, splits, 0)
-    student = pipeline.predistill_student(
-        cfg, pipeline.init_seed_student(cfg, 0), teacher, splits, 0
-    )
-    return cfg, splits, teacher, student
+    return (cfg, splits, *pipeline.fit_seed(cfg, splits, 0))
 
 
 def sampled_batches(monkeypatch):
@@ -341,29 +338,34 @@ def spoil_signals(monkeypatch, estimator, factor):
     path that calls ``estimator_signals``."""
     signals = trainer.estimator_signals
 
-    def spoiled(g, g_hat, lengths, sq_norms, cfg):
-        out = signals(g, g_hat, lengths, sq_norms, cfg)
-        return out * factor if cfg.estimator == estimator else out
+    def spoiled(g, g_hat, lengths, sq_norms, name, clip_range):
+        out = signals(g, g_hat, lengths, sq_norms, name, clip_range)
+        return out * factor if name == estimator else out
 
     monkeypatch.setattr(trainer, "estimator_signals", spoiled)
+
+
+def variant_pairs(cfg):
+    """The (estimator, k) of every variant of the configured sweep."""
+    return [(estimator, k) for _, estimator, k in pipeline.variant_list(cfg)]
 
 
 class TestTrainPopulation:
     @pytest.mark.parametrize("student_kind", ["linear", "mlp1"])
     def test_each_run_matches_solo_train_bitwise(self, monkeypatch, student_kind):
         cfg, splits, teacher, student = tiny_population(student_kind)
-        variants = pipeline.variant_list(cfg)
+        variants = variant_pairs(cfg)
         assert len(variants) == 7
-        cfgs = [cfg.rl_config(estimator, k, 0) for _, estimator, k in variants]
+        rl = cfg.rl_config()
         seen = sampled_batches(monkeypatch)
-        solo = [train_one(student, teacher, splits.train_states, c, splits.val_states)
-                for c in cfgs]
+        solo = [train_one(student, teacher, splits.train_states, rl, v, splits.val_states)
+                for v in variants]
         solo_draws, seen[:] = list(seen), []
         population = train_population(
-            [student], [teacher], splits.train_states, cfgs, splits.val_states
-        )
-        b, iters = cfgs[0].batch_size, cfgs[0].iterations
-        assert len(solo_draws) == len(cfgs) * iters and len(seen) == iters
+            {0: (teacher, student)}, splits.train_states, rl, variants, splits.val_states
+        )[0]
+        b, iters = rl.batch_size, rl.iterations
+        assert len(solo_draws) == len(variants) * iters and len(seen) == iters
         for r, ((best, log), (p_best, p_log, p_val)) in enumerate(zip(solo, population)):
             for it in range(iters):
                 assert seen[it][r * b : (r + 1) * b] == solo_draws[r * iters + it], (r, it)
@@ -389,20 +391,20 @@ class TestTrainPopulation:
         entropy 0.0 on the next step, or an overflowing gradient norm.  That
         run stops with its solo error; the others match their solo runs."""
         cfg, splits, teacher, student = tiny_population("mlp1")
-        cfgs = [cfg.rl_config(estimator, k, 0) for _, estimator, k in pipeline.variant_list(cfg)]
+        rl, variants = cfg.rl_config(), variant_pairs(cfg)
         spoil_signals(monkeypatch, "mean_baseline", factor)
         with np.errstate(all="ignore"):
             population = train_population(
-                [student], [teacher], splits.train_states, cfgs, splits.val_states
-            )
-        for c, out in zip(cfgs, population):
-            if c.estimator == "mean_baseline":
+                {0: (teacher, student)}, splits.train_states, rl, variants, splits.val_states
+            )[0]
+        for v, out in zip(variants, population):
+            if v[0] == "mean_baseline":
                 with np.errstate(all="ignore"), pytest.raises(Exception) as solo_error:
-                    train_one(student, teacher, splits.train_states, c, splits.val_states)
+                    train_one(student, teacher, splits.train_states, rl, v, splits.val_states)
                 assert type(out) is solo_error.type and str(out) == str(solo_error.value)
                 assert message in str(out)
                 continue
-            best, log = train_one(student, teacher, splits.train_states, c, splits.val_states)
+            best, log = train_one(student, teacher, splits.train_states, rl, v, splits.val_states)
             assert np.array_equal(out[0].params, best.params)
             assert out[1] == log
 
@@ -412,12 +414,8 @@ class TestTrainPopulation:
         bitwise what each seed's own population gives: best students, logs,
         best validation returns and test returns."""
         cfg, splits, teacher0, student0 = tiny_population("mlp1")
-        teacher1 = pipeline.fit_seed_teacher(cfg, splits, 1)
-        student1 = pipeline.predistill_student(
-            cfg, pipeline.init_seed_student(cfg, 1), teacher1, splits, 1
-        )
-        assert not np.array_equal(teacher0.q, teacher1.q)
-        fitted = {0: (teacher0, student0), 1: (teacher1, student1)}
+        fitted = {0: (teacher0, student0), 1: pipeline.fit_seed(cfg, splits, 1)}
+        assert not np.array_equal(teacher0.q, fitted[1][0].q)
         variants = pipeline.variant_list(cfg)
         both = pipeline.train_seeds(cfg, splits, fitted, variants)
         assert list(both) == [0, 1]
@@ -433,30 +431,65 @@ class TestTrainPopulation:
 
     def test_failed_first_evaluation_fails_only_its_seed(self):
         """A student whose logits overflow fails its first evaluation: each
-        of its runs fails with that evaluation's solo error, and the other
-        seed's run matches its solo run."""
+        of its seed's runs fails with that evaluation's solo error, and each
+        run of the other seed matches its solo run."""
         cfg, splits, teacher, student = tiny_population("linear")
         broken = student.with_params(np.full(student.num_params, 1e308))
-        cfgs = [cfg.rl_config("kstep", 2, 0), cfg.rl_config("kstep", 2, 1),
-                cfg.rl_config("mean_baseline", 1, 1)]
+        rl, variants = cfg.rl_config(), [("kstep", 2), ("mean_baseline", 1)]
         with np.errstate(all="ignore"):
-            out = train_population([student, broken], [teacher, teacher], splits.train_states,
-                                   cfgs, splits.val_states)
+            out = train_population({0: (teacher, student), 1: (teacher, broken)},
+                                   splits.train_states, rl, variants, splits.val_states)
             with pytest.raises(ValueError, match="non-finite log-probability") as solo:
-                train_one(broken, teacher, splits.train_states, cfgs[1], splits.val_states)
-        best, log = train_one(student, teacher, splits.train_states, cfgs[0], splits.val_states)
-        assert np.array_equal(out[0][0].params, best.params) and out[0][1] == log
-        for failed in out[1:]:
+                train_one(broken, teacher, splits.train_states, rl, variants[0],
+                          splits.val_states, seed=1)
+        for v, outcome in zip(variants, out[0], strict=True):
+            best, log = train_one(student, teacher, splits.train_states, rl, v, splits.val_states)
+            assert np.array_equal(outcome[0].params, best.params) and outcome[1] == log
+        assert len(out[1]) == 2
+        for failed in out[1]:
             assert type(failed) is ValueError and str(failed) == str(solo.value)
+
+    def test_non_finite_first_evaluation_fails_its_seed(self):
+        """A greedy validation return of -inf, from a sum of returns that
+        overflows, fails every run of its seed before the first iteration;
+        the other seed's runs go on."""
+        cfg = from_dict(OVERFLOW_CONFIG)
+        splits = pipeline.build_corpus(cfg)
+        fitted = {seed: pipeline.fit_seed(cfg, splits, seed) for seed in (0, 1)}
+        with np.errstate(all="ignore"):
+            out = train_population(fitted, splits.train_states, cfg.rl_config(),
+                                   [("kstep", 1), ("kstep", 2)], splits.val_states)
+        assert all(isinstance(outcome, tuple) for outcome in out[0])
+        for failed in out[1]:
+            assert type(failed) is FloatingPointError and str(failed) == (
+                "non-finite eval_greedy_return (-inf) before the first iteration"
+            )
+
+    def test_non_finite_test_return_fails_its_run(self):
+        """Seed 4's greedy returns on the test inputs are each finite, but
+        their sum overflows to -inf; validated on the first test input
+        alone, every run trains.  The test evaluation fails the seed's first
+        variant, and no test return is kept."""
+        cfg = from_dict(OVERFLOW_CONFIG)
+        splits = pipeline.build_corpus(cfg)
+        splits = replace(splits, val_states=splits.test_states[:1])
+        with np.errstate(all="ignore"):
+            (runs, tests), = pipeline.train_seeds(
+                cfg, splits, {4: pipeline.fit_seed(cfg, splits, 4)}, pipeline.variant_list(cfg)
+            ).values()
+        assert tests == []
+        assert type(runs[0]) is FloatingPointError
+        assert str(runs[0]) == "non-finite test_return (-inf)"
+        assert all(isinstance(outcome, tuple) for outcome in runs[1:])
 
     def test_zero_iterations_evaluates_once(self):
         cfg, splits, teacher, student = tiny_population("linear")
-        cfgs = [replace(cfg.rl_config(e, k, 0), iterations=0)
-                for _, e, k in pipeline.variant_list(cfg)[:2]]
+        rl = replace(cfg.rl_config(), iterations=0)
         val = greedy_return(student, teacher, splits.val_states, cfg.horizon)
         for best, log, best_val in train_population(
-            [student], [teacher], splits.train_states, cfgs, splits.val_states
-        ):
+            {0: (teacher, student)}, splits.train_states, rl, variant_pairs(cfg)[:2],
+            splits.val_states,
+        )[0]:
             assert best is student and log == [] and best_val == val
 
     def test_empty_validation_set_raises_before_any_evaluation(self, monkeypatch):
@@ -468,17 +501,27 @@ class TestTrainPopulation:
 
         monkeypatch.setattr(trainer, "evaluate_population", evaluated)
         with pytest.raises(ValueError, match="non-empty validation set"):
-            train_population([make_student()], [make_teacher()], [initial_state(VOCAB)],
-                             [rl_cfg()], val_inputs=[])
+            train_population({0: (make_teacher(), make_student())}, [initial_state(VOCAB)],
+                             rl_cfg(), [("kstep", 1)], val_inputs=[])
 
-    @pytest.mark.parametrize("field,value", [("lr", 0.1), ("seed", 1), ("batch_size", 2),
-                                             ("iterations", 3), ("clip_range", (-1.0, 1.0))])
-    def test_configs_may_differ_only_in_estimator_and_k(self, field, value):
-        cfgs = [rl_cfg(estimator="kstep", k=2), replace(rl_cfg(estimator="kstep"), **{field: value})]
-        with pytest.raises(ValueError, match="only in estimator and k"):
-            train_population(
-                [make_student()], [make_teacher()], [initial_state(VOCAB)], cfgs
-            )
+    @pytest.mark.parametrize("variant,message", [
+        (("llmr", 1), "unknown estimator 'llmr'"),
+        (("reinforce", 1), "unknown estimator 'reinforce'"),
+        (("kstep", 0), "k must be >= 1, got 0"),
+        (("mean_baseline", -3), "k must be >= 1, got -3"),
+    ], ids=["llmr", "unknown", "kstep-k0", "mean_baseline-k-3"])
+    def test_bad_variant_raises_before_any_evaluation(self, monkeypatch, variant, message):
+        """Every variant is checked before the first evaluation: ``llmr``
+        is a variant name, not an estimator, and no estimator runs at a K
+        below 1."""
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("an evaluation ran")
+
+        monkeypatch.setattr(trainer, "evaluate_population", evaluated)
+        with pytest.raises(ValueError, match=message):
+            train_population({0: (make_teacher(), make_student())}, [initial_state(VOCAB)],
+                             rl_cfg(), [("kstep", 2), variant])
 
 
 @pytest.mark.slow
@@ -511,12 +554,12 @@ class TestMeanBaselineUnbiasedness:
         spec = oracle.EnumerationSpec(vocab, 3, initial_state(vocab))
         exact = oracle._exact_policy_gradient(spec, policy, teacher)
 
-        cfg = rl_cfg(estimator="mean_baseline", lr=1.0, batch_size=5, horizon=3)
+        cfg = rl_cfg(lr=1.0, batch_size=5, horizon=3)
         rng = np.random.default_rng(62)
         n_calls = 6000
         sums = np.zeros((n_calls, policy.num_params))
         for i in range(n_calls):
-            out, _ = update_one(policy, teacher, [spec.initial] * 5, cfg, rng)
+            out, _ = update_one(policy, teacher, [spec.initial] * 5, cfg, ("mean_baseline", 1), rng)
             sums[i] = out.params - policy.params
         mean = sums.mean(axis=0)
         se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)
