@@ -26,7 +26,7 @@ from . import returns as ret
 from .models import LogitModel, ModelStack, context_code, log_softmax
 from .returns import ReturnConfig
 from .seqmdp import Policy, State, Trajectory, TrajectoryBatch, TrajectoryStep, Vocabulary
-from .seqmdp import decode, step
+from .seqmdp import check_prefix_tokens, decode, step
 from .teacher import FrozenModelTeacher
 
 
@@ -58,6 +58,9 @@ class EnumerationSpec:
             raise SizeBoundError("trajectory count bound exceeded")
         if self.initial.is_terminal:
             raise ValueError("initial state must not be terminal")
+        if self.initial.vocab != self.vocab:
+            raise ValueError("initial state and spec must share one vocabulary")
+        check_prefix_tokens(np.array(self.initial.prefix, dtype=np.int64), self.vocab)
 
 
 def enumerate_trajectories(
@@ -330,9 +333,8 @@ def montecarlo_convergence(
     """Sample-mean convergence of Ghat_0 and of the gradient estimator toward
     their enumeration-exact values, reported as z-scores."""
     exact = exact_moments(spec, policy, teacher, cfg)
-    batch = decode(
-        policy.batch_logits, policy.window, [spec.initial] * n_samples, spec.horizon, rng
-    )
+    batch = decode(policy.batch_logits, policy.window, [spec.initial] * n_samples, spec.horizon,
+                   rng.random((n_samples, spec.horizon)))
     q, m = ret.batch_q_terms(batch, teacher)
     gh = ret.clip_returns(ret.kstep_from_batch_terms(q, m, batch.lengths, cfg.k), cfg)
     # each sample's gradient estimate, from one backward keyed by sample

@@ -336,7 +336,8 @@ def bias_variance_rows_for_student(
     rc = ReturnConfig(k=1, clip_range=cfg.clip_range)
     # input-major rows: the samples of input i are rows i*spi .. (i+1)*spi - 1
     initial = [s0 for s0 in inputs for _ in range(samples_per_input)]
-    batch = decode(student.batch_logits, student.window, initial, cfg.horizon, rng=rng)
+    batch = decode(student.batch_logits, student.window, initial, cfg.horizon,
+                   rng.random((len(initial), cfg.horizon)))
     q, m = ret.batch_q_terms(batch, teacher)
     n_kl = min(16, len(inputs)) * samples_per_input
     kl_rows = TrajectoryBatch(
@@ -383,8 +384,11 @@ def sweep_bias_variance(
         var_sa, var_s = sweep["iid_var_sa"], sweep["iid_var_s"]
         for k in cfg.k_list:
             rng = np.random.default_rng([cfg.seeds[0], 404, k])
-            g, gh = ret.iid_gaussian_samples(terms, k, var_sa, var_s, n, rng)
-            bias, var = float(gh.mean() - g.mean()), float(gh.var(ddof=1))
+            try:
+                g, gh = ret.iid_gaussian_samples(terms, k, var_sa, var_s, n, rng)
+                bias, var = float(gh.mean() - g.mean()), float(gh.var(ddof=1))
+            except Exception as exc:
+                raise StageError("bias-variance", cfg.seeds[0], exc) from exc
             rows.append(BiasVarianceRow(k, "iid", bias, var))
     else:
         seed = cfg.seeds[0]

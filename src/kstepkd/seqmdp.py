@@ -208,41 +208,44 @@ class TrajectoryBatch:
                           strides=(s0, s1, s1), writeable=False)
 
 
+def check_prefix_tokens(prefixes: np.ndarray, vocab: Vocabulary) -> None:
+    """Raises ValueError on a prefix token outside [0, V): a scorer's table
+    would wrap -1 into another row, and fail on V."""
+    outside = prefixes[(prefixes < 0) | (prefixes >= vocab.size)]
+    if len(outside):
+        raise ValueError(f"initial prefix token {int(outside[0])} outside [0, {vocab.size})")
+
+
 def decode(
     score: Callable[[np.ndarray], np.ndarray],
     window: int,
     initial: Sequence[State],
     horizon: int,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
-    run: np.ndarray | None = None,
+    u: np.ndarray | None = None,
 ) -> TrajectoryBatch:
     """Rollouts of every initial state in lockstep.
 
-    ``score`` maps int contexts [N, window] to logits [N, V], one call per
-    step.  With ``run`` (each row's run index, sorted, fixed for the
-    decode) the rows are a population of runs, and ``score`` must keep each
-    run's rows apart, as ``RowLayout.batch_logits`` of the layout of ``run``
-    does: each step scores every row, finished or not, so that every run
-    keeps one row count, and so one product shape, for the whole decode;
-    ``run`` itself only routes the draws.  A caller whose one run must
-    match that run inside a population passes ``run`` too.  Without
-    ``run`` the rows are one policy's, and once a row has ended each step
-    scores only the rows still running.  Either way a finished row's tokens
-    and length stay frozen, and only the rows still running take an action.
+    ``score`` maps int contexts [B, window] to logits [B, V]. Each step
+    makes one call on all B rows, finished or not, so a scorer that keeps
+    runs of rows apart (``RowLayout.batch_logits``) sees one shape for the
+    whole decode. A finished row's tokens and length stay frozen, and only
+    the rows still running take an action.
 
-    Without ``rng`` each takes the argmax (ties to the lowest token id), as
-    ``rollout(mode="greedy")`` does per state.  With ``rng`` each running
-    row draws its action from the softmax by inverse CDF, from one
-    ``rng.random(n_running)`` per step in row order, so a single row draws
-    exactly as ``rollout(mode="sample")``.  With ``run``, ``rng`` holds one
-    generator per run, and each step draws ``rng[r].random(n_running_r)``
-    for the runs in order, so every run draws exactly as its rows would
-    alone.
+    Without ``u`` each takes the argmax (ties to the lowest token id), as
+    ``rollout(mode="greedy")`` does per state. With ``u``, a float array
+    [B, horizon] of uniforms, row i draws its step-t action from the
+    softmax by inverse CDF on ``u[i, t]``, as ``rollout(mode="sample")``
+    does from a generator that returns u[i, 0], u[i, 1], ... in turn. A
+    row's actions thus depend only on its own scores and its own row of
+    ``u``; the caller owns the draws.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not initial:
         raise ValueError("decode requires at least one initial state")
+    b = len(initial)
+    if u is not None and u.shape != (b, horizon):
+        raise ValueError(f"uniforms have shape {u.shape}, expected ({b}, {horizon})")
     vocab = initial[0].vocab
     prefixes = []
     for s in initial:
@@ -253,34 +256,24 @@ def decode(
         if sv is not vocab and sv != vocab:
             raise ValueError("initial states must share one vocabulary")
         prefixes.append(prefix)
-    b, p = len(initial), max(window, max(map(len, prefixes)))
+    p = max(window, max(map(len, prefixes)))
     bos = (vocab.bos_id,)
     tokens = np.full((b, p + horizon), vocab.bos_id, dtype=np.int64)
     # each prefix right-aligned in the first p columns, BOS-padded
     padded = chain.from_iterable([bos * (p - len(x)) + x for x in prefixes])
     tokens[:, :p] = np.fromiter(padded, np.int64, b * p).reshape(b, p)
-    # a scorer's table would wrap -1 into another row, and fail on V
-    outside = tokens[:, :p][(tokens[:, :p] < 0) | (tokens[:, :p] >= vocab.size)]
-    if len(outside):
-        raise ValueError(f"initial prefix token {int(outside[0])} outside [0, {vocab.size})")
+    check_prefix_tokens(tokens[:, :p], vocab)
     # a row's length is written when it ends; the rest run the horizon
     lengths = np.full(b, horizon, dtype=np.int64)
     alive = np.arange(b)
-    if rng is not None and run is not None:
-        counts = np.bincount(run, minlength=len(rng)).tolist()
     for t in range(horizon):
-        contexts = tokens[:, p + t - window : p + t]
-        if run is None and len(alive) < b:
-            contexts = contexts.take(alive, axis=0)
-        logits = score(contexts)
-        if logits.shape != (len(contexts), vocab.size):
-            raise ValueError(
-                f"scores have shape {logits.shape}, expected ({len(contexts)}, {vocab.size})"
-            )
-        if len(logits) > len(alive):
+        logits = score(tokens[:, p + t - window : p + t])
+        if logits.shape != (b, vocab.size):
+            raise ValueError(f"scores have shape {logits.shape}, expected ({b}, {vocab.size})")
+        if len(alive) < b:
             logits = logits.take(alive, axis=0)
         z = logits - logits.max(axis=1, keepdims=True)
-        if rng is None:
+        if u is None:
             actions = np.argmax(logits, axis=1)
             # log_softmax at the argmax, whose shifted logit is exactly 0
             lp = -np.log(np.exp(z).sum(axis=1))
@@ -289,11 +282,7 @@ def decode(
             # clamp guards the final partial sum rounding below 1.0
             log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
             cdf = np.cumsum(np.exp(log_probs), axis=1)
-            if run is None:
-                u = rng.random(len(alive))
-            else:
-                u = np.concatenate([g.random(n) for g, n in zip(rng, counts)])
-            actions = np.minimum((cdf <= u[:, None]).sum(axis=1), vocab.size - 1)
+            actions = np.minimum((cdf <= u[alive, t, None]).sum(axis=1), vocab.size - 1)
             lp = log_probs[np.arange(len(alive)), actions]
         finite = np.isfinite(lp)
         if not finite.all():
@@ -309,6 +298,4 @@ def decode(
             alive = alive[~ended]
             if not len(alive):
                 break
-            if rng is not None and run is not None:
-                counts = np.bincount(run[alive], minlength=len(rng)).tolist()
     return TrajectoryBatch(vocab, tokens, p, lengths)

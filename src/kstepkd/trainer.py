@@ -185,7 +185,8 @@ def _lockstep_step(
     batches[r] with its (estimator, k) variants[r] and generator rngs[r],
     scored by teacher member[r] of the stack of teachers.
 
-    One population decode samples one trajectory per input, then one
+    One population decode samples one trajectory per input, run r from a
+    [B, H] block of uniforms drawn by one ``rngs[r].random`` call, then one
     teacher scoring and one recursion for G and each row's K-step Ghat, the
     signals as one [R, B, H] stack, and one backward into [R, P] from the
     scores of one forward pass, which the min-variance baseline's norms
@@ -196,13 +197,11 @@ def _lockstep_step(
     mean_Ghat, grad_norm, entropy) as [R, 4].
     """
     n_runs, b = len(variants), len(batches[0])
-    # each row's run, run-major; the decode takes it for one run too, so
-    # that a run alone scores the rows it scores in a population
+    # each row's run, run-major; one [B, H] block of uniforms per run
     run = np.repeat(np.arange(n_runs), b)
-    trajs = decode(
-        stack.layout(run).batch_logits, stack.window, [s for batch in batches for s in batch],
-        cfg.horizon, rng=rngs, run=run,
-    )
+    u = np.concatenate([g.random((b, cfg.horizon)) for g in rngs])
+    trajs = decode(stack.layout(run).batch_logits, stack.window,
+                   [s for batch in batches for s in batch], cfg.horizon, u)
     mask = trajs.step_mask
     scores = stack.layout(np.repeat(run, trajs.lengths)).scores(
         trajs.step_contexts(stack.window)[mask], trajs.actions[mask]
@@ -276,7 +275,7 @@ def evaluate_population(
     n = len(inputs)
     run = np.repeat(np.arange(len(stack.params)), n)
     batch = decode(stack.layout(run).batch_logits, stack.window, list(inputs) * len(stack.params),
-                   horizon, run=run)
+                   horizon)
     q, m = ret.batch_q_terms(batch, teachers, np.repeat(member, n))
     g0 = ret.kstep_from_batch_terms(q, m, batch.lengths, 1)[:, 0].tolist()
     return [_left_to_right_mean(g0[lo : lo + n]) for lo in range(0, len(g0), n)]

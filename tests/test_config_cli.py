@@ -353,6 +353,25 @@ class TestCliErrors:
         assert code == cli.EXIT_STAGE
         assert "stage 'rl:kstep_k2' failed (seed 0)" in capsys.readouterr().err
 
+    def test_iid_sweep_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        """A failed iid surrogate draw (here a stand-in for numpy's error on
+        an ``iid_samples`` no memory holds) is the stage 'bias-variance',
+        as in MDP mode: exit 3 and no CSV written."""
+        from kstepkd import returns
+
+        def fail(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(returns, "iid_gaussian_samples", fail)
+        data = tiny_config(tmp_path)
+        data["k_list"] = [1]
+        data["sweep"]["iid_mode"] = True
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        assert main(["--config", str(path), "sweep-bias-variance"]) == EXIT_STAGE
+        assert "stage 'bias-variance' failed (seed 0): Unable to allocate" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "bias_variance.csv").exists()
+
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_train_bad_k_exits_2_before_any_stage(self, tmp_path, monkeypatch, capsys, k):
         """A K below 1 is a bad setting under every estimator, even those

@@ -80,36 +80,52 @@ def test_lockstep_decoder_matches_rollout(inst):
                 assert got.tolist() == [list(s.state.last_tokens(w)) for s in traj.steps]
 
 
+class _Draws:
+    """A stand-in generator that hands ``rollout`` given uniforms in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
 @settings(max_examples=80, deadline=None)
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_sampled_decoder_matches_rollout(inst, seed):
-    """One row draws exactly as ``rollout(mode="sample")`` from the same
-    seed.  A batch draws one uniform per running row per step, rows in input
-    order: its actions, lengths and step contexts equal a per-state replay of
-    that convention."""
+    """Row i draws its step-t action by inverse CDF on u[i, t]: its actions,
+    length and step contexts equal ``rollout(mode="sample")`` fed the
+    uniforms of row i in turn, for every input twice."""
     vocab, student, teacher, horizon, inputs = inst
+    initial = inputs * 2
+    u = np.random.default_rng(seed).random((len(initial), horizon))
     for policy, score in ((student, student.batch_logits), (teacher, teacher.batch_q_values)):
-        for s0 in inputs:
-            batch = decode(score, policy.window, [s0], horizon, rng=np.random.default_rng(seed))
-            traj = rollout(policy, s0, horizon, mode="sample", rng=np.random.default_rng(seed))
-            assert batch.lengths.tolist() == [traj.num_steps]
-            assert tuple(batch.actions[0, : traj.num_steps].tolist()) == traj.actions
-        initial = inputs * 2
-        batch = decode(score, policy.window, initial, horizon, rng=np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        states, running = list(initial), list(range(len(initial)))
-        for t in range(horizon):
-            for i, u in zip(running, rng.random(len(running))):
-                cdf = np.cumsum(policy.distribution(states[i]).probs)
-                a = min(int(np.searchsorted(cdf, u, side="right")), vocab.size - 1)
-                assert batch.actions[i, t] == a
-                for w in (1, 2, 3, 5):
-                    assert batch.step_contexts(w)[i, t].tolist() == list(states[i].last_tokens(w))
-                states[i] = step(states[i], a)
-            running = [i for i in running if not states[i].is_terminal]
-            if not running:
-                break
-        assert batch.lengths.tolist() == [s.length for s in states]
+        batch = decode(score, policy.window, initial, horizon, u)
+        for i, s0 in enumerate(initial):
+            traj = rollout(policy, s0, horizon, mode="sample", rng=_Draws(u[i]))
+            n = traj.num_steps
+            assert batch.lengths[i] == n
+            assert tuple(batch.actions[i, :n].tolist()) == traj.actions
+            for w in (1, 2, 3, 5):
+                got = batch.step_contexts(w)[i, :n]
+                assert got.tolist() == [list(s.state.last_tokens(w)) for s in traj.steps]
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_sampled_rows_decode_as_alone(inst, seed):
+    """With the teacher's table as the scorer, which scores each row on its
+    own, each row of a sampled decode is bitwise that row decoded alone on
+    its own row of uniforms: no row's draws depend on the other rows."""
+    vocab, student, teacher, horizon, inputs = inst
+    initial = inputs * 2
+    u = np.random.default_rng(seed).random((len(initial), horizon))
+    batch = decode(teacher.batch_q_values, teacher.window, initial, horizon, u)
+    for i, s0 in enumerate(initial):
+        alone = decode(teacher.batch_q_values, teacher.window, [s0], horizon, u[i : i + 1])
+        assert np.array_equal(batch.tokens[i, batch.prefix_width - alone.prefix_width :],
+                              alone.tokens[0])
+        assert batch.lengths[i] == alone.lengths[0]
 
 
 @st.composite
@@ -135,54 +151,34 @@ def eos_heavy_populations(draw):
     return policies, b, inputs, draw(st.integers(1, 10)), seed
 
 
-class _Draws:
-    """A stand-in generator that hands ``rollout`` given uniforms in turn."""
-
-    def __init__(self, values):
-        self.values = iter(values)
-
-    def random(self):
-        return next(self.values)
-
-
 @settings(max_examples=80, deadline=None)
 @given(eos_heavy_populations())
 def test_population_decode_matches_each_run_alone(case):
-    """The fixed-shape population decode scores every row at every step, a
-    finished one too, through the layout of its rows: each run's actions
-    and lengths are bitwise those of the run decoded alone, greedy and
-    sampled, and each row's actions are its ``rollout``, fed the uniforms
-    its run draws for it (one per running row per step, rows in order).
-    Each generator ends in the state of that per-step replay."""
+    """The population decode scores every row at every step, a finished one
+    too, through the layout of its rows: each run's actions and lengths are
+    bitwise those of the run decoded alone on its rows of uniforms, greedy
+    and sampled, and each row's actions are its ``rollout``, fed its own row
+    of uniforms when sampled."""
     policies, b, inputs, horizon, seed = case
     stack, window = ModelStack.of(policies), policies[0].window
     run = np.repeat(np.arange(len(policies)), b)
-    for sampled in (False, True):
-        rngs = [np.random.default_rng([seed, r]) for r in range(len(policies))]
-        pop = decode(stack.layout(run).batch_logits, window, inputs, horizon,
-                     rng=rngs if sampled else None, run=run)
+    u = np.random.default_rng(seed).random((len(inputs), horizon))
+    for draws in (None, u):
+        pop = decode(stack.layout(run).batch_logits, window, inputs, horizon, draws)
         for r, policy in enumerate(policies):
             rows = slice(r * b, (r + 1) * b)
             alone = decode(policy.batch_logits, window, inputs[rows], horizon,
-                           rng=np.random.default_rng([seed, r]) if sampled else None)
+                           None if draws is None else draws[rows])
             assert np.array_equal(pop.actions[rows], alone.actions)
             assert np.array_equal(pop.lengths[rows], alone.lengths)
-            lengths = pop.lengths[rows].tolist()
-            draws = [[] for _ in range(b)]
-            g = np.random.default_rng([seed, r])
-            for t in range(horizon):
-                running = [i for i in range(b) if lengths[i] > t]
-                for i, u in zip(running, g.random(len(running)).tolist()):
-                    draws[i].append(u)
-            if sampled:
-                assert rngs[r].bit_generator.state == g.bit_generator.state
-            for i, s0 in enumerate(inputs[rows]):
-                if sampled:
-                    traj = rollout(policy, s0, horizon, mode="sample", rng=_Draws(draws[i]))
-                else:
+            for i, s0 in enumerate(inputs[rows], start=r * b):
+                if draws is None:
                     traj = rollout(policy, s0, horizon, mode="greedy")
-                assert traj.num_steps == lengths[i]
-                assert tuple(pop.actions[r * b + i, : lengths[i]].tolist()) == traj.actions
+                else:
+                    traj = rollout(policy, s0, horizon, mode="sample", rng=_Draws(draws[i]))
+                n = traj.num_steps
+                assert pop.lengths[i] == n
+                assert tuple(pop.actions[i, :n].tolist()) == traj.actions
 
 
 @pytest.mark.slow
@@ -193,9 +189,8 @@ def test_sampled_decoder_matches_enumerated_path_probabilities():
     policy = init_model(ModelArch("mlp1", window=2, hidden=3), 3, np.random.default_rng(5), 1.0)
     spec = oracle.EnumerationSpec(vocab, 4, initial_state(vocab, (1,)))
     n = 20_000
-    batch = decode(
-        policy.batch_logits, 2, [spec.initial] * n, spec.horizon, rng=np.random.default_rng(6)
-    )
+    batch = decode(policy.batch_logits, 2, [spec.initial] * n, spec.horizon,
+                   np.random.default_rng(6).random((n, spec.horizon)))
     counts = Counter(
         tuple(row[:length]) for row, length in zip(batch.actions.tolist(), batch.lengths.tolist())
     )
@@ -227,9 +222,8 @@ def test_batched_q_terms_and_returns_match_per_state(inst):
         np.testing.assert_array_equal(g[i, :n], ret.kstep_from_terms(q[i, :n], m[i, :n], 1))
     # sampled trajectories of ragged lengths, scored in one call, against
     # per-state terms along each row's actions
-    sampled = decode(
-        student.batch_logits, student.window, inputs, horizon, rng=np.random.default_rng(0)
-    )
+    sampled = decode(student.batch_logits, student.window, inputs, horizon,
+                     np.random.default_rng(0).random((len(inputs), horizon)))
     q, m = ret.batch_q_terms(sampled, teacher)
     for i, s0 in enumerate(inputs):
         n = int(sampled.lengths[i])
@@ -260,9 +254,8 @@ def test_bias_variance_rows_match_per_row_groups(seed):
     )
 
     initial = [s0 for s0 in inputs for _ in range(spi)]
-    batch = decode(
-        student.batch_logits, 2, initial, cfg.horizon, rng=np.random.default_rng([seed, 303])
-    )
+    batch = decode(student.batch_logits, 2, initial, cfg.horizon,
+                   np.random.default_rng([seed, 303]).random((len(initial), cfg.horizon)))
     rc = ret.ReturnConfig(clip_range=cfg.clip_range)
     terms, kl_terms = [], []
     for i, s0 in enumerate(initial):
@@ -406,8 +399,7 @@ def test_decoder_error_paths():
     with pytest.raises(ValueError, match="shape"):
         decode(lambda c: np.zeros((len(c), 5)), 2, [s0], 3)
 
-    # a sampled decode that fails at its third step has drawn the uniforms
-    # of its first three steps and no more
+    # a sampled decode that fails at its third step stops there
     calls = []
 
     def late_bad_score(contexts):
@@ -418,13 +410,30 @@ def test_decoder_error_paths():
             out[-1, 2] = np.inf
         return out
 
-    rng, replay = np.random.default_rng(7), np.random.default_rng(7)
+    u = np.random.default_rng(7).random((2, 6))
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite log-probability"):
-            decode(late_bad_score, 2, [s0, s0], 6, rng=rng)
+            decode(late_bad_score, 2, [s0, s0], 6, u)
     assert calls == [2, 2, 2]
-    replay.random(3 * 2)
-    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 4), (2, 3), (2, 5), (8,)],
+                         ids=["rows+1", "rows-1", "steps-1", "steps+1", "flat"])
+def test_decoder_refuses_uniforms_of_another_shape(shape):
+    """Uniforms that are not one row of ``horizon`` steps per initial state
+    raise ValueError before any scoring."""
+    model = init_model(ModelArch("linear", window=2), VOCAB.size, np.random.default_rng(1))
+    calls = []
+
+    def score(contexts):
+        calls.append(len(contexts))
+        return model.batch_logits(contexts)
+
+    s0 = initial_state(VOCAB, (1,))
+    u = np.random.default_rng(7).random(shape)
+    with pytest.raises(ValueError, match=rf"uniforms have shape \({shape[0]},.*expected \(2, 4\)"):
+        decode(score, 2, [s0, s0], 4, u)
+    assert calls == []
 
 
 @pytest.mark.parametrize("token", [-1, 5, 7], ids=["minus-one", "V", "V+2"])

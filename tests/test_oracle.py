@@ -14,7 +14,7 @@ from kstepkd import returns as ret
 from kstepkd.models import ModelArch, init_model, zero_model
 from kstepkd.oracle import EnumerationSpec, SizeBoundError
 from kstepkd.returns import ReturnConfig
-from kstepkd.seqmdp import Vocabulary, initial_state, rollout, step
+from kstepkd.seqmdp import State, Vocabulary, initial_state, rollout, step
 from kstepkd.teacher import FrozenModelTeacher
 
 from conftest import table_teacher
@@ -101,6 +101,19 @@ class TestEnumeration:
             EnumerationSpec(Vocabulary(6, eos_id=5, bos_id=0), 3, initial_state(VOCAB3))
         with pytest.raises(SizeBoundError):
             EnumerationSpec(VOCAB3, 9, initial_state(VOCAB3))
+
+    @pytest.mark.parametrize("token", [-1, 3, 5], ids=["minus-one", "V", "V+2"])
+    def test_prefix_tokens_outside_the_vocabulary_refused(self, token):
+        """A prefix token outside [0, V) is refused as ``decode`` refuses it:
+        the enumeration would read wrapped table rows at -1, and the exact
+        moments would fail inside numpy."""
+        with pytest.raises(ValueError, match=rf"initial prefix token {token} outside \[0, 3\)"):
+            EnumerationSpec(VOCAB3, 3, State(VOCAB3, (0, token, 1)))
+
+    def test_initial_state_of_another_vocabulary_refused(self):
+        vocab5 = Vocabulary(size=5, eos_id=4, bos_id=0)
+        with pytest.raises(ValueError, match="share one vocabulary"):
+            EnumerationSpec(VOCAB3, 3, initial_state(vocab5, (1,)))
 
 
 @st.composite

@@ -39,8 +39,8 @@ def make_student(seed=1):
 def first_sampled_actions(student, batch, horizon=8, seed=0):
     """The actions of the first trajectory ``update_one`` samples from
     ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    trajs = decode(student.batch_logits, student.window, batch, horizon, rng=rng)
+    u = np.random.default_rng(seed).random((len(batch), horizon))
+    trajs = decode(student.batch_logits, student.window, batch, horizon, u)
     return tuple(trajs.actions[0, : trajs.lengths[0]].tolist())
 
 
@@ -322,9 +322,9 @@ def sampled_batches(monkeypatch):
     """Record (actions, lengths) of every sampled decode the trainer makes."""
     seen = []
 
-    def recording(*args, **kwargs):
-        batch = decode(*args, **kwargs)
-        if kwargs.get("rng") is not None:
+    def recording(score, window, initial, horizon, u=None):
+        batch = decode(score, window, initial, horizon, u)
+        if u is not None:
             n = batch.lengths
             seen.append([tuple(a[: n[i]].tolist()) for i, a in enumerate(batch.actions)])
         return batch
