@@ -47,9 +47,13 @@ class PolicyDistribution:
     log_probs: np.ndarray
 
 
-def _distribution_from_logits(logits: np.ndarray) -> PolicyDistribution:
-    lp = log_softmax(logits)
-    return PolicyDistribution(logits=logits, probs=np.exp(lp), log_probs=lp)
+class ContextEntry(NamedTuple):
+    """A context's read-only distribution, and its log-probs, logits (``row``) and max as floats."""
+
+    dist: PolicyDistribution
+    log_probs: list[float]
+    row: list[float]
+    max: float
 
 
 @dataclass(frozen=True)
@@ -346,8 +350,8 @@ class LogitModel(_RunRows):
         object.__setattr__(self, "_views", views)
         slots = self._table.reshape(self.window, self.vocab_size, -1)
         object.__setattr__(self, "_slots", tuple(slots))
-        # ``logits``' read-only results by padded context: at most one entry
-        # per distinct context that this instance's per-state calls visit
+        # ``entry``'s results by padded context: at most one per distinct
+        # context that this instance's per-state calls visit
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -365,18 +369,18 @@ class LogitModel(_RunRows):
             raise ValueError("state vocabulary does not match model vocab_size")
         return _checked(state.last_tokens(self.window), self.vocab_size)
 
-    def logits(self, state: State) -> np.ndarray:
-        # read-only and memoized by context (``context(state)``, padded
-        # inline), as params never change; a miss checks the tokens, adds
-        # the context's table rows slot by slot as in ``_slot_sum``, then b1
+    def entry(self, state: State) -> ContextEntry:
+        # memoized by context (``context(state)``, padded inline): a miss
+        # checks the tokens, adds the context's table rows slot by slot as in
+        # ``_slot_sum``, then b1, and takes ``log_softmax``, then ``exp``
         if state.vocab.size != self.vocab_size:
             raise ValueError("state vocabulary does not match model vocab_size")
         prefix, n, slots = state.prefix, self.window, self._slots
         pad = n - len(prefix)
         tokens = prefix[-n:] if pad <= 0 else (state.vocab.bos_id,) * pad + prefix
-        z = self._memo.get(tokens)
-        if z is not None:
-            return z
+        e = self._memo.get(tokens)
+        if e is not None:
+            return e
         _checked(tokens, self.vocab_size)
         u = slots[0][tokens[0]]
         for j in range(1, n):
@@ -384,12 +388,18 @@ class LogitModel(_RunRows):
         views = self._views
         u = u + views[1]
         z = u if self.kind == "linear" else views[2] @ np.tanh(u) + views[3]
-        z.flags.writeable = False
-        self._memo[tokens] = z
-        return z
+        lp = log_softmax(z)
+        dist = PolicyDistribution(logits=z, probs=np.exp(lp), log_probs=lp)
+        for a in (z, dist.probs, lp):
+            a.flags.writeable = False
+        e = self._memo[tokens] = ContextEntry(dist, lp.tolist(), z.tolist(), float(z.max()))
+        return e
+
+    def logits(self, state: State) -> np.ndarray:
+        return self.entry(state).dist.logits
 
     def distribution(self, state: State) -> PolicyDistribution:
-        return _distribution_from_logits(self.logits(state))
+        return self.entry(state).dist
 
     def grad_log_prob(self, state: State, action: int) -> np.ndarray:
         """d log pi(action|state) / d params, flat, same length as params.

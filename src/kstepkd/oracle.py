@@ -25,7 +25,7 @@ import numpy as np
 from . import returns as ret
 from .models import LogitModel, ModelStack, context_code, log_softmax
 from .returns import ReturnConfig
-from .seqmdp import Policy, State, Trajectory, TrajectoryBatch, TrajectoryStep, Vocabulary
+from .seqmdp import State, Trajectory, TrajectoryBatch, TrajectoryStep, Vocabulary
 from .seqmdp import check_prefix_tokens, decode, step
 from .teacher import FrozenModelTeacher
 
@@ -64,7 +64,7 @@ class EnumerationSpec:
 
 
 def enumerate_trajectories(
-    spec: EnumerationSpec, policy: Policy
+    spec: EnumerationSpec, policy: LogitModel
 ) -> list[tuple[Trajectory, float]]:
     """Every maximal trajectory (EOS-terminated or horizon-truncated) with its
     exact path probability under the policy.  Probabilities sum to 1."""
@@ -74,13 +74,12 @@ def enumerate_trajectories(
 
 
 def _expand(
-    spec: EnumerationSpec, policy: Policy, state: State, steps: list, logp: float, out: list
+    spec: EnumerationSpec, policy: LogitModel, state: State, steps: list, logp: float, out: list
 ) -> None:
     # module level, not nested: a self-referencing closure would hold ``out``
     # in a reference cycle that only the cyclic collector frees
-    # the step log-probs as Python floats, converted once per state, not
-    # once per action
-    log_probs = policy.distribution(state).log_probs.tolist()
+    # the step log-probs as Python floats, memoized with the distribution
+    log_probs = policy.entry(state).log_probs
     for action in range(spec.vocab.size):
         nxt = step(state, action)
         steps.append(TrajectoryStep(state, action, log_probs[action]))

@@ -72,12 +72,15 @@ def q_terms(
 def trajectory_q_terms(
     traj: Trajectory, teacher: FrozenModelTeacher
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(q_taken, max_q) per step state; one teacher evaluation per state.
-    The per-state reference for the batched forms below."""
-    steps = traj.steps
-    qv = np.array([teacher.q_values(s.state) for s in steps])
-    v = qv.shape[1]
-    return qv.take([i * v + s.action for i, s in enumerate(steps)]), qv.max(axis=1)
+    """(q_taken, max_q) per step state, checked by ``q_values`` and read from
+    the model's memo entry: the per-state reference for the batched forms."""
+    q, m = [], []
+    for s in traj.steps:
+        teacher.q_values(s.state)
+        e = teacher.model.entry(s.state)
+        q.append(e.row[s.action])
+        m.append(e.max)
+    return np.array(q), np.array(m)
 
 
 def batch_q_terms(
@@ -101,15 +104,16 @@ def actual_return(traj: Trajectory, teacher: FrozenModelTeacher) -> np.ndarray:
     return kstep_return_raw(traj, teacher, 1)
 
 
-def kstep_from_terms(q: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
-    """Ghat [n] from float64 term arrays q, m [n] (n >= 1); K = 1 gives the
-    actual return G.  The per-trajectory reference for
-    ``kstep_from_batch_terms``.
+def kstep_from_terms(q: np.ndarray | list, m: np.ndarray | list, k: int) -> np.ndarray:
+    """Ghat [n] from float64 term arrays q, m [n] (n >= 1), or lists of
+    their Python floats; K = 1 gives the actual return G.  The
+    per-trajectory reference for ``kstep_from_batch_terms``.
 
     The recursion runs on Python floats, whose + and - round as numpy's
     float64 scalars do, so the bits are those of a numpy recursion; a
     non-finite term gives the same inf or nan, and no RuntimeWarning."""
-    q, m = q.tolist(), m.tolist()
+    if isinstance(q, np.ndarray):
+        q, m = q.tolist(), m.tolist()
     g = q[:]
     last = len(q) - 1
     for t in range(last - 1, -1, -1):
@@ -163,6 +167,7 @@ def implied_baseline(
 ) -> np.ndarray:
     """The baseline the K-step estimator implicitly subtracts: G - Ghat, pre-clip."""
     q, m = trajectory_q_terms(traj, teacher)
+    q, m = q.tolist(), m.tolist()  # the recursions' floats, converted once
     return kstep_from_terms(q, m, 1) - kstep_from_terms(q, m, cfg.k)
 
 
@@ -210,6 +215,7 @@ class ReturnEstimate:
 
 def estimate(traj: Trajectory, teacher: FrozenModelTeacher, cfg: ReturnConfig) -> ReturnEstimate:
     q, m = trajectory_q_terms(traj, teacher)
+    q, m = q.tolist(), m.tolist()
     g = kstep_from_terms(q, m, 1)
     g_hat = kstep_from_terms(q, m, cfg.k)
     return ReturnEstimate(g_hat=g_hat, g_actual=g, baseline=g - g_hat, config=cfg)

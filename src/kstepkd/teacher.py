@@ -73,10 +73,9 @@ class FrozenModelTeacher:
         return self.q[models.context_code(contexts, self.vocab_size)]
 
     def distribution(self, state: State) -> PolicyDistribution:
-        """Boltzmann policy over the teacher's own Q-values."""
-        q = self.q_values(state)
-        lp = models.log_softmax(q)
-        return PolicyDistribution(logits=q, probs=np.exp(lp), log_probs=lp)
+        """Boltzmann policy over the teacher's own Q-values, checked by ``q_values``."""
+        self.q_values(state)
+        return self.model.distribution(state)
 
 
 class TeacherStack(NamedTuple):

@@ -258,11 +258,17 @@ def _lockstep_step(
 
 def _left_to_right_mean(values: list[float]) -> float:
     # in input order: the mean must not depend on numpy's pairwise
-    # summation, which groups terms by the batch size
+    # summation, which groups terms by the batch size; finite terms whose
+    # sum overflows are added again, each divided first
     total = 0.0
     for v in values:
         total += v
-    return total / len(values)
+    if np.isfinite(total) or not np.all(np.isfinite(values)):
+        return total / len(values)
+    total = 0.0
+    for v in values:
+        total += v / len(values)
+    return total
 
 
 def evaluate_population(

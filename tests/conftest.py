@@ -32,8 +32,9 @@ TINY_CONFIG = {
 }
 
 # C11's config with a linear teacher whose Q table is finite but whose q - m
-# overflows, trained for no epoch and no iteration, over five seeds: seeds 1,
-# 3 and 4 have a greedy validation return of -inf
+# overflows, trained for no epoch and no iteration, over five seeds: seeds 1
+# and 3 have greedy returns of -inf on every input, and seed 4 finite ones
+# near -1e308 whose sum overflows
 OVERFLOW_CONFIG = {
     **TINY_CONFIG,
     "teacher": {"kind": "linear", "hidden": 0},
@@ -77,6 +78,19 @@ def update_one(student, teacher, batch, cfg, variant, rng):
         np.zeros(1, int),
     )
     return stack.model(0), trainer.TrainRecord(0, *stats[0].tolist(), 0.0)
+
+
+def updates_many(policy, teacher, batch, cfg, variant, rng, n):
+    """n sampled-batch updates of one policy, each as its parameter step
+    [n, P] (the updated params minus the policy's): ``trainer._lockstep_step``
+    on a population of n copies of the policy, each run drawing from the one
+    generator ``rng`` in run order, so bitwise n ``update_one`` calls in a
+    row on ``rng``."""
+    stack, _ = trainer._lockstep_step(
+        ModelStack.of([policy] * n), TeacherStack.of([teacher]), [batch] * n, cfg,
+        [variant] * n, [rng] * n, np.zeros(n, int),
+    )
+    return stack.params - policy.params
 
 
 def greedy_return(student, teacher, inputs, horizon):

@@ -20,7 +20,7 @@ from kstepkd.returns import ReturnConfig
 from kstepkd.seqmdp import Vocabulary, initial_state, rollout, step
 from kstepkd.teacher import FrozenModelTeacher
 
-from conftest import TINY_CONFIG, update_one
+from conftest import TINY_CONFIG, updates_many
 
 K_GRID = (1, 2, 4, 8, 16)
 VOCAB5 = Vocabulary(size=5, eos_id=4, bos_id=0)
@@ -172,11 +172,9 @@ def test_c06_unbiasedness():
     exact_grad = oracle._exact_policy_gradient(spec, policy, teacher)
     cfg = trainer.TrainConfig(lr=1.0, batch_size=5, horizon=3)
     n_calls = 20_000  # 1e5 sampled trajectories in batches of 5
-    sums = np.zeros((n_calls, policy.num_params))
     rng3 = np.random.default_rng(608)
-    for i in range(n_calls):
-        out, _ = update_one(policy, teacher, [spec.initial] * 5, cfg, ("mean_baseline", 1), rng3)
-        sums[i] = out.params - policy.params
+    sums = updates_many(policy, teacher, [spec.initial] * 5, cfg, ("mean_baseline", 1), rng3,
+                        n_calls)
     mean = sums.mean(axis=0)
     se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)
     z = np.abs(mean - exact_grad) / np.maximum(se, 1e-12)
@@ -235,9 +233,12 @@ def test_c09_end_to_end_directional(desk_cfg, k_sweep_results):
     seeds = desk_cfg.seeds
     wins = {}
     means = {}
+    strict, ties = {}, {}
     for name in ("kstep_k2", "kstep_k4", "kstep_k8"):
         per_seed = [results[(name, s)] >= results[("llmr", s)] - 1e-12 for s in seeds]
         wins[name] = sum(per_seed)
+        strict[name] = sum(results[(name, s)] > results[("llmr", s)] + 1e-12 for s in seeds)
+        ties[name] = wins[name] - strict[name]
         means[name] = float(np.mean([results[(name, s)] for s in seeds]))
     best_k_mean = max(means.values())
     mean_bl = float(np.mean([results[("mean_baseline", s)] for s in seeds]))
@@ -248,7 +249,8 @@ def test_c09_end_to_end_directional(desk_cfg, k_sweep_results):
     _report(
         "C9 end-to-end directional",
         directional and baselines_below and sweep_seconds < 1800.0,
-        f"wins vs one-step {wins}; seed-means llmr {llmr_mean:.3f}, best-K {best_k_mean:.3f}, "
+        f"wins vs one-step {wins} (strict {strict}, ties {ties}); "
+        f"seed-means llmr {llmr_mean:.3f}, best-K {best_k_mean:.3f}, "
         f"mean-baseline {mean_bl:.3f}, minvar-baseline {minvar_bl:.3f}; "
         f"sweep ran in {sweep_seconds:.0f}s",
     )

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from kstepkd import models, returns
 from kstepkd.models import LogitModel, ModelArch, encode_context, init_model, zero_model
-from kstepkd.seqmdp import State, Trajectory, TrajectoryStep, Vocabulary, initial_state, step
+from kstepkd.seqmdp import (
+    State, TerminalStateError, Trajectory, TrajectoryStep, Vocabulary, initial_state, step,
+)
 from kstepkd.teacher import FrozenModelTeacher
 
 VOCAB3 = Vocabulary(size=3, eos_id=2, bos_id=0)
@@ -208,17 +210,31 @@ def memo_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(memo_cases())
 def test_logits_memo_is_transparent(case):
-    """``logits(state)`` returns, first call and repeat, the bytes of the
-    same call on a fresh copy of the model, as a read-only array that a
-    repeat returns again; a state of another vocabulary still raises after
-    its tokens are memoized; an updated model starts with an empty memo and
-    returns its own logits."""
+    """``logits(state)`` and ``distribution(state)`` return, first call and
+    repeat, the bytes of the same calls on a fresh copy of the model, as
+    read-only arrays of one memo entry that a repeat returns again, and the
+    entry's floats are their values; the teacher's ``trajectory_q_terms``,
+    cold and warm, gives a fresh teacher's bytes; a state of another
+    vocabulary still raises after its tokens are memoized; an updated model
+    starts with an empty memo and returns its own logits."""
     model, states = case
-    for state in states + states:
-        got = model.logits(state)
-        assert got.tobytes() == model.with_params(model.params).logits(state).tobytes()
-        assert not got.flags.writeable
-        assert model.logits(state) is got
+    teacher = FrozenModelTeacher(model)
+    live = [s for s in states if not s.is_terminal]
+    traj = Trajectory(tuple(TrajectoryStep(s, i % VOCAB4.size, 0.0) for i, s in enumerate(live)),
+                      states[0])
+    fresh = FrozenModelTeacher(model.with_params(model.params))
+    fresh_terms = returns.trajectory_q_terms(traj, fresh)
+    for _ in range(2):
+        for got, want in zip(returns.trajectory_q_terms(traj, teacher), fresh_terms):
+            assert got.tobytes() == want.tobytes()
+        for state in states:
+            got, dist, e = model.logits(state), model.distribution(state), model.entry(state)
+            ref = model.with_params(model.params).distribution(state)
+            for a, b in zip((got, dist.probs, dist.log_probs),
+                            (ref.logits, ref.probs, ref.log_probs)):
+                assert a.tobytes() == b.tobytes() and not a.flags.writeable
+            assert model.logits(state) is got and dist.logits is got and e.dist is dist
+            assert (e.row, e.log_probs, e.max) == (got.tolist(), dist.log_probs.tolist(), got.max())
     other = Vocabulary(size=5, eos_id=4, bos_id=0)
     with pytest.raises(ValueError, match="vocab"):
         model.logits(State(other, states[0].prefix, states[0].length))
@@ -228,6 +244,32 @@ def test_logits_memo_is_transparent(case):
         got = updated.logits(state)
         assert got.tobytes() == updated.with_params(updated.params).logits(state).tobytes()
         assert got.tobytes() != model.logits(state).tobytes()
+
+
+@pytest.mark.parametrize("arch", [ModelArch("linear", window=2),
+                                  ModelArch("mlp1", window=3, hidden=4)],
+                         ids=["linear", "mlp1"])
+def test_checks_hold_on_a_memo_hit(arch):
+    """A terminal state, and a state of another vocabulary, raise in every
+    teacher per-state call after their context is memoized."""
+    model = init_model(arch, VOCAB4.size, np.random.default_rng(8))
+    teacher = FrozenModelTeacher(model)
+    live = step(initial_state(VOCAB4), 1)
+    terminal = step(live, VOCAB4.eos_id)
+    other = State(Vocabulary(size=5, eos_id=4, bos_id=0), live.prefix, live.length)
+    for state in (live, terminal):
+        model.entry(state)
+    calls = [teacher.q_values, teacher.distribution,
+             lambda s: returns.trajectory_q_terms(
+                 Trajectory((TrajectoryStep(s, 0, 0.0),), step(live, 0)), teacher)]
+    for call in calls:
+        with pytest.raises(TerminalStateError):
+            call(terminal)
+        with pytest.raises(ValueError, match="vocab"):
+            call(other)
+    for call in (model.logits, model.distribution, model.entry):
+        with pytest.raises(ValueError, match="vocab"):
+            call(other)
 
 
 @st.composite

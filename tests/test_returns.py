@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstepkd import oracle
 from kstepkd import returns as ret
 from kstepkd.models import ModelArch, init_model
 from kstepkd.returns import (
@@ -394,3 +395,33 @@ class TestIidConstruction:
             measured = gh.var(ddof=1) / g.var(ddof=1)
             expected = ((terms - 1) // k + 1) / terms
             assert abs(measured / expected - 1) < 0.05
+
+
+def test_per_state_estimates_match_the_batched_path_on_the_largest_instance():
+    """On the largest enumerable instance (V=5, H=6: 5461 paths; mlp1
+    policy, linear teacher), ``estimate`` and ``implied_baseline`` on every
+    enumerated path, with the memos cold and then warm, equal the batched
+    ``batch_q_terms`` and ``kstep_from_batch_terms`` recursion bitwise."""
+    vocab = Vocabulary(size=5, bos_id=0, eos_id=4)
+    rng = np.random.default_rng([0, 606])
+    policy = init_model(ModelArch("mlp1", window=2, hidden=4), vocab.size, rng, 0.6)
+    teacher = FrozenModelTeacher(init_model(ModelArch("linear", window=2), vocab.size, rng, 1.0))
+    spec = oracle.EnumerationSpec(vocab, oracle.MAX_HORIZON, initial_state(vocab))
+    batch, _ = oracle.enumerate_batch(spec, policy)
+    q, m = ret.batch_q_terms(batch, teacher)
+    g = ret.kstep_from_batch_terms(q, m, batch.lengths, 1)
+    g_hat = ret.kstep_from_batch_terms(q, m, batch.lengths, 2)
+    row = {tuple(a[:n]): i for i, (a, n) in
+           enumerate(zip(batch.actions.tolist(), batch.lengths.tolist()))}
+    cfg = ReturnConfig(k=2)
+    for _ in range(2):
+        paths = oracle.enumerate_trajectories(spec, policy)
+        assert len(paths) == len(row) == 5461
+        for traj, _ in paths:
+            i, n = row[traj.actions], traj.num_steps
+            est = estimate(traj, teacher, cfg)
+            assert est.g_actual.tobytes() == g[i, :n].tobytes()
+            assert est.g_hat.tobytes() == g_hat[i, :n].tobytes()
+            want = (g[i, :n] - g_hat[i, :n]).tobytes()
+            assert est.baseline.tobytes() == want
+            assert ret.implied_baseline(traj, teacher, cfg).tobytes() == want

@@ -21,7 +21,7 @@ from kstepkd.trainer import (
     train_population,
 )
 
-from conftest import OVERFLOW_CONFIG, greedy_return, table_teacher, update_one
+from conftest import OVERFLOW_CONFIG, greedy_return, table_teacher, update_one, updates_many
 
 VOCAB = Vocabulary(size=5, eos_id=4, bos_id=0)
 
@@ -150,6 +150,26 @@ class TestReinforceStep:
         assert len(seen) == 4
         assert all(s == seen[0] for s in seen[1:])
 
+    @pytest.mark.parametrize(
+        "arch,variant",
+        [(ModelArch("linear", window=2), ("kstep", 2)),
+         (ModelArch("mlp1", window=2, hidden=4), ("mean_baseline", 1)),
+         (ModelArch("mlp1", window=2, hidden=4), ("minvar_baseline", 1))],
+        ids=["linear-kstep", "mlp1-mean", "mlp1-minvar"],
+    )
+    def test_updates_many_is_the_update_one_loop(self, arch, variant):
+        """``updates_many`` on n copies gives, bitwise, the steps of n
+        ``update_one`` calls in a row on one generator, and leaves that
+        generator where the loop leaves it."""
+        student = init_model(arch, VOCAB.size, np.random.default_rng(4))
+        teacher, batch, cfg = make_teacher(seed=5), [initial_state(VOCAB)] * 3, rl_cfg(lr=1.0)
+        rng_many, rng_loop = np.random.default_rng(77), np.random.default_rng(77)
+        many = updates_many(student, teacher, batch, cfg, variant, rng_many, 5)
+        loop = [update_one(student, teacher, batch, cfg, variant, rng_loop)[0].params
+                - student.params for _ in range(5)]
+        assert many.tobytes() == np.array(loop).tobytes()
+        assert rng_many.random() == rng_loop.random()
+
     @pytest.mark.slow
     def test_one_step_mdp_matches_analytic_gradient(self):
         # vocab 2, horizon 1: exact gradient is sum_a pi(a) q(a) dlogpi(a)
@@ -165,10 +185,8 @@ class TestReinforceStep:
         cfg = rl_cfg(lr=1.0, batch_size=10, horizon=1)
         rng = np.random.default_rng(123)
         n_calls = 10_000  # 1e5 sampled one-step trajectories in total
-        sums = np.zeros((n_calls, student.num_params))
-        for i in range(n_calls):
-            out, _ = update_one(student, teacher, [s0] * 10, cfg, ("kstep", 1), rng)
-            sums[i] = out.params - student.params  # lr = 1.0: direction itself
+        # lr = 1.0: each step is the direction itself
+        sums = updates_many(student, teacher, [s0] * 10, cfg, ("kstep", 1), rng, n_calls)
         mean = sums.mean(axis=0)
         se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)
         z = np.abs(mean - exact) / np.maximum(se, 1e-12)
@@ -450,9 +468,9 @@ class TestTrainPopulation:
             assert type(failed) is ValueError and str(failed) == str(solo.value)
 
     def test_non_finite_first_evaluation_fails_its_seed(self):
-        """A greedy validation return of -inf, from a sum of returns that
-        overflows, fails every run of its seed before the first iteration;
-        the other seed's runs go on."""
+        """A greedy validation return of -inf, from greedy returns of -inf,
+        fails every run of its seed before the first iteration; the other
+        seed's runs go on."""
         cfg = from_dict(OVERFLOW_CONFIG)
         splits = pipeline.build_corpus(cfg)
         fitted = {seed: pipeline.fit_seed(cfg, splits, seed) for seed in (0, 1)}
@@ -465,22 +483,47 @@ class TestTrainPopulation:
                 "non-finite eval_greedy_return (-inf) before the first iteration"
             )
 
-    def test_non_finite_test_return_fails_its_run(self):
-        """Seed 4's greedy returns on the test inputs are each finite, but
-        their sum overflows to -inf; validated on the first test input
-        alone, every run trains.  The test evaluation fails the seed's first
-        variant, and no test return is kept."""
+    def test_non_finite_test_return_fails_its_run(self, monkeypatch):
+        """A test input whose greedy return is -inf (the first of each test
+        mean's returns, spoiled) fails the seed's first variant, and no test
+        return is kept; validated on one input, every run trains."""
         cfg = from_dict(OVERFLOW_CONFIG)
         splits = pipeline.build_corpus(cfg)
         splits = replace(splits, val_states=splits.test_states[:1])
-        with np.errstate(all="ignore"):
-            (runs, tests), = pipeline.train_seeds(
-                cfg, splits, {4: pipeline.fit_seed(cfg, splits, 4)}, pipeline.variant_list(cfg)
-            ).values()
+        mean = trainer._left_to_right_mean
+        spoiled = lambda values: mean([-np.inf, *values[1:]] if len(values) > 1 else values)
+        monkeypatch.setattr(trainer, "_left_to_right_mean", spoiled)
+        (runs, tests), = pipeline.train_seeds(
+            cfg, splits, {0: pipeline.fit_seed(cfg, splits, 0)}, pipeline.variant_list(cfg)
+        ).values()
         assert tests == []
         assert type(runs[0]) is FloatingPointError
         assert str(runs[0]) == "non-finite test_return (-inf)"
         assert all(isinstance(outcome, tuple) for outcome in runs[1:])
+
+    def test_test_return_whose_sum_overflows_is_the_termwise_mean(self, monkeypatch):
+        """Seed 4's greedy returns on the test inputs are each finite, but
+        their sum overflows: every run's test return is their mean taken
+        termwise, a left-to-right sum of each divided by their count."""
+        cfg = from_dict(OVERFLOW_CONFIG)
+        splits = pipeline.build_corpus(cfg)
+        splits = replace(splits, val_states=splits.test_states[:1])
+        seen = []
+        mean = trainer._left_to_right_mean
+        monkeypatch.setattr(trainer, "_left_to_right_mean",
+                            lambda values: seen.append(values) or mean(values))
+        with np.errstate(all="ignore"):
+            (runs, tests), = pipeline.train_seeds(
+                cfg, splits, {4: pipeline.fit_seed(cfg, splits, 4)}, pipeline.variant_list(cfg)
+            ).values()
+        assert all(isinstance(outcome, tuple) for outcome in runs)
+        assert len(tests) == len(runs)
+        for values, test_return in zip(seen[-len(runs):], tests, strict=True):
+            total, termwise = 0.0, 0.0
+            for v in values:
+                total, termwise = total + v, termwise + v / len(values)
+            assert np.all(np.isfinite(values)) and total == -np.inf
+            assert np.isfinite(test_return) and test_return == termwise
 
     def test_zero_iterations_evaluates_once(self):
         cfg, splits, teacher, student = tiny_population("linear")
@@ -538,6 +581,24 @@ class TestDirectionalResult:
         assert wins >= 7, f"kstep_k2 >= llmr in only {wins}/10 seeds"
 
 
+def test_left_to_right_mean_divides_first_only_when_a_finite_sum_overflows():
+    """A finite sum keeps the bits of sum / n; finite terms whose sum
+    overflows give the left-to-right sum of each divided by n; with a
+    non-finite term the plain sum's inf or nan stands."""
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        values = (rng.normal(size=int(rng.integers(1, 9))) * 10.0 ** rng.integers(-5, 300)).tolist()
+        total = 0.0
+        for v in values:
+            total += v
+        assert trainer._left_to_right_mean(values) == total / len(values)
+    big = [-1.04e308, -1.04e308, -1.04e308, -3.8e307]
+    termwise = ((big[0] / 4 + big[1] / 4) + big[2] / 4) + big[3] / 4
+    assert np.isfinite(termwise) and trainer._left_to_right_mean(big) == termwise
+    assert trainer._left_to_right_mean([1e308, np.inf, 1.0]) == np.inf
+    assert np.isnan(trainer._left_to_right_mean([1e308, 1e308, -np.inf]))
+
+
 @pytest.mark.slow
 class TestMeanBaselineUnbiasedness:
     def test_expected_gradient_matches_vanilla(self):
@@ -557,10 +618,8 @@ class TestMeanBaselineUnbiasedness:
         cfg = rl_cfg(lr=1.0, batch_size=5, horizon=3)
         rng = np.random.default_rng(62)
         n_calls = 6000
-        sums = np.zeros((n_calls, policy.num_params))
-        for i in range(n_calls):
-            out, _ = update_one(policy, teacher, [spec.initial] * 5, cfg, ("mean_baseline", 1), rng)
-            sums[i] = out.params - policy.params
+        sums = updates_many(policy, teacher, [spec.initial] * 5, cfg, ("mean_baseline", 1), rng,
+                            n_calls)
         mean = sums.mean(axis=0)
         se = sums.std(axis=0, ddof=1) / np.sqrt(n_calls)
         z = np.abs(mean - exact) / np.maximum(se, 1e-12)
