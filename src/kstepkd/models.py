@@ -38,20 +38,15 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-@dataclass(frozen=True)
-class PolicyDistribution:
-    """Softmax distribution over the vocabulary at one state."""
+class PolicyDistribution(NamedTuple):
+    """Softmax distribution over the vocabulary at one state: the read-only
+    logits, probs and log-probs, and the log-probs (``lp``), the logits
+    (``row``) and their max as Python floats."""
 
     logits: np.ndarray
     probs: np.ndarray
     log_probs: np.ndarray
-
-
-class ContextEntry(NamedTuple):
-    """A context's read-only distribution, and its log-probs, logits (``row``) and max as floats."""
-
-    dist: PolicyDistribution
-    log_probs: list[float]
+    lp: list[float]
     row: list[float]
     max: float
 
@@ -160,15 +155,17 @@ class _RunRows:
     for a given ``run``.  The first layer's columns of all runs are rows of
     one run-major table: row i's slot j reads table row run[i] * window * V
     + column.  Gathers, scatters and elementwise steps run on all rows at
-    once.  Each matrix product and sum over rows runs per run, on that
-    run's rows: BLAS rounds a row of a product differently at another row
-    count, so this keeps every run bitwise equal to the call on its rows
-    alone.  When every run holds the same row count, as in a population
-    decode, the runs' products are one stacked ``np.matmul``, whose slices
-    are gemm calls of each run's own shape (``_run_products``).  The
-    backward's sums can instead be keyed by finer segments of the rows
-    within their runs, such as trajectories, while the forward and the
-    cotangents stay the runs' (``Scores.weighted_grad``).
+    once.  Each matrix product runs per run, on that run's rows: BLAS
+    rounds a row of a product differently at another row count, so this
+    keeps every run bitwise equal to the call on its rows alone.  When
+    every run holds the same row count, as in a population decode, the
+    runs' products are one stacked ``np.matmul``, whose slices are gemm
+    calls of each run's own shape (``_run_products``).  Sums over rows are
+    ``np.bincount`` calls keyed by each row's run, which add each run's rows
+    in row order from 0.0.  The backward's sums can instead be keyed by
+    finer segments of the rows within their runs, such as trajectories,
+    while the forward and the cotangents stay the runs'
+    (``Scores.weighted_grad``).
     """
 
     def _set_layers(self) -> None:
@@ -241,23 +238,26 @@ class _RunRows:
         d1 = self._first_layer_cotangent(h, dz, layout)
         nv, width = self.window * self.vocab_size, d1.shape[1]
         bounds = layout.bounds
-        if segment is not None:
+        if segment is None:
+            segment = rows[:, 0] // nv  # each row's run, from its first slot's table row
+        else:
             # a table row's column within its run, moved to its segment's table
             rows = rows % nv + (segment * nv)[:, None]
             edges = np.searchsorted(segment, np.arange(segment.max(initial=-1) + 2)).tolist()
             bounds = list(zip(edges[:-1], edges[1:]))
         n_out, o = len(bounds), width * nv
         # a table row repeats across rows, so accumulate by row, then lay
-        # the table out as each run's (or segment's) [width, nv]
+        # the table out as each run's (or segment's) [width, nv]; the bias
+        # sums are keyed by the row's run (or segment) alone
         g1t = _scatter_rows(rows, d1, n_out * nv)
         grad = np.zeros((n_out, self.params.shape[-1]))
         grad[:, :o] = g1t.reshape(n_out, nv, width).transpose(0, 2, 1).reshape(n_out, o)
-        for r, (lo, hi) in enumerate(bounds):
-            grad[r, o : o + width] = d1[lo:hi].sum(axis=0)
-            if h is not None:
-                p = o + width + self.vocab_size * width
+        grad[:, o : o + width] = _scatter_rows(segment[:, None], d1, n_out)
+        if h is not None:
+            p = o + width + self.vocab_size * width
+            for r, (lo, hi) in enumerate(bounds):
                 grad[r, o + width : p] = (dz[lo:hi].T @ h[lo:hi]).ravel()
-                grad[r, p:] = dz[lo:hi].sum(axis=0)
+            grad[:, p:] = _scatter_rows(segment[:, None], dz, n_out)
         return grad
 
 
@@ -350,8 +350,8 @@ class LogitModel(_RunRows):
         object.__setattr__(self, "_views", views)
         slots = self._table.reshape(self.window, self.vocab_size, -1)
         object.__setattr__(self, "_slots", tuple(slots))
-        # ``entry``'s results by padded context: at most one per distinct
-        # context that this instance's per-state calls visit
+        # ``distribution``'s results by padded context: at most one per
+        # distinct context that this instance's per-state calls visit
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -369,7 +369,7 @@ class LogitModel(_RunRows):
             raise ValueError("state vocabulary does not match model vocab_size")
         return _checked(state.last_tokens(self.window), self.vocab_size)
 
-    def entry(self, state: State) -> ContextEntry:
+    def distribution(self, state: State) -> PolicyDistribution:
         # memoized by context (``context(state)``, padded inline): a miss
         # checks the tokens, adds the context's table rows slot by slot as in
         # ``_slot_sum``, then b1, and takes ``log_softmax``, then ``exp``
@@ -378,9 +378,9 @@ class LogitModel(_RunRows):
         prefix, n, slots = state.prefix, self.window, self._slots
         pad = n - len(prefix)
         tokens = prefix[-n:] if pad <= 0 else (state.vocab.bos_id,) * pad + prefix
-        e = self._memo.get(tokens)
-        if e is not None:
-            return e
+        dist = self._memo.get(tokens)
+        if dist is not None:
+            return dist
         _checked(tokens, self.vocab_size)
         u = slots[0][tokens[0]]
         for j in range(1, n):
@@ -389,17 +389,14 @@ class LogitModel(_RunRows):
         u = u + views[1]
         z = u if self.kind == "linear" else views[2] @ np.tanh(u) + views[3]
         lp = log_softmax(z)
-        dist = PolicyDistribution(logits=z, probs=np.exp(lp), log_probs=lp)
-        for a in (z, dist.probs, lp):
+        dist = PolicyDistribution(z, np.exp(lp), lp, lp.tolist(), z.tolist(), float(z.max()))
+        for a in dist[:3]:
             a.flags.writeable = False
-        e = self._memo[tokens] = ContextEntry(dist, lp.tolist(), z.tolist(), float(z.max()))
-        return e
+        self._memo[tokens] = dist
+        return dist
 
     def logits(self, state: State) -> np.ndarray:
-        return self.entry(state).dist.logits
-
-    def distribution(self, state: State) -> PolicyDistribution:
-        return self.entry(state).dist
+        return self.distribution(state).logits
 
     def grad_log_prob(self, state: State, action: int) -> np.ndarray:
         """d log pi(action|state) / d params, flat, same length as params.

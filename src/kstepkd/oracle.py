@@ -41,6 +41,10 @@ MAX_TRAJECTORIES = 10**6
 # a bound on the rows it scores at once (2^18 rows of an mlp1 of hidden 32
 # hold 64 MB of activations)
 FD_STACK_ROWS = 2**18
+# the largest relative error ``check_gradient`` passes, and the largest
+# |z| that ``montecarlo_convergence`` does not flag
+GRADIENT_THRESHOLD = 1e-6
+Z_THRESHOLD = 4.0
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ def _expand(
     # module level, not nested: a self-referencing closure would hold ``out``
     # in a reference cycle that only the cyclic collector frees
     # the step log-probs as Python floats, memoized with the distribution
-    log_probs = policy.entry(state).log_probs
+    log_probs = policy.distribution(state).lp
     for action in range(spec.vocab.size):
         nxt = step(state, action)
         steps.append(TrajectoryStep(state, action, log_probs[action]))
@@ -218,7 +222,6 @@ class GradientCheckReport:
     rel_errors: np.ndarray
     max_rel_error: float
     passed: bool
-    threshold: float
 
 
 def check_gradient(
@@ -227,7 +230,6 @@ def check_gradient(
     teacher: FrozenModelTeacher,
     cfg: ReturnConfig,
     fd_step: float = 1e-5,
-    threshold: float = 1e-6,
 ) -> GradientCheckReport:
     """Exact enumeration gradient vs central finite differences of J(theta).
 
@@ -259,7 +261,7 @@ def check_gradient(
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     rel = np.abs(analytic - fd) / denom
     max_rel = float(rel.max())
-    return GradientCheckReport(analytic, fd, rel, max_rel, bool(max_rel < threshold), threshold)
+    return GradientCheckReport(analytic, fd, rel, max_rel, bool(max_rel < GRADIENT_THRESHOLD))
 
 
 # -- Monte-Carlo convergence --------------------------------------------------
@@ -279,7 +281,6 @@ class ConvergenceEntry:
 class ConvergenceReport:
     n_samples: int
     entries: tuple[ConvergenceEntry, ...]
-    z_threshold: float
 
     @property
     def any_flagged(self) -> bool:
@@ -291,7 +292,7 @@ class ConvergenceReport:
             (
                 f"z:{e.metric}",
                 float("nan") if e.z_score is None else e.z_score,
-                self.z_threshold,
+                Z_THRESHOLD,
                 "fail" if e.flagged else "pass",
             )
             for e in self.entries
@@ -308,7 +309,7 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def _entry(metric: str, values: np.ndarray, exact: float, z_threshold: float) -> ConvergenceEntry:
+def _entry(metric: str, values: np.ndarray, exact: float) -> ConvergenceEntry:
     mean = float(values.mean())
     if len(values) < 2:
         return ConvergenceEntry(metric, mean, exact, float("inf"), None, False)
@@ -317,7 +318,7 @@ def _entry(metric: str, values: np.ndarray, exact: float, z_threshold: float) ->
         z = 0.0 if mean == exact else float("inf")
     else:
         z = (mean - exact) / se
-    return ConvergenceEntry(metric, mean, exact, se, z, bool(abs(z) > z_threshold))
+    return ConvergenceEntry(metric, mean, exact, se, z, bool(abs(z) > Z_THRESHOLD))
 
 
 def montecarlo_convergence(
@@ -327,7 +328,6 @@ def montecarlo_convergence(
     cfg: ReturnConfig,
     n_samples: int,
     rng: np.random.Generator,
-    z_threshold: float = 4.0,
 ) -> ConvergenceReport:
     """Sample-mean convergence of Ghat_0 and of the gradient estimator toward
     their enumeration-exact values, reported as z-scores."""
@@ -340,9 +340,9 @@ def montecarlo_convergence(
     mask = batch.step_mask
     scores = policy.layout().scores(batch.step_contexts(policy.window)[mask], batch.actions[mask])
     grads = scores.weighted_grad(gh[mask], np.repeat(np.arange(n_samples), batch.lengths))
-    entries = [_entry("g_hat_0", gh[:, 0], float(exact.expected_g_hat[0]), z_threshold)]
+    entries = [_entry("g_hat_0", gh[:, 0], float(exact.expected_g_hat[0]))]
     entries += [
-        _entry(f"grad[{i}]", grads[:, i], float(exact.grad_j_kstep[i]), z_threshold)
+        _entry(f"grad[{i}]", grads[:, i], float(exact.grad_j_kstep[i]))
         for i in range(policy.num_params)
     ]
-    return ConvergenceReport(n_samples, tuple(entries), z_threshold)
+    return ConvergenceReport(n_samples, tuple(entries))

@@ -437,7 +437,7 @@ def oracle_check(out_path: str | Path | None = None, seed: int = 0) -> bool:
             (
                 f"gradient_check[{i}].max_rel_error",
                 report.max_rel_error,
-                report.threshold,
+                oracle.GRADIENT_THRESHOLD,
                 "pass" if report.passed else "fail",
             )
         )

@@ -72,14 +72,14 @@ def q_terms(
 def trajectory_q_terms(
     traj: Trajectory, teacher: FrozenModelTeacher
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(q_taken, max_q) per step state, checked by ``q_values`` and read from
-    the model's memo entry: the per-state reference for the batched forms."""
+    """(q_taken, max_q) per step state, checked by ``q_values`` and read
+    from the memoized distribution: the per-state reference for the batched forms."""
     q, m = [], []
     for s in traj.steps:
         teacher.q_values(s.state)
-        e = teacher.model.entry(s.state)
-        q.append(e.row[s.action])
-        m.append(e.max)
+        dist = teacher.model.distribution(s.state)
+        q.append(dist.row[s.action])
+        m.append(dist.max)
     return np.array(q), np.array(m)
 
 
@@ -101,7 +101,7 @@ def batch_q_terms(
 def actual_return(traj: Trajectory, teacher: FrozenModelTeacher) -> np.ndarray:
     """Per-step cumulative induced reward G[t], unclipped: the K-step return
     at K = 1."""
-    return kstep_return_raw(traj, teacher, 1)
+    return kstep_from_terms(*trajectory_q_terms(traj, teacher), 1)
 
 
 def kstep_from_terms(q: np.ndarray | list, m: np.ndarray | list, k: int) -> np.ndarray:
@@ -152,16 +152,6 @@ def kstep_from_batch_terms(
     return g
 
 
-def kstep_return_raw(traj: Trajectory, teacher: FrozenModelTeacher, k: int) -> np.ndarray:
-    q, m = trajectory_q_terms(traj, teacher)
-    return kstep_from_terms(q, m, k)
-
-
-def kstep_return(traj: Trajectory, teacher: FrozenModelTeacher, cfg: ReturnConfig) -> np.ndarray:
-    """K-step approximate return Ghat[t], clipped to cfg.clip_range."""
-    return clip_returns(kstep_return_raw(traj, teacher, cfg.k), cfg)
-
-
 def implied_baseline(
     traj: Trajectory, teacher: FrozenModelTeacher, cfg: ReturnConfig
 ) -> np.ndarray:
@@ -171,13 +161,10 @@ def implied_baseline(
     return kstep_from_terms(q, m, 1) - kstep_from_terms(q, m, cfg.k)
 
 
-def skipped_step_gaps(traj: Trajectory, teacher: FrozenModelTeacher, k: int) -> np.ndarray:
-    """Termwise form of the baseline: per t, the sum of (q[j] - m[j]) over the
-    steps j the K-step recursion jumps over from t.  Equals implied_baseline."""
-    return skipped_gaps_from_terms(*trajectory_q_terms(traj, teacher), k)
-
-
 def skipped_gaps_from_terms(q: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
+    """Termwise form of the baseline from term arrays q, m [n]: per t, the
+    sum of (q[j] - m[j]) over the steps j the K-step recursion jumps over
+    from t.  Equals implied_baseline."""
     n = len(q)
     last = n - 1
     out = np.empty(n, dtype=np.float64)

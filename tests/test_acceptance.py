@@ -62,7 +62,7 @@ def test_c01_teacher_greedy_zero_bias():
         traj = rollout(teacher, initial_state(VOCAB5), 12, mode="greedy")
         g = ret.actual_return(traj, teacher)
         for k in K_GRID:
-            khat = ret.kstep_return(traj, teacher, ReturnConfig(k=k))
+            khat = ret.estimate(traj, teacher, ReturnConfig(k=k)).g_hat_clipped
             worst = max(worst, float(np.abs(khat - g).max()))
     elapsed = time.time() - start
     _report(
@@ -79,7 +79,7 @@ def test_c02_k1_collapse_bitwise():
     for _ in range(1000):
         teacher = _random_teacher(rng)
         traj = _random_policy_trajectory(rng, horizon=int(rng.integers(1, 13)))
-        khat = ret.kstep_return(traj, teacher, ReturnConfig(k=1))
+        khat = ret.estimate(traj, teacher, ReturnConfig(k=1)).g_hat_clipped
         g = ret.actual_return(traj, teacher)
         identical &= bool(np.array_equal(khat, g))
     elapsed = time.time() - start
@@ -98,7 +98,7 @@ def test_c03_decomposition_identity():
         traj = _random_policy_trajectory(rng, horizon=int(rng.integers(1, 13)))
         for k in K_GRID:
             cfg = ReturnConfig(k=k)
-            lhs = ret.actual_return(traj, teacher) - ret.kstep_return_raw(traj, teacher, k)
+            lhs = ret.actual_return(traj, teacher) - ret.estimate(traj, teacher, cfg).g_hat
             exact &= bool(np.array_equal(lhs, ret.implied_baseline(traj, teacher, cfg)))
             est = ret.estimate(traj, teacher, cfg)
             exact &= bool(np.array_equal(est.g_actual - est.g_hat, est.baseline))

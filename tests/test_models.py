@@ -210,13 +210,13 @@ def memo_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(memo_cases())
 def test_logits_memo_is_transparent(case):
-    """``logits(state)`` and ``distribution(state)`` return, first call and
-    repeat, the bytes of the same calls on a fresh copy of the model, as
-    read-only arrays of one memo entry that a repeat returns again, and the
-    entry's floats are their values; the teacher's ``trajectory_q_terms``,
-    cold and warm, gives a fresh teacher's bytes; a state of another
-    vocabulary still raises after its tokens are memoized; an updated model
-    starts with an empty memo and returns its own logits."""
+    """``distribution(state)`` returns, first call and repeat, the bytes of
+    the same call on a fresh copy of the model, as one memoized record that
+    a repeat returns again: its arrays are read-only, ``logits`` returns
+    its logits, and its floats are its arrays' values; the teacher's
+    ``trajectory_q_terms``, cold and warm, gives a fresh teacher's bytes; a
+    state of another vocabulary still raises after its tokens are memoized;
+    an updated model starts with an empty memo and returns its own logits."""
     model, states = case
     teacher = FrozenModelTeacher(model)
     live = [s for s in states if not s.is_terminal]
@@ -228,13 +228,15 @@ def test_logits_memo_is_transparent(case):
         for got, want in zip(returns.trajectory_q_terms(traj, teacher), fresh_terms):
             assert got.tobytes() == want.tobytes()
         for state in states:
-            got, dist, e = model.logits(state), model.distribution(state), model.entry(state)
+            dist = model.distribution(state)
             ref = model.with_params(model.params).distribution(state)
-            for a, b in zip((got, dist.probs, dist.log_probs),
+            for a, b in zip((dist.logits, dist.probs, dist.log_probs),
                             (ref.logits, ref.probs, ref.log_probs)):
                 assert a.tobytes() == b.tobytes() and not a.flags.writeable
-            assert model.logits(state) is got and dist.logits is got and e.dist is dist
-            assert (e.row, e.log_probs, e.max) == (got.tolist(), dist.log_probs.tolist(), got.max())
+            assert model.distribution(state) is dist and model.logits(state) is dist.logits
+            assert (dist.row, dist.lp, dist.max) == (
+                dist.logits.tolist(), dist.log_probs.tolist(), dist.logits.max())
+            assert (ref.row, ref.lp, ref.max) == (dist.row, dist.lp, dist.max)
     other = Vocabulary(size=5, eos_id=4, bos_id=0)
     with pytest.raises(ValueError, match="vocab"):
         model.logits(State(other, states[0].prefix, states[0].length))
@@ -258,7 +260,7 @@ def test_checks_hold_on_a_memo_hit(arch):
     terminal = step(live, VOCAB4.eos_id)
     other = State(Vocabulary(size=5, eos_id=4, bos_id=0), live.prefix, live.length)
     for state in (live, terminal):
-        model.entry(state)
+        model.distribution(state)
     calls = [teacher.q_values, teacher.distribution,
              lambda s: returns.trajectory_q_terms(
                  Trajectory((TrajectoryStep(s, 0, 0.0),), step(live, 0)), teacher)]
@@ -267,7 +269,7 @@ def test_checks_hold_on_a_memo_hit(arch):
             call(terminal)
         with pytest.raises(ValueError, match="vocab"):
             call(other)
-    for call in (model.logits, model.distribution, model.entry):
+    for call in (model.logits, model.distribution):
         with pytest.raises(ValueError, match="vocab"):
             call(other)
 
@@ -432,6 +434,38 @@ def test_segment_keyed_grad_matches_each_segment_alone(case, data):
     by_run = scores.weighted_grad(weights, run)
     assert np.array_equal(by_run, whole[: len(by_run)])
     assert not whole[len(by_run) :].any()  # trailing empty runs
+
+
+@pytest.mark.parametrize("arch", [ModelArch("linear", window=2),
+                                  ModelArch("mlp1", window=2, hidden=4)],
+                         ids=["linear", "mlp1"])
+def test_keyed_grad_at_the_monte_carlo_shape(arch):
+    """The shape of ``montecarlo_convergence``'s backward: 4,000 segment keys
+    of 1-6 rows under one model at V=5, every fifth key left empty (the
+    first included).  Each keyed row is the one-segment call on that
+    segment's rows, bitwise for linear and to 1e-12 for mlp1; an empty
+    segment's row is zero."""
+    rng = np.random.default_rng(41)
+    model = init_model(arch, 5, rng, scale=0.6)
+    lengths = rng.integers(1, 7, size=4000)
+    lengths[::5] = 0
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    n = len(segment)
+    contexts, actions = rng.integers(0, 5, size=(n, 2)), rng.integers(0, 5, size=n)
+    weights = rng.normal(size=n)
+    keyed = model.layout().scores(contexts, actions).weighted_grad(weights, segment)
+    assert keyed.shape == (len(lengths), model.num_params)
+    ends = np.cumsum(np.concatenate([[0], lengths]))
+    for seg, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        if lo == hi:
+            assert not keyed[seg].any()
+            continue
+        alone = model.layout().scores(contexts[lo:hi], actions[lo:hi])
+        expected = alone.weighted_grad(weights[lo:hi])[0]
+        if arch.kind == "linear":
+            assert np.array_equal(keyed[seg], expected)
+        else:
+            np.testing.assert_allclose(keyed[seg], expected, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

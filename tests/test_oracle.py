@@ -485,7 +485,7 @@ class TestMonteCarloConvergence:
 
     def test_report_csv_spells_missing_z_as_nan(self):
         entry = oracle.ConvergenceEntry("g_hat_0", 1.0, 1.0, float("inf"), None, False)
-        report = oracle.ConvergenceReport(1, (entry,), 4.0)
+        report = oracle.ConvergenceReport(1, (entry,))
         text = pipeline.table_text(pipeline.ORACLE_REPORT_HEADER, report.csv_rows())
         assert text.splitlines()[1] == "z:g_hat_0,nan,4.0,pass"
 

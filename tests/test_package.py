@@ -32,6 +32,48 @@ def test_exports_are_pipeline_entry_points():
     assert sorted(set(kstepkd.__all__) - used) == []
 
 
+def _references(path: Path) -> list[tuple[str, int]]:
+    """(identifier, line) of every name, attribute and imported name in a
+    Python file, and of every part of a string constant that reads as a
+    dotted path (``"returns.actual_return"``, ``"kstepkd.cli:main"``)."""
+    refs = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            refs += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[\w.:]+", node.value):
+            refs += [(part, node.lineno) for part in re.split(r"[.:]", node.value)]
+    return refs
+
+
+def test_every_top_level_definition_is_used():
+    """Every top-level function and class of ``src/kstepkd`` is referenced
+    somewhere outside its own definition, in ``src/``, ``tests/``,
+    ``bench/`` or ``pyproject.toml``: a wrapper whose last caller goes
+    fails here instead of staying as dead surface."""
+    files = sorted((ROOT / "src" / "kstepkd").glob("*.py")) + sorted(
+        (ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    refs = {path: _references(path) for path in files}
+    toml = set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
+    unused = []
+    for path in sorted((ROOT / "src" / "kstepkd").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            used = node.name in toml or any(
+                name == node.name and not (other == path and line in inside)
+                for other, found in refs.items() for name, line in found
+            )
+            if not used:
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
+
+
 def test_readme_src_line_count():
     """The README's "`src/` holds N lines" figure is the line total of
     src/kstepkd/*.py, as ``wc -l`` counts it."""

@@ -139,13 +139,13 @@ class TestKStepReturn:
     def test_hand_computed_k2(self):
         teacher, traj = hand_case()
         np.testing.assert_array_equal(
-            ret.kstep_return(traj, teacher, ReturnConfig(k=2)), [2.0, 1.0, 2.5]
+            estimate(traj, teacher, ReturnConfig(k=2)).g_hat_clipped, [2.0, 1.0, 2.5]
         )
 
     def test_hand_computed_k_beyond_length_collapses(self):
         teacher, traj = hand_case()
         np.testing.assert_array_equal(
-            ret.kstep_return(traj, teacher, ReturnConfig(k=3)),
+            estimate(traj, teacher, ReturnConfig(k=3)).g_hat_clipped,
             ret.actual_return(traj, teacher),
         )
 
@@ -154,7 +154,7 @@ class TestKStepReturn:
         for _ in range(1000):
             teacher = random_model_teacher(VOCAB4, rng)
             traj = random_trajectory(VOCAB4, rng, horizon=int(rng.integers(1, 10)))
-            khat = ret.kstep_return(traj, teacher, ReturnConfig(k=1))
+            khat = estimate(traj, teacher, ReturnConfig(k=1)).g_hat_clipped
             g = ret.actual_return(traj, teacher)
             assert np.array_equal(khat, g)
 
@@ -165,7 +165,7 @@ class TestKStepReturn:
             traj = rollout(teacher, initial_state(VOCAB4), 18, mode="greedy")
             g = ret.actual_return(traj, teacher)
             for k in K_GRID:
-                khat = ret.kstep_return(traj, teacher, ReturnConfig(k=k))
+                khat = estimate(traj, teacher, ReturnConfig(k=k)).g_hat_clipped
                 np.testing.assert_allclose(khat, g, rtol=0, atol=1e-12)
 
     def test_matches_forward_summation_oracle(self):
@@ -179,7 +179,7 @@ class TestKStepReturn:
             traj = random_trajectory(VOCAB4, rng, horizon)
             q, m = ret.trajectory_q_terms(traj, teacher)
             np.testing.assert_allclose(
-                ret.kstep_return_raw(traj, teacher, k),
+                estimate(traj, teacher, ReturnConfig(k=k)).g_hat,
                 forward_summation(q, m, k),
                 rtol=0,
                 atol=1e-12,
@@ -202,9 +202,9 @@ class TestKStepReturn:
         traj = make_trajectory(VOCAB4, [1, 2, 3])
         q, m = ret.trajectory_q_terms(traj, teacher)
         assert q.tolist() == [0.0, 0.0, 0.0] and m.tolist() == [60.0, 60.0, 60.0]
-        assert ret.kstep_return_raw(traj, teacher, 1).tolist() == [-120.0, -60.0, 0.0]
-        out = ret.kstep_return(traj, teacher, ReturnConfig(k=1, clip_range=(-100.0, 100.0)))
-        assert out.tolist() == [-100.0, -60.0, 0.0]
+        est = estimate(traj, teacher, ReturnConfig(k=1, clip_range=(-100.0, 100.0)))
+        assert est.g_hat.tolist() == [-120.0, -60.0, 0.0]
+        assert est.g_hat_clipped.tolist() == [-100.0, -60.0, 0.0]
 
 
 class TestImpliedBaseline:
@@ -243,7 +243,7 @@ class TestImpliedBaseline:
             assert np.all(q - m <= 1e-12)
             for k in (2, 3, 5):
                 base = ret.implied_baseline(traj, teacher, ReturnConfig(k=k))
-                gaps = ret.skipped_step_gaps(traj, teacher, k)
+                gaps = ret.skipped_gaps_from_terms(q, m, k)
                 np.testing.assert_allclose(base, gaps, rtol=0, atol=1e-12)
                 assert np.all(base <= 1e-12)
 

@@ -186,7 +186,8 @@ class TestStepReward:
     def test_clipping(self):
         t = table_teacher({(0,): [0.0, -250.0, 0.0], (1,): [0.0, 0.0, 0.0]}, 3)
         cfg = ReturnConfig(k=1, clip_range=(-100.0, 100.0))
-        assert ret.kstep_return(path_of([1, VOCAB.eos_id]), t, cfg).tolist() == [-100.0, 0.0]
+        assert ret.estimate(path_of([1, VOCAB.eos_id]), t, cfg).g_hat_clipped.tolist() == [
+            -100.0, 0.0]
 
     def test_clip_idempotent(self):
         cfg = ReturnConfig(clip_range=(-100.0, 100.0))
