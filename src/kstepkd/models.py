@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .seqmdp import State
+from .seqmdp import State, log_softmax
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -31,11 +31,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 class PolicyDistribution(NamedTuple):

@@ -23,10 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from . import returns as ret
-from .models import LogitModel, ModelStack, context_code, log_softmax
+from .models import LogitModel, ModelStack, context_code
 from .returns import ReturnConfig
 from .seqmdp import State, Trajectory, TrajectoryBatch, TrajectoryStep, Vocabulary
-from .seqmdp import check_prefix_tokens, decode, step
+from .seqmdp import check_prefix_tokens, decode, log_softmax, step
 from .teacher import FrozenModelTeacher
 
 

@@ -42,7 +42,7 @@ from . import models, oracle, returns as ret, tasks, teacher as teacher_mod, tra
 from .config import ExperimentConfig
 from .models import LogitModel
 from .returns import ReturnConfig
-from .seqmdp import State, TrajectoryBatch, Vocabulary, decode, initial_state
+from .seqmdp import State, TrajectoryBatch, Vocabulary, decode, initial_state, log_softmax
 from .teacher import FrozenModelTeacher, TeacherStack
 
 
@@ -302,8 +302,8 @@ def mean_kl_to_teacher(
 ) -> float:
     """Mean KL(student || teacher softmax) over every step state of the batch."""
     mask = batch.step_mask
-    s_lp = models.log_softmax(student.batch_logits(batch.step_contexts(student.window)[mask]))
-    t_lp = models.log_softmax(teacher.batch_q_values(batch.step_contexts(teacher.window)[mask]))
+    s_lp = log_softmax(student.batch_logits(batch.step_contexts(student.window)[mask]))
+    t_lp = log_softmax(teacher.batch_q_values(batch.step_contexts(teacher.window)[mask]))
     return float(np.mean((np.exp(s_lp) * (s_lp - t_lp)).sum(axis=1)))
 
 
@@ -321,11 +321,10 @@ def bias_variance_rows_for_student(
     inputs: Sequence[State],
     samples_per_input: int,
     seed: int,
-    k_list: Sequence[int] | None = None,
 ) -> tuple[list[tuple[int, float, float]], float]:
-    """Per-K (k, mean_bias, mean_variance) over shared sampled rollouts, plus
-    the measured mean KL(student || teacher) over the states that the samples
-    of the first 16 inputs visit.
+    """Per-K (k, mean_bias, mean_variance) over shared sampled rollouts, one
+    row per K of ``cfg.k_list``, plus the measured mean KL(student ||
+    teacher) over the states that the samples of the first 16 inputs visit.
 
     The same trajectories score every K, so cross-K differences are paired,
     not resampled.
@@ -358,7 +357,7 @@ def bias_variance_rows_for_student(
     if not np.isfinite(kl):
         raise FloatingPointError(f"non-finite mean KL to the teacher ({kl})")
     rows = []
-    for k in (cfg.k_list if k_list is None else k_list):
+    for k in cfg.k_list:
         g_hat = returns_at_0(k)
         # mean over inputs of the per-input sample variance and mean bias
         var = float(np.mean(g_hat.var(axis=1, ddof=1)))

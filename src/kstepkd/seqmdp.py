@@ -23,6 +23,13 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    # the ufunc reductions that ``max`` and ``sum`` wrap, called directly:
+    # the same bits with less call overhead
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+
+
 class TerminalStateError(ValueError):
     """Raised when an action is applied to (or queried at) a terminal state."""
 
@@ -228,10 +235,11 @@ def decode(
     ``score`` maps int contexts [B, window] to logits [B, V]. Each step
     makes one call on all B rows, finished or not, so a scorer that keeps
     runs of rows apart (``RowLayout.batch_logits``) sees one shape for the
-    whole decode. A finished row's tokens and length stay frozen, and only
-    the rows still running take an action.
+    whole decode. Every row goes through one step body under a running
+    mask: a finished row's scores are ignored, and its tokens and length
+    stay frozen.
 
-    Without ``u`` each takes the argmax (ties to the lowest token id), as
+    Without ``u`` a row takes the argmax (ties to the lowest token id), as
     ``rollout(mode="greedy")`` does per state. With ``u``, a float array
     [B, horizon] of uniforms, row i draws its step-t action from the
     softmax by inverse CDF on ``u[i, t]``, as ``rollout(mode="sample")``
@@ -265,37 +273,30 @@ def decode(
     check_prefix_tokens(tokens[:, :p], vocab)
     # a row's length is written when it ends; the rest run the horizon
     lengths = np.full(b, horizon, dtype=np.int64)
-    alive = np.arange(b)
+    running, rows = np.ones(b, dtype=bool), np.arange(b)
     for t in range(horizon):
         logits = score(tokens[:, p + t - window : p + t])
         if logits.shape != (b, vocab.size):
             raise ValueError(f"scores have shape {logits.shape}, expected ({b}, {vocab.size})")
-        if len(alive) < b:
-            logits = logits.take(alive, axis=0)
-        z = logits - logits.max(axis=1, keepdims=True)
+        # zeros stand in for a finished row's scores, which may be anything
+        log_probs = log_softmax(np.where(running[:, None], logits, 0.0))
         if u is None:
             actions = np.argmax(logits, axis=1)
-            # log_softmax at the argmax, whose shifted logit is exactly 0
-            lp = -np.log(np.exp(z).sum(axis=1))
         else:
-            # the same log_softmax and inverse-CDF draw as rollout; the
-            # clamp guards the final partial sum rounding below 1.0
-            log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            # the same inverse-CDF draw as rollout; the clamp guards the
+            # final partial sum rounding below 1.0
             cdf = np.cumsum(np.exp(log_probs), axis=1)
-            actions = np.minimum((cdf <= u[alive, t, None]).sum(axis=1), vocab.size - 1)
-            lp = log_probs[np.arange(len(alive)), actions]
-        finite = np.isfinite(lp)
+            actions = np.minimum((cdf <= u[:, t, None]).sum(axis=1), vocab.size - 1)
+        # a finished row's log-probs are those of zeros, so any non-finite
+        # one is a running row's
+        finite = np.isfinite(log_probs[rows, actions])
         if not finite.all():
             bad = int(np.flatnonzero(~finite)[0])
             raise ValueError(f"non-finite log-probability for action {int(actions[bad])}")
-        if len(alive) == b:
-            tokens[:, p + t] = actions
-        else:
-            tokens[alive, p + t] = actions
+        np.copyto(tokens[:, p + t], actions, where=running)
         ended = actions == vocab.eos_id
-        if np.count_nonzero(ended):
-            lengths[alive[ended]] = t + 1
-            alive = alive[~ended]
-            if not len(alive):
-                break
+        lengths[running & ended] = t + 1
+        running &= ~ended
+        if not running.any():
+            break
     return TrajectoryBatch(vocab, tokens, p, lengths)

@@ -362,7 +362,7 @@ def train_population(
     inputs: Sequence[State],
     cfg: TrainConfig,
     variants: Sequence[tuple[str, int]],
-    val_inputs: Sequence[State] | None = None,
+    val_inputs: Sequence[State],
 ) -> dict[int, list[Outcome]]:
     """cfg.iterations REINFORCE updates over shuffled input batches for
     every seed of ``fitted`` (seed -> (teacher, student)) under every
@@ -372,14 +372,13 @@ def train_population(
     teacher and draws from ``default_rng(seed)``.  Each run keeps its own
     generator and input order, so it samples, updates, evaluates and keeps
     its best student by greedy validation return bitwise as it would alone.
-    Validation runs on ``val_inputs``, or on the training inputs when it is
-    None.  An iteration whose policy entropy is exactly 0.0 fails the run
-    with FloatingPointError: every sampled softmax is then one-hot, so every
-    score and every further update is exactly 0 (a diverged step).  An
-    iteration in which any run fails is replayed run by run from the same
-    draws, so that each failing run raises exactly its error alone; a
-    failed run is dropped and the others go on.  A student whose first
-    evaluation fails, or is not finite, fails all its runs.
+    Validation runs on ``val_inputs``.  An iteration whose policy entropy is
+    exactly 0.0 fails the run with FloatingPointError: every sampled softmax
+    is then one-hot, so every score and every further update is exactly 0
+    (a diverged step).  An iteration in which any run fails is replayed run
+    by run from the same draws, so that each failing run raises exactly its
+    error alone; a failed run is dropped and the others go on.  A student
+    whose first evaluation fails, or is not finite, fails all its runs.
 
     Returns, per seed and in variant order, each run's (best student, log,
     greedy validation return of the best student), or the exception that
@@ -392,7 +391,7 @@ def train_population(
         check_variant(estimator, k)
     if not inputs:
         raise ValueError("train_population requires a non-empty input set")
-    val = list(inputs if val_inputs is None else val_inputs)
+    val = list(val_inputs)
     if not val:
         raise ValueError("train_population requires a non-empty validation set")
 

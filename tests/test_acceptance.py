@@ -187,6 +187,7 @@ def test_c06_unbiasedness():
 
 @pytest.mark.slow
 def test_c07_bias_monotone_in_k(desk_cfg, desk_splits, desk_models):
+    cfg = from_dict({**desk_cfg.raw, "k_list": list(K_GRID)})
     monotone = 0
     chains = []
     for seed in desk_cfg.seeds:
@@ -194,9 +195,7 @@ def test_c07_bias_monotone_in_k(desk_cfg, desk_splits, desk_models):
         inputs = [
             desk_splits.train_states[i % len(desk_splits.train_states)] for i in range(256)
         ]
-        rows, _ = pipeline.bias_variance_rows_for_student(
-            desk_cfg, student, teacher, inputs, 32, seed, k_list=K_GRID
-        )
+        rows, _ = pipeline.bias_variance_rows_for_student(cfg, student, teacher, inputs, 32, seed)
         chain = [abs(b) for _, b, _ in rows]
         chains.append(chain)
         if all(b2 >= b1 - 1e-12 for b1, b2 in zip(chain, chain[1:])):
@@ -213,8 +212,9 @@ def test_c07_bias_monotone_in_k(desk_cfg, desk_splits, desk_models):
 def test_c08_variance_ratio_on_mdp(desk_cfg, desk_splits, desk_models):
     teacher, student = desk_models[desk_cfg.seeds[0]]
     inputs = [desk_splits.train_states[i % len(desk_splits.train_states)] for i in range(1000)]
+    cfg = from_dict({**desk_cfg.raw, "k_list": [1, 2, 4, 8]})
     rows, _ = pipeline.bias_variance_rows_for_student(
-        desk_cfg, student, teacher, inputs, 32, desk_cfg.seeds[0], k_list=(1, 2, 4, 8)
+        cfg, student, teacher, inputs, 32, desk_cfg.seeds[0]
     )
     variances = {k: v for k, _, v in rows}
     ratios = {k: variances[k] / variances[1] for k in (2, 4, 8)}

@@ -1,6 +1,7 @@
-"""``sweep-k`` artifacts do not depend on the BLAS thread count.
+"""``sweep-k``, ``sweep-bias-variance`` and ``oracle-check`` artifacts do
+not depend on the BLAS thread count.
 
-Each config runs in two fresh interpreters, at
+Each config and command runs in two fresh interpreters, at
 ``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS`` 1 and 2 (the variables take effect
 only when numpy loads).  Every file must match byte for byte, except
 ``metadata.json``, which records the variables, and ``config.json``'s
@@ -27,12 +28,12 @@ CONFIGS = {
 }
 
 
-def _sweep(config: Path, out: Path, threads: int) -> dict[str, bytes]:
+def _run(config: Path, out: Path, threads: int, command: str = "sweep-k") -> dict[str, bytes]:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, "-m", "kstepkd.cli", "--config", str(config), "--out", str(out),
-         "sweep-k"],
+         command],
         env=env, check=True, capture_output=True, timeout=300,
     )
     return {
@@ -47,7 +48,7 @@ def test_sweep_k_bytes_equal_at_one_and_two_blas_threads(tmp_path, name):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIGS[name]))
     one, two = tmp_path / "one", tmp_path / "two"
-    files_one, files_two = _sweep(config, one, 1), _sweep(config, two, 2)
+    files_one, files_two = _run(config, one, 1), _run(config, two, 2)
     assert files_one.keys() == files_two.keys() and len(files_one) > 5
     # the one difference allowed in config.json is the out_dir each run was given
     files_one["config.json"] = files_one["config.json"].replace(
@@ -55,3 +56,18 @@ def test_sweep_k_bytes_equal_at_one_and_two_blas_threads(tmp_path, name):
     )
     differing = [rel for rel in files_one if files_one[rel] != files_two[rel]]
     assert differing == []
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("sweep-bias-variance", "bias_variance.csv"),
+    ("oracle-check", "oracle_report.csv"),
+])
+def test_decoding_commands_bytes_equal_at_one_and_two_blas_threads(tmp_path, command, artifact):
+    """C11's tiny config through the two other commands that decode: the
+    sweep's sampled rollouts and the oracle's Monte-Carlo check."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    files_one = _run(config, tmp_path / "one", 1, command)
+    files_two = _run(config, tmp_path / "two", 2, command)
+    assert list(files_one) == [artifact]
+    assert files_one == files_two

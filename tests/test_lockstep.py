@@ -243,15 +243,15 @@ def test_bias_variance_rows_match_per_row_groups(seed):
     """The sweep's per-K bias and variance and its KL against per-input
     groups of per-row returns, from per-state terms along the same sampled
     rows (input-major), with a clip range the returns reach."""
-    cfg = from_dict({"vocab_size": 5, "horizon": 6, "window": 2, "clip_range": [-3.0, 3.0]})
+    k_list = [1, 2, 4]
+    cfg = from_dict({"vocab_size": 5, "horizon": 6, "window": 2, "clip_range": [-3.0, 3.0],
+                     "k_list": k_list})
     rng = np.random.default_rng(seed)
     student = init_model(ModelArch("mlp1", window=2, hidden=3), 5, rng, scale=1.0)
     teacher = FrozenModelTeacher(init_model(ModelArch("linear", window=2), 5, rng, scale=1.0))
     inputs = [initial_state(cfg.vocab, p) for p in [(), (1,), (2, 3)]] * 6
-    spi, k_list = 4, (1, 2, 4)
-    rows, kl = pipeline.bias_variance_rows_for_student(
-        cfg, student, teacher, inputs, spi, seed, k_list=k_list
-    )
+    spi = 4
+    rows, kl = pipeline.bias_variance_rows_for_student(cfg, student, teacher, inputs, spi, seed)
 
     initial = [s0 for s0 in inputs for _ in range(spi)]
     batch = decode(student.batch_logits, 2, initial, cfg.horizon,
@@ -271,7 +271,7 @@ def test_bias_variance_rows_match_per_row_groups(seed):
         terms.append((np.array(q), np.array(m)))
     assert abs(kl - sum(kl_terms) / len(kl_terms)) <= TOL
     g = np.array([ret.clip_returns(ret.kstep_from_terms(q, m, 1), rc)[0] for q, m in terms])
-    for (k, bias, var), k_ref in zip(rows, k_list):
+    for (k, bias, var), k_ref in zip(rows, k_list, strict=True):
         gh = np.array([ret.clip_returns(ret.kstep_from_terms(q, m, k), rc)[0] for q, m in terms])
         groups = [slice(j * spi, (j + 1) * spi) for j in range(len(inputs))]
         assert k == k_ref
@@ -415,6 +415,59 @@ def test_decoder_error_paths():
         with pytest.raises(ValueError, match="non-finite log-probability"):
             decode(late_bad_score, 2, [s0, s0], 6, u)
     assert calls == [2, 2, 2]
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["greedy", "sampled"])
+def test_finished_rows_scores_are_ignored(sampled):
+    """A row that ended at step 0 and is scored +inf at every later step
+    decodes to the same batch as with finite scores, and no numeric
+    warning is raised: a finished row's scores are never read."""
+    model = init_model(ModelArch("linear", window=2), VOCAB.size, np.random.default_rng(3))
+
+    def scorer(later):
+        calls = []
+
+        def score(contexts):
+            calls.append(len(contexts))
+            out = model.batch_logits(contexts).copy()
+            out[:, VOCAB.eos_id] = -50.0  # no other row ends
+            if len(calls) == 1:
+                out[0, VOCAB.eos_id] = 50.0  # row 0 ends at step 0
+            elif later is not None:
+                out[0] = later
+            return out
+
+        return score
+
+    s0 = initial_state(VOCAB, (1,))
+    u = np.random.default_rng(8).random((3, 5)) if sampled else None
+    with np.errstate(all="raise", under="ignore"):
+        finite = decode(scorer(None), 2, [s0] * 3, 5, u)
+        infinite = decode(scorer(np.inf), 2, [s0] * 3, 5, u)
+    assert finite.lengths.tolist() == [1, 5, 5]
+    np.testing.assert_array_equal(infinite.tokens, finite.tokens)
+    np.testing.assert_array_equal(infinite.lengths, finite.lengths)
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["greedy", "sampled"])
+def test_scoring_stops_when_every_row_has_ended(sampled):
+    """Row i ends at step i, so a decode of three rows at horizon 6 scores
+    three times: once more than the last ending step."""
+    calls = []
+
+    def score(contexts):
+        calls.append(len(contexts))
+        out = np.zeros((len(contexts), VOCAB.size))
+        out[:, VOCAB.eos_id] = -50.0
+        if len(calls) <= len(contexts):
+            out[len(calls) - 1, VOCAB.eos_id] = 50.0
+        return out
+
+    s0 = initial_state(VOCAB, (1,))
+    u = np.random.default_rng(9).random((3, 6)) if sampled else None
+    batch = decode(score, 2, [s0] * 3, 6, u)
+    assert batch.lengths.tolist() == [1, 2, 3]
+    assert calls == [3, 3, 3]
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (1, 4), (2, 3), (2, 5), (8,)],

@@ -74,6 +74,22 @@ def test_every_top_level_definition_is_used():
     assert unused == []
 
 
+def test_log_softmax_is_written_once():
+    """A log of a sum of exps (``np.log(`` then ``np.exp(`` on one line)
+    appears in ``src/kstepkd`` once, inside ``log_softmax``: every
+    log-softmax, decode's too, goes through it."""
+    inside, outside = [], []
+    for path in sorted((ROOT / "src" / "kstepkd").glob("*.py")):
+        text = path.read_text()
+        body = {line for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.FunctionDef) and node.name == "log_softmax"
+                for line in range(node.lineno, node.end_lineno + 1)}
+        for n, line in enumerate(text.splitlines(), 1):
+            if re.search(r"np\.log\(.*np\.exp\(", line):
+                (inside if n in body else outside).append(f"{path.stem}:{n}")
+    assert len(inside) == 1 and outside == [], (inside, outside)
+
+
 def test_readme_src_line_count():
     """The README's "`src/` holds N lines" figure is the line total of
     src/kstepkd/*.py, as ``wc -l`` counts it."""

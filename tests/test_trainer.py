@@ -46,9 +46,10 @@ def first_sampled_actions(student, batch, horizon=8, seed=0):
 
 def train_one(student, teacher, inputs, cfg, variant=("kstep", 1), val_inputs=None, seed=0):
     """One run of ``train_population``, the (seed, variant) of a population
-    of one: (best student, log), or its error raised."""
-    outcome, = train_population({seed: (teacher, student)}, inputs, cfg, [variant],
-                                val_inputs)[seed]
+    of one, validated on ``val_inputs`` or else on the training inputs:
+    (best student, log), or its error raised."""
+    val = inputs if val_inputs is None else val_inputs
+    outcome, = train_population({seed: (teacher, student)}, inputs, cfg, [variant], val)[seed]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome[:2]
@@ -564,7 +565,7 @@ class TestTrainPopulation:
         monkeypatch.setattr(trainer, "evaluate_population", evaluated)
         with pytest.raises(ValueError, match=message):
             train_population({0: (make_teacher(), make_student())}, [initial_state(VOCAB)],
-                             rl_cfg(), [("kstep", 2), variant])
+                             rl_cfg(), [("kstep", 2), variant], [initial_state(VOCAB)])
 
 
 @pytest.mark.slow
